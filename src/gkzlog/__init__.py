@@ -17,10 +17,10 @@ from .coefficients import (
     UniLogPoly,
     bracket,
     bracket_vec,
+    chain_constants,
     elem_sym_shifted,
     f_coeffs,
     mono_sum_shifted,
-    pochhammer,
 )
 from .errors import (
     DegenerateHull,
@@ -47,6 +47,7 @@ from .logseries import (
     combine_first_order,
     combine_second_order,
     from_text,
+    log_free_coefficients,
     to_text,
 )
 from .operators import (
@@ -79,10 +80,10 @@ __all__ = [
     "UniLogPoly",
     "bracket",
     "bracket_vec",
+    "chain_constants",
     "elem_sym_shifted",
     "f_coeffs",
     "mono_sum_shifted",
-    "pochhammer",
     "DegenerateHull",
     "GkzError",
     "InsufficientRadius",
@@ -108,6 +109,7 @@ __all__ = [
     "combine_first_order",
     "combine_second_order",
     "from_text",
+    "log_free_coefficients",
     "to_text",
     "BoxOp",
     "CertifiedReport",

@@ -26,7 +26,6 @@ from dataclasses import dataclass
 from fractions import Fraction
 from math import gcd
 
-from .coefficients import bracket_vec
 from .errors import (
     DegenerateHull,
     InsufficientRadius,
@@ -35,8 +34,9 @@ from .errors import (
 )
 from .lattice import IntMatrix, kernel_basis
 from .linalg import cofactor_vector, rank_rational, solve_integer, solve_rational
-from .logseries import first_order_coefficient
+from .logseries import log_free_coefficients
 from .polytope import has_unique_interior_point
+from .rationals import to_int
 from .support import check_minimal, support_items
 
 DEFAULT_GRADING_BOUND = 8
@@ -61,7 +61,9 @@ class CISpec:
 
     @classmethod
     def from_lists(cls, sets) -> "CISpec":
-        return cls(tuple(tuple(tuple(int(x) for x in p) for p in s) for s in sets))
+        return cls(
+            tuple(tuple(tuple(to_int(x, "point coordinate") for x in p) for p in s) for s in sets)
+        )
 
     @property
     def dim(self) -> int:
@@ -357,6 +359,25 @@ def _minimality_sweep(v, lattice, radius, columns):
             )
 
 
+def _graded_tail(v, lattice, radius, logs, grade_of, grade_bound):
+    """Nonzero log-free coefficients of the support points of grade 1..bound.
+
+    The support set excludes the log indices; the coefficients are those
+    of the series builders (``log_free_coefficients``).
+    """
+    points = []
+    for _, point in support_items(v, lattice, radius, logs):
+        if not any(point):
+            continue
+        grade = grade_of(point)
+        if grade < 1:
+            raise AssertionError(f"support point {point} has nonpositive grade")
+        if grade <= grade_bound:
+            points.append(point)
+    coeffs = log_free_coefficients(v, points, logs)
+    return {point: coeff for point, coeff in zip(points, coeffs) if coeff}
+
+
 def mirror_map(
     spec: CISpec,
     index,
@@ -437,28 +458,8 @@ def mirror_map(
     grade_of = lambda p: sum(g * x for g, x in zip(grading, p))
     origin = (0,) * width
 
-    f_tail = {}
-    for _, point in support_items(v, lattice, needed, ()):
-        if not any(point):
-            continue
-        grade = grade_of(point)
-        if grade < 1:
-            raise AssertionError(f"support point {point} has nonpositive grade")
-        if grade <= grade_bound:
-            coeff = bracket_vec(v, point)
-            if coeff:
-                f_tail[point] = coeff
-    g_tail = {}
-    for _, point in support_items(v, lattice, needed, (col,)):
-        if not any(point):
-            continue
-        grade = grade_of(point)
-        if grade < 1:
-            raise AssertionError(f"support point {point} has nonpositive grade")
-        if grade <= grade_bound:
-            coeff = first_order_coefficient(v, point, col)
-            if coeff:
-                g_tail[point] = coeff
+    f_tail = _graded_tail(v, lattice, needed, (), grade_of, grade_bound)
+    g_tail = _graded_tail(v, lattice, needed, (col,), grade_of, grade_bound)
 
     inverse = graded_inverse_one_plus(f_tail, grading, grade_bound, origin)
     ratio = graded_mul(g_tail, inverse, grading, grade_bound)

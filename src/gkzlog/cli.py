@@ -44,7 +44,7 @@ from .logseries import (
 )
 from .operators import BoxOp, verify_box_annihilation, verify_euler_annihilation
 from .polytope import has_unique_interior_point
-from .rationals import rational_vector
+from .rationals import rational_vector, to_int
 from .support import check_minimal, support_set
 
 DEFAULT_RADIUS = 6
@@ -57,8 +57,8 @@ class Problem:
     def __init__(self, raw: dict, path: str):
         self.raw = raw
         self.name = raw.get("name", Path(path).stem)
-        self.radius = int(raw.get("radius", DEFAULT_RADIUS))
-        self.grade = int(raw.get("grade", DEFAULT_GRADE))
+        self.radius = to_int(raw.get("radius", DEFAULT_RADIUS), "radius", minimum=0)
+        self.grade = to_int(raw.get("grade", DEFAULT_GRADE), "grade", minimum=0)
         canonical = json.dumps(raw, sort_keys=True, separators=(",", ":"))
         self.source_hash = "sha256:" + hashlib.sha256(canonical.encode("utf-8")).hexdigest()[:16]
         self.spec = None
@@ -127,6 +127,11 @@ def _parse_int_vector(text, length):
     if len(parts) != length:
         raise ProblemFileError(f"expected {length} integers, got {len(parts)}")
     return tuple(_int(p) for p in parts)
+
+
+def _override(flag, default, what):
+    """The command-line value if given, else the problem file's; both >= 0."""
+    return to_int(default if flag is None else flag, what, minimum=0)
 
 
 def _thread_count(args) -> int:
@@ -199,7 +204,7 @@ def cmd_lattice(args) -> int:
 def cmd_support(args) -> int:
     problem = load_problem(args.file)
     lattice = kernel_basis(problem.matrix)
-    radius = args.radius if args.radius is not None else problem.radius
+    radius = _override(args.radius, problem.radius, "radius")
     _check_budget(lattice, radius, args.max_terms)
     excluded = tuple(_parse_index_list(args.exclude, problem.matrix.n_cols)) if args.exclude else ()
     verdict = check_minimal(problem.v, lattice, radius, excluded)
@@ -216,7 +221,7 @@ def cmd_solve(args) -> int:
     started = time.perf_counter()
     problem = load_problem(args.file)
     lattice = kernel_basis(problem.matrix)
-    radius = args.radius if args.radius is not None else problem.radius
+    radius = _override(args.radius, problem.radius, "radius")
     _check_budget(lattice, radius, args.max_terms)
     out_dir = Path(args.out)
     ncols = problem.matrix.n_cols
@@ -327,7 +332,7 @@ def cmd_combine(args) -> int:
     started = time.perf_counter()
     problem = load_problem(args.file)
     lattice = kernel_basis(problem.matrix)
-    radius = args.radius if args.radius is not None else problem.radius
+    radius = _override(args.radius, problem.radius, "radius")
     _check_budget(lattice, radius, args.max_terms)
     out_dir = Path(args.out)
     ncols = problem.matrix.n_cols
@@ -389,7 +394,7 @@ def cmd_ci(args) -> int:
     if problem.spec is None:
         raise ProblemFileError("'ci' section required for this command")
     spec = problem.spec
-    radius = args.radius if args.radius is not None else problem.radius
+    radius = _override(args.radius, problem.radius, "radius")
     lattice = kernel_basis(problem.matrix)
     _check_budget(lattice, radius, args.max_terms)
     print("lifted matrix rows:")
@@ -417,8 +422,8 @@ def cmd_mirror(args) -> int:
     if problem.spec is None:
         raise ProblemFileError("'ci' section required for this command")
     spec = problem.spec
-    radius = args.radius if args.radius is not None else problem.radius
-    grade = args.grade if args.grade is not None else problem.grade
+    radius = _override(args.radius, problem.radius, "radius")
+    grade = _override(args.grade, problem.grade, "grade")
     out_dir = Path(args.out)
 
     parts = args.index.replace(",", " ").split()

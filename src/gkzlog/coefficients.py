@@ -13,9 +13,14 @@ together with two families of symmetric sums at shifted arguments:
     mono_sum_shifted(k, i, z)   complete sum of degree-i monomials
                                 in (1/(z+1), ..., 1/(z+k))
 
-From these, ``f_coeffs(z, k, m)`` assembles the coefficient polynomial
-(in the log variable) of the k-th member of the derivative chain that
-starts at ``t**z * log(t)**m``.  Every function is pure and exact.
+From these, ``f_coeffs(z, k, m)`` assembles in closed form the
+coefficient polynomial (in the log variable) of the k-th member of the
+derivative chain that starts at ``t**z * log(t)**m``.  Consecutive
+members satisfy ``f_{k-1} = (z+k) f_k + d/dlog f_k``, and
+``chain_constants`` walks that recurrence from ``f_0`` to tabulate the
+constant terms of a whole range of members at O(m) work per member; the
+series builders use these tables, and the closed forms remain as their
+oracle.  Every function is pure and exact.
 """
 
 from __future__ import annotations
@@ -62,17 +67,6 @@ def bracket_vec(zs, ks) -> Fraction:
         except UndefinedBracket as exc:
             raise UndefinedBracket(exc.z, exc.k, index=index) from None
     return total
-
-
-def pochhammer(z, n: int) -> Fraction:
-    """Rising product ``z (z+1) ... (z+n-1)`` for ``n >= 0``."""
-    if n < 0:
-        raise ValueError("n must be nonnegative")
-    z = to_rational(z)
-    out = Fraction(1)
-    for j in range(n):
-        out *= z + j
-    return out
 
 
 def elem_sym_shifted(i: int, j: int, z) -> Fraction:
@@ -184,3 +178,45 @@ def f_coeffs(z, k: int, m: int) -> UniLogPoly:
             coeffs[m - i] = (-1) ** i * falling * b * mono_sum_shifted(k, i, z)
             falling *= m - i
     return UniLogPoly.of(coeffs)
+
+
+def chain_constants(seed: UniLogPoly, z, lo: int, hi: int) -> list[Fraction]:
+    """Constant terms of the chain members ``f_k`` for ``lo <= k <= hi``.
+
+    ``seed`` is the member ``f_0``; for the chain of ``t**z log(t)**m`` it
+    is ``f_coeffs(z, 0, m)``.  Walking down applies the recurrence
+    ``f_{k-1} = (z+k) f_k + d/dlog f_k`` directly.  Walking up solves it
+    for ``f_k`` one log degree at a time, from the top degree down, which
+    divides by ``z+k``; the walk stops before the first ``k > 0`` with
+    ``z+k = 0``.  The list then ends early: every entry past its end is
+    undefined, exactly where ``f_coeffs`` raises.
+    """
+    z = to_rational(z)
+    top = list(seed.coeffs)
+    width = len(top)
+    out = []
+    if lo <= 0:
+        poly = top
+        down = [poly[0]]  # down[n] is the constant term of f_{-n}
+        for k in range(0, lo, -1):
+            shift = z + k
+            poly = [
+                shift * c + (d + 1) * poly[d + 1] if d + 1 < width else shift * c
+                for d, c in enumerate(poly)
+            ]
+            down.append(poly[0])
+        out = [down[-k] for k in range(lo, min(hi, 0) + 1)]
+    poly = top
+    for k in range(1, hi + 1):
+        shift = z + k
+        if shift == 0:
+            break
+        above = Fraction(0)  # the coefficient one degree up, already solved
+        solved = [Fraction(0)] * width
+        for d in range(width - 1, -1, -1):
+            above = (poly[d] - (d + 1) * above) / shift
+            solved[d] = above
+        poly = solved
+        if k >= lo:
+            out.append(poly[0])
+    return out

@@ -16,7 +16,7 @@ from fractions import Fraction
 
 from .errors import ResourceLimit
 from .linalg import hnf_rows, solve_rational
-from .rationals import to_rational
+from .rationals import to_int, to_rational
 
 DEFAULT_MAX_BOX_POINTS = 2_000_000
 
@@ -36,7 +36,7 @@ class IntMatrix:
 
     @classmethod
     def from_rows(cls, rows) -> "IntMatrix":
-        return cls(tuple(tuple(int(x) for x in row) for row in rows))
+        return cls(tuple(tuple(to_int(x, "matrix entry") for x in row) for row in rows))
 
     @property
     def n_rows(self) -> int:

@@ -12,15 +12,17 @@ serialize identically.
 The builders construct the truncations of the classical solution series
 of a GKZ system at a base exponent vector ``v``:
 
-    build_F        log-free series, coefficient bracket_vec(v, l)
-    build_G        the log-linear partner of F for one variable
-    build_H_diag   the log-quadratic partner for a repeated variable
-    build_H_off    the log-quadratic partner for a distinct pair
+    build_F        log-free series F
+    build_G        the log-free partner G_i of F * log(lambda_i)
+    build_H_diag   the log-free partner H_ii for a repeated variable
+    build_H_off    the log-free partner H_ij for a distinct pair
 
 and ``combine_first_order`` / ``combine_second_order`` assemble genuine
-solutions of the full system from them.  Each builder records its
-truncation metadata (base vector, lattice, radius) so that the operator
-module can compute certified regions later.
+solutions of the full system from them.  All four builders, and the
+mirror map's tails, share one coefficient rule, ``log_free_coefficients``,
+which reads per-coordinate derivative-chain tables.  Each builder records
+its truncation metadata (base vector, lattice, radius) so that the
+operator module can compute certified regions later.
 """
 
 from __future__ import annotations
@@ -29,7 +31,7 @@ import re
 from dataclasses import dataclass
 from fractions import Fraction
 
-from .coefficients import bracket, bracket_vec, f_coeffs
+from .coefficients import chain_constants, f_coeffs
 from .errors import MinimalityViolation, UndefinedBracket
 from .lattice import RelationLattice
 from .rationals import rational_vector, to_rational
@@ -177,42 +179,71 @@ class LogSeries:
         return self + bump
 
 
-def first_order_coefficient(v, point, i: int) -> Fraction:
-    """Log-free coefficient the first-order builder attaches to ``point``.
+def log_free_coefficients(v, points, logs) -> list[Fraction]:
+    """Coefficients the log-free rule attaches to ``points``, in order.
 
-    Product of the brackets over the other coordinates times the case
-    factor in coordinate ``i``, which is the constant term of the m=1
-    coefficient family (0 when the shift there is 0).
+    The coefficient of a point is the product over coordinates ``j`` of
+    the constant term of ``f_coeffs(v[j], point[j], m_j)``, with log
+    power ``m_j = logs.count(j)``; ``logs`` is ``()`` for F, ``(i,)`` for
+    ``G_i``, ``(i, i)`` for ``H_ii`` and ``(i, j)`` for ``H_ij``.  Each
+    coordinate's constants come from one walk of its derivative chain over
+    the range of ``point[j]`` in ``points``.
+
+    A point past a chain's pole raises what the closed forms raise there:
+    :class:`UndefinedBracket` when a log-free coordinate (``m_j = 0``) is
+    undefined, :class:`MinimalityViolation` otherwise.
     """
-    prod = Fraction(1)
-    for j, (z, k) in enumerate(zip(v, point)):
-        if j != i:
-            prod *= bracket(z, int(k))
-    return prod * f_coeffs(v[i], int(point[i]), 1).constant
+    base = rational_vector(v)
+    if not points:
+        return []
+    tables = []
+    for j, z in enumerate(base):
+        m = logs.count(j)
+        lo = min(point[j] for point in points)
+        hi = max(point[j] for point in points)
+        constants = chain_constants(f_coeffs(z, 0, m), z, lo, hi)
+        # integer pairs: a point costs one Fraction normalization, not one per factor
+        tables.append((lo, [(c.numerator, c.denominator) for c in constants], m))
+    out = []
+    for point in points:
+        num = den = 1
+        try:
+            for k, (lo, table, _) in zip(point, tables):
+                n, d = table[k - lo]
+                num *= n
+                den *= d
+        except IndexError:
+            m, j = min(
+                (m, j)
+                for j, (k, (lo, table, m)) in enumerate(zip(point, tables))
+                if k - lo >= len(table)
+            )
+            if m == 0:
+                raise UndefinedBracket(base[j], point[j], index=j) from None
+            raise MinimalityViolation(
+                f"f_coeffs({base[j]}, {point[j]}, {m}) has no product formula"
+            ) from None
+        out.append(Fraction(num, den))
+    return out
 
 
-def second_order_diag_coefficient(v, point, i: int) -> Fraction:
-    """Log-free coefficient of the repeated-index second-order builder."""
-    prod = Fraction(1)
-    for j, (z, k) in enumerate(zip(v, point)):
-        if j != i:
-            prod *= bracket(z, int(k))
-    return prod * f_coeffs(v[i], int(point[i]), 2).constant
+def _build_log_free(v, lattice, radius, logs) -> LogSeries:
+    """One term per support point (log indices excluded) with a nonzero rule value.
 
-
-def second_order_off_coefficient(v, point, i: int, j: int) -> Fraction:
-    """Log-free coefficient of the distinct-pair second-order builder."""
-    prod = Fraction(1)
-    for mcol, (z, k) in enumerate(zip(v, point)):
-        if mcol not in (i, j):
-            prod *= bracket(z, int(k))
-    factor_i = f_coeffs(v[i], int(point[i]), 1).constant
-    factor_j = f_coeffs(v[j], int(point[j]), 1).constant
-    return prod * factor_i * factor_j
-
-
-def _shifted_exponent(v, point):
-    return tuple(x + d for x, d in zip(v, point))
+    Support points keep every log-free coordinate that is a negative
+    integer negative, so only a log index can hit an undefined entry, and
+    that raises :class:`MinimalityViolation`.
+    """
+    base = rational_vector(v)
+    points = support_set(base, lattice, radius, tuple(sorted(set(logs))))
+    coeffs = log_free_coefficients(base, points, logs)
+    zero_deg = (0,) * len(base)
+    terms = {
+        (tuple(x + d for x, d in zip(base, point)), zero_deg): coeff
+        for point, coeff in zip(points, coeffs)
+        if coeff
+    }
+    return LogSeries(len(base), terms, SeriesMeta(base, lattice, radius))
 
 
 def build_F(v, lattice: RelationLattice, radius: int) -> LogSeries:
@@ -221,34 +252,7 @@ def build_F(v, lattice: RelationLattice, radius: int) -> LogSeries:
     Requires ``v`` to have minimal negative support (check first via
     ``check_minimal``); the coefficient at the base exponent is 1.
     """
-    base = rational_vector(v)
-    terms = {}
-    zero_deg = (0,) * len(base)
-    for point in support_set(base, lattice, radius, ()):
-        try:
-            coeff = bracket_vec(base, point)
-        except UndefinedBracket as exc:
-            raise MinimalityViolation(
-                f"support point {point} hit an undefined bracket: {exc}"
-            ) from None
-        terms[(_shifted_exponent(base, point), zero_deg)] = coeff
-    return LogSeries(len(base), terms, SeriesMeta(base, lattice, radius))
-
-
-def _build_log_free(v, lattice, radius, excluded, coefficient_fn) -> LogSeries:
-    base = rational_vector(v)
-    terms = {}
-    zero_deg = (0,) * len(base)
-    for point in support_set(base, lattice, radius, excluded):
-        try:
-            coeff = coefficient_fn(base, point)
-        except UndefinedBracket as exc:
-            raise MinimalityViolation(
-                f"support point {point} hit an undefined bracket: {exc}"
-            ) from None
-        if coeff:
-            terms[(_shifted_exponent(base, point), zero_deg)] = coeff
-    return LogSeries(len(base), terms, SeriesMeta(base, lattice, radius))
+    return _build_log_free(v, lattice, radius, ())
 
 
 def build_G(v, i: int, lattice: RelationLattice, radius: int) -> LogSeries:
@@ -257,29 +261,19 @@ def build_G(v, i: int, lattice: RelationLattice, radius: int) -> LogSeries:
     ``F * log(lambda_i) + G_i`` satisfies all box operators when ``v``
     passes the plain and the i-excluded minimality checks.
     """
-    return _build_log_free(
-        v, lattice, radius, (i,), lambda base, point: first_order_coefficient(base, point, i)
-    )
+    return _build_log_free(v, lattice, radius, (i,))
 
 
 def build_H_diag(v, i: int, lattice: RelationLattice, radius: int) -> LogSeries:
     """Log-free tail of the repeated-index second-order quasisolution."""
-    return _build_log_free(
-        v, lattice, radius, (i,), lambda base, point: second_order_diag_coefficient(base, point, i)
-    )
+    return _build_log_free(v, lattice, radius, (i, i))
 
 
 def build_H_off(v, i: int, j: int, lattice: RelationLattice, radius: int) -> LogSeries:
     """Log-free tail of the distinct-pair second-order quasisolution."""
     if i == j:
         raise ValueError("indices must differ; use build_H_diag")
-    return _build_log_free(
-        v,
-        lattice,
-        radius,
-        (i, j),
-        lambda base, point: second_order_off_coefficient(base, point, i, j),
-    )
+    return _build_log_free(v, lattice, radius, (i, j))
 
 
 def build_H_table(v, lattice: RelationLattice, radius: int):

@@ -1,7 +1,8 @@
 """Exact rational helpers and the ``p/q`` wire format.
 
-Every scalar in the package is a ``fractions.Fraction``; floats are
-rejected at the boundary so no rounding can enter the computation.
+Every scalar in the package is a ``fractions.Fraction`` or, for matrix
+entries, point coordinates and sizes, an ``int``; floats are rejected at
+the boundary so no rounding or truncation can enter the computation.
 """
 
 from __future__ import annotations
@@ -29,6 +30,18 @@ def to_rational(value) -> Fraction:
         except (ValueError, ZeroDivisionError) as exc:
             raise ProblemFileError(f"bad rational literal {value!r}: {exc}") from None
     raise ProblemFileError(f"expected int or 'p/q' string, got {type(value).__name__}")
+
+
+def to_int(value, what: str = "value", minimum: int | None = None) -> int:
+    """Strict integer: rejects bool, float and str instead of truncating.
+
+    ``minimum``, when given, is the smallest accepted value.
+    """
+    if isinstance(value, bool) or not isinstance(value, int):
+        raise ProblemFileError(f"{what}: expected an integer, got {value!r}")
+    if minimum is not None and value < minimum:
+        raise ProblemFileError(f"{what} must be >= {minimum}, got {value}")
+    return value
 
 
 def rational_vector(values) -> tuple[Fraction, ...]:

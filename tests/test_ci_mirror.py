@@ -25,7 +25,9 @@ from gkzlog.ci_mirror import (
     render_coefficients,
     render_integrality_report,
 )
+from gkzlog.cli import load_problem
 from gkzlog.support import support_set
+from tests.conftest import FIXTURES
 
 
 def fact(n):
@@ -275,3 +277,16 @@ def test_support_sets_match_sign_conditions(quadrilateral_spec):
             if point[0] <= 0 and all(point[k] >= 0 for k in (1, 2, 3)):
                 want.add(point)
     assert got == want
+
+
+def test_quintic_period_known_answer():
+    # Candelas-de la Ossa-Green-Parkes: the F coefficients of the quintic
+    # are (-1)^n (5n)!/(n!)^5 along the lattice ray n*(-5,1,1,1,1,1).
+    problem = load_problem(str(FIXTURES / "quintic.json"))
+    lattice = kernel_basis(problem.matrix)
+    assert lattice.basis == ((5, -1, -1, -1, -1, -1),)
+    series = build_F(problem.v, lattice, 10)
+    assert len(series) == 11
+    for n in range(11):
+        exponent = tuple(x + n * d for x, d in zip(problem.v, (-5, 1, 1, 1, 1, 1)))
+        assert series.coefficient(exponent) == (-1) ** n * fact(5 * n) // fact(n) ** 5

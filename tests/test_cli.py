@@ -2,6 +2,8 @@
 
 import json
 
+import pytest
+
 from gkzlog.cli import main
 from tests.conftest import FIXTURES
 
@@ -204,3 +206,51 @@ def test_artifacts_deterministic(tmp_path):
             == 0
         )
     assert _tree_bytes(out1) == _tree_bytes(out2)
+
+
+def test_quintic_mirror_is_integral(tmp_path):
+    out = tmp_path / "out"
+    quintic = str(FIXTURES / "quintic.json")
+    assert main(["mirror", quintic, "--index", "1", "--grade", "12", "--out", str(out)]) == 0
+    assert (out / "mirror_0_1.report").read_text().splitlines()[-1] == "OK"
+
+
+def test_negative_radius_and_grade_are_input_errors(tmp_path, capsys):
+    out = str(tmp_path / "out")
+    assert main(["solve", GAUSS, "--order", "0", "--radius", "-1", "--out", out]) == 2
+    assert main(["mirror", QUAD, "--index", "1", "--grade", "-2", "--out", out]) == 2
+    assert "Traceback" not in capsys.readouterr().err
+
+
+def _problem(tmp_path, **fields):
+    path = tmp_path / "problem.json"
+    path.write_text(json.dumps(fields))
+    return str(path)
+
+
+@pytest.mark.parametrize("radius", ["abc", "6", 6.0, True, -1])
+def test_problem_radius_must_be_a_nonnegative_integer(tmp_path, radius):
+    gauss = json.loads((FIXTURES / "gauss.json").read_text())
+    path = _problem(tmp_path, **{**gauss, "radius": radius})
+    assert main(["solve", path, "--order", "0", "--out", str(tmp_path / "out")]) == 2
+
+
+@pytest.mark.parametrize("grade", ["8", 8.5, False, -1])
+def test_problem_grade_must_be_a_nonnegative_integer(tmp_path, grade):
+    quad = json.loads((FIXTURES / "ci_quadrilateral.json").read_text())
+    path = _problem(tmp_path, **{**quad, "grade": grade})
+    assert main(["mirror", path, "--index", "1", "--out", str(tmp_path / "out")]) == 2
+
+
+@pytest.mark.parametrize("bad", [1.9, 1.0, "1", True])
+def test_point_set_coordinates_must_be_integers(tmp_path, bad):
+    points = [[0, 0], [bad, 1], [-1, 0], [1, -1], [1, 0]]
+    path = _problem(tmp_path, ci={"point_sets": [points]})
+    assert main(["mirror", path, "--index", "1", "--grade", "2", "--out", str(tmp_path)]) == 2
+
+
+@pytest.mark.parametrize("bad", [1.5, 1.0, "1", True])
+def test_matrix_entries_must_be_integers(tmp_path, bad):
+    gauss = json.loads((FIXTURES / "gauss.json").read_text())
+    gauss["matrix"][0][0] = bad
+    assert main(["lattice", _problem(tmp_path, **gauss)]) == 2

@@ -13,7 +13,6 @@ from gkzlog import (
     elem_sym_shifted,
     f_coeffs,
     mono_sum_shifted,
-    pochhammer,
 )
 from gkzlog.coefficients import UniLogPoly
 
@@ -53,12 +52,6 @@ def test_bracket_vec():
     with pytest.raises(UndefinedBracket) as err:
         bracket_vec((F(0), F(-1)), (2, 1))
     assert err.value.index == 1
-
-
-def test_pochhammer():
-    assert pochhammer(F(1, 2), 0) == 1
-    assert pochhammer(F(1, 2), 3) == F(1, 2) * F(3, 2) * F(5, 2)
-    assert pochhammer(3, 4) == 3 * 4 * 5 * 6
 
 
 def test_elem_sym_basics():
