@@ -66,7 +66,7 @@ from .polytope import (
     interior_lattice_points,
     minkowski_hull,
 )
-from .support import SupportVerdict, check_minimal, nsupp, support_set
+from .support import SupportBox, SupportVerdict, check_minimal, nsupp, support_set
 
 __version__ = "0.1.0"
 
@@ -123,6 +123,7 @@ __all__ = [
     "has_unique_interior_point",
     "interior_lattice_points",
     "minkowski_hull",
+    "SupportBox",
     "SupportVerdict",
     "check_minimal",
     "nsupp",

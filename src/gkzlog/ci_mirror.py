@@ -32,12 +32,12 @@ from .errors import (
     MinimalityViolation,
     NoPositiveFunctional,
 )
-from .lattice import IntMatrix, kernel_basis
+from .lattice import DEFAULT_MAX_BOX_POINTS, IntMatrix, kernel_basis
 from .linalg import cofactor_vector, rank_rational, solve_integer, solve_rational
 from .logseries import log_free_coefficients
 from .polytope import has_unique_interior_point
 from .rationals import to_int
-from .support import check_minimal, support_items
+from .support import SupportBox
 
 DEFAULT_GRADING_BOUND = 8
 DEFAULT_RADIUS_CAP = 1 << 14
@@ -347,26 +347,14 @@ def graded_log(e, grading, bound, origin):
     return {p: c for layer in log.values() for p, c in layer.items()}
 
 
-def _minimality_sweep(v, lattice, radius, columns):
-    verdict = check_minimal(v, lattice, radius, ())
-    if not verdict.minimal:
-        raise MinimalityViolation(f"base vector fails minimality: {verdict}")
-    for col in columns:
-        verdict = check_minimal(v, lattice, radius, (col,))
-        if not verdict.minimal:
-            raise MinimalityViolation(
-                f"base vector fails minimality with column {col} excluded: {verdict}"
-            )
-
-
-def _graded_tail(v, lattice, radius, logs, grade_of, grade_bound):
+def _graded_tail(box, logs, grade_of, grade_bound):
     """Nonzero log-free coefficients of the support points of grade 1..bound.
 
     The support set excludes the log indices; the coefficients are those
     of the series builders (``log_free_coefficients``).
     """
     points = []
-    for _, point in support_items(v, lattice, radius, logs):
+    for point in box.support_set(logs):
         if not any(point):
             continue
         grade = grade_of(point)
@@ -374,7 +362,7 @@ def _graded_tail(v, lattice, radius, logs, grade_of, grade_bound):
             raise AssertionError(f"support point {point} has nonpositive grade")
         if grade <= grade_bound:
             points.append(point)
-    coeffs = log_free_coefficients(v, points, logs)
+    coeffs = log_free_coefficients(box.base, points, logs)
     return {point: coeff for point, coeff in zip(points, coeffs) if coeff}
 
 
@@ -385,6 +373,7 @@ def mirror_map(
     radius: int = 2,
     grading_bound: int = DEFAULT_GRADING_BOUND,
     radius_cap: int = DEFAULT_RADIUS_CAP,
+    max_points: int = DEFAULT_MAX_BOX_POINTS,
 ) -> MirrorMap:
     """Mirror-map series of one column, exact to the given grade bound.
 
@@ -394,7 +383,8 @@ def mirror_map(
     support point of grade <= bound is provably inside the box (the
     cone slice is a simplex spanned by the scaled rays, so the needed
     radius is read off exactly).  Division by F and the exponential are
-    then computed grade by grade.
+    then computed grade by grade.  Each of the three boxes it enumerates
+    (minimality, seed points, tails) is capped at ``max_points``.
     """
     if isinstance(index, int):
         index = spec.column_of(index)
@@ -412,7 +402,13 @@ def mirror_map(
             "distinguished-point sum is not the unique interior lattice point "
             "of the Minkowski sum"
         )
-    _minimality_sweep(v, lattice, min(radius, 4), range(width))
+    sweep = SupportBox(v, lattice, min(radius, 4), max_points).sweep(
+        [()] + [(column,) for column in range(width)]
+    )
+    for excluded, verdict in sweep.items():
+        if not verdict.minimal:
+            where = f" with column {excluded[0]} excluded" if excluded else ""
+            raise MinimalityViolation(f"base vector fails minimality{where}: {verdict}")
 
     if lattice.rank == 0 or grade_bound == 0:
         return MirrorMap(
@@ -430,11 +426,10 @@ def mirror_map(
             all_rays.add(ray)
     ray_points = [lattice.point_from_coords(r) for r in sorted(all_rays)]
 
-    seed_points = []
-    for column in range(width):
-        for _, point in support_items(v, lattice, min(radius, 3), (column,)):
-            if any(point):
-                seed_points.append(point)
+    seed_box = SupportBox(v, lattice, min(radius, 3), max_points)
+    seed_points = [
+        point for column in range(width) for point in seed_box.support_set((column,)) if any(point)
+    ]
     grading = positive_grading(ray_points + seed_points, bound=grading_bound, ambient_dim=width)
 
     needed = max(1, radius)
@@ -458,8 +453,10 @@ def mirror_map(
     grade_of = lambda p: sum(g * x for g, x in zip(grading, p))
     origin = (0,) * width
 
-    f_tail = _graded_tail(v, lattice, needed, (), grade_of, grade_bound)
-    g_tail = _graded_tail(v, lattice, needed, (col,), grade_of, grade_bound)
+    tail_box = SupportBox(v, lattice, needed, max_points)
+    f_tail = _graded_tail(tail_box, (), grade_of, grade_bound)
+    g_tail = _graded_tail(tail_box, (col,), grade_of, grade_bound)
+    del tail_box  # the largest object of the run: free it before the graded arithmetic
 
     inverse = graded_inverse_one_plus(f_tail, grading, grade_bound, origin)
     ratio = graded_mul(g_tail, inverse, grading, grade_bound)

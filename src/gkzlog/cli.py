@@ -15,7 +15,6 @@ from __future__ import annotations
 import argparse
 import hashlib
 import json
-import os
 import sys
 import time
 from pathlib import Path
@@ -45,7 +44,7 @@ from .logseries import (
 from .operators import BoxOp, verify_box_annihilation, verify_euler_annihilation
 from .polytope import has_unique_interior_point
 from .rationals import rational_vector, to_int
-from .support import check_minimal, support_set
+from .support import SupportBox
 
 DEFAULT_RADIUS = 6
 DEFAULT_GRADE = 6
@@ -134,20 +133,26 @@ def _override(flag, default, what):
     return to_int(default if flag is None else flag, what, minimum=0)
 
 
-def _thread_count(args) -> int:
-    if args.threads is not None:
-        count = args.threads
-    else:
-        count = int(os.environ.get("GKZLOG_THREADS", "1"))
-    if count < 1:
-        raise ProblemFileError("thread count must be >= 1")
-    return count
+def _sweep(box, excluded_sets, failure):
+    """``run_report.json`` verdicts, or None after printing the first failure."""
+    verdicts = box.sweep(excluded_sets)
+    for excluded, verdict in verdicts.items():
+        if not verdict.minimal:
+            print(failure(excluded))
+            return None
+    return {f"excluded={excluded}": str(verdict) for excluded, verdict in verdicts.items()}
 
 
-def _check_budget(lattice, radius, max_terms):
-    count = (2 * radius + 1) ** lattice.rank
-    if count > max_terms:
-        raise ResourceLimit(f"box enumeration needs {count} points (--max-terms {max_terms})")
+def _solve_failure(excluded):
+    if not excluded:
+        return "minimality failed for the plain negative support"
+    if len(excluded) == 1:
+        return f"minimality failed with index {excluded[0]} excluded"
+    return f"minimality failed with {list(excluded)} excluded"
+
+
+def _unit(i, n):
+    return tuple(1 if k == i else 0 for k in range(n))
 
 
 def _verify_series(series, lattice, matrix=None, beta=None):
@@ -205,12 +210,12 @@ def cmd_support(args) -> int:
     problem = load_problem(args.file)
     lattice = kernel_basis(problem.matrix)
     radius = _override(args.radius, problem.radius, "radius")
-    _check_budget(lattice, radius, args.max_terms)
+    box = SupportBox(problem.v, lattice, radius, args.max_terms)
     excluded = tuple(_parse_index_list(args.exclude, problem.matrix.n_cols)) if args.exclude else ()
-    verdict = check_minimal(problem.v, lattice, radius, excluded)
+    verdict = box.check_minimal(excluded)
     print(f"excluded: {sorted(excluded)}")
     print(f"verdict: {verdict}")
-    points = support_set(problem.v, lattice, radius, excluded)
+    points = box.support_set(excluded)
     print(f"support points within radius {radius}: {len(points)}")
     for point in points:
         print("  (" + ",".join(str(x) for x in point) + ")")
@@ -222,92 +227,55 @@ def cmd_solve(args) -> int:
     problem = load_problem(args.file)
     lattice = kernel_basis(problem.matrix)
     radius = _override(args.radius, problem.radius, "radius")
-    _check_budget(lattice, radius, args.max_terms)
     out_dir = Path(args.out)
     ncols = problem.matrix.n_cols
 
-    plain = check_minimal(problem.v, lattice, radius, ())
-    verdicts = {"excluded=()": str(plain)}
-    if not plain.minimal:
-        print("minimality failed for the plain negative support")
-        return 1
-
+    indices, pairs = [], []
     if args.order >= 1:
-        indices = (
-            _parse_index_list(args.indices, ncols) if args.indices else list(range(ncols))
-        )
-        for i in sorted(set(indices)):
-            verdict = check_minimal(problem.v, lattice, radius, (i,))
-            verdicts[f"excluded=({i},)"] = str(verdict)
-            if not verdict.minimal:
-                print(f"minimality failed with index {i} excluded")
-                return 1
-    else:
-        indices = []
+        indices = _parse_index_list(args.indices, ncols) if args.indices else range(ncols)
+        indices = sorted(set(indices))
+    if args.order == 2 and args.indices:
+        for chunk in args.indices.split():
+            parts = chunk.split(",")
+            if len(parts) != 2:
+                raise ProblemFileError(f"order-2 indices are 'i,j' pairs, got {chunk!r}")
+            i, j = (_int(p) for p in parts)
+            if not (0 <= i < ncols and 0 <= j < ncols):
+                raise ProblemFileError(f"pair {chunk!r} out of range 0..{ncols - 1}")
+            pairs.append((min(i, j), max(i, j)))
+    elif args.order == 2:
+        pairs = [(i, j) for i in range(ncols) for j in range(i, ncols)]
+    pairs = sorted(set(pairs))
+    sets = [()] + [(i,) for i in indices] + pairs
+    verdicts = _sweep(SupportBox(problem.v, lattice, radius, args.max_terms), sets, _solve_failure)
+    if verdicts is None:
+        return 1
 
     artifacts = []
     verification = []
     all_ok = True
 
-    def record(name, series, with_euler=False):
+    def record(name, series):
         nonlocal all_ok
-        summaries, ok = _verify_series(
-            series,
-            lattice,
-            problem.matrix if with_euler else None,
-            problem.beta if with_euler else None,
-        )
+        summaries, ok = _verify_series(series, lattice)
         verification.append({"artifact": name, "checks": summaries})
         all_ok = all_ok and ok
         artifacts.append(_write_artifact(out_dir, name, to_text(series)))
 
     series_f = build_F(problem.v, lattice, radius)
-    if args.order == 0:
-        record("F.series", series_f)
-    elif args.order == 1:
-        record("F.series", series_f)
-        for i in sorted(set(indices)):
-            quasi = series_f.mul_log_linear(tuple(1 if k == i else 0 for k in range(ncols)))
+    record("F.series", series_f)
+    if args.order == 1:
+        for i in indices:
+            quasi = series_f.mul_log_linear(_unit(i, ncols))
             quasi = quasi + build_G(problem.v, i, lattice, radius)
             record(f"quasi1_{i}.series", quasi)
-    else:
-        pairs = []
-        if args.indices:
-            for chunk in args.indices.split():
-                parts = chunk.split(",")
-                if len(parts) != 2:
-                    raise ProblemFileError(f"order-2 indices are 'i,j' pairs, got {chunk!r}")
-                i, j = (_int(p) for p in parts)
-                if not (0 <= i < ncols and 0 <= j < ncols):
-                    raise ProblemFileError(f"pair {chunk!r} out of range 0..{ncols - 1}")
-                pairs.append((min(i, j), max(i, j)))
-        else:
-            pairs = [(i, j) for i in range(ncols) for j in range(i, ncols)]
-        for i, j in sorted(set(pairs)):
-            for excluded in ({i}, {j}, {i, j}):
-                key = f"excluded={tuple(sorted(excluded))}"
-                if key not in verdicts:
-                    verdict = check_minimal(problem.v, lattice, radius, tuple(sorted(excluded)))
-                    verdicts[key] = str(verdict)
-                    if not verdict.minimal:
-                        print(f"minimality failed with {sorted(excluded)} excluded")
-                        return 1
-        record("F.series", series_f)
+    elif args.order == 2:
         series_g = [build_G(problem.v, i, lattice, radius) for i in range(ncols)]
         table = build_H_table(problem.v, lattice, radius)
-        for i, j in sorted(set(pairs)):
-            unit_i = tuple(1 if k == i else 0 for k in range(ncols))
-            unit_j = tuple(1 if k == j else 0 for k in range(ncols))
-            quasi = series_f.mul_log_linear(unit_i).mul_log_linear(unit_j)
-            if i == j:
-                quasi = quasi + series_g[i].mul_log_linear(unit_i).scale(2) + table[i][i]
-            else:
-                quasi = (
-                    quasi
-                    + series_g[i].mul_log_linear(unit_j)
-                    + series_g[j].mul_log_linear(unit_i)
-                    + table[i][j]
-                )
+        for i, j in pairs:
+            quasi = combine_second_order(
+                series_f, series_g, table, _unit(i, ncols), _unit(j, ncols)
+            )
             record(f"quasi2_{i}_{j}.series", quasi)
 
     report = {
@@ -333,7 +301,6 @@ def cmd_combine(args) -> int:
     problem = load_problem(args.file)
     lattice = kernel_basis(problem.matrix)
     radius = _override(args.radius, problem.radius, "radius")
-    _check_budget(lattice, radius, args.max_terms)
     out_dir = Path(args.out)
     ncols = problem.matrix.n_cols
 
@@ -348,14 +315,11 @@ def cmd_combine(args) -> int:
 
     needed = [()] + [(i,) for i in range(ncols)]
     if point2 is not None:
-        needed += [tuple(sorted({i, j})) for i in range(ncols) for j in range(i + 1, ncols)]
-    verdicts = {}
-    for excluded in needed:
-        verdict = check_minimal(problem.v, lattice, radius, excluded)
-        verdicts[f"excluded={excluded}"] = str(verdict)
-        if not verdict.minimal:
-            print(f"minimality failed with {excluded} excluded")
-            return 1
+        needed += [(i, j) for i in range(ncols) for j in range(i + 1, ncols)]
+    failure = "minimality failed with {} excluded".format
+    verdicts = _sweep(SupportBox(problem.v, lattice, radius, args.max_terms), needed, failure)
+    if verdicts is None:
+        return 1
 
     series_f = build_F(problem.v, lattice, radius)
     series_g = [build_G(problem.v, i, lattice, radius) for i in range(ncols)]
@@ -396,7 +360,7 @@ def cmd_ci(args) -> int:
     spec = problem.spec
     radius = _override(args.radius, problem.radius, "radius")
     lattice = kernel_basis(problem.matrix)
-    _check_budget(lattice, radius, args.max_terms)
+    box = SupportBox(problem.v, lattice, radius, args.max_terms)
     print("lifted matrix rows:")
     for row in problem.matrix.rows:
         print("  (" + ",".join(str(x) for x in row) + ")")
@@ -405,12 +369,10 @@ def cmd_ci(args) -> int:
     hypothesis = has_unique_interior_point(spec.point_sets, spec.delta)
     print(f"unique interior point {spec.delta}: {hypothesis}")
     ok = hypothesis
-    verdict = check_minimal(problem.v, lattice, radius, ())
-    print(f"minimality, nothing excluded: {verdict}")
-    ok = ok and verdict.minimal
-    for col in range(problem.matrix.n_cols):
-        verdict = check_minimal(problem.v, lattice, radius, (col,))
-        print(f"minimality, column {col} excluded: {verdict}")
+    verdicts = box.sweep([()] + [(col,) for col in range(problem.matrix.n_cols)])
+    for excluded, verdict in verdicts.items():
+        what = f"column {excluded[0]} excluded" if excluded else "nothing excluded"
+        print(f"minimality, {what}: {verdict}")
         ok = ok and verdict.minimal
     print(f"status: {'pass' if ok else 'fail'}")
     return 0 if ok else 1
@@ -438,7 +400,7 @@ def cmd_mirror(args) -> int:
     except ValueError as exc:
         raise ProblemFileError(str(exc)) from None
 
-    q = mirror_map(spec, index, grade, radius=radius)
+    q = mirror_map(spec, index, grade, radius=radius, max_points=args.max_terms)
     i, j = q.index
     stem = f"mirror_{i}_{j}"
     artifacts = [
@@ -482,8 +444,9 @@ def build_parser() -> argparse.ArgumentParser:
     def common(p, out=False):
         p.add_argument("file", help="JSON problem file")
         p.add_argument("--radius", type=int, default=None, help="enumeration radius")
-        p.add_argument("--max-terms", type=int, default=DEFAULT_MAX_BOX_POINTS)
-        p.add_argument("--threads", type=int, default=None)
+        p.add_argument(
+            "--max-terms", type=int, default=DEFAULT_MAX_BOX_POINTS, help="box enumeration cap"
+        )
         if out:
             p.add_argument("--out", default="out", help="artifact directory")
 
@@ -524,7 +487,6 @@ def main(argv=None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
     try:
-        _thread_count(args)
         return args.func(args)
     except ProblemFileError as exc:
         print(f"input error: {exc}", file=sys.stderr)

@@ -5,7 +5,8 @@ is the integer kernel of the matrix.  ``kernel_basis`` computes a
 saturated basis, canonicalized by Hermite normal form so that outputs are
 stable across runs and platforms.  ``enumerate_box`` walks all integer
 coefficient vectors in a max-norm box in a fixed lexicographic order; it
-is the truncation device used by every series builder.
+is the truncation device used by every series builder, which walks it
+lazily through ``support.SupportBox``.
 """
 
 from __future__ import annotations
@@ -120,12 +121,8 @@ def kernel_basis(matrix) -> RelationLattice:
     return RelationLattice(ambient_dim=width, basis=basis)
 
 
-def enumerate_box(lattice: RelationLattice, radius: int, max_points: int = DEFAULT_MAX_BOX_POINTS):
-    """All lattice points with basis coefficients in ``[-radius, radius]``.
-
-    Returns ``[(coeffs, point), ...]`` in lexicographic order of the
-    coefficient vector; the count is ``(2*radius + 1) ** rank``.
-    """
+def _box(lattice: RelationLattice, radius: int, max_points: int):
+    """Lazy ``(coeffs, point)`` pairs of ``enumerate_box``; checks run at once."""
     if radius < 0:
         raise ValueError("radius must be nonnegative")
     count = (2 * radius + 1) ** lattice.rank
@@ -133,7 +130,16 @@ def enumerate_box(lattice: RelationLattice, radius: int, max_points: int = DEFAU
         raise ResourceLimit(
             f"box enumeration would produce {count} points (cap {max_points})"
         )
-    out = []
-    for coeffs in itertools.product(range(-radius, radius + 1), repeat=lattice.rank):
-        out.append((coeffs, lattice.point_from_coords(coeffs)))
-    return out
+    return (
+        (coeffs, lattice.point_from_coords(coeffs))
+        for coeffs in itertools.product(range(-radius, radius + 1), repeat=lattice.rank)
+    )
+
+
+def enumerate_box(lattice: RelationLattice, radius: int, max_points: int = DEFAULT_MAX_BOX_POINTS):
+    """All lattice points with basis coefficients in ``[-radius, radius]``.
+
+    Returns ``[(coeffs, point), ...]`` in lexicographic order of the
+    coefficient vector; the count is ``(2*radius + 1) ** rank``.
+    """
+    return list(_box(lattice, radius, max_points))

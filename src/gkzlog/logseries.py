@@ -35,7 +35,7 @@ from .coefficients import chain_constants, f_coeffs
 from .errors import MinimalityViolation, UndefinedBracket
 from .lattice import RelationLattice
 from .rationals import rational_vector, to_rational
-from .support import support_set
+from .support import SupportBox
 
 
 @dataclass(frozen=True)
@@ -227,15 +227,15 @@ def log_free_coefficients(v, points, logs) -> list[Fraction]:
     return out
 
 
-def _build_log_free(v, lattice, radius, logs) -> LogSeries:
+def _build_log_free(box: SupportBox, logs) -> LogSeries:
     """One term per support point (log indices excluded) with a nonzero rule value.
 
     Support points keep every log-free coordinate that is a negative
     integer negative, so only a log index can hit an undefined entry, and
     that raises :class:`MinimalityViolation`.
     """
-    base = rational_vector(v)
-    points = support_set(base, lattice, radius, tuple(sorted(set(logs))))
+    base = box.base
+    points = box.support_set(logs)
     coeffs = log_free_coefficients(base, points, logs)
     zero_deg = (0,) * len(base)
     terms = {
@@ -243,7 +243,7 @@ def _build_log_free(v, lattice, radius, logs) -> LogSeries:
         for point, coeff in zip(points, coeffs)
         if coeff
     }
-    return LogSeries(len(base), terms, SeriesMeta(base, lattice, radius))
+    return LogSeries(len(base), terms, SeriesMeta(base, box.lattice, box.radius))
 
 
 def build_F(v, lattice: RelationLattice, radius: int) -> LogSeries:
@@ -252,7 +252,7 @@ def build_F(v, lattice: RelationLattice, radius: int) -> LogSeries:
     Requires ``v`` to have minimal negative support (check first via
     ``check_minimal``); the coefficient at the base exponent is 1.
     """
-    return _build_log_free(v, lattice, radius, ())
+    return _build_log_free(SupportBox(v, lattice, radius), ())
 
 
 def build_G(v, i: int, lattice: RelationLattice, radius: int) -> LogSeries:
@@ -261,31 +261,29 @@ def build_G(v, i: int, lattice: RelationLattice, radius: int) -> LogSeries:
     ``F * log(lambda_i) + G_i`` satisfies all box operators when ``v``
     passes the plain and the i-excluded minimality checks.
     """
-    return _build_log_free(v, lattice, radius, (i,))
+    return _build_log_free(SupportBox(v, lattice, radius), (i,))
 
 
 def build_H_diag(v, i: int, lattice: RelationLattice, radius: int) -> LogSeries:
     """Log-free tail of the repeated-index second-order quasisolution."""
-    return _build_log_free(v, lattice, radius, (i, i))
+    return _build_log_free(SupportBox(v, lattice, radius), (i, i))
 
 
 def build_H_off(v, i: int, j: int, lattice: RelationLattice, radius: int) -> LogSeries:
     """Log-free tail of the distinct-pair second-order quasisolution."""
     if i == j:
         raise ValueError("indices must differ; use build_H_diag")
-    return _build_log_free(v, lattice, radius, (i, j))
+    return _build_log_free(SupportBox(v, lattice, radius), (i, j))
 
 
 def build_H_table(v, lattice: RelationLattice, radius: int):
-    """Symmetric table of all second-order partners."""
+    """Symmetric table of all second-order partners, read from one box."""
+    box = SupportBox(v, lattice, radius)
     n = lattice.ambient_dim
     table = [[None] * n for _ in range(n)]
     for i in range(n):
-        table[i][i] = build_H_diag(v, i, lattice, radius)
-        for j in range(i + 1, n):
-            series = build_H_off(v, i, j, lattice, radius)
-            table[i][j] = series
-            table[j][i] = series
+        for j in range(i, n):
+            table[i][j] = table[j][i] = _build_log_free(box, (i, j))
     return tuple(tuple(row) for row in table)
 
 

@@ -189,9 +189,17 @@ def test_float_rationals_rejected(tmp_path):
     assert main(["lattice", str(bad)]) == 2
 
 
-def test_threads_flag_validated():
-    assert main(["lattice", GAUSS, "--threads", "0"]) == 2
-    assert main(["lattice", GAUSS, "--threads", "4"]) == 0
+def test_mirror_max_terms_resource_limit(tmp_path, capsys):
+    out = str(tmp_path / "out")
+    args = ["mirror", TRIANGLES, "--index", "1", "--grade", "40", "--out", out]
+    assert main([*args, "--max-terms", "10"]) == 3
+    assert "cap 10" in capsys.readouterr().err
+    assert not (tmp_path / "out").exists()
+
+
+def test_thread_environment_variable_is_not_read(monkeypatch):
+    monkeypatch.setenv("GKZLOG_THREADS", "abc")
+    assert main(["lattice", GAUSS]) == 0
 
 
 def _tree_bytes(root):

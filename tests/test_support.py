@@ -1,11 +1,24 @@
 """Negative-support sets, minimality verdicts, support-set listings."""
 
+import itertools
 from fractions import Fraction as F
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from gkzlog import check_minimal, nsupp, support_set
-from tests.conftest import gauss_v
+from gkzlog import (
+    ResourceLimit,
+    SupportBox,
+    SupportVerdict,
+    check_minimal,
+    enumerate_box,
+    kernel_basis,
+    nsupp,
+    support_set,
+)
+from gkzlog.cli import load_problem
+from tests.conftest import FIXTURES, GAUSS_MATRIX, PYRAMID_MATRIX, gauss_v
 
 PYRAMID_V = (F(0), F(0), F(0), F(0), F(1))
 
@@ -121,3 +134,93 @@ def test_two_singles_imply_plain_minimality(pyramid_lattice, v):
             ok_j = check_minimal(v, pyramid_lattice, radius, (j,)).minimal
             if ok_i and ok_j:
                 assert check_minimal(v, pyramid_lattice, radius, ()).minimal
+
+
+# --- differential tests: one support box against the per-point nsupp scan ---
+
+
+def reference_scan(v, lattice, radius, excluded):
+    """The scan the box replaces: nsupp of every shift, box by box."""
+    base = tuple(F(x) for x in v)
+    target = nsupp(base, excluded)
+    counterexample = None
+    kept = []
+    for _, point in enumerate_box(lattice, radius):
+        shifted = nsupp([x + d for x, d in zip(base, point)], excluded)
+        if counterexample is None and shifted < target:
+            counterexample = point
+        if shifted == target:
+            kept.append(point)
+    verdict = SupportVerdict(counterexample is None, radius, counterexample)
+    return verdict, kept
+
+
+def small_excluded_sets(n):
+    singles = [(i,) for i in range(n)]
+    pairs = [tuple(pair) for pair in itertools.combinations(range(n), 2)]
+    return [()] + singles + pairs
+
+
+@pytest.mark.parametrize("fixture", sorted(p.name for p in FIXTURES.glob("*.json")))
+def test_box_queries_match_reference_scan_on_fixtures(fixture):
+    problem = load_problem(str(FIXTURES / fixture))
+    lattice = kernel_basis(problem.matrix)
+    box = SupportBox(problem.v, lattice, problem.radius)
+    sets = small_excluded_sets(problem.matrix.n_cols)
+    for excluded in sets:
+        verdict, kept = reference_scan(problem.v, lattice, problem.radius, excluded)
+        assert box.check_minimal(excluded) == verdict, excluded
+        assert box.support_set(excluded) == kept, excluded
+        assert check_minimal(problem.v, lattice, problem.radius, excluded) == verdict
+        assert support_set(problem.v, lattice, problem.radius, excluded) == kept
+    assert list(box.sweep(sets).values()) == [
+        reference_scan(problem.v, lattice, problem.radius, e)[0] for e in sets
+    ]
+
+
+RATIONALS = st.one_of(
+    st.integers(-3, 3).map(F),
+    st.builds(F, st.integers(-7, 7), st.integers(2, 4)),
+)
+
+
+@settings(max_examples=200, deadline=None)
+@given(data=st.data(), which=st.sampled_from(["gauss", "pyramid"]), radius=st.integers(0, 3))
+def test_box_queries_match_reference_scan_on_random_vectors(data, which, radius):
+    lattice = kernel_basis(GAUSS_MATRIX if which == "gauss" else PYRAMID_MATRIX)
+    n = lattice.ambient_dim
+    v = data.draw(st.lists(RATIONALS, min_size=n, max_size=n), label="v")
+    excluded = data.draw(
+        st.lists(st.integers(0, n - 1), max_size=2, unique=True).map(tuple), label="excluded"
+    )
+    verdict, kept = reference_scan(v, lattice, radius, excluded)
+    box = SupportBox(v, lattice, radius)
+    assert box.check_minimal(excluded) == verdict
+    assert box.support_set(excluded) == kept
+
+
+def test_sweep_keys_are_sorted_sets_in_first_occurrence_order(pyramid_lattice):
+    box = SupportBox(PYRAMID_V, pyramid_lattice, 2)
+    verdicts = box.sweep([(), (4,), (1,), (1, 1), (2, 0), (0, 2), (4,)])
+    assert list(verdicts) == [(), (4,), (1,), (0, 2)]
+    assert all(verdict.minimal for verdict in verdicts.values())
+
+
+@pytest.mark.parametrize("excluded", [(4,), (0, 9), (-1,)])
+def test_box_excluded_index_out_of_range(gauss_lattice, excluded):
+    v = gauss_v(F(1, 2), F(1, 3))
+    box = SupportBox(v, gauss_lattice, 2)
+    with pytest.raises(ValueError):
+        box.check_minimal(excluded)
+    with pytest.raises(ValueError):
+        box.support_set(excluded)
+    with pytest.raises(ValueError):
+        check_minimal(v, gauss_lattice, 2, excluded)
+    with pytest.raises(ValueError):
+        support_set(v, gauss_lattice, 2, excluded)
+
+
+def test_box_respects_the_point_cap(pyramid_lattice):
+    with pytest.raises(ResourceLimit):
+        SupportBox(PYRAMID_V, pyramid_lattice, 3, max_points=48)
+    assert len(SupportBox(PYRAMID_V, pyramid_lattice, 3, max_points=49).points) == 49
