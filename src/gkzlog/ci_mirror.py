@@ -10,10 +10,12 @@ a column is
     q = lambda * exp(G / F)
 
 computed as a formal series supported on a pointed lattice cone, graded
-by an integer functional that is positive on the support.  The division
-and the exponential proceed grade by grade, so truncation at a grade
-bound is exact.  ``integrality_report`` lists the non-integer
-coefficients, if any, up to the bound.
+by an integer functional that is positive on the cone's extreme rays.
+The quotient ``G / F`` (one graded division, ``graded_quotient``) and
+the exponential proceed grade by grade, so truncation at a grade bound
+is exact; ``graded_mul`` and ``graded_log`` are not on this path and
+serve as its independent checks.  ``integrality_report`` lists the
+non-integer coefficients, if any, up to the bound.
 
 Indices are 0-based throughout: column ``(i, j)`` is member ``j`` of set
 ``i``, and ``j = 0`` is the distinguished point.
@@ -286,22 +288,30 @@ def graded_mul(a, b, grading, bound):
     return {p: c for p, c in out.items() if c}
 
 
-def graded_inverse_one_plus(f, grading, bound, origin):
-    """Inverse of ``1 + f`` where ``f`` has grades >= 1, up to the bound."""
-    grade_of = lambda p: sum(g * x for g, x in zip(grading, p))
-    sf = _graded(f, grade_of)
-    if any(g < 1 for g in sf):
+def graded_quotient(g, f, grading, bound):
+    """Quotient ``g / (1 + f)`` up to the grade bound.
+
+    ``f`` has grades >= 1 and ``g`` grades >= 0.  Grade by grade,
+    ``r_d = g_d - sum_{e>=1} f_e * r_(d-e)``, which is exact because the
+    grade of a product is the sum of grades.
+    """
+    grade_of = lambda p: sum(a * x for a, x in zip(grading, p))
+    sf, sg = _graded(f, grade_of), _graded(g, grade_of)
+    if any(e < 1 for e in sf):
         raise ValueError("f must be supported in grades >= 1")
-    inv: dict[int, dict] = {0: {origin: Fraction(1)}}
-    for d in range(1, bound + 1):
-        acc: dict = {}
+    if any(d < 0 for d in sg):
+        raise ValueError("g must be supported in grades >= 0")
+    minus_f = {e: {p: -c for p, c in layer.items()} for e, layer in sf.items()}
+    quotient: dict[int, dict] = {}
+    for d in range(bound + 1):
+        acc = dict(sg.get(d, {}))
         for e in range(1, d + 1):
-            if e in sf and (d - e) in inv:
-                _slice_mul(sf[e], inv[d - e], acc)
-        layer = {p: -c for p, c in acc.items() if c}
+            if e in minus_f and (d - e) in quotient:
+                _slice_mul(minus_f[e], quotient[d - e], acc)
+        layer = {p: c for p, c in acc.items() if c}
         if layer:
-            inv[d] = layer
-    return {p: c for layer in inv.values() for p, c in layer.items()}
+            quotient[d] = layer
+    return {p: c for layer in quotient.values() for p, c in layer.items()}
 
 
 def graded_exp(h, grading, bound, origin):
@@ -382,9 +392,9 @@ def mirror_map(
     support cones, and doubles the enumeration radius until every
     support point of grade <= bound is provably inside the box (the
     cone slice is a simplex spanned by the scaled rays, so the needed
-    radius is read off exactly).  Division by F and the exponential are
-    then computed grade by grade.  Each of the three boxes it enumerates
-    (minimality, seed points, tails) is capped at ``max_points``.
+    radius is read off exactly).  The quotient ``G / F`` and its
+    exponential are then computed grade by grade.  Both boxes it
+    enumerates (minimality, tails) are capped at ``max_points``.
     """
     if isinstance(index, int):
         index = spec.column_of(index)
@@ -422,20 +432,15 @@ def mirror_map(
     all_rays = set()
     for column in range(width):
         rows = _support_cone_rows(v, lattice.basis, column)
-        for ray in _cone_rays(rows, lattice.rank):
-            all_rays.add(ray)
-    ray_points = [lattice.point_from_coords(r) for r in sorted(all_rays)]
-
-    seed_box = SupportBox(v, lattice, min(radius, 3), max_points)
-    seed_points = [
-        point for column in range(width) for point in seed_box.support_set((column,)) if any(point)
-    ]
-    grading = positive_grading(ray_points + seed_points, bound=grading_bound, ambient_dim=width)
+        all_rays.update(_cone_rays(rows, lattice.rank))
+    rays = [(ray, lattice.point_from_coords(ray)) for ray in sorted(all_rays)]
+    # Every support point lies in its column's cone, which the rays generate,
+    # so the rays alone fix the grading.
+    grading = positive_grading([point for _, point in rays], bound=grading_bound, ambient_dim=width)
 
     needed = max(1, radius)
     max_coord = 0
-    for ray in sorted(all_rays):
-        point = lattice.point_from_coords(ray)
+    for ray, point in rays:
         grade = sum(g * x for g, x in zip(grading, point))
         if grade < 1:
             raise NoPositiveFunctional(f"grading fails on extreme ray {point}")
@@ -458,8 +463,7 @@ def mirror_map(
     g_tail = _graded_tail(tail_box, (col,), grade_of, grade_bound)
     del tail_box  # the largest object of the run: free it before the graded arithmetic
 
-    inverse = graded_inverse_one_plus(f_tail, grading, grade_bound, origin)
-    ratio = graded_mul(g_tail, inverse, grading, grade_bound)
+    ratio = graded_quotient(g_tail, f_tail, grading, grade_bound)
     series = graded_exp(ratio, grading, grade_bound, origin)
     return MirrorMap(
         index=(i, j),

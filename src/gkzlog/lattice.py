@@ -130,9 +130,15 @@ def _box(lattice: RelationLattice, radius: int, max_points: int):
         raise ResourceLimit(
             f"box enumeration would produce {count} points (cap {max_points})"
         )
+    steps = range(-radius, radius + 1)
+    scaled = [[tuple(c * b for b in row) for c in steps] for row in lattice.basis]
+    # The origin summand keeps rank 0 at one point of the ambient dimension.
+    origin = [(0,) * lattice.ambient_dim]
     return (
-        (coeffs, lattice.point_from_coords(coeffs))
-        for coeffs in itertools.product(range(-radius, radius + 1), repeat=lattice.rank)
+        (coeffs, tuple(map(sum, zip(*rows))))
+        for coeffs, rows in zip(
+            itertools.product(steps, repeat=lattice.rank), itertools.product(origin, *scaled)
+        )
     )
 
 

@@ -18,45 +18,16 @@ def hnf_rows(rows) -> tuple[tuple[int, ...], ...]:
     ``[0, pivot)``.  The nonzero rows are a canonical basis of the row
     lattice, which makes golden outputs stable.
     """
-    mat = [list(map(int, r)) for r in rows]
-    if not mat:
-        return ()
-    ncols = len(mat[0])
-    nrows = len(mat)
-    pr = 0
-    for col in range(ncols):
-        # Euclidean elimination below the current pivot row.
-        while True:
-            nz = [r for r in range(pr, nrows) if mat[r][col]]
-            if len(nz) <= 1:
-                break
-            r0 = min(nz, key=lambda r: abs(mat[r][col]))
-            for r in nz:
-                if r == r0:
-                    continue
-                q = mat[r][col] // mat[r0][col]
-                if q:
-                    mat[r] = [a - q * b for a, b in zip(mat[r], mat[r0])]
-        nz = [r for r in range(pr, nrows) if mat[r][col]]
-        if not nz:
-            continue
-        piv = nz[0]
-        mat[pr], mat[piv] = mat[piv], mat[pr]
-        if mat[pr][col] < 0:
-            mat[pr] = [-a for a in mat[pr]]
-        p = mat[pr][col]
-        for r in range(pr):
-            q = mat[r][col] // p
-            if q:
-                mat[r] = [a - q * b for a, b in zip(mat[r], mat[pr])]
-        pr += 1
-    return tuple(tuple(r) for r in mat[:pr])
+    hnf, _ = hnf_rows_with_transform(rows)
+    return tuple(row for row in hnf if any(row))
 
 
 def hnf_rows_with_transform(rows):
-    """Like :func:`hnf_rows` but keeps zero rows and returns the transform.
+    """Row Hermite normal form ``H`` with its transform ``U``.
 
-    Returns ``(H, U)`` with ``U`` unimodular and ``U @ M == H``.
+    Returns ``(H, U)`` with ``U`` unimodular and ``U @ M == H``; ``H``
+    keeps the zero rows, which come last.  Conventions as in
+    :func:`hnf_rows`.
     """
     mat = [list(map(int, r)) for r in rows]
     nrows = len(mat)
@@ -140,14 +111,16 @@ def cofactor_vector(rows) -> tuple[int, ...]:
     return tuple(out)
 
 
-def rank_rational(rows) -> int:
-    """Rank over the rationals."""
-    mat = [[Fraction(x) for x in r] for r in rows]
-    if not mat:
-        return 0
-    ncols = len(mat[0])
-    rank = 0
+def _reduce(mat, ncols) -> list[int]:
+    """Gauss-Jordan elimination of the first ``ncols`` columns, in place.
+
+    ``mat`` is a list of Fraction rows, possibly wider than ``ncols``.
+    Returns the pivot columns; pivot row ``r`` has a 1 in column
+    ``pivots[r]`` and that column is zero in every other row.
+    """
+    pivots = []
     for col in range(ncols):
+        rank = len(pivots)
         piv = next((r for r in range(rank, len(mat)) if mat[r][col]), None)
         if piv is None:
             continue
@@ -158,8 +131,14 @@ def rank_rational(rows) -> int:
             if r != rank and mat[r][col]:
                 f = mat[r][col]
                 mat[r] = [a - f * b for a, b in zip(mat[r], mat[rank])]
-        rank += 1
-    return rank
+        pivots.append(col)
+    return pivots
+
+
+def rank_rational(rows) -> int:
+    """Rank over the rationals."""
+    mat = [[Fraction(x) for x in r] for r in rows]
+    return len(_reduce(mat, len(mat[0]))) if mat else 0
 
 
 def solve_rational(rows, rhs):
@@ -169,29 +148,13 @@ def solve_rational(rows, rhs):
     the system is inconsistent.  Raises if the columns are dependent
     (callers here always pass bases).
     """
-    m = len(rows)
-    n = len(rows[0]) if m else 0
+    n = len(rows[0]) if rows else 0
     aug = [[Fraction(x) for x in row] + [Fraction(b)] for row, b in zip(rows, rhs)]
-    rank = 0
-    pivots = []
-    for col in range(n):
-        piv = next((r for r in range(rank, m) if aug[r][col]), None)
-        if piv is None:
-            continue
-        aug[rank], aug[piv] = aug[piv], aug[rank]
-        inv = 1 / aug[rank][col]
-        aug[rank] = [a * inv for a in aug[rank]]
-        for r in range(m):
-            if r != rank and aug[r][col]:
-                f = aug[r][col]
-                aug[r] = [a - f * b for a, b in zip(aug[r], aug[rank])]
-        pivots.append(col)
-        rank += 1
-    if rank < n:
+    pivots = _reduce(aug, n)
+    if len(pivots) < n:
         raise ValueError("matrix does not have full column rank")
-    for r in range(rank, m):
-        if aug[r][n]:
-            return None
+    if any(row[n] for row in aug[n:]):
+        return None
     sol = [Fraction(0)] * n
     for r, col in enumerate(pivots):
         sol[col] = aug[r][n]

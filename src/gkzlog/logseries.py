@@ -18,11 +18,14 @@ of a GKZ system at a base exponent vector ``v``:
     build_H_off    the log-free partner H_ij for a distinct pair
 
 and ``combine_first_order`` / ``combine_second_order`` assemble genuine
-solutions of the full system from them.  All four builders, and the
-mirror map's tails, share one coefficient rule, ``log_free_coefficients``,
-which reads per-coordinate derivative-chain tables.  Each builder records
-its truncation metadata (base vector, lattice, radius) so that the
-operator module can compute certified regions later.
+solutions of the full system from them.  A combination, like
+``mul_log_linear``, adds each weighted series into one term dict
+(``_add_into``) and builds a single series at the end.  All four
+builders, and the mirror map's tails, share one coefficient rule,
+``log_free_coefficients``, which reads per-coordinate derivative-chain
+tables.  Each builder records its truncation metadata (base vector,
+lattice, radius) so that the operator module can compute certified
+regions later.
 """
 
 from __future__ import annotations
@@ -102,6 +105,10 @@ class LogSeries:
             exponent, logdeg = key
             yield LogTerm(exponent, logdeg, self._terms[key])
 
+    def items(self):
+        """``((exponent, logdeg), coeff)`` pairs, in no particular order."""
+        return self._terms.items()
+
     def coefficient(self, exponent, logdeg=None) -> Fraction:
         if logdeg is None:
             logdeg = (0,) * self.nvars
@@ -154,14 +161,9 @@ class LogSeries:
         if len(ivec) != self.nvars:
             raise ValueError("dimension mismatch")
         out = {}
-        for (exponent, logdeg), coeff in self._terms.items():
-            for i, weight in enumerate(ivec):
-                if not weight:
-                    continue
-                bumped = list(logdeg)
-                bumped[i] += 1
-                key = (exponent, tuple(bumped))
-                out[key] = out.get(key, Fraction(0)) + coeff * weight
+        for i, weight in enumerate(ivec):
+            if weight:
+                _add_into(out, self, weight, (i,))
         return LogSeries(self.nvars, out, self.meta)
 
     def filter_terms(self, predicate) -> "LogSeries":
@@ -287,23 +289,48 @@ def build_H_table(v, lattice: RelationLattice, radius: int):
     return tuple(tuple(row) for row in table)
 
 
+def _add_into(out: dict, series: LogSeries, weight, logs=()):
+    """Add ``weight * series * prod(log(lambda_b) for b in logs)`` into the term dict ``out``."""
+    for (exponent, logdeg), coeff in series.items():
+        if logs:
+            logdeg = list(logdeg)
+            for b in logs:
+                logdeg[b] += 1
+            logdeg = tuple(logdeg)
+        key = (exponent, logdeg)
+        out[key] = out.get(key, 0) + weight * coeff
+
+
+def _entering_meta(series_f: LogSeries, entering) -> SeriesMeta | None:
+    """Metadata shared by ``F`` and the series entering a combination."""
+    meta = series_f.meta
+    for series in entering:
+        if series.nvars != series_f.nvars:
+            raise ValueError("dimension mismatch")
+        meta = _merge_meta(meta, series.meta)
+    return meta
+
+
 def combine_first_order(series_f: LogSeries, series_g, point) -> LogSeries:
-    """Solution ``F*log(lambda^l) + sum_i l_i G_i`` for a lattice point ``l``."""
+    """Solution ``sum_a l_a (F*log(lambda_a) + G_a)`` for a lattice point ``l``."""
     n = series_f.nvars
     if len(series_g) != n or len(point) != n:
         raise ValueError("dimension mismatch")
-    out = series_f.mul_log_linear(point)
-    for weight, g in zip(point, series_g):
+    meta = _entering_meta(series_f, [g for weight, g in zip(point, series_g) if weight])
+    out = {}
+    for a, weight in enumerate(point):
         if weight:
-            out = out + g.scale(weight)
-    return out
+            _add_into(out, series_f, weight, (a,))
+            _add_into(out, series_g[a], weight)
+    return LogSeries(n, out, meta)
 
 
 def combine_second_order(series_f, series_g, table_h, point, point2) -> LogSeries:
     """Second-order solution for the lattice points ``l`` and ``l'``.
 
-    ``table_h`` must be a symmetric N x N table of series;
-    ``l = l'`` is allowed.
+    The double sum ``sum_{a,b} l_a l'_b (F*log_a*log_b + G_a*log_b +
+    G_b*log_a + H_ab)`` with ``log_a = log(lambda_a)``.  ``table_h``
+    must be a symmetric N x N table of series; ``l = l'`` is allowed.
     """
     n = series_f.nvars
     if len(series_g) != n or len(point) != n or len(point2) != n:
@@ -314,23 +341,18 @@ def combine_second_order(series_f, series_g, table_h, point, point2) -> LogSerie
         for j in range(i + 1, n):
             if table_h[i][j] != table_h[j][i]:
                 raise ValueError(f"asymmetric H table at ({i}, {j})")
-    out = series_f.mul_log_linear(point).mul_log_linear(point2)
-    first = LogSeries.zero(n, series_f.meta)
-    second = LogSeries.zero(n, series_f.meta)
-    for i in range(n):
-        if point[i]:
-            first = first + series_g[i].scale(point[i])
-        if point2[i]:
-            second = second + series_g[i].scale(point2[i])
-    out = out + first.mul_log_linear(point2) + second.mul_log_linear(point)
-    for i in range(n):
-        if not point[i]:
-            continue
-        for j in range(n):
-            weight = point[i] * point2[j]
-            if weight:
-                out = out + table_h[i][j].scale(weight)
-    return out
+    pairs = [
+        (a, b, la * lb) for a, la in enumerate(point) for b, lb in enumerate(point2) if la * lb
+    ]
+    entering = [g for g, la, lb in zip(series_g, point, point2) if la or lb]
+    meta = _entering_meta(series_f, entering + [table_h[a][b] for a, b, _ in pairs])
+    out = {}
+    for a, b, weight in pairs:
+        _add_into(out, series_f, weight, (a, b))
+        _add_into(out, series_g[a], weight, (b,))
+        _add_into(out, series_g[b], weight, (a,))
+        _add_into(out, table_h[a][b], weight)
+    return LogSeries(n, out, meta)
 
 
 _TERM_RE = re.compile(

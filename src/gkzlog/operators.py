@@ -1,7 +1,11 @@
 """Box and Euler operators on log-series, with certified vanishing checks.
 
 ``apply_box`` and ``apply_euler`` are exact symbolic applications of the
-two operator families attached to a point configuration.  A truncated
+two operator families attached to a point configuration.  Both work on
+plain ``{(exponent, logdeg): coeff}`` dicts and build one series at the
+end: ``apply_box`` takes each side's derivatives one variable step at a
+time and subtracts the second side in place, and ``differentiate`` is its
+one-step case.  A truncated
 series cannot vanish identically under a box operator: terms near the
 enumeration boundary lose their cancelling partners.  The verifier
 therefore certifies a result term only when both of its potential source
@@ -49,42 +53,41 @@ class EulerOp:
         return f"euler{self.row}={self.beta}"
 
 
+def _derive(series: LogSeries, orders) -> dict:
+    """Term dict of ``prod_j (d/dlambda_j)^orders[j] series``, one derivative at a time."""
+    terms, out = series.items(), None
+    for j, k in enumerate(orders):
+        for _ in range(k):
+            out = {}
+            for (exponent, logdeg), coeff in terms:
+                c, d = exponent[j], logdeg[j]
+                shifted = exponent[:j] + (c - 1,) + exponent[j + 1 :]
+                if c:
+                    key = (shifted, logdeg)
+                    out[key] = out.get(key, 0) + coeff * c
+                if d:
+                    key = (shifted, logdeg[:j] + (d - 1,) + logdeg[j + 1 :])
+                    out[key] = out.get(key, 0) + coeff * d
+            terms = out.items()
+    return dict(terms) if out is None else out
+
+
 def differentiate(series: LogSeries, j: int) -> LogSeries:
     """Exact partial derivative with respect to ``lambda_j``."""
     if not 0 <= j < series.nvars:
         raise ValueError("variable index out of range")
-    out = {}
-
-    def bump(key, coeff):
-        out[key] = out.get(key, Fraction(0)) + coeff
-
-    for term in series.terms():
-        exponent = list(term.exponent)
-        cj = exponent[j]
-        exponent[j] = cj - 1
-        shifted = tuple(exponent)
-        if cj:
-            bump((shifted, term.logdeg), term.coeff * cj)
-        if term.logdeg[j]:
-            lowered = list(term.logdeg)
-            lowered[j] -= 1
-            bump((shifted, tuple(lowered)), term.coeff * term.logdeg[j])
-    return LogSeries(series.nvars, out, series.meta)
+    orders = [int(i == j) for i in range(series.nvars)]
+    return LogSeries(series.nvars, _derive(series, orders), series.meta)
 
 
 def apply_box(series: LogSeries, op: BoxOp) -> LogSeries:
     """Difference of the two iterated-derivative monomials of the operator."""
     if len(op.point) != series.nvars:
         raise ValueError("dimension mismatch")
-    plus = series
-    minus = series
-    for j, times in enumerate(op.plus):
-        for _ in range(times):
-            plus = differentiate(plus, j)
-    for j, times in enumerate(op.minus):
-        for _ in range(times):
-            minus = differentiate(minus, j)
-    return plus - minus
+    out = _derive(series, op.plus)
+    for key, coeff in _derive(series, op.minus).items():
+        out[key] = out.get(key, 0) - coeff
+    return LogSeries(series.nvars, out, series.meta)
 
 
 def apply_euler(series: LogSeries, op: EulerOp) -> LogSeries:
@@ -93,19 +96,14 @@ def apply_euler(series: LogSeries, op: EulerOp) -> LogSeries:
         raise ValueError("dimension mismatch")
     beta = to_rational(op.beta)
     out = {}
-
-    def bump(key, coeff):
-        out[key] = out.get(key, Fraction(0)) + coeff
-
-    for term in series.terms():
-        weight = sum(a * c for a, c in zip(op.row, term.exponent)) - beta
-        if weight:
-            bump((term.exponent, term.logdeg), term.coeff * weight)
+    for (exponent, logdeg), coeff in series.items():
+        key = (exponent, logdeg)
+        out[key] = out.get(key, 0) + coeff * (sum(a * c for a, c in zip(op.row, exponent)) - beta)
         for j, a in enumerate(op.row):
-            if a and term.logdeg[j]:
-                lowered = list(term.logdeg)
-                lowered[j] -= 1
-                bump((term.exponent, tuple(lowered)), term.coeff * a * term.logdeg[j])
+            d = logdeg[j]
+            if a and d:
+                key = (exponent, logdeg[:j] + (d - 1,) + logdeg[j + 1 :])
+                out[key] = out.get(key, 0) + coeff * a * d
     return LogSeries(series.nvars, out, series.meta)
 
 

@@ -4,6 +4,8 @@ import math
 from fractions import Fraction as F
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from gkzlog import (
     CISpec,
@@ -18,16 +20,18 @@ from gkzlog import (
     positive_grading,
 )
 from gkzlog.ci_mirror import (
+    _cone_rays,
+    _support_cone_rows,
     graded_exp,
-    graded_inverse_one_plus,
     graded_log,
     graded_mul,
+    graded_quotient,
     render_coefficients,
     render_integrality_report,
 )
 from gkzlog.cli import load_problem
-from gkzlog.support import support_set
-from tests.conftest import FIXTURES
+from gkzlog.support import SupportBox, support_set
+from tests.conftest import FIXTURES, HEXAGON_SETS
 
 
 def fact(n):
@@ -116,12 +120,19 @@ class TestGradedArithmetic:
         }
 
     def test_inverse_identity(self):
+        # the quotient of 1 is the inverse of 1 + f
         f = self._sample()
-        inv = graded_inverse_one_plus(f, self.GRADING, 6, self.ORIGIN)
+        inv = graded_quotient({self.ORIGIN: F(1)}, f, self.GRADING, 6)
         one_plus = dict(f)
         one_plus[self.ORIGIN] = F(1)
         product = graded_mul(one_plus, inv, self.GRADING, 6)
         assert product == {self.ORIGIN: F(1)}
+
+    def test_quotient_rejects_bad_grades(self):
+        with pytest.raises(ValueError):
+            graded_quotient({self.ORIGIN: F(1)}, {self.ORIGIN: F(1)}, self.GRADING, 3)
+        with pytest.raises(ValueError):
+            graded_quotient({(-1, 0): F(1)}, self._sample(), self.GRADING, 3)
 
     def test_exp_log_roundtrip(self):
         h = self._sample()
@@ -138,6 +149,30 @@ class TestGradedArithmetic:
     def test_exp_rejects_grade_zero_terms(self):
         with pytest.raises(ValueError):
             graded_exp({self.ORIGIN: F(1)}, self.GRADING, 3, self.ORIGIN)
+
+
+GRADED_POINT = st.tuples(st.integers(-2, 4), st.integers(0, 4))
+GRADED_COEFF = st.fractions(min_value=-5, max_value=5, max_denominator=6)
+
+
+@settings(max_examples=150, deadline=None)
+@given(
+    f=st.dictionaries(GRADED_POINT, GRADED_COEFF, max_size=6),
+    g=st.dictionaries(GRADED_POINT, GRADED_COEFF, max_size=6),
+    bound=st.integers(0, 7),
+)
+def test_quotient_times_one_plus_f_is_g(f, g, bound):
+    # grading (1, 2) is positive on the points of grade >= 1 drawn here
+    grading = (1, 2)
+    grade = lambda p: p[0] + 2 * p[1]
+    f = {p: c for p, c in f.items() if grade(p) >= 1}
+    g = {p: c for p, c in g.items() if grade(p) >= 0}
+    quotient = graded_quotient(g, f, grading, bound)
+    assert all(0 <= grade(p) <= bound and c for p, c in quotient.items())
+    one_plus_f = dict(f)
+    one_plus_f[(0, 0)] = F(1)
+    want = {p: c for p, c in g.items() if grade(p) <= bound and c}
+    assert graded_mul(one_plus_f, quotient, grading, bound) == want
 
 
 class TestMirrorMap:
@@ -277,6 +312,33 @@ def test_support_sets_match_sign_conditions(quadrilateral_spec):
             if point[0] <= 0 and all(point[k] >= 0 for k in (1, 2, 3)):
                 want.add(point)
     assert got == want
+
+
+@pytest.mark.parametrize(
+    "name", ["ci_two_triangles", "ci_quadrilateral", "quintic", "hexagon"]
+)
+def test_grading_from_rays_equals_grading_with_seed_points(name):
+    # Seed support points lie in the cones the rays generate, so adding them
+    # to the grading search changes nothing.
+    if name == "hexagon":
+        spec, radius = CISpec.from_lists(HEXAGON_SETS), 4
+    else:
+        problem = load_problem(str(FIXTURES / f"{name}.json"))
+        spec, radius = problem.spec, problem.radius
+    matrix, beta, v = build_system(spec)
+    lattice = kernel_basis(matrix)
+    width = lattice.ambient_dim
+    rays = set()
+    for column in range(width):
+        rays.update(_cone_rays(_support_cone_rows(v, lattice.basis, column), lattice.rank))
+    ray_points = [lattice.point_from_coords(r) for r in sorted(rays)]
+    seed_box = SupportBox(v, lattice, min(radius, 3))
+    seed_points = [
+        point for column in range(width) for point in seed_box.support_set((column,)) if any(point)
+    ]
+    want = positive_grading(ray_points + seed_points, ambient_dim=width)
+    for column in range(width):
+        assert mirror_map(spec, column, 1, radius=radius).grading == want
 
 
 def test_quintic_period_known_answer():

@@ -1,0 +1,211 @@
+"""Golden artifact hashes: small CLI runs on the shipped fixtures.
+
+Every refactor must leave these bytes unchanged.  Each case records the
+exit code and the sha256 of every file the run writes.  To re-record after
+an intended output change, print ``run_case(args)`` for every case and
+paste the result.
+"""
+
+import hashlib
+
+import pytest
+
+from gkzlog.cli import main
+from tests.conftest import FIXTURES
+
+GAUSS = str(FIXTURES / "gauss.json")
+PYRAMID = str(FIXTURES / "square_pyramid.json")
+TRIANGLES = str(FIXTURES / "ci_two_triangles.json")
+QUAD = str(FIXTURES / "ci_quadrilateral.json")
+QUINTIC = str(FIXTURES / "quintic.json")
+
+CASES = {
+    "solve-gauss-0": ["solve", GAUSS, "--order", "0", "--radius", "6"],
+    "solve-gauss-1": ["solve", GAUSS, "--order", "1", "--radius", "6"],
+    "solve-gauss-2": ["solve", GAUSS, "--order", "2", "--radius", "5"],
+    "solve-pyramid-0": ["solve", PYRAMID, "--order", "0", "--radius", "4"],
+    "solve-pyramid-1": ["solve", PYRAMID, "--order", "1", "--radius", "4"],
+    "solve-pyramid-2": ["solve", PYRAMID, "--order", "2", "--radius", "4"],
+    "combine-gauss-1": ["combine", GAUSS, "--l", "(-1,-1,1,1)", "--radius", "8"],
+    "combine-pyramid-1": ["combine", PYRAMID, "--l", "(-1,0,-1,0,2)", "--radius", "4"],
+    "combine-gauss-2": [
+        "combine", GAUSS, "--l", "(1,1,-1,-1)", "--lprime", "(-2,-2,2,2)", "--radius", "6",
+    ],
+    "combine-pyramid-2": [
+        "combine", PYRAMID, "--l", "(-1,0,-1,0,2)", "--lprime", "(0,1,0,1,-2)", "--radius", "5",
+    ],
+    "combine-pyramid-2-diag": [
+        "combine", PYRAMID, "--l", "(1,-1,1,-1,0)", "--lprime", "(1,-1,1,-1,0)", "--radius", "4",
+    ],
+    "mirror-triangles-1": ["mirror", TRIANGLES, "--index", "1", "--grade", "10"],
+    "mirror-triangles-5": ["mirror", TRIANGLES, "--index", "0,5", "--grade", "10"],
+    "mirror-quadrilateral-4": ["mirror", QUAD, "--index", "4", "--grade", "6"],
+    "mirror-quadrilateral-2": ["mirror", QUAD, "--index", "2", "--grade", "6"],
+    "mirror-quintic-1": ["mirror", QUINTIC, "--index", "1", "--grade", "8"],
+}
+
+GOLDEN = {
+    "combine-gauss-1": (
+        0,
+        {
+            "run_report.json": "f9a0f3a7b9d926aa2bdc095019563f2807499c3ea4931b99bbf73f81628c84a1",
+            "solution.series": "11c29db30b1a45f9cdf562150fac3c4a1026e156997cbb3db8f6f6f5cb70e765",
+        },
+    ),
+    "combine-gauss-2": (
+        0,
+        {
+            "run_report.json": "b6841736c126e280659cabc2c431be439982cd56329fe68b507b87cf3692ade2",
+            "solution.series": "9178d66f188cb3841697bff2bf399778fac2c2472cb43dcad3d994a942d1e436",
+        },
+    ),
+    "combine-pyramid-1": (
+        0,
+        {
+            "run_report.json": "8008d39604d140ff63c633645ce746eb1f04584b3775135d0285a4f78360c6d1",
+            "solution.series": "8074fb60fd865907c8fa7ea2de84069e7699e7dcf1b3e577994a5a6fba9b6732",
+        },
+    ),
+    "combine-pyramid-2": (
+        0,
+        {
+            "run_report.json": "6185e7511298a31b2c60af6f28ef27d1237e86073575a8c89809c79897f47fe0",
+            "solution.series": "9a17029b44814d9f53297ae9e62771a8113f2d282b354feca50da00fc325e5e2",
+        },
+    ),
+    "combine-pyramid-2-diag": (
+        0,
+        {
+            "run_report.json": "bc43aa2a40b939d72b0f876679845099ea4cd7651b46f1beeae10d5298465c85",
+            "solution.series": "0bcda420c9b0ac8185a8ec403328ab9d5b7f9c07d586e3136540f810302d5a06",
+        },
+    ),
+    "mirror-quadrilateral-2": (
+        0,
+        {
+            "mirror_0_2.coeffs": "f50e50b793798ea6b5b3361b31c5aeba21eecd59ef16c25f18e21b1ca2522d77",
+            "mirror_0_2.report": "f207c971f441f834e7f550f4d62bf679b9bf7a3dd3d94daf5443b94d58fcd60a",
+            "run_report.json": "a96240be38974e66cd61753318fea64c2bdb8ae25106c435387024c25541769c",
+        },
+    ),
+    "mirror-quadrilateral-4": (
+        0,
+        {
+            "mirror_0_4.coeffs": "d8896f6b7cf5b1477fd6d7727db10e7aa276935b19c8838e6cb7dbd22c6c3933",
+            "mirror_0_4.report": "48cc8063cb2b3da5423cb94fd07baff338fd62fb033d62f1ac185ac7ff6c5aee",
+            "run_report.json": "6c6584ffe1c3c1c0bb9b69913bcb6539ead0f1aac580335ba0c4ee85ffb976a8",
+        },
+    ),
+    "mirror-quintic-1": (
+        0,
+        {
+            "mirror_0_1.coeffs": "42b491cb9d10870db5b0066ac62fa598a699fbb09a9a6f92092e89836756685f",
+            "mirror_0_1.report": "99f5f628880753a2802ced7feb53c75aa79a800ea43d848dba6263205d4b068c",
+            "run_report.json": "836b2ce7522ece772ec9641542e226ce4dd52a1e8089f73d40fab45b8c7fbee8",
+        },
+    ),
+    "mirror-triangles-1": (
+        0,
+        {
+            "mirror_0_1.coeffs": "f057a4b72aad3e62ba7629d8e4c8708daec9bfe815fa277c6022f38b31998e4e",
+            "mirror_0_1.report": "acededced68db63c73745e983acdd7532c7dba70a382cf7a314a462b542adbbf",
+            "run_report.json": "1c7051dc50b32ec32db272fcbdc3deca725c1d6ea8d5306c6c37ccf8e7f62515",
+        },
+    ),
+    "mirror-triangles-5": (
+        0,
+        {
+            "mirror_0_5.coeffs": "b0dc35091f5b39bad0919f4505a53561c9a2df3b21ef01c005c385a8dea74771",
+            "mirror_0_5.report": "456a70a3a7107154a35c7abc21ad8c72cff161ced5d9d3264fbfa352b6ca71fe",
+            "run_report.json": "54f49a6b00292c9240dd7130dadab996f8fb98520c08cad80d46d0d86168511e",
+        },
+    ),
+    "solve-gauss-0": (
+        0,
+        {
+            "F.series": "3ffd4a637d7d5803e82c00d9d0c5e5eb1423ec9992fcbc32dad009c716886fdb",
+            "run_report.json": "43bb210acb7b088853c2da5633bfea7fc9a0c27e2223a44f5a2d65c7a008a01b",
+        },
+    ),
+    "solve-gauss-1": (
+        0,
+        {
+            "F.series": "3ffd4a637d7d5803e82c00d9d0c5e5eb1423ec9992fcbc32dad009c716886fdb",
+            "quasi1_0.series": "6785cb2ed91697d45f5b73b06e7ebbe62fe3449646d039b93f2661dd2a5ccfaa",
+            "quasi1_1.series": "c20427c17d512173f40d006063e2d8d9998d39c4e5b66c9601aab9893d1a7a21",
+            "quasi1_2.series": "2755e844d88e48fa13b19f884b95061c909bbab565b32d1d968c34008566cc2b",
+            "quasi1_3.series": "6bbcfb8256b9f9e8253c1a4ace75bb159eece3a09e45e4de4c4a3acbc0bd1e89",
+            "run_report.json": "84e74d584a4fcb2887db8c31dc57241c80e67a4da43ba88c91e08c6752350328",
+        },
+    ),
+    "solve-gauss-2": (
+        0,
+        {
+            "F.series": "1fd161af9b8e05bf5d44df7a40967c896020c3f35d7a8155a14bd55b3777e2b3",
+            "quasi2_0_0.series": "e7d2bd55b512fe3626451e1a5a44bc3e3aba0f5e7e1ed5be133a914d2d3454b5",
+            "quasi2_0_1.series": "a82e29c6c3bb9f70393456cc45b2a85eb828c1e0596d51b1ace83600b2a1e035",
+            "quasi2_0_2.series": "95667e3a8c649b4d59d92dfa37d88faea5322c845f62a785460788020ca50a47",
+            "quasi2_0_3.series": "bee1d28686125ad8ea25313f0698ed36befe32fadc91a6f32d275b825b2a7645",
+            "quasi2_1_1.series": "c6a3d2f6a16c076885529a2870aa58923c36a9d71e55a1f0ae61358ac0e1e9fd",
+            "quasi2_1_2.series": "3d1060bf15413a6c05857015742fa5b0655e5a680eef3b42bc7545c5f652ee70",
+            "quasi2_1_3.series": "9fd0097684252dc65a60e7fbc7f940df30f729cfd7ee22a10f0563d298b7ef7d",
+            "quasi2_2_2.series": "67059b266a07db0a1dffb036a920ce0e44e8859c0ba095d1420b3b423a7502e7",
+            "quasi2_2_3.series": "c2987efa850546ff07c793f2e0729d4a93c4d866a753f713dfeea813fe0636e4",
+            "quasi2_3_3.series": "ccc2ac9a23880cf55be2a226672a44368e3a7fd9da57aaa328baeb9f6aafb626",
+            "run_report.json": "d255688336c95d1137f9703cd1717c418279cf5517daf28d68c4a8f32f76f0b2",
+        },
+    ),
+    "solve-pyramid-0": (
+        0,
+        {
+            "F.series": "84d0c6215f84a3f57ef3fec423763a6dca2b13b1f0285aab7a4ffb96d96e4ea1",
+            "run_report.json": "0fa98d933ba5665d8deff89b1a1bd6cd24172f977f4d2c067b0296fe16d818a6",
+        },
+    ),
+    "solve-pyramid-1": (
+        0,
+        {
+            "F.series": "84d0c6215f84a3f57ef3fec423763a6dca2b13b1f0285aab7a4ffb96d96e4ea1",
+            "quasi1_0.series": "5ef891925ce830cd2db7fe5ea36c8288906e479126b2d06e3a697438d17d1f4d",
+            "quasi1_1.series": "ea65bf37a76cbac1399366c15460bc0c178991d086f653f635d139b5cf07d2fe",
+            "quasi1_2.series": "17f0edc0a7724fae207c747be02509daf89a0c07760aee0ef851a412e94d5cbe",
+            "quasi1_3.series": "75e4a4f387009b662907a7d222f0d77685c9a15ba921fafc343788e57576b5a6",
+            "quasi1_4.series": "6fcfbe885c7afdd35552f454067c5f599b2632684fcbdfd07074770f58c48509",
+            "run_report.json": "687092f6b7cd21cce25a534b9cf45f82cafd2503bdea6bdca4ef916433a65de4",
+        },
+    ),
+    "solve-pyramid-2": (
+        0,
+        {
+            "F.series": "84d0c6215f84a3f57ef3fec423763a6dca2b13b1f0285aab7a4ffb96d96e4ea1",
+            "quasi2_0_0.series": "da08d38066eeb52eeb0caad32bf96172b18bace775d241168a8e549e194e315c",
+            "quasi2_0_1.series": "19c1eb74e512809a6071a0385b689a97d1bf3e89d0b4d55d1576a0971dd76b91",
+            "quasi2_0_2.series": "44befe05e9e0dfe3bb464ed6f1626f9d211dce6021a4c3f2e9789c567c43450b",
+            "quasi2_0_3.series": "848feff154c5047fa0b8deff7222c308f693ce34a60173c2f13f94269eb9dc0d",
+            "quasi2_0_4.series": "4d6275c6c42b7004eda27ebb90466b7c506adde143e735ae9c8523a5f8c8fe5d",
+            "quasi2_1_1.series": "785c133d586d1295224729b2666670ca3293cadd1643ebe92af0ce541a5efb6f",
+            "quasi2_1_2.series": "1428cfda638c1ca4f14b9252ac83f770199c2ac57f73fda297cfa162ff80532e",
+            "quasi2_1_3.series": "55560f2be247316f4f37d1701d2b84e297f21d071a7be13709da6e8678c8f15a",
+            "quasi2_1_4.series": "bf7efbdaf788e37377905dcac3353d58d9d59d8f272d1bdf5a7e88711b9bfad4",
+            "quasi2_2_2.series": "88561754c149b7027086614406d7d0eceb9b76364ae9570ad2b0ce9aec85200f",
+            "quasi2_2_3.series": "fdaa906db3782a1af67998774a10c3ba99d96dffdcdfd2ea918685bacc319943",
+            "quasi2_2_4.series": "cd390f86c9f3af969e10a1d1de54682c9136679dcd13b3554aff64efb13666bd",
+            "quasi2_3_3.series": "743f73e8c0b1804c6f47abc3232dabf1ce4c1fb247f3b04bca888e28e585f203",
+            "quasi2_3_4.series": "5fa11172b082771a85255eae7734caf2f92d9b37bab2aaa1b71d58d30fe9b3f8",
+            "quasi2_4_4.series": "daf550cfd01bf8fd934e7a397ee158228aef233269f6933c97f0fb9226119338",
+            "run_report.json": "2ccabfddcf0b0eb0ffeb92e2be2b69760f7932dd1d6b846d9ed1a101d6bcf0b6",
+        },
+    ),
+}
+
+
+def run_case(args, out_dir):
+    """Exit code and ``{file name: sha256}`` of one CLI run into ``out_dir``."""
+    code = main(args + ["--out", str(out_dir)])
+    files = sorted(out_dir.iterdir()) if out_dir.exists() else []
+    return code, {p.name: hashlib.sha256(p.read_bytes()).hexdigest() for p in files}
+
+
+@pytest.mark.parametrize("name", sorted(CASES))
+def test_artifacts_match_golden_hashes(name, tmp_path, capsys):
+    assert run_case(CASES[name], tmp_path / "out") == GOLDEN[name]

@@ -2,8 +2,9 @@
 
 import pytest
 
-from gkzlog import IntMatrix, ResourceLimit, enumerate_box, kernel_basis
-from tests.conftest import GAUSS_MATRIX, PYRAMID_MATRIX
+from gkzlog import CISpec, IntMatrix, ResourceLimit, build_system, enumerate_box, kernel_basis
+from gkzlog.cli import load_problem
+from tests.conftest import FIXTURES, GAUSS_MATRIX, HEXAGON_SETS, PYRAMID_MATRIX
 
 
 def test_gauss_kernel():
@@ -100,3 +101,22 @@ def test_coords_roundtrip():
     coords = lat.coords_of(point)
     assert coords == (3, -2)
     assert lat.coords_of((1, 0, 0, 0, 0)) is None
+
+
+FIXTURE_LATTICES = {
+    path.stem: kernel_basis(load_problem(str(path)).matrix) for path in FIXTURES.glob("*.json")
+}
+FIXTURE_LATTICES["hexagon"] = kernel_basis(build_system(CISpec.from_lists(HEXAGON_SETS))[0])
+FIXTURE_LATTICES["rank0"] = kernel_basis(((1, 0, 0), (0, 1, 0), (0, 0, 1)))
+
+
+@pytest.mark.parametrize("name", sorted(FIXTURE_LATTICES))
+@pytest.mark.parametrize("radius", [0, 1, 3])
+def test_box_points_match_point_from_coords(name, radius):
+    lat = FIXTURE_LATTICES[name]
+    items = enumerate_box(lat, radius)
+    assert len(items) == (2 * radius + 1) ** lat.rank
+    for coeffs, point in items:
+        assert point == lat.point_from_coords(coeffs)
+    if lat.rank == 0:
+        assert items == [((), (0,) * lat.ambient_dim)]

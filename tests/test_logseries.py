@@ -4,6 +4,8 @@ import math
 from fractions import Fraction as F
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from gkzlog import (
     LogSeries,
@@ -176,6 +178,111 @@ class TestCombinations:
         table[0][4] = table[0][4] + LogSeries.monomial(PYRAMID_V, coeff=1)
         with pytest.raises(ValueError, match="asymmetric"):
             combine_second_order(series_f, series_g, table, (0,) * 5, (0,) * 5)
+
+
+# The combinations as chains of whole-series operations, with the log-form
+# product written out here, term by term.
+def times_log_form(series, ivec):
+    out = LogSeries.zero(series.nvars, series.meta)
+    for term in series.terms():
+        for i, weight in enumerate(ivec):
+            if weight:
+                bumped = list(term.logdeg)
+                bumped[i] += 1
+                out = out + LogSeries.monomial(term.exponent, bumped, term.coeff * weight)
+    return out
+
+
+def first_order_chain(series_f, series_g, point):
+    out = times_log_form(series_f, point)
+    for weight, g in zip(point, series_g):
+        if weight:
+            out = out + g.scale(weight)
+    return out
+
+
+def second_order_chain(series_f, series_g, table_h, point, point2):
+    n = series_f.nvars
+    out = times_log_form(times_log_form(series_f, point), point2)
+    first = LogSeries.zero(n, series_f.meta)
+    second = LogSeries.zero(n, series_f.meta)
+    for i in range(n):
+        if point[i]:
+            first = first + series_g[i].scale(point[i])
+        if point2[i]:
+            second = second + series_g[i].scale(point2[i])
+    out = out + times_log_form(first, point2) + times_log_form(second, point)
+    for i in range(n):
+        for j in range(n):
+            if point[i] * point2[j]:
+                out = out + table_h[i][j].scale(point[i] * point2[j])
+    return out
+
+
+NVARS = 3
+SERIES = st.dictionaries(
+    st.tuples(st.tuples(*[st.integers(-1, 1)] * NVARS), st.tuples(*[st.integers(0, 1)] * NVARS)),
+    st.builds(F, st.integers(-4, 4), st.integers(1, 3)),
+    max_size=3,
+).map(lambda terms: LogSeries(NVARS, terms))
+POINT = st.tuples(*[st.integers(-2, 2)] * NVARS)
+
+
+@settings(max_examples=100, deadline=None)
+@given(
+    series_f=SERIES,
+    series_g=st.lists(SERIES, min_size=NVARS, max_size=NVARS),
+    upper=st.lists(SERIES, min_size=6, max_size=6),
+    point=POINT,
+    point2=POINT,
+)
+def test_combinations_equal_the_operation_chains(series_f, series_g, upper, point, point2):
+    cells = iter(upper)
+    table = [[None] * NVARS for _ in range(NVARS)]
+    for i in range(NVARS):
+        for j in range(i, NVARS):
+            table[i][j] = table[j][i] = next(cells)
+    got = combine_first_order(series_f, series_g, point)
+    assert got == first_order_chain(series_f, series_g, point)
+    got = combine_second_order(series_f, series_g, table, point, point2)
+    assert got == second_order_chain(series_f, series_g, table, point, point2)
+
+
+class TestCombinationChecks:
+    def _metas(self, gauss_lattice):
+        v = gauss_v(1, 2)
+        return SeriesMeta(v, gauss_lattice, 2), SeriesMeta(v, gauss_lattice, 3)
+
+    def test_meta_merges_over_entering_series(self, gauss_lattice):
+        meta, other = self._metas(gauss_lattice)
+        zero = LogSeries.zero(4)
+        series_g = [LogSeries.zero(4, meta), zero, LogSeries.zero(4, other), zero]
+        table = [[zero] * 4 for _ in range(4)]
+        point = (1, 0, 0, 0)
+        assert combine_first_order(zero, series_g, point).meta == meta
+        assert combine_second_order(zero, series_g, table, point, point).meta == meta
+        with pytest.raises(ValueError, match="metadata"):
+            combine_first_order(zero, series_g, (1, 0, 1, 0))
+        with pytest.raises(ValueError, match="metadata"):
+            combine_second_order(zero, series_g, table, point, (0, 0, 1, 0))
+        table[0][1] = table[1][0] = LogSeries.zero(4, other)
+        with pytest.raises(ValueError, match="metadata"):
+            combine_second_order(zero, series_g, table, point, (0, 1, 0, 0))
+
+    def test_entering_series_of_another_dimension(self):
+        zero = LogSeries.zero(2)
+        series_g = [zero, LogSeries.zero(3)]
+        table = [[zero, zero], [zero, zero]]
+        assert not combine_first_order(zero, series_g, (1, 0))
+        with pytest.raises(ValueError, match="dimension"):
+            combine_first_order(zero, series_g, (0, 1))
+        with pytest.raises(ValueError, match="dimension"):
+            combine_second_order(zero, series_g, table, (1, 0), (0, 1))
+        table[0][0] = LogSeries.zero(3)
+        with pytest.raises(ValueError, match="dimension"):
+            combine_second_order(zero, [zero, zero], table, (1, 0), (1, 0))
+        with pytest.raises(ValueError, match="dimension"):
+            combine_first_order(zero, series_g, (1, 0, 0))
 
 
 class TestArithmetic:

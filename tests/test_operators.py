@@ -4,6 +4,8 @@ import random
 from fractions import Fraction as F
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from gkzlog import (
     BoxOp,
@@ -78,6 +80,58 @@ def test_differentiate_matches_coefficient_chain(m, z, k):
 
 def test_apply_box_zero_series():
     assert not apply_box(LogSeries.zero(4), BoxOp((1, 1, -1, -1)))
+
+
+def derivative_oracle(exponent, logdeg, coeff, orders):
+    """Terms of prod_j (d/dlambda_j)^orders[j] of one monomial, read off the
+    derivative chain: the k-th derivative of t^u log(t)^d is member -k of
+    the chain that ``f_coeffs`` describes."""
+    terms = {((), ()): coeff}
+    for u, d, k in zip(exponent, logdeg, orders):
+        poly = f_coeffs(u, -k, d).coeffs
+        terms = {
+            (e + (u - k,), degs + (m,)): c * w
+            for (e, degs), c in terms.items()
+            for m, w in enumerate(poly)
+            if w
+        }
+    return terms
+
+
+MONOMIAL = st.tuples(
+    st.fractions(min_value=-3, max_value=3, max_denominator=4),
+    st.integers(0, 2),
+)
+
+
+@settings(max_examples=120, deadline=None)
+@given(
+    data=st.data(),
+    nvars=st.integers(1, 4),
+    coeffs=st.lists(st.builds(F, st.integers(-5, 5), st.integers(1, 4)), min_size=1, max_size=3),
+)
+def test_apply_box_matches_product_of_derivative_chains(data, nvars, coeffs):
+    point = data.draw(st.tuples(*[st.integers(-3, 3)] * nvars))
+    op = BoxOp(point)
+    want = {}
+    series_terms = {}
+    for coeff in coeffs:
+        pairs = data.draw(st.tuples(*[MONOMIAL] * nvars))
+        exponent = tuple(u for u, _ in pairs)
+        logdeg = tuple(d for _, d in pairs)
+        series_terms[(exponent, logdeg)] = series_terms.get((exponent, logdeg), 0) + coeff
+        for sign, orders in ((1, op.plus), (-1, op.minus)):
+            for key, c in derivative_oracle(exponent, logdeg, coeff, orders).items():
+                want[key] = want.get(key, 0) + sign * c
+    series = LogSeries(nvars, series_terms)
+    assert apply_box(series, op) == LogSeries(nvars, want)
+    for j in range(nvars):
+        unit = tuple(int(i == j) for i in range(nvars))
+        want_j = {}
+        for (exponent, logdeg), coeff in series_terms.items():
+            for key, c in derivative_oracle(exponent, logdeg, coeff, unit).items():
+                want_j[key] = want_j.get(key, 0) + c
+        assert differentiate(series, j) == LogSeries(nvars, want_j)
 
 
 def test_apply_box_single_term_boundary_artifact(gauss_lattice):
