@@ -13,9 +13,13 @@ computed as a formal series supported on a pointed lattice cone, graded
 by an integer functional that is positive on the cone's extreme rays.
 The quotient ``G / F`` (one graded division, ``graded_quotient``) and
 the exponential proceed grade by grade, so truncation at a grade bound
-is exact; ``graded_mul`` and ``graded_log`` are not on this path and
-serve as its independent checks.  ``integrality_report`` lists the
-non-integer coefficients, if any, up to the bound.
+is exact.  Both run on integer grade layers: one denominator per grade
+and an integer numerator per point, with each point packed into one
+integer key whose sums are the keys of the summed points.  ``graded_mul``
+and ``graded_log`` are not on this path; they keep plain ``Fraction``
+slices (``_slice_mul``) and serve as its independent checks.
+``integrality_report`` lists the non-integer coefficients, if any, up
+to the bound.
 
 Indices are 0-based throughout: column ``(i, j)`` is member ``j`` of set
 ``i``, and ``j = 0`` is the distinguished point.
@@ -26,7 +30,7 @@ from __future__ import annotations
 import itertools
 from dataclasses import dataclass
 from fractions import Fraction
-from math import gcd
+from math import gcd, lcm
 
 from .errors import (
     DegenerateHull,
@@ -54,10 +58,12 @@ class CISpec:
     def __post_init__(self):
         if not self.point_sets:
             raise ValueError("need at least one point set")
+        if not all(self.point_sets):
+            raise ValueError("point sets must be nonempty")
         dim = len(self.point_sets[0][0])
+        if dim == 0:
+            raise ValueError("points need at least one coordinate")
         for s in self.point_sets:
-            if not s:
-                raise ValueError("point sets must be nonempty")
             if any(len(p) != dim for p in s):
                 raise ValueError("inconsistent point dimension")
 
@@ -288,12 +294,99 @@ def graded_mul(a, b, grading, bound):
     return {p: c for p, c in out.items() if c}
 
 
+def _pack_base(points, bound):
+    """Base ``B`` of the packed keys of sums of at most ``bound + 1`` points.
+
+    With ``M`` the largest ``|coordinate|`` of the given points, every
+    coordinate of such a sum lies in ``[-(bound+1)*M, (bound+1)*M]``,
+    strictly inside ``(-B/2, B/2)`` for ``B = 2*(bound+1)*M + 1``.
+    """
+    return 2 * (bound + 1) * max((abs(x) for p in points for x in p), default=0) + 1
+
+
+def _int_layer(slice_, base):
+    """Integer layer ``(den, {packed point: numerator})`` of one grade slice.
+
+    ``den`` is the LCM of the slice's denominators, and a point packs to
+    the key ``sum_k p_k * base**k``.  The base is odd, and every integer
+    has exactly one expansion in the balanced digits ``-(base-1)/2 ..
+    (base-1)/2``; so on points whose coordinates are such digits the
+    (linear) packing is injective, the key of a sum of points is the sum
+    of their keys, and ``_from_int_layers`` reads the digits back.
+    """
+    den = lcm(*(c.denominator for c in slice_.values()))
+    layer = {}
+    for point, coeff in slice_.items():
+        key = 0
+        for x in reversed(point):
+            key = key * base + x
+        layer[key] = coeff.numerator * (den // coeff.denominator)
+    return den, layer
+
+
+def _layer_sum(first, products, divisor=1):
+    """``(first + sum w * a * b) / divisor`` for integer layers, in lowest terms.
+
+    ``first`` is an integer layer or None and ``products`` lists
+    ``(w, a, b)`` with an integer weight ``w`` and integer layers ``a``,
+    ``b``.  Every term is brought over the LCM ``L`` of the denominators
+    ``den_a * den_b`` (and ``first``'s), by scaling each left factor once
+    by ``w * L / (den_a * den_b)``; the inner loop is then integer adds
+    and multiply-adds.  One gcd divides out the layer's common factor.
+    Returns None when every numerator cancels.
+    """
+    dens = [a[0] * b[0] for _, a, b in products]
+    if first is not None:
+        dens.append(first[0])
+    if not dens:
+        return None
+    common = lcm(*dens)
+    acc = {} if first is None else {k: n * (common // first[0]) for k, n in first[1].items()}
+    get = acc.get
+    for (weight, (_, a), (_, b)), den in zip(products, dens):
+        scale = weight * (common // den)
+        b_items = b.items()
+        for ka, na in a.items():
+            na *= scale
+            for kb, nb in b_items:
+                key = ka + kb
+                acc[key] = get(key, 0) + na * nb
+    nums = {k: n for k, n in acc.items() if n}
+    if not nums:
+        return None
+    den = common * divisor
+    g = gcd(den, *nums.values())
+    return den // g, {k: n // g for k, n in nums.items()}
+
+
+def _from_int_layers(layers, base, width):
+    """Point-keyed ``Fraction`` series of integer layers (balanced base-``base`` digits)."""
+    half = base // 2
+    out = {}
+    for den, nums in layers.values():
+        for key, num in nums.items():
+            point = []
+            for _ in range(width):
+                digit = (key + half) % base - half
+                point.append(digit)
+                key = (key - digit) // base
+            out[tuple(point)] = Fraction(num, den)
+    return out
+
+
 def graded_quotient(g, f, grading, bound):
     """Quotient ``g / (1 + f)`` up to the grade bound.
 
     ``f`` has grades >= 1 and ``g`` grades >= 0.  Grade by grade,
     ``r_d = g_d - sum_{e>=1} f_e * r_(d-e)``, which is exact because the
     grade of a product is the sum of grades.
+
+    Each layer ``r_d`` is one denominator and an integer numerator per
+    point (``_layer_sum``), keyed by the packed point (``_int_layer``).
+    A point of ``r_d`` is a sum of one point of ``g`` and at most
+    ``bound`` points of ``f``, so its coordinates lie strictly inside
+    ``(-B/2, B/2)`` for the base ``B`` of ``_pack_base``, where packing
+    is injective: adding two keys gives the key of the sum.
     """
     grade_of = lambda p: sum(a * x for a, x in zip(grading, p))
     sf, sg = _graded(f, grade_of), _graded(g, grade_of)
@@ -301,17 +394,22 @@ def graded_quotient(g, f, grading, bound):
         raise ValueError("f must be supported in grades >= 1")
     if any(d < 0 for d in sg):
         raise ValueError("g must be supported in grades >= 0")
-    minus_f = {e: {p: -c for p, c in layer.items()} for e, layer in sf.items()}
-    quotient: dict[int, dict] = {}
+    if not g:
+        return {}
+    base = _pack_base(itertools.chain(f, g), bound)
+    int_f = {e: _int_layer(layer, base) for e, layer in sf.items()}
+    int_g = {d: _int_layer(layer, base) for d, layer in sg.items()}
+    quotient: dict[int, tuple] = {}
     for d in range(bound + 1):
-        acc = dict(sg.get(d, {}))
-        for e in range(1, d + 1):
-            if e in minus_f and (d - e) in quotient:
-                _slice_mul(minus_f[e], quotient[d - e], acc)
-        layer = {p: c for p, c in acc.items() if c}
-        if layer:
+        products = [
+            (-1, int_f[e], quotient[d - e])
+            for e in range(1, d + 1)
+            if e in int_f and (d - e) in quotient
+        ]
+        layer = _layer_sum(int_g.get(d), products)
+        if layer is not None:
             quotient[d] = layer
-    return {p: c for layer in quotient.values() for p, c in layer.items()}
+    return _from_int_layers(quotient, base, len(next(iter(g))))
 
 
 def graded_exp(h, grading, bound, origin):
@@ -319,22 +417,27 @@ def graded_exp(h, grading, bound, origin):
 
     Uses the grade-derivative recursion d*E_d = sum m*H_m E_(d-m), which
     stays exact because the grade of a product is the sum of grades.
+
+    The layers are integer numerators over one denominator per grade,
+    keyed by packed points, as in ``graded_quotient``: a point of ``E_d``
+    is ``origin`` plus at most ``bound`` points of ``h``, which keeps its
+    coordinates inside the range where the packing is injective.
     """
     grade_of = lambda p: sum(g * x for g, x in zip(grading, p))
     sh = _graded(h, grade_of)
     if any(g < 1 for g in sh):
         raise ValueError("h must be supported in grades >= 1")
-    exp: dict[int, dict] = {0: {origin: Fraction(1)}}
+    base = _pack_base(itertools.chain(h, [origin]), bound)
+    int_h = {m: _int_layer(layer, base) for m, layer in sh.items()}
+    exp: dict[int, tuple] = {0: _int_layer({origin: Fraction(1)}, base)}
     for d in range(1, bound + 1):
-        acc: dict = {}
-        for m in range(1, d + 1):
-            if m in sh and (d - m) in exp:
-                scaled = {p: c * m for p, c in sh[m].items()}
-                _slice_mul(scaled, exp[d - m], acc)
-        layer = {p: c / d for p, c in acc.items() if c}
-        if layer:
+        products = [
+            (m, int_h[m], exp[d - m]) for m in range(1, d + 1) if m in int_h and (d - m) in exp
+        ]
+        layer = _layer_sum(None, products, d)
+        if layer is not None:
             exp[d] = layer
-    return {p: c for layer in exp.values() for p, c in layer.items()}
+    return _from_int_layers(exp, base, len(origin))
 
 
 def graded_log(e, grading, bound, origin):

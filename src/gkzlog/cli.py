@@ -487,6 +487,7 @@ def main(argv=None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
     try:
+        args.max_terms = to_int(args.max_terms, "max-terms", minimum=0)
         return args.func(args)
     except ProblemFileError as exc:
         print(f"input error: {exc}", file=sys.stderr)

@@ -26,8 +26,6 @@ TWO_TRIANGLES_SETS = (
     ),
 )
 QUADRILATERAL_SETS = (((0, 0), (1, 1), (-1, 0), (1, -1), (1, 0)),)
-# Rank-4 hexagon complete intersection (not shipped as a fixture file).
-HEXAGON_SETS = (((0, 0), (1, 0), (0, 1), (-1, 1), (-1, 0), (0, -1), (1, -1)),)
 
 
 def gauss_v(a, b):

@@ -21,6 +21,9 @@ from gkzlog import (
 )
 from gkzlog.ci_mirror import (
     _cone_rays,
+    _graded,
+    _layer_sum,
+    _slice_mul,
     _support_cone_rows,
     graded_exp,
     graded_log,
@@ -31,7 +34,7 @@ from gkzlog.ci_mirror import (
 )
 from gkzlog.cli import load_problem
 from gkzlog.support import SupportBox, support_set
-from tests.conftest import FIXTURES, HEXAGON_SETS
+from tests.conftest import FIXTURES
 
 
 def fact(n):
@@ -173,6 +176,151 @@ def test_quotient_times_one_plus_f_is_g(f, g, bound):
     one_plus_f[(0, 0)] = F(1)
     want = {p: c for p, c in g.items() if grade(p) <= bound and c}
     assert graded_mul(one_plus_f, quotient, grading, bound) == want
+
+
+def reference_quotient(g, f, grading, bound):
+    """``graded_quotient`` on ``Fraction`` slices: the oracle of the integer layers."""
+    grade_of = lambda p: sum(a * x for a, x in zip(grading, p))
+    sf, sg = _graded(f, grade_of), _graded(g, grade_of)
+    minus_f = {e: {p: -c for p, c in layer.items()} for e, layer in sf.items()}
+    quotient = {}
+    for d in range(bound + 1):
+        acc = dict(sg.get(d, {}))
+        for e in range(1, d + 1):
+            if e in minus_f and (d - e) in quotient:
+                _slice_mul(minus_f[e], quotient[d - e], acc)
+        layer = {p: c for p, c in acc.items() if c}
+        if layer:
+            quotient[d] = layer
+    return {p: c for layer in quotient.values() for p, c in layer.items()}
+
+
+def reference_exp(h, grading, bound, origin):
+    """``graded_exp`` on ``Fraction`` slices: the oracle of the integer layers."""
+    grade_of = lambda p: sum(g * x for g, x in zip(grading, p))
+    sh = _graded(h, grade_of)
+    exp = {0: {origin: F(1)}}
+    for d in range(1, bound + 1):
+        acc = {}
+        for m in range(1, d + 1):
+            if m in sh and (d - m) in exp:
+                scaled = {p: c * m for p, c in sh[m].items()}
+                _slice_mul(scaled, exp[d - m], acc)
+        layer = {p: c / d for p, c in acc.items() if c}
+        if layer:
+            exp[d] = layer
+    return {p: c for layer in exp.values() for p, c in layer.items()}
+
+
+# Grading (1, 1) on points with negative coordinates: grade 1 is reached by
+# points like (M, 1 - M), whose multiples run far from the origin.
+FLAT = (1, 1)
+flat_grade = lambda p: p[0] + p[1]
+SIGNED_POINT = st.tuples(st.integers(-4, 4), st.integers(-4, 4))
+WIDE_COEFF = st.fractions(min_value=-20, max_value=20, max_denominator=30)
+
+
+def _with_grades(series, lowest):
+    return {p: c for p, c in series.items() if flat_grade(p) >= lowest}
+
+
+@settings(max_examples=200, deadline=None)
+@given(
+    f=st.dictionaries(SIGNED_POINT, WIDE_COEFF, max_size=6),
+    g=st.dictionaries(SIGNED_POINT, WIDE_COEFF, max_size=6),
+    bound=st.integers(0, 7),
+)
+def test_quotient_equals_fraction_reference(f, g, bound):
+    f, g = _with_grades(f, 1), _with_grades(g, 0)
+    assert graded_quotient(g, f, FLAT, bound) == reference_quotient(g, f, FLAT, bound)
+
+
+@settings(max_examples=200, deadline=None)
+@given(
+    h=st.dictionaries(SIGNED_POINT, WIDE_COEFF, max_size=6),
+    bound=st.integers(0, 7),
+)
+def test_exp_equals_fraction_reference(h, bound):
+    h = _with_grades(h, 1)
+    origin = (0, 0)
+    assert graded_exp(h, FLAT, bound, origin) == reference_exp(h, FLAT, bound, origin)
+
+
+@settings(max_examples=100, deadline=None)
+@given(
+    top=st.integers(1, 6),
+    coeffs=st.lists(WIDE_COEFF.filter(bool), min_size=3, max_size=3),
+    extra=st.dictionaries(SIGNED_POINT, WIDE_COEFF, max_size=4),
+    bound=st.integers(0, 6),
+)
+def test_points_at_the_packing_bound(top, coeffs, extra, bound):
+    # (top, 1 - top) has grade 1 and the largest |coordinate| of the inputs,
+    # so r_bound holds (top, -top) + bound * (top, 1 - top), whose first
+    # coordinate (bound + 1) * top is the largest a packed key must carry.
+    extra = {p: c for p, c in extra.items() if max(map(abs, p)) <= top}
+    step, start = (top, 1 - top), (top, -top)
+    f = {**_with_grades(extra, 1), step: coeffs[0]}
+    g = {**_with_grades(extra, 0), start: coeffs[1]}
+    quotient = graded_quotient(g, f, FLAT, bound)
+    assert quotient == reference_quotient(g, f, FLAT, bound)
+    far = (start[0] + bound * step[0], start[1] + bound * step[1])
+    if not extra:
+        assert quotient[far] == coeffs[1] * (-coeffs[0]) ** bound
+    h = {**_with_grades(extra, 1), step: coeffs[2]}
+    assert graded_exp(h, FLAT, bound, (0, 0)) == reference_exp(h, FLAT, bound, (0, 0))
+
+
+@pytest.mark.parametrize("bound", [0, 3])
+def test_empty_series(bound):
+    sample = {(1, 0): F(3), (2, -1): F(-1, 2)}
+    origin = (0, 0)
+    for g, f in (({}, {}), ({}, sample), ({origin: F(2)}, {})):
+        assert graded_quotient(g, f, FLAT, bound) == reference_quotient(g, f, FLAT, bound)
+    assert graded_quotient({}, sample, FLAT, bound) == {}
+    assert graded_exp({}, FLAT, bound, origin) == {origin: F(1)}
+
+
+@settings(max_examples=150, deadline=None)
+@given(
+    h=st.dictionaries(SIGNED_POINT, WIDE_COEFF, max_size=6),
+    bound=st.integers(0, 7),
+)
+def test_log_of_exp_is_identity(h, bound):
+    h = _with_grades(h, 1)
+    origin = (0, 0)
+    want = {p: c for p, c in h.items() if flat_grade(p) <= bound and c}
+    assert graded_log(graded_exp(h, FLAT, bound, origin), FLAT, bound, origin) == want
+
+
+INT_LAYER = st.tuples(
+    st.integers(1, 60), st.dictionaries(st.integers(-50, 50), st.integers(-40, 40), max_size=5)
+)
+
+
+@settings(max_examples=200, deadline=None)
+@given(
+    first=st.none() | INT_LAYER,
+    products=st.lists(st.tuples(st.integers(-4, 4), INT_LAYER, INT_LAYER), max_size=4),
+    divisor=st.integers(1, 12),
+)
+def test_layer_sum_is_the_fraction_sum_in_lowest_terms(first, products, divisor):
+    want = {}
+    if first is not None:
+        for k, n in first[1].items():
+            want[k] = want.get(k, 0) + F(n, first[0])
+    for w, (da, a), (db, b) in products:
+        for ka, na in a.items():
+            for kb, nb in b.items():
+                want[ka + kb] = want.get(ka + kb, 0) + F(w * na * nb, da * db)
+    want = {k: c / divisor for k, c in want.items() if c}
+    layer = _layer_sum(first, products, divisor)
+    if not want:
+        assert layer is None
+        return
+    den, nums = layer
+    assert {k: F(n, den) for k, n in nums.items()} == want
+    assert all(nums.values())
+    assert math.gcd(den, *nums.values()) == 1
 
 
 class TestMirrorMap:
@@ -320,11 +468,8 @@ def test_support_sets_match_sign_conditions(quadrilateral_spec):
 def test_grading_from_rays_equals_grading_with_seed_points(name):
     # Seed support points lie in the cones the rays generate, so adding them
     # to the grading search changes nothing.
-    if name == "hexagon":
-        spec, radius = CISpec.from_lists(HEXAGON_SETS), 4
-    else:
-        problem = load_problem(str(FIXTURES / f"{name}.json"))
-        spec, radius = problem.spec, problem.radius
+    problem = load_problem(str(FIXTURES / f"{name}.json"))
+    spec, radius = problem.spec, problem.radius
     matrix, beta, v = build_system(spec)
     lattice = kernel_basis(matrix)
     width = lattice.ambient_dim

@@ -262,3 +262,23 @@ def test_matrix_entries_must_be_integers(tmp_path, bad):
     gauss = json.loads((FIXTURES / "gauss.json").read_text())
     gauss["matrix"][0][0] = bad
     assert main(["lattice", _problem(tmp_path, **gauss)]) == 2
+
+
+@pytest.mark.parametrize("point_sets", [[[[], []]], [[]], [[], [[0]]]])
+@pytest.mark.parametrize("command", ["ci", "mirror"])
+def test_degenerate_point_sets_are_input_errors(tmp_path, capsys, command, point_sets):
+    # zero-dimensional points and empty sets used to escape as IndexError
+    path = _problem(tmp_path, ci={"point_sets": point_sets})
+    extra = ["--index", "0", "--out", str(tmp_path / "out")] if command == "mirror" else []
+    assert main([command, path, *extra]) == 2
+    assert "input error" in capsys.readouterr().err
+
+
+def test_negative_max_terms_is_an_input_error(tmp_path, capsys):
+    out = str(tmp_path / "out")
+    args = ["mirror", TRIANGLES, "--index", "1", "--grade", "4", "--out", out]
+    assert main([*args, "--max-terms", "-1"]) == 2
+    assert "max-terms must be >= 0" in capsys.readouterr().err
+    assert main([*args, "--max-terms", "0"]) == 3
+    assert "cap 0" in capsys.readouterr().err
+    assert not (tmp_path / "out").exists()

@@ -18,6 +18,7 @@ PYRAMID = str(FIXTURES / "square_pyramid.json")
 TRIANGLES = str(FIXTURES / "ci_two_triangles.json")
 QUAD = str(FIXTURES / "ci_quadrilateral.json")
 QUINTIC = str(FIXTURES / "quintic.json")
+HEXAGON = str(FIXTURES / "hexagon.json")
 
 CASES = {
     "solve-gauss-0": ["solve", GAUSS, "--order", "0", "--radius", "6"],
@@ -42,6 +43,9 @@ CASES = {
     "mirror-quadrilateral-4": ["mirror", QUAD, "--index", "4", "--grade", "6"],
     "mirror-quadrilateral-2": ["mirror", QUAD, "--index", "2", "--grade", "6"],
     "mirror-quintic-1": ["mirror", QUINTIC, "--index", "1", "--grade", "8"],
+    # Bench-sized graded arithmetic: a high grade bound, and a rank-4 lattice.
+    "mirror-triangles-32": ["mirror", TRIANGLES, "--index", "0,2", "--grade", "32"],
+    "mirror-hexagon-1": ["mirror", HEXAGON, "--index", "1", "--grade", "8"],
 }
 
 GOLDEN = {
@@ -80,6 +84,14 @@ GOLDEN = {
             "solution.series": "0bcda420c9b0ac8185a8ec403328ab9d5b7f9c07d586e3136540f810302d5a06",
         },
     ),
+    "mirror-hexagon-1": (
+        0,
+        {
+            "mirror_0_1.coeffs": "8ea7f5fabeb415c9511687e2e508fde0a3a953c9d1cef9b316257f5a93e65387",
+            "mirror_0_1.report": "e2ab2a0fddc99ffc7931e587b789cd8c105fb0e1838dfff638774b21c593ec78",
+            "run_report.json": "bdc7f9321b568dcd97f7a18b3b8a65b3e2088d821708ef267da0d54b29ba8015",
+        },
+    ),
     "mirror-quadrilateral-2": (
         0,
         {
@@ -110,6 +122,14 @@ GOLDEN = {
             "mirror_0_1.coeffs": "f057a4b72aad3e62ba7629d8e4c8708daec9bfe815fa277c6022f38b31998e4e",
             "mirror_0_1.report": "acededced68db63c73745e983acdd7532c7dba70a382cf7a314a462b542adbbf",
             "run_report.json": "1c7051dc50b32ec32db272fcbdc3deca725c1d6ea8d5306c6c37ccf8e7f62515",
+        },
+    ),
+    "mirror-triangles-32": (
+        0,
+        {
+            "mirror_0_2.coeffs": "feecbbe855ccae86c9d370de7eadc9066df285bd36dfa863cfbc9a62ed40d664",
+            "mirror_0_2.report": "6ae4b538fe2dae8bf6585c943b1d2b8a611e271a71c53c6f583af4f3819853e6",
+            "run_report.json": "915990b31bc62f613b3c96e2004c27088eeb2bf9aa5ec389e9046c46ea758420",
         },
     ),
     "mirror-triangles-5": (

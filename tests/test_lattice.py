@@ -2,9 +2,9 @@
 
 import pytest
 
-from gkzlog import CISpec, IntMatrix, ResourceLimit, build_system, enumerate_box, kernel_basis
+from gkzlog import IntMatrix, ResourceLimit, enumerate_box, kernel_basis
 from gkzlog.cli import load_problem
-from tests.conftest import FIXTURES, GAUSS_MATRIX, HEXAGON_SETS, PYRAMID_MATRIX
+from tests.conftest import FIXTURES, GAUSS_MATRIX, PYRAMID_MATRIX
 
 
 def test_gauss_kernel():
@@ -106,7 +106,6 @@ def test_coords_roundtrip():
 FIXTURE_LATTICES = {
     path.stem: kernel_basis(load_problem(str(path)).matrix) for path in FIXTURES.glob("*.json")
 }
-FIXTURE_LATTICES["hexagon"] = kernel_basis(build_system(CISpec.from_lists(HEXAGON_SETS))[0])
 FIXTURE_LATTICES["rank0"] = kernel_basis(((1, 0, 0), (0, 1, 0), (0, 0, 1)))
 
 
