@@ -41,8 +41,7 @@ from .logseries import (
     SeriesMeta,
     build_F,
     build_G,
-    build_H_diag,
-    build_H_off,
+    build_H,
     build_H_table,
     combine_first_order,
     combine_second_order,
@@ -66,7 +65,7 @@ from .polytope import (
     interior_lattice_points,
     minkowski_hull,
 )
-from .support import SupportBox, SupportVerdict, check_minimal, nsupp, support_set
+from .support import SupportBox, SupportVerdict, nsupp
 
 __version__ = "0.1.0"
 
@@ -103,8 +102,7 @@ __all__ = [
     "SeriesMeta",
     "build_F",
     "build_G",
-    "build_H_diag",
-    "build_H_off",
+    "build_H",
     "build_H_table",
     "combine_first_order",
     "combine_second_order",
@@ -125,7 +123,5 @@ __all__ = [
     "minkowski_hull",
     "SupportBox",
     "SupportVerdict",
-    "check_minimal",
     "nsupp",
-    "support_set",
 ]

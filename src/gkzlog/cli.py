@@ -77,8 +77,8 @@ class Problem:
                 raise ProblemFileError(f"bad matrix: {exc}") from None
             if "beta" not in raw or "v" not in raw:
                 raise ProblemFileError("matrix problems need 'beta' and 'v'")
-            self.beta = rational_vector(raw["beta"])
-            self.v = rational_vector(raw["v"])
+            self.beta = _rational_list(raw, "beta")
+            self.v = _rational_list(raw, "v")
             if len(self.beta) != self.matrix.n_rows:
                 raise ProblemFileError("beta length != matrix rows")
             if len(self.v) != self.matrix.n_cols:
@@ -87,6 +87,12 @@ class Problem:
                 raise ProblemFileError("A v != beta")
         else:
             raise ProblemFileError("problem file needs either 'matrix' or 'ci'")
+
+
+def _rational_list(raw, key):
+    if not isinstance(raw[key], list):
+        raise ProblemFileError(f"'{key}' must be a list, got {type(raw[key]).__name__}")
+    return rational_vector(raw[key])
 
 
 def load_problem(path: str) -> Problem:
@@ -133,6 +139,12 @@ def _override(flag, default, what):
     return to_int(default if flag is None else flag, what, minimum=0)
 
 
+def _load_box_inputs(args):
+    """Problem, relation lattice and radius of a run that builds a support box."""
+    problem = load_problem(args.file)
+    return problem, kernel_basis(problem.matrix), _override(args.radius, problem.radius, "radius")
+
+
 def _sweep(box, excluded_sets, failure):
     """``run_report.json`` verdicts, or None after printing the first failure."""
     verdicts = box.sweep(excluded_sets)
@@ -155,34 +167,25 @@ def _unit(i, n):
     return tuple(1 if k == i else 0 for k in range(n))
 
 
-def _verify_series(series, lattice, matrix=None, beta=None):
-    """Box-verify against every basis operator; optionally Euler-verify.
+def _verify_and_write(out_dir: Path, name, series, lattice, matrix=None, beta=None):
+    """Box-verify ``series`` against every basis operator, and Euler-verify
+    it when ``matrix`` is given; then write it as artifact ``name``.
 
-    Returns (list of summary dicts, all_passed).
+    Returns the ``run_report.json`` verification entry and whether every
+    check passed.
     """
-    summaries = []
-    ok = True
-    for row in lattice.basis:
-        report = verify_box_annihilation(series, BoxOp(row))
-        summaries.append(
-            {
-                "op": f"box({','.join(str(x) for x in row)})",
-                "checked_terms": report.checked_term_count,
-                "violations": len(report.violations),
-            }
-        )
-        ok = ok and report.passed
+    reports = [
+        (f"box({','.join(str(x) for x in row)})", verify_box_annihilation(series, BoxOp(row)))
+        for row in lattice.basis
+    ]
     if matrix is not None:
-        report = verify_euler_annihilation(series, matrix, beta)
-        summaries.append(
-            {
-                "op": "euler",
-                "checked_terms": report.checked_term_count,
-                "violations": len(report.violations),
-            }
-        )
-        ok = ok and report.passed
-    return summaries, ok
+        reports.append(("euler", verify_euler_annihilation(series, matrix, beta)))
+    checks = [
+        {"op": op, "checked_terms": report.checked_term_count, "violations": len(report.violations)}
+        for op, report in reports
+    ]
+    _write_artifact(out_dir, name, to_text(series))
+    return {"artifact": name, "checks": checks}, all(report.passed for _, report in reports)
 
 
 def _write_artifact(out_dir: Path, name: str, content: str):
@@ -196,6 +199,30 @@ def _write_run_report(out_dir: Path, report: dict):
     return _write_artifact(out_dir, "run_report.json", content)
 
 
+def _finish(args, started, problem, parameters, verdicts, checked) -> int:
+    """Write ``run_report.json`` for the ``_verify_and_write`` results
+    ``checked`` of a solve or combine run, print its summary, return the exit code."""
+    verification = [entry for entry, _ in checked]
+    artifacts = [entry["artifact"] for entry in verification]
+    ok = all(passed for _, passed in checked)
+    report = {
+        "command": args.command,
+        "input": problem.raw,
+        "source": problem.source_hash,
+        "parameters": parameters,
+        "verdicts": verdicts,
+        "artifacts": artifacts,
+        "verification": verification,
+        "status": "pass" if ok else "fail",
+    }
+    artifacts = artifacts + [_write_run_report(Path(args.out), report)]
+    elapsed = time.perf_counter() - started
+    print(f"status: {report['status']}")
+    print(f"artifacts: {', '.join(artifacts)}")
+    print(f"elapsed: {elapsed:.3f}s")
+    return 0 if ok else 1
+
+
 def cmd_lattice(args) -> int:
     problem = load_problem(args.file)
     lattice = kernel_basis(problem.matrix)
@@ -207,9 +234,7 @@ def cmd_lattice(args) -> int:
 
 
 def cmd_support(args) -> int:
-    problem = load_problem(args.file)
-    lattice = kernel_basis(problem.matrix)
-    radius = _override(args.radius, problem.radius, "radius")
+    problem, lattice, radius = _load_box_inputs(args)
     box = SupportBox(problem.v, lattice, radius, args.max_terms)
     excluded = tuple(_parse_index_list(args.exclude, problem.matrix.n_cols)) if args.exclude else ()
     verdict = box.check_minimal(excluded)
@@ -224,9 +249,7 @@ def cmd_support(args) -> int:
 
 def cmd_solve(args) -> int:
     started = time.perf_counter()
-    problem = load_problem(args.file)
-    lattice = kernel_basis(problem.matrix)
-    radius = _override(args.radius, problem.radius, "radius")
+    problem, lattice, radius = _load_box_inputs(args)
     out_dir = Path(args.out)
     ncols = problem.matrix.n_cols
 
@@ -247,61 +270,39 @@ def cmd_solve(args) -> int:
         pairs = [(i, j) for i in range(ncols) for j in range(i, ncols)]
     pairs = sorted(set(pairs))
     sets = [()] + [(i,) for i in indices] + pairs
-    verdicts = _sweep(SupportBox(problem.v, lattice, radius, args.max_terms), sets, _solve_failure)
+    box = SupportBox(problem.v, lattice, radius, args.max_terms)
+    verdicts = _sweep(box, sets, _solve_failure)
     if verdicts is None:
         return 1
 
-    artifacts = []
-    verification = []
-    all_ok = True
+    def check(name, series):
+        return _verify_and_write(out_dir, name, series, lattice)
 
-    def record(name, series):
-        nonlocal all_ok
-        summaries, ok = _verify_series(series, lattice)
-        verification.append({"artifact": name, "checks": summaries})
-        all_ok = all_ok and ok
-        artifacts.append(_write_artifact(out_dir, name, to_text(series)))
-
-    series_f = build_F(problem.v, lattice, radius)
-    record("F.series", series_f)
+    series_f = build_F(box)
+    checked = [check("F.series", series_f)]
     if args.order == 1:
-        for i in indices:
-            quasi = series_f.mul_log_linear(_unit(i, ncols))
-            quasi = quasi + build_G(problem.v, i, lattice, radius)
-            record(f"quasi1_{i}.series", quasi)
+        series_g = [build_G(box, i) if i in indices else None for i in range(ncols)]
+        checked += [
+            check(f"quasi1_{i}.series", combine_first_order(series_f, series_g, _unit(i, ncols)))
+            for i in indices
+        ]
     elif args.order == 2:
-        series_g = [build_G(problem.v, i, lattice, radius) for i in range(ncols)]
-        table = build_H_table(problem.v, lattice, radius)
-        for i, j in pairs:
-            quasi = combine_second_order(
-                series_f, series_g, table, _unit(i, ncols), _unit(j, ncols)
+        series_g = [build_G(box, i) for i in range(ncols)]
+        table = build_H_table(box)
+        checked += [
+            check(
+                f"quasi2_{i}_{j}.series",
+                combine_second_order(series_f, series_g, table, _unit(i, ncols), _unit(j, ncols)),
             )
-            record(f"quasi2_{i}_{j}.series", quasi)
-
-    report = {
-        "command": "solve",
-        "input": problem.raw,
-        "source": problem.source_hash,
-        "parameters": {"order": args.order, "radius": radius},
-        "verdicts": verdicts,
-        "artifacts": artifacts,
-        "verification": verification,
-        "status": "pass" if all_ok else "fail",
-    }
-    artifacts.append(_write_run_report(out_dir, report))
-    elapsed = time.perf_counter() - started
-    print(f"status: {report['status']}")
-    print(f"artifacts: {', '.join(artifacts)}")
-    print(f"elapsed: {elapsed:.3f}s")
-    return 0 if all_ok else 1
+            for i, j in pairs
+        ]
+    parameters = {"order": args.order, "radius": radius}
+    return _finish(args, started, problem, parameters, verdicts, checked)
 
 
 def cmd_combine(args) -> int:
     started = time.perf_counter()
-    problem = load_problem(args.file)
-    lattice = kernel_basis(problem.matrix)
-    radius = _override(args.radius, problem.radius, "radius")
-    out_dir = Path(args.out)
+    problem, lattice, radius = _load_box_inputs(args)
     ncols = problem.matrix.n_cols
 
     point = _parse_int_vector(args.l, ncols)
@@ -317,49 +318,36 @@ def cmd_combine(args) -> int:
     if point2 is not None:
         needed += [(i, j) for i in range(ncols) for j in range(i + 1, ncols)]
     failure = "minimality failed with {} excluded".format
-    verdicts = _sweep(SupportBox(problem.v, lattice, radius, args.max_terms), needed, failure)
+    box = SupportBox(problem.v, lattice, radius, args.max_terms)
+    verdicts = _sweep(box, needed, failure)
     if verdicts is None:
         return 1
 
-    series_f = build_F(problem.v, lattice, radius)
-    series_g = [build_G(problem.v, i, lattice, radius) for i in range(ncols)]
+    series_f = build_F(box)
+    series_g = [build_G(box, i) for i in range(ncols)]
     if point2 is None:
         solution = combine_first_order(series_f, series_g, point)
     else:
-        table = build_H_table(problem.v, lattice, radius)
-        solution = combine_second_order(series_f, series_g, table, point, point2)
+        solution = combine_second_order(series_f, series_g, build_H_table(box), point, point2)
 
-    summaries, all_ok = _verify_series(solution, lattice, problem.matrix, problem.beta)
-    artifacts = [_write_artifact(out_dir, "solution.series", to_text(solution))]
-    report = {
-        "command": "combine",
-        "input": problem.raw,
-        "source": problem.source_hash,
-        "parameters": {
-            "l": list(point),
-            "lprime": list(point2) if point2 is not None else None,
-            "radius": radius,
-        },
-        "verdicts": verdicts,
-        "artifacts": artifacts,
-        "verification": [{"artifact": "solution.series", "checks": summaries}],
-        "status": "pass" if all_ok else "fail",
+    checked = [
+        _verify_and_write(
+            Path(args.out), "solution.series", solution, lattice, problem.matrix, problem.beta
+        )
+    ]
+    parameters = {
+        "l": list(point),
+        "lprime": list(point2) if point2 is not None else None,
+        "radius": radius,
     }
-    artifacts.append(_write_run_report(out_dir, report))
-    elapsed = time.perf_counter() - started
-    print(f"status: {report['status']}")
-    print(f"artifacts: {', '.join(artifacts)}")
-    print(f"elapsed: {elapsed:.3f}s")
-    return 0 if all_ok else 1
+    return _finish(args, started, problem, parameters, verdicts, checked)
 
 
 def cmd_ci(args) -> int:
-    problem = load_problem(args.file)
+    problem, lattice, radius = _load_box_inputs(args)
     if problem.spec is None:
         raise ProblemFileError("'ci' section required for this command")
     spec = problem.spec
-    radius = _override(args.radius, problem.radius, "radius")
-    lattice = kernel_basis(problem.matrix)
     box = SupportBox(problem.v, lattice, radius, args.max_terms)
     print("lifted matrix rows:")
     for row in problem.matrix.rows:

@@ -10,22 +10,24 @@ never stored and iteration order is lexicographic, so two equal series
 serialize identically.
 
 The builders construct the truncations of the classical solution series
-of a GKZ system at a base exponent vector ``v``:
+of a GKZ system at a base exponent vector ``v``, each from the support
+sets of one :class:`~gkzlog.support.SupportBox` (``v``, lattice, radius):
 
-    build_F        log-free series F
-    build_G        the log-free partner G_i of F * log(lambda_i)
-    build_H_diag   the log-free partner H_ii for a repeated variable
-    build_H_off    the log-free partner H_ij for a distinct pair
+    build_F(box)         log-free series F
+    build_G(box, i)      the log-free partner G_i of F * log(lambda_i)
+    build_H(box, i, j)   the log-free partner H_ij of the second-order
+                         quasisolution (i = j for a repeated variable)
+    build_H_table(box)   every H_ij, as a symmetric table
 
 and ``combine_first_order`` / ``combine_second_order`` assemble genuine
 solutions of the full system from them.  A combination, like
 ``mul_log_linear``, adds each weighted series into one term dict
-(``_add_into``) and builds a single series at the end.  All four
-builders, and the mirror map's tails, share one coefficient rule,
+(``_add_into``) and builds a single series at the end.  The builders
+and the mirror map's tails share one coefficient rule,
 ``log_free_coefficients``, which reads per-coordinate derivative-chain
-tables.  Each builder records its truncation metadata (base vector,
-lattice, radius) so that the operator module can compute certified
-regions later.
+tables.  Each series records the box's truncation metadata (base
+vector, lattice, radius) so that the operator module can compute
+certified regions later.
 """
 
 from __future__ import annotations
@@ -248,44 +250,39 @@ def _build_log_free(box: SupportBox, logs) -> LogSeries:
     return LogSeries(len(base), terms, SeriesMeta(base, box.lattice, box.radius))
 
 
-def build_F(v, lattice: RelationLattice, radius: int) -> LogSeries:
-    """Log-free series: one term per support point, coefficient bracket_vec.
+def build_F(box: SupportBox) -> LogSeries:
+    """Log-free series ``F``: one term per point of the plain support set.
 
-    Requires ``v`` to have minimal negative support (check first via
-    ``check_minimal``); the coefficient at the base exponent is 1.
+    Requires the box's base vector to have minimal negative support
+    (``box.check_minimal()``); the coefficient at the base exponent is 1.
     """
-    return _build_log_free(SupportBox(v, lattice, radius), ())
+    return _build_log_free(box, ())
 
 
-def build_G(v, i: int, lattice: RelationLattice, radius: int) -> LogSeries:
+def build_G(box: SupportBox, i: int) -> LogSeries:
     """Log-free partner of ``F`` for variable ``i`` (0-based).
 
-    ``F * log(lambda_i) + G_i`` satisfies all box operators when ``v``
-    passes the plain and the i-excluded minimality checks.
+    ``F * log(lambda_i) + G_i`` satisfies all box operators when the base
+    vector passes the plain and the i-excluded minimality checks.
     """
-    return _build_log_free(SupportBox(v, lattice, radius), (i,))
+    return _build_log_free(box, (i,))
 
 
-def build_H_diag(v, i: int, lattice: RelationLattice, radius: int) -> LogSeries:
-    """Log-free tail of the repeated-index second-order quasisolution."""
-    return _build_log_free(SupportBox(v, lattice, radius), (i, i))
+def build_H(box: SupportBox, i: int, j: int) -> LogSeries:
+    """Log-free tail ``H_ij`` of the second-order quasisolution, symmetric in ``i, j``.
+
+    ``i = j`` gives the repeated-index tail ``H_ii``.
+    """
+    return _build_log_free(box, (i, j))
 
 
-def build_H_off(v, i: int, j: int, lattice: RelationLattice, radius: int) -> LogSeries:
-    """Log-free tail of the distinct-pair second-order quasisolution."""
-    if i == j:
-        raise ValueError("indices must differ; use build_H_diag")
-    return _build_log_free(SupportBox(v, lattice, radius), (i, j))
-
-
-def build_H_table(v, lattice: RelationLattice, radius: int):
-    """Symmetric table of all second-order partners, read from one box."""
-    box = SupportBox(v, lattice, radius)
-    n = lattice.ambient_dim
+def build_H_table(box: SupportBox):
+    """Symmetric table of all second-order partners ``H_ij``."""
+    n = len(box.base)
     table = [[None] * n for _ in range(n)]
     for i in range(n):
         for j in range(i, n):
-            table[i][j] = table[j][i] = _build_log_free(box, (i, j))
+            table[i][j] = table[j][i] = build_H(box, i, j)
     return tuple(tuple(row) for row in table)
 
 
@@ -312,7 +309,11 @@ def _entering_meta(series_f: LogSeries, entering) -> SeriesMeta | None:
 
 
 def combine_first_order(series_f: LogSeries, series_g, point) -> LogSeries:
-    """Solution ``sum_a l_a (F*log(lambda_a) + G_a)`` for a lattice point ``l``."""
+    """Solution ``sum_a l_a (F*log(lambda_a) + G_a)`` for a lattice point ``l``.
+
+    Only the ``G_a`` with ``l_a != 0`` are read; the other entries of
+    ``series_g`` may be ``None``.
+    """
     n = series_f.nvars
     if len(series_g) != n or len(point) != n:
         raise ValueError("dimension mismatch")

@@ -109,14 +109,21 @@ def apply_euler(series: LogSeries, op: EulerOp) -> LogSeries:
 
 @dataclass(frozen=True)
 class CertifiedReport:
-    """Result of a vanishing check; ``passed`` iff no violations."""
+    """Result of a vanishing check.
+
+    ``certified_region`` is, for a box check, the number of exponents
+    whose two sources both lie in the box; ``None`` for an Euler check,
+    which needs no truncation margin.  ``passed`` iff there are no
+    violations and the certified region is not empty.
+    """
 
     checked_term_count: int
     violations: tuple
+    certified_region: int | None = None
 
     @property
     def passed(self) -> bool:
-        return not self.violations
+        return not self.violations and self.certified_region != 0
 
     def summary(self) -> str:
         status = "pass" if self.passed else "FAIL"
@@ -135,7 +142,8 @@ def verify_box_annihilation(series: LogSeries, op: BoxOp) -> CertifiedReport:
 
     ``checked_term_count`` counts every residual term examined; the
     violations are the certified ones (uncertified residue is the
-    expected truncation boundary).
+    expected truncation boundary).  A radius too small for the operator
+    certifies no exponent, and the report then does not pass.
     """
     if series.meta is None:
         raise ValueError("series carries no truncation metadata")
@@ -168,7 +176,15 @@ def verify_box_annihilation(series: LogSeries, op: BoxOp) -> CertifiedReport:
             seen[term.exponent] = certified
         if certified:
             violations.append((term.exponent, term.logdeg, term.coeff))
-    return CertifiedReport(checked, tuple(violations))
+    # The two sources differ by l: with c its lattice coordinates, the box
+    # holds both for prod_k max(0, 2R + 1 - |c_k|) exponents (0 if c is not integral).
+    coords = lattice.coords_of(op.point)
+    region = 0
+    if coords is not None and all(c.denominator == 1 for c in coords):
+        region = 1
+        for c in coords:
+            region *= max(0, 2 * meta.radius + 1 - abs(int(c)))
+    return CertifiedReport(checked, tuple(violations), region)
 
 
 def verify_euler_annihilation(series: LogSeries, matrix, beta) -> CertifiedReport:

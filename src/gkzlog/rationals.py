@@ -48,11 +48,6 @@ def rational_vector(values) -> tuple[Fraction, ...]:
     return tuple(to_rational(v) for v in values)
 
 
-def format_rational(value: Fraction) -> str:
-    """Render as ``p`` or ``p/q`` (lowest terms, positive denominator)."""
-    return str(Fraction(value))
-
-
 def is_negative_integer(value) -> bool:
     q = value if isinstance(value, Fraction) else Fraction(value)
     return q.denominator == 1 and q < 0

@@ -5,8 +5,9 @@ are negative integers; variants ignore one or two designated coordinates.
 Minimality (no lattice shift strictly shrinks the support) is semi-decided
 by scanning a coefficient box of the given radius, so every verdict is
 radius-qualified.  A :class:`SupportBox` enumerates the box once and
-answers every verdict and support set of one base vector at that radius.
-All indices are 0-based.
+answers every verdict and support set of one base vector at that radius;
+it is also the one input of the series builders, so a run that sweeps
+and builds from one box enumerates it once.  All indices are 0-based.
 """
 
 from __future__ import annotations
@@ -98,12 +99,3 @@ class SupportBox:
         keys = dict.fromkeys(tuple(sorted(set(excluded))) for excluded in excluded_sets)
         return {key: self.check_minimal(key) for key in keys}
 
-
-def check_minimal(v, lattice: RelationLattice, radius: int, excluded=()) -> SupportVerdict:
-    """Scan the box for a shift that strictly shrinks the negative support."""
-    return SupportBox(v, lattice, radius).check_minimal(excluded)
-
-
-def support_set(v, lattice: RelationLattice, radius: int, excluded=()):
-    """Lattice points in the box whose shift preserves the negative support."""
-    return SupportBox(v, lattice, radius).support_set(excluded)

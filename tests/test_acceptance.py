@@ -17,11 +17,11 @@ from gkzlog import (
     BoxOp,
     LogSeries,
     NoPositiveFunctional,
+    SupportBox,
     bracket,
     build_F,
     build_G,
-    build_H_diag,
-    build_H_off,
+    build_H,
     build_H_table,
     build_system,
     combine_first_order,
@@ -36,7 +36,6 @@ from gkzlog import (
     minkowski_hull,
     mirror_map,
     positive_grading,
-    support_set,
     verify_box_annihilation,
     verify_euler_annihilation,
 )
@@ -101,13 +100,14 @@ def test_criterion_1_gauss_example():
         radius = 10
         for a, b in ((F(1, 2), F(1, 3)), (F(2, 5), F(7, 3))):
             v = gauss_v(a, b)
-            series_f = build_F(v, lattice, radius)
+            box = SupportBox(v, lattice, radius)
+            series_f = build_F(box)
             for depth in range(radius + 1):
                 exponent = (-a - depth, -b - depth, F(depth), F(depth))
                 want = rising(a, depth) * rising(b, depth) / F(fact(depth)) ** 2
                 assert series_f.coefficient(exponent) == want
 
-            series_g = [build_G(v, i, lattice, radius) for i in range(4)]
+            series_g = [build_G(box, i) for i in range(4)]
             solution = combine_first_order(series_f, series_g, (-1, -1, 1, 1))
             for depth in range(radius + 1):
                 exponent = (-a - depth, -b - depth, F(depth), F(depth))
@@ -138,12 +138,13 @@ def test_criterion_2_pyramid_example():
         def exponent(a, b):
             return (F(a), F(b), F(a), F(b), F(1 - 2 * a - 2 * b))
 
-        series_f = build_F(v, lattice, radius)
+        box = SupportBox(v, lattice, radius)
+        series_f = build_F(box)
         assert series_f == LogSeries.monomial(v)
         for i in range(4):
-            assert not build_G(v, i, lattice, radius)
+            assert not build_G(box, i)
 
-        series_g5 = build_G(v, 4, lattice, radius)
+        series_g5 = build_G(box, 4)
         for a in range(7):
             for b in range(7 - a):
                 if (a, b) == (0, 0):
@@ -151,7 +152,7 @@ def test_criterion_2_pyramid_example():
                 want = F(fact(2 * a + 2 * b - 2), fact(a) ** 2 * fact(b) ** 2)
                 assert series_g5.coefficient(exponent(a, b)) == want
 
-        h55 = build_H_diag(v, 4, lattice, radius)
+        h55 = build_H(box, 4, 4)
         for a in range(7):
             for b in range(7 - a):
                 if (a, b) == (0, 0):
@@ -163,26 +164,26 @@ def test_criterion_2_pyramid_example():
                 assert h55.coefficient(exponent(a, b)) == want
 
         for i in (0, 2):
-            series = build_H_off(v, i, 4, lattice, radius)
+            series = build_H(box, i, 4)
             for a in range(1, 7):
                 for b in range(7 - a):
                     want = -F(fact(2 * a + 2 * b - 2), fact(a) ** 2 * fact(b) ** 2)
                     assert series.coefficient(exponent(a, b)) == want * harmonic(a)
         for i in (1, 3):
-            series = build_H_off(v, i, 4, lattice, radius)
+            series = build_H(box, i, 4)
             for b in range(1, 7):
                 for a in range(7 - b):
                     want = -F(fact(2 * a + 2 * b - 2), fact(a) ** 2 * fact(b) ** 2)
                     assert series.coefficient(exponent(a, b)) == want * harmonic(b)
 
-        h13 = build_H_off(v, 0, 2, lattice, radius)
+        h13 = build_H(box, 0, 2)
         for a in range(-6, 0):
             for b in range(0, -a + 1):
                 if abs(a) + b > 6:
                     continue
                 want = F(fact(-a - 1) ** 2, fact(b) ** 2 * fact(-2 * a - 2 * b + 1))
                 assert h13.coefficient(exponent(a, b)) == want
-        h24 = build_H_off(v, 1, 3, lattice, radius)
+        h24 = build_H(box, 1, 3)
         for b in range(-6, 0):
             for a in range(0, -b + 1):
                 if a + abs(b) > 6:
@@ -190,8 +191,8 @@ def test_criterion_2_pyramid_example():
                 want = F(fact(-b - 1) ** 2, fact(a) ** 2 * fact(-2 * a - 2 * b + 1))
                 assert h24.coefficient(exponent(a, b)) == want
 
-        series_g = [build_G(v, i, lattice, radius) for i in range(5)]
-        table = build_H_table(v, lattice, radius)
+        series_g = [build_G(box, i) for i in range(5)]
+        table = build_H_table(box)
         l1, l2 = (-1, 0, -1, 0, 2), (0, 1, 0, 1, -2)
         solution = combine_second_order(series_f, series_g, table, l1, l2)
         expected = series_f.mul_log_linear(l1).mul_log_linear(l2)
@@ -225,7 +226,7 @@ def test_criterion_2_pyramid_example():
 
 def test_criterion_3_support_machinery():
     with criterion(3, "support sets and minimality verdicts of all examples"):
-        from gkzlog import CISpec, check_minimal, enumerate_box
+        from gkzlog import CISpec, enumerate_box
 
         radius = 6
         box = range(-radius, radius + 1)
@@ -234,51 +235,55 @@ def test_criterion_3_support_machinery():
         lattice = kernel_basis(GAUSS_MATRIX)
         v = gauss_v(F(1, 2), F(1, 3))
         ray = [tuple(-l * x for x in (1, 1, -1, -1)) for l in range(radius + 1)]
+        supports = SupportBox(v, lattice, radius)
         for excluded in [()] + [(i,) for i in range(4)]:
-            assert check_minimal(v, lattice, radius, excluded).minimal
-            assert sorted(support_set(v, lattice, radius, excluded)) == sorted(ray)
+            assert supports.check_minimal(excluded).minimal
+            assert sorted(supports.support_set(excluded)) == sorted(ray)
 
         # pyramid system: the stated sets, exactly
         lattice = kernel_basis(PYRAMID_MATRIX)
         v = PYRAMID_V
-        assert check_minimal(v, lattice, radius, ()).minimal
+        supports = SupportBox(v, lattice, radius)
+        assert supports.check_minimal(()).minimal
         origin_only = [(0, 0, 0, 0, 0)]
         point = lambda a, b: (a, b, a, b, -2 * a - 2 * b)
         for excluded in [()] + [(i,) for i in range(4)]:
-            assert support_set(v, lattice, radius, excluded) == origin_only
+            assert supports.support_set(excluded) == origin_only
         quadrant = {point(a, b) for a in box for b in box if a >= 0 and b >= 0}
-        assert set(support_set(v, lattice, radius, (4,))) == quadrant
+        assert set(supports.support_set((4,))) == quadrant
         for i in range(4):
-            assert set(support_set(v, lattice, radius, (i, 4))) == quadrant
-        assert set(support_set(v, lattice, radius, (0, 2))) == {
+            assert set(supports.support_set((i, 4))) == quadrant
+        assert set(supports.support_set((0, 2))) == {
             point(a, b) for a in box for b in box if -a >= b >= 0
         }
-        assert set(support_set(v, lattice, radius, (1, 3))) == {
+        assert set(supports.support_set((1, 3))) == {
             point(a, b) for a in box for b in box if -b >= a >= 0
         }
         for pair in ((0, 1), (0, 3), (1, 2), (2, 3)):
-            assert support_set(v, lattice, radius, pair) == origin_only
+            assert supports.support_set(pair) == origin_only
 
         # first lifted example: every column gives the same nonnegative cone
         matrix, beta, v = build_system(CISpec.from_lists(TWO_TRIANGLES_SETS))
         lattice = kernel_basis(matrix)
-        plain = set(support_set(v, lattice, radius, ()))
+        supports = SupportBox(v, lattice, radius)
+        plain = set(supports.support_set(()))
         assert plain == {
             p for _, p in enumerate_box(lattice, radius) if p[1] >= 0 and p[4] >= 0
         }
         for col in range(7):
-            assert set(support_set(v, lattice, radius, (col,))) == plain
+            assert set(supports.support_set((col,))) == plain
 
         # second lifted example: the last column opens the negative direction
         matrix, beta, v = build_system(CISpec.from_lists(QUADRILATERAL_SETS))
         lattice = kernel_basis(matrix)
-        plain = set(support_set(v, lattice, radius, ()))
+        supports = SupportBox(v, lattice, radius)
+        plain = set(supports.support_set(()))
         assert plain == {
             p for _, p in enumerate_box(lattice, radius) if p[1] >= 0 and p[4] >= 0
         }
         for col in range(4):
-            assert set(support_set(v, lattice, radius, (col,))) == plain
-        opened = set(support_set(v, lattice, radius, (4,)))
+            assert set(supports.support_set((col,))) == plain
+        opened = set(supports.support_set((4,)))
         assert opened == {
             p for _, p in enumerate_box(lattice, radius) if p[1] >= 0 and p[2] >= 0
         }
@@ -290,9 +295,10 @@ def test_criterion_4_pointed_cone_negative_control():
         lattice = kernel_basis(PYRAMID_MATRIX)
         v = PYRAMID_V
         radius = 5
-        series_f = build_F(v, lattice, radius)
-        series_g = [build_G(v, i, lattice, radius) for i in range(5)]
-        table = build_H_table(v, lattice, radius)
+        box = SupportBox(v, lattice, radius)
+        series_f = build_F(box)
+        series_g = [build_G(box, i) for i in range(5)]
+        table = build_H_table(box)
         l1 = (-1, 0, -1, 0, 2)
         solution = combine_second_order(series_f, series_g, table, l1, l1)
         points = set()
@@ -337,13 +343,14 @@ def test_criterion_5_first_lifted_family():
         def base(l, m):
             return F(fact(3 * l + 3 * m), fact(l) ** 3 * fact(m) ** 3)
 
-        series_f = build_F(v, lattice, radius)
+        box = SupportBox(v, lattice, radius)
+        series_f = build_F(box)
         for l in range(7):
             for m in range(7 - l):
                 assert series_f.coefficient(exponent(l, m)) == (-1) ** (l + m) * base(l, m)
 
         for j in range(7):
-            series = build_G(v, j, lattice, radius)
+            series = build_G(box, j)
             for l in range(7):
                 for m in range(7 - l):
                     if j == 0:
@@ -382,7 +389,8 @@ def test_criterion_6_second_lifted_family(tmp_path):
 
         grade = lambda l, m: 3 * l + m  # the grading the pipeline finds
 
-        series_f = build_F(v, lattice, radius)
+        box = SupportBox(v, lattice, radius)
+        series_f = build_F(box)
         for l in range(7):
             for m in range(7):
                 if grade(l, m) <= 6:
@@ -395,14 +403,14 @@ def test_criterion_6_second_lifted_family(tmp_path):
             3: lambda l, m: -base(l, m) * harmonic(l),
         }
         for j, oracle in closed.items():
-            series = build_G(v, j, lattice, radius)
+            series = build_G(box, j)
             for l in range(7):
                 for m in range(7):
                     if (l, m) == (0, 0) or grade(l, m) > 6:
                         continue
                     assert series.coefficient(exponent(l, m)) == oracle(l, m)
 
-        series_g4 = build_G(v, 4, lattice, radius)
+        series_g4 = build_G(box, 4)
         for l in range(7):
             for m in range(-2 * l, 7):
                 if (l, m) == (0, 0) or grade(l, m) > 6 or abs(2 * l + m) > radius:
@@ -472,14 +480,12 @@ def test_criterion_7_property_suites():
         cases = []
         lattice = kernel_basis(GAUSS_MATRIX)
         v = gauss_v(F(1, 2), F(1, 3))
-        quasi = build_F(v, lattice, 4).mul_log_linear((1, 0, 0, 0)) + build_G(
-            v, 0, lattice, 4
-        )
+        box = SupportBox(v, lattice, 4)
+        quasi = build_F(box).mul_log_linear((1, 0, 0, 0)) + build_G(box, 0)
         cases.append((quasi, lattice))
         lattice = kernel_basis(PYRAMID_MATRIX)
-        quasi = build_F(PYRAMID_V, lattice, 3).mul_log_linear((0, 0, 0, 0, 1)) + build_G(
-            PYRAMID_V, 4, lattice, 3
-        )
+        box = SupportBox(PYRAMID_V, lattice, 3)
+        quasi = build_F(box).mul_log_linear((0, 0, 0, 0, 1)) + build_G(box, 4)
         cases.append((quasi, lattice))
         for series, lat in cases:
             ops = [BoxOp(row) for row in lat.basis]

@@ -33,7 +33,7 @@ from gkzlog.ci_mirror import (
     render_integrality_report,
 )
 from gkzlog.cli import load_problem
-from gkzlog.support import SupportBox, support_set
+from gkzlog.support import SupportBox
 from tests.conftest import FIXTURES
 
 
@@ -367,7 +367,7 @@ class TestMirrorMap:
         matrix, beta, v = build_system(spec)
         lattice = kernel_basis(matrix)
         assert lattice.basis == ((2, -1, -1),)
-        series = build_F(v, lattice, 6)
+        series = build_F(SupportBox(v, lattice, 6))
         for k in range(7):
             want = F(fact(2 * k), fact(k) ** 2)
             assert series.coefficient((F(-1 - 2 * k), F(k), F(k))) == want
@@ -395,8 +395,9 @@ class TestMirrorMap:
                     out[point] = term.coeff
             return out
 
-        f_mapping = as_points(build_F(v, lattice, radius))
-        g_mapping = as_points(build_G(v, 4, lattice, radius))
+        box = SupportBox(v, lattice, radius)
+        f_mapping = as_points(build_F(box))
+        g_mapping = as_points(build_G(box, 4))
         ratio = graded_log(q.coefficients, q.grading, bound, (0,) * 5)
         assert graded_mul(f_mapping, ratio, q.grading, bound) == g_mapping
 
@@ -435,14 +436,15 @@ def test_lifted_quasisolutions_box_verified(spec_name, request):
     matrix, beta, v = build_system(spec)
     lattice = kernel_basis(matrix)
     radius = 4
-    series_f = build_F(v, lattice, radius)
+    box = SupportBox(v, lattice, radius)
+    series_f = build_F(box)
     ops = [BoxOp(row) for row in lattice.basis]
     for op in ops:
         assert verify_box_annihilation(series_f, op).passed
     width = matrix.n_cols
     for col in (0, width - 1):
         unit = tuple(1 if k == col else 0 for k in range(width))
-        quasi = series_f.mul_log_linear(unit) + build_G(v, col, lattice, radius)
+        quasi = series_f.mul_log_linear(unit) + build_G(box, col)
         for op in ops:
             assert verify_box_annihilation(quasi, op).passed
 
@@ -452,7 +454,7 @@ def test_support_sets_match_sign_conditions(quadrilateral_spec):
     # regions used for the cone analysis
     matrix, beta, v = build_system(quadrilateral_spec)
     lattice = kernel_basis(matrix)
-    got = set(support_set(v, lattice, 3, (4,)))
+    got = set(SupportBox(v, lattice, 3).support_set((4,)))
     want = set()
     for c1 in range(-3, 4):
         for c2 in range(-3, 4):
@@ -492,7 +494,7 @@ def test_quintic_period_known_answer():
     problem = load_problem(str(FIXTURES / "quintic.json"))
     lattice = kernel_basis(problem.matrix)
     assert lattice.basis == ((5, -1, -1, -1, -1, -1),)
-    series = build_F(problem.v, lattice, 10)
+    series = build_F(SupportBox(problem.v, lattice, 10))
     assert len(series) == 11
     for n in range(11):
         exponent = tuple(x + n * d for x, d in zip(problem.v, (-5, 1, 1, 1, 1, 1)))

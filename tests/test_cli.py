@@ -5,6 +5,7 @@ import json
 import pytest
 
 from gkzlog.cli import main
+from gkzlog.support import SupportBox
 from tests.conftest import FIXTURES
 
 GAUSS = str(FIXTURES / "gauss.json")
@@ -129,6 +130,32 @@ def test_combine_zero_point_gives_zero_series(tmp_path):
     assert (out / "solution.series").read_text() == ""
 
 
+def test_combine_at_radius_zero_certifies_nothing_and_fails(tmp_path, capsys):
+    # every box operator needs radius >= 1 to certify any exponent; a check
+    # that certified nothing must not report pass
+    out = tmp_path / "out"
+    assert main(["combine", GAUSS, "--l", "1,1,-1,-1", "--radius", "0", "--out", str(out)]) == 1
+    assert "status: fail" in capsys.readouterr().out
+    report = json.loads((out / "run_report.json").read_text())
+    assert report["status"] == "fail"
+    assert all(check["violations"] == 0 for check in report["verification"][0]["checks"])
+
+
+def test_solve_order2_builds_one_support_box(tmp_path, monkeypatch):
+    # the sweep's box feeds F, every G_i and the H table: one 25^2-point box
+    sizes = []
+    init = SupportBox.__init__
+
+    def counting_init(self, *args, **kwargs):
+        init(self, *args, **kwargs)
+        sizes.append(len(self.points))
+
+    monkeypatch.setattr(SupportBox, "__init__", counting_init)
+    args = ["solve", PYRAMID, "--order", "2", "--radius", "12", "--out", str(tmp_path / "out")]
+    assert main(args) == 0
+    assert sizes == [625]
+
+
 def test_ci_command(capsys):
     assert main(["ci", TRIANGLES]) == 0
     out = capsys.readouterr().out
@@ -169,6 +196,29 @@ def test_inconsistent_v_rejected(tmp_path):
         )
     )
     assert main(["lattice", str(bad)]) == 2
+
+
+COMMAND_ARGS = {
+    "lattice": [],
+    "support": [],
+    "solve": ["--order", "0"],
+    "combine": ["--l", "1,-1"],
+    "ci": [],
+    "mirror": ["--index", "0"],
+}
+
+
+@pytest.mark.parametrize(
+    "vectors",
+    [{"beta": 5, "v": ["0", "1"]}, {"beta": ["1"], "v": None}, {"beta": ["1"], "v": "01"}],
+    ids=["beta-int", "v-null", "v-string"],
+)
+@pytest.mark.parametrize("command", sorted(COMMAND_ARGS))
+def test_non_list_beta_or_v_is_an_input_error(tmp_path, capsys, command, vectors):
+    path = _problem(tmp_path, matrix=[[1, 1]], **vectors)
+    out = ["--out", str(tmp_path / "out")] if command in ("solve", "combine", "mirror") else []
+    assert main([command, path, *COMMAND_ARGS[command], *out]) == 2
+    assert "must be a list" in capsys.readouterr().err
 
 
 def test_max_terms_resource_limit(tmp_path):

@@ -14,6 +14,7 @@ from hypothesis import strategies as st
 
 from gkzlog import (
     MinimalityViolation,
+    SupportBox,
     UndefinedBracket,
     bracket,
     build_G,
@@ -21,7 +22,6 @@ from gkzlog import (
     f_coeffs,
     kernel_basis,
     log_free_coefficients,
-    support_set,
 )
 from gkzlog.cli import load_problem
 from tests.conftest import FIXTURES, GAUSS_MATRIX
@@ -106,7 +106,7 @@ def test_builder_raises_minimality_violation_past_a_pole():
     lattice = kernel_basis(GAUSS_MATRIX)
     v = (F(-1), F(1), F(1), F(1))
     with pytest.raises(MinimalityViolation):
-        build_G(v, 0, lattice, 3)
+        build_G(SupportBox(v, lattice, 3), 0)
 
 
 FIXTURE_FILES = sorted(FIXTURES.glob("*.json"))
@@ -117,9 +117,10 @@ def test_rule_matches_closed_forms_on_every_fixture_support_point(path):
     problem = load_problem(str(path))
     lattice = kernel_basis(problem.matrix)
     v = problem.v
+    box = SupportBox(v, lattice, problem.radius)
     compared = 0
     for logs in log_sets(len(v)):
-        points = support_set(v, lattice, problem.radius, tuple(sorted(set(logs))))
+        points = box.support_set(logs)
         # the fixtures pass their minimality checks, so every entry is defined
         expected = [closed_form_coefficient(v, point, logs) for point in points]
         assert log_free_coefficients(v, points, logs) == expected, logs

@@ -27,6 +27,13 @@ CASES = {
     "solve-pyramid-0": ["solve", PYRAMID, "--order", "0", "--radius", "4"],
     "solve-pyramid-1": ["solve", PYRAMID, "--order", "1", "--radius", "4"],
     "solve-pyramid-2": ["solve", PYRAMID, "--order", "2", "--radius", "4"],
+    # Chosen index subsets: the order-1 assembly and a mixed diagonal/off-diagonal H.
+    "solve-pyramid-1-subset": [
+        "solve", PYRAMID, "--order", "1", "--indices", "1,4", "--radius", "4",
+    ],
+    "solve-pyramid-2-subset": [
+        "solve", PYRAMID, "--order", "2", "--indices", "0,4 2,2", "--radius", "4",
+    ],
     "combine-gauss-1": ["combine", GAUSS, "--l", "(-1,-1,1,1)", "--radius", "8"],
     "combine-pyramid-1": ["combine", PYRAMID, "--l", "(-1,0,-1,0,2)", "--radius", "4"],
     "combine-gauss-2": [
@@ -214,6 +221,24 @@ GOLDEN = {
             "quasi2_3_4.series": "5fa11172b082771a85255eae7734caf2f92d9b37bab2aaa1b71d58d30fe9b3f8",
             "quasi2_4_4.series": "daf550cfd01bf8fd934e7a397ee158228aef233269f6933c97f0fb9226119338",
             "run_report.json": "2ccabfddcf0b0eb0ffeb92e2be2b69760f7932dd1d6b846d9ed1a101d6bcf0b6",
+        },
+    ),
+    "solve-pyramid-1-subset": (
+        0,
+        {
+            "F.series": "84d0c6215f84a3f57ef3fec423763a6dca2b13b1f0285aab7a4ffb96d96e4ea1",
+            "quasi1_1.series": "ea65bf37a76cbac1399366c15460bc0c178991d086f653f635d139b5cf07d2fe",
+            "quasi1_4.series": "6fcfbe885c7afdd35552f454067c5f599b2632684fcbdfd07074770f58c48509",
+            "run_report.json": "92fbd142af44b9c0483bf11578b36873621c3c3ac83a618f235ccc716e20d4a2",
+        },
+    ),
+    "solve-pyramid-2-subset": (
+        0,
+        {
+            "F.series": "84d0c6215f84a3f57ef3fec423763a6dca2b13b1f0285aab7a4ffb96d96e4ea1",
+            "quasi2_0_4.series": "4d6275c6c42b7004eda27ebb90466b7c506adde143e735ae9c8523a5f8c8fe5d",
+            "quasi2_2_2.series": "88561754c149b7027086614406d7d0eceb9b76364ae9570ad2b0ce9aec85200f",
+            "run_report.json": "0535a66026107611ed1ca01d4c243cce90bced8816813d24f5705d4e44f24a8f",
         },
     ),
 }

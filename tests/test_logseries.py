@@ -9,11 +9,11 @@ from hypothesis import strategies as st
 
 from gkzlog import (
     LogSeries,
+    SupportBox,
     bracket_vec,
     build_F,
     build_G,
-    build_H_diag,
-    build_H_off,
+    build_H,
     build_H_table,
     combine_first_order,
     combine_second_order,
@@ -41,33 +41,35 @@ def pyramid_exponent(a, b):
 class TestGaussBuilders:
     def test_f_first_coefficient(self, gauss_lattice):
         v = gauss_v(F(1, 2), F(1, 3))
-        series = build_F(v, gauss_lattice, 4)
+        series = build_F(SupportBox(v, gauss_lattice, 4))
         exp = tuple(x + d for x, d in zip(v, (-1, -1, 1, 1)))
         assert series.coefficient(exp) == F(1, 6)
 
     def test_f_base_coefficient_is_one(self, gauss_lattice):
         v = gauss_v(F(2, 5), F(7, 3))
-        series = build_F(v, gauss_lattice, 6)
+        series = build_F(SupportBox(v, gauss_lattice, 6))
         assert series.coefficient(v) == 1
 
     def test_g_vanishes_at_base(self, gauss_lattice):
         v = gauss_v(F(1, 2), F(1, 3))
+        box = SupportBox(v, gauss_lattice, 5)
         for i in range(4):
-            series = build_G(v, i, gauss_lattice, 5)
+            series = build_G(box, i)
             assert series.coefficient(v) == 0
 
 
 class TestPyramidBuilders:
     def test_f_is_single_monomial(self, pyramid_lattice):
-        series = build_F(PYRAMID_V, pyramid_lattice, 6)
+        series = build_F(SupportBox(PYRAMID_V, pyramid_lattice, 6))
         assert series == LogSeries.monomial(PYRAMID_V)
 
     def test_g_zero_for_first_four(self, pyramid_lattice):
+        box = SupportBox(PYRAMID_V, pyramid_lattice, 6)
         for i in range(4):
-            assert not build_G(PYRAMID_V, i, pyramid_lattice, 6)
+            assert not build_G(box, i)
 
     def test_g_last_closed_form(self, pyramid_lattice):
-        series = build_G(PYRAMID_V, 4, pyramid_lattice, 6)
+        series = build_G(SupportBox(PYRAMID_V, pyramid_lattice, 6), 4)
         for a in range(4):
             for b in range(4):
                 if (a, b) == (0, 0):
@@ -76,7 +78,7 @@ class TestPyramidBuilders:
                 assert series.coefficient(pyramid_exponent(a, b)) == want
 
     def test_h_diag_closed_form(self, pyramid_lattice):
-        series = build_H_diag(PYRAMID_V, 4, pyramid_lattice, 6)
+        series = build_H(SupportBox(PYRAMID_V, pyramid_lattice, 6), 4, 4)
         assert series.coefficient(pyramid_exponent(1, 0)) == 2
         assert series.coefficient(pyramid_exponent(1, 1)) == -2
         for a in range(4):
@@ -88,18 +90,20 @@ class TestPyramidBuilders:
                 assert series.coefficient(pyramid_exponent(a, b)) == want
 
     def test_h_off_with_last_closed_form(self, pyramid_lattice):
+        box = SupportBox(PYRAMID_V, pyramid_lattice, 6)
         for i in (0, 2):
-            series = build_H_off(PYRAMID_V, i, 4, pyramid_lattice, 6)
+            series = build_H(box, i, 4)
             for a in range(1, 4):
                 for b in range(4):
                     want = -F(fact(2 * a + 2 * b - 2), fact(a) ** 2 * fact(b) ** 2) * harmonic(a)
                     assert series.coefficient(pyramid_exponent(a, b)) == want
         for i in (1, 3):
-            series = build_H_off(PYRAMID_V, i, 4, pyramid_lattice, 6)
+            series = build_H(box, i, 4)
             assert series.coefficient(pyramid_exponent(2, 1)) == -F(fact(4), fact(2) ** 2) * harmonic(1)
 
     def test_h_opposite_corners(self, pyramid_lattice):
-        h13 = build_H_off(PYRAMID_V, 0, 2, pyramid_lattice, 6)
+        box = SupportBox(PYRAMID_V, pyramid_lattice, 6)
+        h13 = build_H(box, 0, 2)
         assert h13.coefficient(pyramid_exponent(-1, 0)) == F(1, 6)
         for a in range(-3, 1):
             for b in range(0, 4):
@@ -107,28 +111,29 @@ class TestPyramidBuilders:
                     continue
                 want = F(fact(-a - 1) ** 2, fact(b) ** 2 * fact(-2 * a - 2 * b + 1))
                 assert h13.coefficient(pyramid_exponent(a, b)) == want
-        h24 = build_H_off(PYRAMID_V, 1, 3, pyramid_lattice, 6)
+        h24 = build_H(box, 1, 3)
         assert h24.coefficient(pyramid_exponent(0, -1)) == F(1, 6)
 
     def test_h_trivial_pairs_are_zero(self, pyramid_lattice):
+        box = SupportBox(PYRAMID_V, pyramid_lattice, 5)
         for i, j in ((0, 1), (0, 3), (1, 2), (2, 3)):
-            assert not build_H_off(PYRAMID_V, i, j, pyramid_lattice, 5)
+            assert not build_H(box, i, j)
 
     def test_h_symmetric(self, pyramid_lattice):
+        box = SupportBox(PYRAMID_V, pyramid_lattice, 4)
         for i in range(5):
             for j in range(i + 1, 5):
-                a = build_H_off(PYRAMID_V, i, j, pyramid_lattice, 4)
-                b = build_H_off(PYRAMID_V, j, i, pyramid_lattice, 4)
+                a = build_H(box, i, j)
+                b = build_H(box, j, i)
                 assert a == b
 
 
 def test_f_extension_over_single_excluded_support_changes_nothing(pyramid_lattice):
     # brackets vanish on the extra support points, so extending F's sum
     # over the single-excluded set adds nothing
-    from gkzlog import support_set
-
-    plain = set(support_set(PYRAMID_V, pyramid_lattice, 5, ()))
-    extended = support_set(PYRAMID_V, pyramid_lattice, 5, (4,))
+    box = SupportBox(PYRAMID_V, pyramid_lattice, 5)
+    plain = set(box.support_set(()))
+    extended = box.support_set((4,))
     for point in extended:
         if point not in plain:
             assert bracket_vec(PYRAMID_V, point) == 0
@@ -136,13 +141,15 @@ def test_f_extension_over_single_excluded_support_changes_nothing(pyramid_lattic
 
 class TestCombinations:
     def test_first_order_zero_point(self, pyramid_lattice):
-        series_f = build_F(PYRAMID_V, pyramid_lattice, 4)
-        series_g = [build_G(PYRAMID_V, i, pyramid_lattice, 4) for i in range(5)]
+        box = SupportBox(PYRAMID_V, pyramid_lattice, 4)
+        series_f = build_F(box)
+        series_g = [build_G(box, i) for i in range(5)]
         assert not combine_first_order(series_f, series_g, (0, 0, 0, 0, 0))
 
     def test_first_order_displayed_solutions(self, pyramid_lattice):
-        series_f = build_F(PYRAMID_V, pyramid_lattice, 5)
-        series_g = [build_G(PYRAMID_V, i, pyramid_lattice, 5) for i in range(5)]
+        box = SupportBox(PYRAMID_V, pyramid_lattice, 5)
+        series_f = build_F(box)
+        series_g = [build_G(box, i) for i in range(5)]
         got = combine_first_order(series_f, series_g, (-1, 0, -1, 0, 2))
         want = series_f.mul_log_linear((-1, 0, -1, 0, 2)) + series_g[4].scale(2)
         assert got == want
@@ -151,16 +158,18 @@ class TestCombinations:
         assert got == want
 
     def test_second_order_zero_points(self, pyramid_lattice):
-        series_f = build_F(PYRAMID_V, pyramid_lattice, 3)
-        series_g = [build_G(PYRAMID_V, i, pyramid_lattice, 3) for i in range(5)]
-        table = build_H_table(PYRAMID_V, pyramid_lattice, 3)
+        box = SupportBox(PYRAMID_V, pyramid_lattice, 3)
+        series_f = build_F(box)
+        series_g = [build_G(box, i) for i in range(5)]
+        table = build_H_table(box)
         zero = (0, 0, 0, 0, 0)
         assert not combine_second_order(series_f, series_g, table, zero, zero)
 
     def test_second_order_displayed_tail(self, pyramid_lattice):
-        series_f = build_F(PYRAMID_V, pyramid_lattice, 5)
-        series_g = [build_G(PYRAMID_V, i, pyramid_lattice, 5) for i in range(5)]
-        table = build_H_table(PYRAMID_V, pyramid_lattice, 5)
+        box = SupportBox(PYRAMID_V, pyramid_lattice, 5)
+        series_f = build_F(box)
+        series_g = [build_G(box, i) for i in range(5)]
+        table = build_H_table(box)
         l1, l2 = (-1, 0, -1, 0, 2), (0, 1, 0, 1, -2)
         got = combine_second_order(series_f, series_g, table, l1, l2)
         want = series_f.mul_log_linear(l1).mul_log_linear(l2)
@@ -172,9 +181,10 @@ class TestCombinations:
         assert got == want
 
     def test_second_order_rejects_asymmetric_table(self, pyramid_lattice):
-        series_f = build_F(PYRAMID_V, pyramid_lattice, 3)
-        series_g = [build_G(PYRAMID_V, i, pyramid_lattice, 3) for i in range(5)]
-        table = [list(row) for row in build_H_table(PYRAMID_V, pyramid_lattice, 3)]
+        box = SupportBox(PYRAMID_V, pyramid_lattice, 3)
+        series_f = build_F(box)
+        series_g = [build_G(box, i) for i in range(5)]
+        table = [list(row) for row in build_H_table(box)]
         table[0][4] = table[0][4] + LogSeries.monomial(PYRAMID_V, coeff=1)
         with pytest.raises(ValueError, match="asymmetric"):
             combine_second_order(series_f, series_g, table, (0,) * 5, (0,) * 5)
@@ -306,8 +316,8 @@ class TestArithmetic:
         assert len(s.filter_terms(lambda e, d: e[0] > 0)) == 1
 
     def test_meta_conflict_raises(self, gauss_lattice, pyramid_lattice):
-        a = build_F(gauss_v(F(1, 2), F(1, 3)), gauss_lattice, 2)
-        b = build_F(gauss_v(F(1, 2), F(1, 3)), gauss_lattice, 3)
+        a = build_F(SupportBox(gauss_v(F(1, 2), F(1, 3)), gauss_lattice, 2))
+        b = build_F(SupportBox(gauss_v(F(1, 2), F(1, 3)), gauss_lattice, 3))
         with pytest.raises(ValueError):
             a + b
 
@@ -318,8 +328,9 @@ class TestArithmetic:
 
 class TestSerialization:
     def test_round_trip(self, pyramid_lattice):
-        series_f = build_F(PYRAMID_V, pyramid_lattice, 4)
-        series_g = build_G(PYRAMID_V, 4, pyramid_lattice, 4)
+        box = SupportBox(PYRAMID_V, pyramid_lattice, 4)
+        series_f = build_F(box)
+        series_g = build_G(box, 4)
         quasi = series_f.mul_log_linear((0, 0, 0, 0, 1)) + series_g
         text = to_text(quasi)
         again = from_text(text)
@@ -333,7 +344,7 @@ class TestSerialization:
             from_text("")
 
     def test_golden_text(self, gauss_lattice):
-        series = build_F(gauss_v(F(1, 2), F(1, 3)), gauss_lattice, 2)
+        series = build_F(SupportBox(gauss_v(F(1, 2), F(1, 3)), gauss_lattice, 2))
         # depth-2 coefficient: (1/2)(3/2) * (1/3)(4/3) / 2!^2 = 1/12
         assert to_text(series) == (
             "1/12 * lambda^(-5/2,-7/3,2,2) * log^(0,0,0,0)\n"
@@ -352,6 +363,6 @@ class TestSerialization:
 
 
 def test_meta_travels(pyramid_lattice):
-    series = build_F(PYRAMID_V, pyramid_lattice, 4)
+    series = build_F(SupportBox(PYRAMID_V, pyramid_lattice, 4))
     assert series.meta == SeriesMeta(PYRAMID_V, pyramid_lattice, 4)
     assert series.mul_log_linear((0, 0, 0, 0, 1)).meta == series.meta

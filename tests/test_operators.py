@@ -1,5 +1,6 @@
 """Operator application, certified verification, commutation, mutations."""
 
+import itertools
 import random
 from fractions import Fraction as F
 
@@ -23,6 +24,7 @@ from gkzlog import (
     verify_euler_annihilation,
 )
 from gkzlog.logseries import SeriesMeta
+from gkzlog.support import SupportBox
 from tests.conftest import GAUSS_MATRIX, PYRAMID_MATRIX, PYRAMID_BETA, PYRAMID_V, gauss_beta, gauss_v
 
 
@@ -141,10 +143,12 @@ def test_apply_box_single_term_boundary_artifact(gauss_lattice):
     out = apply_box(series, BoxOp((-1, -1, 1, 1)))
     expected_exp = (F(-3, 2), F(-4, 3), F(0), F(0))
     assert out == LogSeries.monomial(expected_exp, coeff=F(-1, 6), meta=meta)
-    # with an honest radius of 0 the artifact is outside the certified region
+    # with an honest radius of 0 the artifact is outside the certified region,
+    # which is empty, so the check certifies nothing and does not pass
     report = verify_box_annihilation(series, BoxOp((-1, -1, 1, 1)))
-    assert report.passed
     assert len(report.violations) == 0
+    assert report.certified_region == 0
+    assert not report.passed
 
 
 def test_apply_euler_base_monomial(gauss_lattice):
@@ -179,15 +183,14 @@ class TestVerification:
 
     def test_gauss_f_box_and_euler(self, gauss_lattice):
         v = gauss_v(F(2, 5), F(7, 3))
-        series = build_F(v, gauss_lattice, 6)
+        series = build_F(SupportBox(v, gauss_lattice, 6))
         assert verify_box_annihilation(series, BoxOp(gauss_lattice.basis[0])).passed
         assert verify_euler_annihilation(series, GAUSS_MATRIX, gauss_beta(F(2, 5), F(7, 3))).passed
 
     def test_pyramid_quasisolution_boxes(self, pyramid_lattice):
-        series_f = build_F(PYRAMID_V, pyramid_lattice, 4)
-        quasi = series_f.mul_log_linear((0, 0, 0, 0, 1)) + build_G(
-            PYRAMID_V, 4, pyramid_lattice, 4
-        )
+        box = SupportBox(PYRAMID_V, pyramid_lattice, 4)
+        series_f = build_F(box)
+        quasi = series_f.mul_log_linear((0, 0, 0, 0, 1)) + build_G(box, 4)
         for row in pyramid_lattice.basis:
             assert verify_box_annihilation(quasi, BoxOp(row)).passed
         # composite relations are annihilated too, not only basis vectors
@@ -196,28 +199,42 @@ class TestVerification:
         flipped = tuple(-x for x in pyramid_lattice.basis[0])
         assert verify_box_annihilation(quasi, BoxOp(flipped)).passed
 
+    @pytest.mark.parametrize("a", range(-3, 4))
+    @pytest.mark.parametrize("b", range(-2, 3))
+    def test_certified_region_is_the_count_of_doubly_covered_box_points(
+        self, pyramid_lattice, a, b
+    ):
+        # oracle: box points x whose partner x - c is in the box too
+        radius = 2
+        series = build_F(SupportBox(PYRAMID_V, pyramid_lattice, radius))
+        row = tuple(a * p + b * q for p, q in zip(*pyramid_lattice.basis))
+        span = range(-radius, radius + 1)
+        want = sum(1 for x, y in itertools.product(span, span) if x - a in span and y - b in span)
+        report = verify_box_annihilation(series, BoxOp(row))
+        assert report.certified_region == want
+        assert report.passed == (want > 0)
+
     def test_quasisolution_fails_euler(self, pyramid_lattice):
-        series_f = build_F(PYRAMID_V, pyramid_lattice, 4)
-        quasi = series_f.mul_log_linear((0, 0, 0, 0, 1)) + build_G(
-            PYRAMID_V, 4, pyramid_lattice, 4
-        )
+        box = SupportBox(PYRAMID_V, pyramid_lattice, 4)
+        series_f = build_F(box)
+        quasi = series_f.mul_log_linear((0, 0, 0, 0, 1)) + build_G(box, 4)
         report = verify_euler_annihilation(quasi, PYRAMID_MATRIX, PYRAMID_BETA)
         assert not report.passed
 
     def test_combination_passes_euler(self, gauss_lattice):
         a, b = F(1, 2), F(1, 3)
         v = gauss_v(a, b)
-        series_f = build_F(v, gauss_lattice, 6)
-        series_g = [build_G(v, i, gauss_lattice, 6) for i in range(4)]
+        box = SupportBox(v, gauss_lattice, 6)
+        series_f = build_F(box)
+        series_g = [build_G(box, i) for i in range(4)]
         solution = combine_first_order(series_f, series_g, (-1, -1, 1, 1))
         assert verify_euler_annihilation(solution, GAUSS_MATRIX, gauss_beta(a, b)).passed
         assert verify_box_annihilation(solution, BoxOp(gauss_lattice.basis[0])).passed
 
     def test_corrupted_partner_is_caught(self, pyramid_lattice):
-        series_f = build_F(PYRAMID_V, pyramid_lattice, 4)
-        quasi = series_f.mul_log_linear((0, 0, 0, 0, 1)) + build_G(
-            PYRAMID_V, 4, pyramid_lattice, 4
-        )
+        box = SupportBox(PYRAMID_V, pyramid_lattice, 4)
+        series_f = build_F(box)
+        quasi = series_f.mul_log_linear((0, 0, 0, 0, 1)) + build_G(box, 4)
         corrupted = quasi.with_term_added((F(1), F(0), F(1), F(0), F(-1)), (0,) * 5, 1)
         failures = [
             verify_box_annihilation(corrupted, BoxOp(row))
@@ -240,9 +257,10 @@ def test_gauss_second_order_quasisolutions_box_verified(gauss_lattice):
     a, b = F(1, 2), F(1, 3)
     v = gauss_v(a, b)
     radius = 5
-    series_f = build_F(v, gauss_lattice, radius)
-    series_g = [build_G(v, i, gauss_lattice, radius) for i in range(4)]
-    table = build_H_table(v, gauss_lattice, radius)
+    box = SupportBox(v, gauss_lattice, radius)
+    series_f = build_F(box)
+    series_g = [build_G(box, i) for i in range(4)]
+    table = build_H_table(box)
     for i in range(4):
         for j in range(i, 4):
             unit_i = tuple(1 if k == i else 0 for k in range(4))
@@ -267,8 +285,9 @@ def test_mutations_flip_verification(gauss_lattice):
     a, b = F(1, 2), F(1, 3)
     v = gauss_v(a, b)
     radius = 4
-    series_f = build_F(v, gauss_lattice, radius)
-    quasi = series_f.mul_log_linear((1, 0, 0, 0)) + build_G(v, 0, gauss_lattice, radius)
+    box = SupportBox(v, gauss_lattice, radius)
+    series_f = build_F(box)
+    quasi = series_f.mul_log_linear((1, 0, 0, 0)) + build_G(box, 0)
     ops = [BoxOp(row) for row in gauss_lattice.basis]
     assert all(verify_box_annihilation(quasi, op).passed for op in ops)
     for term in quasi.terms():

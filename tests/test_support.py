@@ -11,11 +11,9 @@ from gkzlog import (
     ResourceLimit,
     SupportBox,
     SupportVerdict,
-    check_minimal,
     enumerate_box,
     kernel_basis,
     nsupp,
-    support_set,
 )
 from gkzlog.cli import load_problem
 from tests.conftest import FIXTURES, GAUSS_MATRIX, PYRAMID_MATRIX, gauss_v
@@ -37,47 +35,49 @@ def test_nsupp_excluded_range():
 
 def test_gauss_minimal(gauss_lattice):
     for a, b in ((F(1, 2), F(1, 3)), (F(2, 5), F(7, 3))):
-        v = gauss_v(a, b)
-        assert check_minimal(v, gauss_lattice, 20, ()).minimal
+        box = SupportBox(gauss_v(a, b), gauss_lattice, 20)
+        assert box.check_minimal(()).minimal
         for i in range(4):
-            assert check_minimal(v, gauss_lattice, 20, (i,)).minimal
+            assert box.check_minimal((i,)).minimal
 
 
 def test_gauss_counterexample(gauss_lattice):
-    verdict = check_minimal((-1, 1, 1, 1), gauss_lattice, 5, ())
+    verdict = SupportBox((-1, 1, 1, 1), gauss_lattice, 5).check_minimal(())
     assert not verdict.minimal
     assert verdict.counterexample == (1, 1, -1, -1)
 
 
 def test_counterexample_monotone_in_radius(gauss_lattice):
-    small = check_minimal((-1, 1, 1, 1), gauss_lattice, 2, ())
-    large = check_minimal((-1, 1, 1, 1), gauss_lattice, 8, ())
+    small = SupportBox((-1, 1, 1, 1), gauss_lattice, 2).check_minimal(())
+    large = SupportBox((-1, 1, 1, 1), gauss_lattice, 8).check_minimal(())
     assert not small.minimal and not large.minimal
     assert small.counterexample == large.counterexample
 
 
 def test_pyramid_minimal_everywhere(pyramid_lattice):
-    assert check_minimal(PYRAMID_V, pyramid_lattice, 10, ()).minimal
+    box = SupportBox(PYRAMID_V, pyramid_lattice, 10)
+    assert box.check_minimal(()).minimal
     for i in range(5):
-        assert check_minimal(PYRAMID_V, pyramid_lattice, 10, (i,)).minimal
+        assert box.check_minimal((i,)).minimal
     for i in range(5):
         for j in range(i + 1, 5):
-            assert check_minimal(PYRAMID_V, pyramid_lattice, 10, (i, j)).minimal
+            assert box.check_minimal((i, j)).minimal
 
 
 def test_pyramid_support_sets(pyramid_lattice):
+    box = SupportBox(PYRAMID_V, pyramid_lattice, 3)
     # nothing excluded: only the origin
-    assert support_set(PYRAMID_V, pyramid_lattice, 3, ()) == [(0, 0, 0, 0, 0)]
+    assert box.support_set(()) == [(0, 0, 0, 0, 0)]
     for i in range(4):
-        assert support_set(PYRAMID_V, pyramid_lattice, 3, (i,)) == [(0, 0, 0, 0, 0)]
+        assert box.support_set((i,)) == [(0, 0, 0, 0, 0)]
     # last column excluded: the positive quadrant of the lattice
-    got = set(support_set(PYRAMID_V, pyramid_lattice, 3, (4,)))
+    got = set(box.support_set((4,)))
     want = {
         (a, b, a, b, -2 * a - 2 * b) for a in range(4) for b in range(4)
     }
     assert got == want
     # indices 0 and 2 excluded: -a >= b >= 0
-    got = set(support_set(PYRAMID_V, pyramid_lattice, 3, (0, 2)))
+    got = set(box.support_set((0, 2)))
     want = {
         (a, b, a, b, -2 * a - 2 * b)
         for a in range(-3, 4)
@@ -86,7 +86,7 @@ def test_pyramid_support_sets(pyramid_lattice):
     }
     assert got == want
     # indices 1 and 3 excluded: -b >= a >= 0
-    got = set(support_set(PYRAMID_V, pyramid_lattice, 3, (1, 3)))
+    got = set(box.support_set((1, 3)))
     want = {
         (a, b, a, b, -2 * a - 2 * b)
         for a in range(-3, 4)
@@ -96,24 +96,25 @@ def test_pyramid_support_sets(pyramid_lattice):
     assert got == want
     # the remaining pairs are trivial
     for pair in ((0, 1), (0, 3), (1, 2), (2, 3)):
-        assert support_set(PYRAMID_V, pyramid_lattice, 3, pair) == [(0, 0, 0, 0, 0)]
+        assert box.support_set(pair) == [(0, 0, 0, 0, 0)]
 
 
 def test_origin_always_in_support(gauss_lattice, pyramid_lattice):
-    assert (0, 0, 0, 0) in support_set(gauss_v(F(1, 2), F(1, 3)), gauss_lattice, 2, ())
-    assert (0, 0, 0, 0, 0) in support_set(PYRAMID_V, pyramid_lattice, 2, (4,))
+    assert (0, 0, 0, 0) in SupportBox(gauss_v(F(1, 2), F(1, 3)), gauss_lattice, 2).support_set()
+    assert (0, 0, 0, 0, 0) in SupportBox(PYRAMID_V, pyramid_lattice, 2).support_set((4,))
 
 
 def test_support_nesting(pyramid_lattice):
     # L_v inside every single-excluded set inside every matching pair set
-    base = set(support_set(PYRAMID_V, pyramid_lattice, 3, ()))
+    box = SupportBox(PYRAMID_V, pyramid_lattice, 3)
+    base = set(box.support_set(()))
     for i in range(5):
-        single = set(support_set(PYRAMID_V, pyramid_lattice, 3, (i,)))
+        single = set(box.support_set((i,)))
         assert base <= single
         for j in range(5):
             if j == i:
                 continue
-            pair = set(support_set(PYRAMID_V, pyramid_lattice, 3, tuple(sorted((i, j)))))
+            pair = set(box.support_set(tuple(sorted((i, j)))))
             assert single <= pair
 
 
@@ -127,13 +128,13 @@ def test_support_nesting(pyramid_lattice):
 )
 def test_two_singles_imply_plain_minimality(pyramid_lattice, v):
     # whenever two distinct single-index checks pass, the plain check passes
-    radius = 6
+    box = SupportBox(v, pyramid_lattice, 6)
     for i in range(5):
         for j in range(i + 1, 5):
-            ok_i = check_minimal(v, pyramid_lattice, radius, (i,)).minimal
-            ok_j = check_minimal(v, pyramid_lattice, radius, (j,)).minimal
+            ok_i = box.check_minimal((i,)).minimal
+            ok_j = box.check_minimal((j,)).minimal
             if ok_i and ok_j:
-                assert check_minimal(v, pyramid_lattice, radius, ()).minimal
+                assert box.check_minimal(()).minimal
 
 
 # --- differential tests: one support box against the per-point nsupp scan ---
@@ -167,15 +168,13 @@ def test_box_queries_match_reference_scan_on_fixtures(fixture):
     lattice = kernel_basis(problem.matrix)
     box = SupportBox(problem.v, lattice, problem.radius)
     sets = small_excluded_sets(problem.matrix.n_cols)
+    verdicts = []
     for excluded in sets:
         verdict, kept = reference_scan(problem.v, lattice, problem.radius, excluded)
         assert box.check_minimal(excluded) == verdict, excluded
         assert box.support_set(excluded) == kept, excluded
-        assert check_minimal(problem.v, lattice, problem.radius, excluded) == verdict
-        assert support_set(problem.v, lattice, problem.radius, excluded) == kept
-    assert list(box.sweep(sets).values()) == [
-        reference_scan(problem.v, lattice, problem.radius, e)[0] for e in sets
-    ]
+        verdicts.append(verdict)
+    assert list(box.sweep(sets).values()) == verdicts
 
 
 RATIONALS = st.one_of(
@@ -214,10 +213,6 @@ def test_box_excluded_index_out_of_range(gauss_lattice, excluded):
         box.check_minimal(excluded)
     with pytest.raises(ValueError):
         box.support_set(excluded)
-    with pytest.raises(ValueError):
-        check_minimal(v, gauss_lattice, 2, excluded)
-    with pytest.raises(ValueError):
-        support_set(v, gauss_lattice, 2, excluded)
 
 
 def test_box_respects_the_point_cap(pyramid_lattice):
