@@ -25,7 +25,6 @@ from .coefficients import (
 from .errors import (
     DegenerateHull,
     GkzError,
-    InsufficientRadius,
     MinimalityViolation,
     NoPositiveFunctional,
     NonLatticeExponent,
@@ -85,7 +84,6 @@ __all__ = [
     "mono_sum_shifted",
     "DegenerateHull",
     "GkzError",
-    "InsufficientRadius",
     "MinimalityViolation",
     "NoPositiveFunctional",
     "NonLatticeExponent",

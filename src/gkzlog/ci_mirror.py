@@ -11,11 +11,15 @@ a column is
 
 computed as a formal series supported on a pointed lattice cone, graded
 by an integer functional that is positive on the cone's extreme rays.
-The quotient ``G / F`` (one graded division, ``graded_quotient``) and
-the exponential proceed grade by grade, so truncation at a grade bound
-is exact.  Both run on integer grade layers: one denominator per grade
-and an integer numerator per point, with each point packed into one
-integer key whose sums are the keys of the summed points.  ``graded_mul``
+The tails of F and G are read from the support cones themselves: cut by
+the grade bound, each cone is a polytope whose lattice points are
+enumerated exactly (``polytope._lattice_points``), with no coefficient
+box around it.  The quotient ``G / F`` (one graded division,
+``graded_quotient``) and the exponential proceed grade by grade, so
+truncation at a grade bound is exact.  Both run on integer grade
+layers: one denominator per grade and an integer numerator per point,
+with each point packed into one integer key whose sums are the keys of
+the summed points.  ``graded_mul``
 and ``graded_log`` are not on this path; they keep plain ``Fraction``
 slices (``_slice_mul``) and serve as its independent checks.
 ``integrality_report`` lists the non-integer coefficients, if any, up
@@ -32,21 +36,15 @@ from dataclasses import dataclass
 from fractions import Fraction
 from math import gcd, lcm
 
-from .errors import (
-    DegenerateHull,
-    InsufficientRadius,
-    MinimalityViolation,
-    NoPositiveFunctional,
-)
+from .errors import DegenerateHull, MinimalityViolation, NoPositiveFunctional
 from .lattice import DEFAULT_MAX_BOX_POINTS, IntMatrix, kernel_basis
 from .linalg import cofactor_vector, rank_rational, solve_integer, solve_rational
 from .logseries import log_free_coefficients
-from .polytope import has_unique_interior_point
+from .polytope import _lattice_points, has_unique_interior_point
 from .rationals import to_int
 from .support import SupportBox
 
 DEFAULT_GRADING_BOUND = 8
-DEFAULT_RADIUS_CAP = 1 << 14
 
 
 @dataclass(frozen=True)
@@ -191,10 +189,12 @@ def _saturated_span_basis(points, width):
 def _support_cone_rows(v, basis, excluded_col):
     """Sign constraints of a support set, in lattice coordinates.
 
-    Valid because the base vector has entries in {0, -1}: preserving the
-    negative support away from the excluded column demands the shift be
-    >= 0 where the base is 0 and <= 0 where it is -1, which is a
-    homogeneous condition on the coordinates.
+    The support set is that of ``G_col`` for ``excluded_col = col`` and
+    that of ``F`` for ``excluded_col = None``.  Valid because the base
+    vector has entries in {0, -1}: preserving the negative support away
+    from the excluded column demands the shift be >= 0 where the base is
+    0 and <= 0 where it is -1, which is a homogeneous condition on the
+    coordinates.
     """
     rank = len(basis)
     rows = set()
@@ -460,23 +460,23 @@ def graded_log(e, grading, bound, origin):
     return {p: c for layer in log.values() for p, c in layer.items()}
 
 
-def _graded_tail(box, logs, grade_of, grade_bound):
-    """Nonzero log-free coefficients of the support points of grade 1..bound.
+def _support_polytope(v, lattice, excluded_col, grading, grade_bound, max_points):
+    """Support points of grade ``<= grade_bound`` of one column's support set.
 
-    The support set excludes the log indices; the coefficients are those
-    of the series builders (``log_free_coefficients``).
+    The support set of ``G_col`` (``excluded_col = col``), or of ``F``
+    (``excluded_col = None``), is the set of lattice points of the cone
+    ``_support_cone_rows``; with the row ``grade_bound - grading . x >= 0``
+    it is a polytope, as the grading is positive on the cone's extreme
+    rays.  Its points are enumerated in lattice coordinates by
+    ``_lattice_points`` (at most ``max_points``) and returned as ambient
+    points, in lexicographic order of their coordinates.
     """
-    points = []
-    for point in box.support_set(logs):
-        if not any(point):
-            continue
-        grade = grade_of(point)
-        if grade < 1:
-            raise AssertionError(f"support point {point} has nonpositive grade")
-        if grade <= grade_bound:
-            points.append(point)
-    coeffs = log_free_coefficients(box.base, points, logs)
-    return {point: coeff for point, coeff in zip(points, coeffs) if coeff}
+    weights = tuple(sum(g * b for g, b in zip(grading, row)) for row in lattice.basis)
+    rows = [(row, 0) for row in _support_cone_rows(v, lattice.basis, excluded_col)]
+    rows.append((tuple(-w for w in weights), grade_bound))
+    return [
+        lattice.point_from_coords(x) for x in _lattice_points(rows, lattice.rank, max_points)
+    ]
 
 
 def mirror_map(
@@ -485,19 +485,20 @@ def mirror_map(
     grade_bound: int,
     radius: int = 2,
     grading_bound: int = DEFAULT_GRADING_BOUND,
-    radius_cap: int = DEFAULT_RADIUS_CAP,
     max_points: int = DEFAULT_MAX_BOX_POINTS,
 ) -> MirrorMap:
     """Mirror-map series of one column, exact to the given grade bound.
 
     Verifies the unique-interior-point hypothesis and the minimality
-    checks, finds a positive grading from the extreme rays of the
-    support cones, and doubles the enumeration radius until every
-    support point of grade <= bound is provably inside the box (the
-    cone slice is a simplex spanned by the scaled rays, so the needed
-    radius is read off exactly).  The quotient ``G / F`` and its
-    exponential are then computed grade by grade.  Both boxes it
-    enumerates (minimality, tails) are capped at ``max_points``.
+    checks (one ``SupportBox`` of radius ``max(1, min(radius, 4))``) and
+    finds a positive grading from the extreme rays of the support cones.
+    The ``F`` and ``G`` tails are the lattice points of the grade-bounded
+    support cones (``_support_polytope``), so truncation at the bound is
+    exact and no box is walked for them; each enumeration, like the
+    minimality box, is capped at ``max_points``.  The quotient ``G / F``
+    and its exponential are then computed grade by grade.  The reported
+    radius is the smallest power-of-two multiple of ``max(1, radius)``
+    whose box would enclose the tails, read off from the rays.
     """
     if isinstance(index, int):
         index = spec.column_of(index)
@@ -515,7 +516,7 @@ def mirror_map(
             "distinguished-point sum is not the unique interior lattice point "
             "of the Minkowski sum"
         )
-    sweep = SupportBox(v, lattice, min(radius, 4), max_points).sweep(
+    sweep = SupportBox(v, lattice, max(1, min(radius, 4)), max_points).sweep(
         [()] + [(column,) for column in range(width)]
     )
     for excluded, verdict in sweep.items():
@@ -553,21 +554,20 @@ def mirror_map(
             max_coord = max(max_coord, -(-(grade_bound * abs(x)) // grade))
     while needed < max_coord:
         needed *= 2
-        if needed > radius_cap:
-            raise InsufficientRadius(
-                f"radius {needed} exceeds cap {radius_cap} while enclosing grade <= {grade_bound}"
-            )
 
-    grade_of = lambda p: sum(g * x for g, x in zip(grading, p))
-    origin = (0,) * width
-
-    tail_box = SupportBox(v, lattice, needed, max_points)
-    f_tail = _graded_tail(tail_box, (), grade_of, grade_bound)
-    g_tail = _graded_tail(tail_box, (col,), grade_of, grade_bound)
-    del tail_box  # the largest object of the run: free it before the graded arithmetic
+    tails = []
+    for excluded_col, logs in ((None, ()), (col, (col,))):
+        support = _support_polytope(v, lattice, excluded_col, grading, grade_bound, max_points)
+        points = [point for point in support if any(point)]
+        for point in points:
+            if sum(g * x for g, x in zip(grading, point)) < 1:
+                raise AssertionError(f"support point {point} has nonpositive grade")
+        coeffs = log_free_coefficients(v, points, logs)
+        tails.append({point: coeff for point, coeff in zip(points, coeffs) if coeff})
+    f_tail, g_tail = tails
 
     ratio = graded_quotient(g_tail, f_tail, grading, grade_bound)
-    series = graded_exp(ratio, grading, grade_bound, origin)
+    series = graded_exp(ratio, grading, grade_bound, (0,) * width)
     return MirrorMap(
         index=(i, j),
         coefficients=series,

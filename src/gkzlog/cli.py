@@ -26,16 +26,12 @@ from .ci_mirror import (
     render_coefficients,
     render_integrality_report,
 )
-from .errors import (
-    GkzError,
-    InsufficientRadius,
-    ProblemFileError,
-    ResourceLimit,
-)
+from .errors import GkzError, ProblemFileError, ResourceLimit
 from .lattice import DEFAULT_MAX_BOX_POINTS, IntMatrix, kernel_basis
 from .logseries import (
     build_F,
     build_G,
+    build_H,
     build_H_table,
     combine_first_order,
     combine_second_order,
@@ -287,8 +283,12 @@ def cmd_solve(args) -> int:
             for i in indices
         ]
     elif args.order == 2:
-        series_g = [build_G(box, i) for i in range(ncols)]
-        table = build_H_table(box)
+        # Only the G_k and H_ij of the requested pairs are read; the rest stay None.
+        used = {k for pair in pairs for k in pair}
+        series_g = [build_G(box, k) if k in used else None for k in range(ncols)]
+        table = [[None] * ncols for _ in range(ncols)]
+        for i, j in pairs:
+            table[i][j] = table[j][i] = build_H(box, i, j)
         checked += [
             check(
                 f"quasi2_{i}_{j}.series",
@@ -480,7 +480,7 @@ def main(argv=None) -> int:
     except ProblemFileError as exc:
         print(f"input error: {exc}", file=sys.stderr)
         return 2
-    except (ResourceLimit, InsufficientRadius) as exc:
+    except ResourceLimit as exc:
         print(f"resource limit: {exc}", file=sys.stderr)
         return 3
     except GkzError as exc:

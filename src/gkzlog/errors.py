@@ -58,10 +58,6 @@ class NoPositiveFunctional(GkzError):
     """
 
 
-class InsufficientRadius(GkzError):
-    """The enumeration radius cap was hit before enclosing the needed support."""
-
-
 class NonLatticeExponent(GkzError):
     """A certified-region query involved an exponent off the base coset."""
 

@@ -331,7 +331,9 @@ def combine_second_order(series_f, series_g, table_h, point, point2) -> LogSerie
 
     The double sum ``sum_{a,b} l_a l'_b (F*log_a*log_b + G_a*log_b +
     G_b*log_a + H_ab)`` with ``log_a = log(lambda_a)``.  ``table_h``
-    must be a symmetric N x N table of series; ``l = l'`` is allowed.
+    must be a symmetric N x N table; ``l = l'`` is allowed.  Only the
+    ``G_a`` with ``l_a != 0`` or ``l'_a != 0`` and the ``H_ab`` with
+    ``l_a l'_b != 0`` are read; the other entries may be ``None``.
     """
     n = series_f.nvars
     if len(series_g) != n or len(point) != n or len(point2) != n:

@@ -1,9 +1,12 @@
-"""Exact Minkowski sums, convex hulls, and interior lattice points.
+"""Exact Minkowski sums, convex hulls, and lattice points of polytopes.
 
 The instances here are tiny (a handful of integer points in dimension at
 most five), so the hull is computed by brute force: every spanning
 n-subset of candidate points proposes a hyperplane, and the hyperplanes
-with all candidates on one side are the facets.  Everything is exact
+with all candidates on one side are the facets.  The lattice points of a
+polytope given by integer inequalities are enumerated from an exact
+integer Fourier-Motzkin elimination (``_lattice_points``), one nested
+loop per coordinate, without a bounding box.  Everything is exact
 integer arithmetic; no floating point is used anywhere.
 """
 
@@ -13,7 +16,7 @@ import itertools
 from dataclasses import dataclass
 from math import gcd
 
-from .errors import DegenerateHull
+from .errors import DegenerateHull, ResourceLimit
 from .linalg import cofactor_vector, rank_rational
 
 
@@ -110,3 +113,82 @@ def has_unique_interior_point(point_sets, point) -> bool:
     """True iff the Minkowski-sum hull has exactly ``point`` strictly inside."""
     hull = minkowski_hull(point_sets)
     return interior_lattice_points(hull) == [tuple(int(x) for x in point)]
+
+
+def _normalized(rows):
+    """Rows divided by the gcd of their coefficients, deduplicated; None if infeasible.
+
+    A row ``(a, c)`` stands for ``a . x + c >= 0``.  For integer ``x`` the
+    value ``a . x`` is a multiple of ``g = gcd(a)``, so ``a/g . x >=
+    floor(c/g)`` cuts off no integer point.  A row with ``a = 0`` is
+    dropped when ``c >= 0`` and makes the system infeasible otherwise.
+    """
+    out = set()
+    for a, c in rows:
+        g = gcd(*a)
+        if g == 0:
+            if c < 0:
+                return None
+            continue
+        out.add((tuple(x // g for x in a), c // g))
+    return sorted(out)
+
+
+def _lattice_points(rows, dim: int, max_points: int):
+    """Integer points ``x`` of ``{a . x + c >= 0 for every row (a, c)}``, lexicographic.
+
+    Exact integer Fourier-Motzkin elimination: the rows of level ``k``
+    involve ``x_0 .. x_k`` only, and level ``k - 1`` keeps the level-``k``
+    rows free of ``x_k`` and adds, for each pair of rows with opposite
+    signs in ``x_k``, the positive combination that cancels it; every
+    level is normalized by ``_normalized``.  Each level holds for every
+    integer point of the polytope, and level ``dim - 1`` is the input
+    itself, so the nested loops, which read the range of ``x_k`` from the
+    level-``k`` rows given ``x_0 .. x_(k-1)``, yield exactly its integer
+    points.  Raises :class:`ResourceLimit` as soon as more than
+    ``max_points`` points are found, and ``ValueError`` when a coordinate
+    has no finite range (the polyhedron is unbounded).
+    """
+    level = _normalized(rows)
+    if level is None:
+        return []
+    if dim == 0:
+        return [()]
+    # bounds[k]: (lower, upper) rows of level k, each ``(a_k, a_0..a_(k-1), c)``
+    bounds = [None] * dim
+    for k in range(dim - 1, -1, -1):
+        lower = [(a[k], a[:k], c) for a, c in level if a[k] > 0]
+        upper = [(a[k], a[:k], c) for a, c in level if a[k] < 0]
+        bounds[k] = (lower, upper)
+        if k:
+            kept = [(a, c) for a, c in level if a[k] == 0]
+            for pk, pa, pc in lower:
+                for nk, na, nc in upper:
+                    combined = tuple(-nk * p + pk * n for p, n in zip(pa, na))
+                    kept.append((combined + (0,) * (dim - k), -nk * pc + pk * nc))
+            level = _normalized(kept)
+            if level is None:
+                return []
+    out = []
+    point = [0] * dim
+
+    def walk(k):
+        lower, upper = bounds[k]
+        if not lower or not upper:
+            raise ValueError(f"coordinate {k} is unbounded: the polyhedron is not a polytope")
+        prefix = point[:k]
+        lo = max(-((c + sum(a * x for a, x in zip(pa, prefix))) // ak) for ak, pa, c in lower)
+        hi = min((c + sum(a * x for a, x in zip(pa, prefix))) // -ak for ak, pa, c in upper)
+        for x in range(lo, hi + 1):
+            point[k] = x
+            if k + 1 < dim:
+                walk(k + 1)
+            elif len(out) < max_points:
+                out.append(tuple(point))
+            else:
+                raise ResourceLimit(
+                    f"polytope has more than {max_points} lattice points (cap {max_points})"
+                )
+
+    walk(0)
+    return out

@@ -9,8 +9,8 @@ from hypothesis import strategies as st
 
 from gkzlog import (
     CISpec,
-    InsufficientRadius,
     NoPositiveFunctional,
+    ResourceLimit,
     build_F,
     build_G,
     build_system,
@@ -375,9 +375,12 @@ class TestMirrorMap:
         assert integrality_report(q) == []
         assert q.coefficients[(-2, 1, 1)] == -2
 
-    def test_insufficient_radius(self, two_triangles_spec):
-        with pytest.raises(InsufficientRadius):
-            mirror_map(two_triangles_spec, (0, 0), 64, radius=2, radius_cap=4)
+    def test_tail_enumeration_is_capped(self, two_triangles_spec):
+        # the minimality box (81 points) fits under the cap; the grade-40
+        # tails (821 coefficients) do not
+        mirror_map(two_triangles_spec, (0, 1), 8, radius=4, max_points=100)
+        with pytest.raises(ResourceLimit, match="cap 100"):
+            mirror_map(two_triangles_spec, (0, 1), 40, radius=4, max_points=100)
 
     def test_reconstruction_f_times_ratio_is_g(self, quadrilateral_spec):
         # multiply the computed ratio back by F and compare with G

@@ -1,5 +1,6 @@
 """End-to-end command-line runs on the shipped fixtures."""
 
+import hashlib
 import json
 
 import pytest
@@ -12,6 +13,7 @@ GAUSS = str(FIXTURES / "gauss.json")
 PYRAMID = str(FIXTURES / "square_pyramid.json")
 TRIANGLES = str(FIXTURES / "ci_two_triangles.json")
 QUAD = str(FIXTURES / "ci_quadrilateral.json")
+HEXAGON = str(FIXTURES / "hexagon.json")
 
 
 def test_lattice_command(capsys):
@@ -156,6 +158,57 @@ def test_solve_order2_builds_one_support_box(tmp_path, monkeypatch):
     assert sizes == [625]
 
 
+def test_solve_order2_subset_builds_only_the_requested_tails(tmp_path, monkeypatch):
+    # pairs (0,4) and (2,2) read G_0, G_2, G_4, H_04 and H_22 only
+    import gkzlog.cli as cli
+
+    built = {"G": [], "H": []}
+    build_G, build_H = cli.build_G, cli.build_H
+    monkeypatch.setattr(cli, "build_G", lambda box, i: built["G"].append(i) or build_G(box, i))
+    monkeypatch.setattr(
+        cli, "build_H", lambda box, i, j: built["H"].append((i, j)) or build_H(box, i, j)
+    )
+    args = ["solve", PYRAMID, "--order", "2", "--indices", "0,4 2,2", "--radius", "4"]
+    assert main([*args, "--out", str(tmp_path / "out")]) == 0
+    assert sorted(built["G"]) == [0, 2, 4]
+    assert sorted(built["H"]) == [(0, 4), (2, 2)]
+
+
+def test_mirror_radius_zero_sweeps_radius_one(tmp_path, monkeypatch):
+    # --radius 0 would certify the origin alone; the sweep runs at radius 1
+    import gkzlog.ci_mirror as ci_mirror
+
+    sizes = []
+    init = SupportBox.__init__
+
+    def counting_init(self, *args, **kwargs):
+        init(self, *args, **kwargs)
+        sizes.append(len(self.points))
+
+    monkeypatch.setattr(ci_mirror.SupportBox, "__init__", counting_init)
+    out = tmp_path / "out"
+    args = ["mirror", HEXAGON, "--index", "1", "--grade", "8", "--radius", "0", "--out", str(out)]
+    assert main(args) == 0
+    assert sizes == [81]
+    # the same artifacts as before the sweep radius was raised
+    digests = {p.name: hashlib.sha256(p.read_bytes()).hexdigest() for p in out.iterdir()}
+    assert digests == {
+        "mirror_0_1.coeffs": "8ea7f5fabeb415c9511687e2e508fde0a3a953c9d1cef9b316257f5a93e65387",
+        "mirror_0_1.report": "e2ab2a0fddc99ffc7931e587b789cd8c105fb0e1838dfff638774b21c593ec78",
+        "run_report.json": "90b8dbcfd6a85bfb1401c7414b68ecb0d10bf28fd39809080bce236767c19cc9",
+    }
+
+
+def test_hexagon_mirror_is_integral_to_grade_20(tmp_path):
+    # Lian-Yau, Krattenthaler-Rivoal: the mirror map of a CI family is integral
+    out = tmp_path / "out"
+    assert main(["mirror", HEXAGON, "--index", "1", "--grade", "20", "--out", str(out)]) == 0
+    report = json.loads((out / "run_report.json").read_text())
+    assert report["non_integer_coefficients"] == 0
+    assert report["coefficients"] == 1212
+    assert report["parameters"]["radius_used"] == 32
+
+
 def test_ci_command(capsys):
     assert main(["ci", TRIANGLES]) == 0
     out = capsys.readouterr().out
@@ -244,6 +297,15 @@ def test_mirror_max_terms_resource_limit(tmp_path, capsys):
     args = ["mirror", TRIANGLES, "--index", "1", "--grade", "40", "--out", out]
     assert main([*args, "--max-terms", "10"]) == 3
     assert "cap 10" in capsys.readouterr().err
+    assert not (tmp_path / "out").exists()
+
+
+def test_mirror_max_terms_bounds_the_tail_polytope(tmp_path, capsys):
+    # the 81-point minimality box passes; the 821-coefficient grade-40 tail does not
+    out = str(tmp_path / "out")
+    args = ["mirror", TRIANGLES, "--index", "1", "--grade", "40", "--out", out]
+    assert main([*args, "--max-terms", "100"]) == 3
+    assert "cap 100" in capsys.readouterr().err
     assert not (tmp_path / "out").exists()
 
 

@@ -1,14 +1,28 @@
-"""Minkowski hulls and interior lattice points."""
+"""Minkowski hulls, interior lattice points, and lattice points of polytopes."""
+
+import itertools
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from gkzlog import (
     DegenerateHull,
+    ResourceLimit,
+    SupportBox,
+    build_system,
     has_unique_interior_point,
     interior_lattice_points,
+    kernel_basis,
     minkowski_hull,
+    mirror_map,
 )
-from tests.conftest import QUADRILATERAL_SETS, TWO_TRIANGLES_SETS
+from gkzlog.ci_mirror import _support_polytope
+from gkzlog.cli import load_problem
+from gkzlog.polytope import _lattice_points, _normalized
+from tests.conftest import FIXTURES, QUADRILATERAL_SETS, TWO_TRIANGLES_SETS
+
+CI_FIXTURES = ["ci_two_triangles", "ci_quadrilateral", "quintic", "hexagon"]
 
 SQUARE = ((0, 0), (1, 0), (0, 1), (1, 1))
 SIMPLEX = ((0, 0), (1, 0), (0, 1))
@@ -93,3 +107,118 @@ def test_vertices_satisfy_facets():
 def test_rejects_mixed_dimensions():
     with pytest.raises(ValueError):
         minkowski_hull([((0, 0), (1,))])
+
+
+def _brute_force(rows, ranges):
+    """Points of the box ``prod range(lo, hi + 1)`` satisfying every row, lexicographic."""
+    return [
+        point
+        for point in itertools.product(*(range(lo, hi + 1) for lo, hi in ranges))
+        if all(sum(a * x for a, x in zip(row, point)) + c >= 0 for row, c in rows)
+    ]
+
+
+@pytest.mark.parametrize("name", CI_FIXTURES)
+def test_support_polytopes_match_grade_filtered_box(name):
+    # The grade-bounded support cone of F (no column excluded) and of every
+    # G_col has, as a set, the points of the box support set of grade <= D at
+    # the radius mirror_map reports for that grade.
+    problem = load_problem(str(FIXTURES / f"{name}.json"))
+    matrix, beta, v = build_system(problem.spec)
+    lattice = kernel_basis(matrix)
+    width = lattice.ambient_dim
+    support_sets = {}  # radius -> {excluded: support set}
+    for grade_bound in range(1, 9):
+        q = mirror_map(problem.spec, 0, grade_bound, radius=problem.radius)
+        if q.radius not in support_sets:
+            box = SupportBox(v, lattice, q.radius)
+            support_sets[q.radius] = {
+                excluded: box.support_set(excluded)
+                for excluded in [()] + [(c,) for c in range(width)]
+            }
+        for excluded_col in [None, *range(width)]:
+            excluded = () if excluded_col is None else (excluded_col,)
+            want = {
+                point
+                for point in support_sets[q.radius][excluded]
+                if q.grade_of(point) <= grade_bound
+            }
+            got = _support_polytope(v, lattice, excluded_col, q.grading, grade_bound, 10**6)
+            assert len(got) == len(set(got))
+            assert set(got) == want, (name, grade_bound, excluded_col)
+
+
+@pytest.mark.parametrize("name", CI_FIXTURES)
+def test_tail_polytopes_stay_within_twice_the_coefficient_count(name):
+    problem = load_problem(str(FIXTURES / f"{name}.json"))
+    matrix, beta, v = build_system(problem.spec)
+    lattice = kernel_basis(matrix)
+    for col in range(lattice.ambient_dim):
+        q = mirror_map(problem.spec, col, 8, radius=problem.radius)
+        for excluded_col in (None, col):
+            points = _support_polytope(v, lattice, excluded_col, q.grading, 8, 10**6)
+            assert len(points) <= 2 * len(q.coefficients)
+        if name == "hexagon" and col == 1:
+            assert len(q.coefficients) == 72
+            assert len(_support_polytope(v, lattice, None, q.grading, 8, 10**6)) == 63
+            assert len(_support_polytope(v, lattice, 1, q.grading, 8, 10**6)) == 119
+
+
+_coefficient = st.integers(-4, 4)
+
+
+@settings(max_examples=150, deadline=None)
+@given(
+    dim=st.integers(1, 3),
+    data=st.data(),
+)
+def test_lattice_points_match_brute_force(dim, data):
+    # random rows, plus x_k >= -3 and one bounding row w . x <= bound with
+    # w >= 1, which keep x_k <= (bound + 3 * (sum(w) - w_k)) / w_k
+    vector = st.tuples(*[_coefficient] * dim)
+    rows = data.draw(st.lists(st.tuples(vector, st.integers(-6, 6)), max_size=5))
+    weights = data.draw(st.tuples(*[st.integers(1, 3)] * dim))
+    bound = data.draw(st.integers(0, 6))
+    rows = rows + [(tuple(1 if i == k else 0 for i in range(dim)), 3) for k in range(dim)]
+    rows.append((tuple(-w for w in weights), bound))
+    ranges = [(-3, (bound + 3 * (sum(weights) - w)) // w) for w in weights]
+    want = _brute_force(rows, ranges)
+    assert _lattice_points(rows, dim, 10**6) == want
+    if want:
+        with pytest.raises(ResourceLimit, match=f"cap {len(want) - 1}"):
+            _lattice_points(rows, dim, len(want) - 1)
+
+
+def test_lattice_points_infeasible_systems():
+    assert _lattice_points([((1,), -1), ((-1,), 0)], 1, 100) == []
+    # rationally feasible, no integer point: x = 1/2
+    assert _lattice_points([((2,), -1), ((-2,), 1)], 1, 100) == []
+    # x, y >= 1/3 and x + y <= 5/3: a rational triangle without lattice points
+    rows = [((3, 0), -1), ((0, 3), -1), ((-3, -3), 5)]
+    assert _lattice_points(rows, 2, 100) == []
+    # a constant row that fails
+    assert _lattice_points([((0, 0), -1), ((1, 0), 0), ((-1, -1), 2), ((0, 1), 0)], 2, 100) == []
+
+
+def test_lattice_points_single_point():
+    rows = [((1, 0), -2), ((-1, 0), 2), ((0, 1), 1), ((0, -1), -1)]
+    assert _lattice_points(rows, 2, 100) == [(2, -1)]
+    # the apex of a cone cut at grade 0, in three dimensions
+    rows = [((1, 0, 0), 0), ((0, 1, 0), 0), ((0, 0, 1), 0), ((-1, -2, -1), 0)]
+    assert _lattice_points(rows, 3, 1) == [(0, 0, 0)]
+    assert _lattice_points([], 0, 1) == [()]
+    assert _lattice_points([((), -1)], 0, 1) == []
+
+
+def test_lattice_points_duplicate_and_proportional_rows():
+    assert _normalized([((2, 4), 6), ((1, 2), 3), ((3, 6), 10), ((1, 2), 3)]) == [((1, 2), 3)]
+    assert _normalized([((0, 0), 0), ((0, 0), -1)]) is None
+    simplex = [((1, 0), 0), ((0, 1), 0), ((-1, -1), 4)]
+    repeated = simplex + [((2, 0), 0), ((0, 3), 1), ((-2, -2), 9), ((-1, -1), 4)]
+    assert _lattice_points(repeated, 2, 100) == _lattice_points(simplex, 2, 100)
+    assert len(_lattice_points(simplex, 2, 100)) == 15
+
+
+def test_lattice_points_reject_unbounded_polyhedra():
+    with pytest.raises(ValueError, match="unbounded"):
+        _lattice_points([((1, 0), 0), ((0, 1), 0)], 2, 100)
