@@ -38,7 +38,7 @@ from math import gcd, lcm
 
 from .errors import DegenerateHull, MinimalityViolation, NoPositiveFunctional
 from .lattice import DEFAULT_MAX_BOX_POINTS, IntMatrix, kernel_basis
-from .linalg import cofactor_vector, rank_rational, solve_integer, solve_rational
+from .linalg import cofactor_vector, hnf_rows, solve_echelon, solve_integer
 from .logseries import log_free_coefficients
 from .polytope import _lattice_points, has_unique_interior_point
 from .rationals import to_int
@@ -150,10 +150,9 @@ def positive_grading(points, bound: int = DEFAULT_GRADING_BOUND, ambient_dim=Non
     width = len(pts[0])
     basis = _saturated_span_basis(pts, width)
     rank = len(basis)
-    transpose = [[Fraction(row[k]) for row in basis] for k in range(width)]
     coords = []
     for p in pts:
-        sol = solve_rational(transpose, [Fraction(x) for x in p])
+        sol = solve_echelon(basis, p)
         if sol is None or any(c.denominator != 1 for c in sol):
             raise AssertionError("point escaped the saturation of its own span")
         coords.append(tuple(int(c) for c in sol))
@@ -217,8 +216,7 @@ def _cone_rays(rows, rank):
     """Primitive extreme rays of ``{x : rows . x >= 0}``; requires pointed."""
     if rank == 0:
         return []
-    constraint_rank = rank_rational(rows) if rows else 0
-    if constraint_rank < rank:
+    if len(hnf_rows(rows)) < rank:
         raise NoPositiveFunctional("support cone contains a line; not pointed")
     if rank == 1:
         rays = []
@@ -228,8 +226,7 @@ def _cone_rays(rows, rank):
         return rays
     rays = set()
     for subset in itertools.combinations(rows, rank - 1):
-        if rank_rational(subset) != rank - 1:
-            continue
+        # A dependent subset has every maximal minor zero: no direction.
         direction = cofactor_vector(subset)
         if not any(direction):
             continue
@@ -530,7 +527,7 @@ def mirror_map(
             coefficients={(0,) * width: Fraction(1)},
             grading=(0,) * width,
             grade_bound=grade_bound,
-            radius=radius,
+            radius=max(1, radius),
         )
 
     all_rays = set()

@@ -250,6 +250,8 @@ def cmd_solve(args) -> int:
     ncols = problem.matrix.n_cols
 
     indices, pairs = [], []
+    if args.order == 0 and args.indices is not None:
+        raise ProblemFileError("--indices needs --order 1 or 2")
     if args.order >= 1:
         indices = _parse_index_list(args.indices, ncols) if args.indices else range(ncols)
         indices = sorted(set(indices))

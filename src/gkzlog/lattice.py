@@ -13,11 +13,10 @@ from __future__ import annotations
 
 import itertools
 from dataclasses import dataclass
-from fractions import Fraction
 
 from .errors import ResourceLimit
-from .linalg import hnf_rows, solve_rational
-from .rationals import to_int, to_rational
+from .linalg import hnf_rows, solve_echelon
+from .rationals import to_int
 
 DEFAULT_MAX_BOX_POINTS = 2_000_000
 
@@ -84,15 +83,14 @@ class RelationLattice:
     def coords_of(self, vec):
         """Coordinates of ``vec`` in the basis, or ``None`` if off the span.
 
-        The solve is exact over the rationals; a non-integral result means
-        ``vec`` lies in the rational span but not in the lattice itself.
+        The Hermite basis is in echelon form, so the exact rational
+        coordinates follow by forward substitution (``solve_echelon``); a
+        non-integral result means ``vec`` lies in the rational span but
+        not in the lattice itself.
         """
         if len(vec) != self.ambient_dim:
             raise ValueError("vector length != ambient dimension")
-        if self.rank == 0:
-            return () if not any(vec) else None
-        columns = [[Fraction(row[i]) for row in self.basis] for i in range(self.ambient_dim)]
-        return solve_rational(columns, [to_rational(x) for x in vec])
+        return solve_echelon(self.basis, vec)
 
     def contains(self, vec) -> bool:
         coords = self.coords_of(vec)

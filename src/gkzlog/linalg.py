@@ -1,9 +1,12 @@
-"""Small exact linear-algebra kernel: HNF, determinants, rational solves.
+"""Small exact linear-algebra kernel: HNF, determinants, echelon solves.
 
 Everything operates on plain tuples/lists of Python ints or Fractions.
-The matrices in this package are tiny (at most a dozen rows), so the
-quadratic gcd-reduction HNF and fraction Gaussian elimination are more
-than fast enough, and they are exact.
+The integer Hermite normal form is the one elimination engine: ranks are
+the number of its nonzero rows, and coordinates in its rows (or in any
+echelon rows) follow by forward substitution (``solve_echelon``), so no
+second, fraction-valued elimination is needed.  The matrices in this
+package are tiny (at most a dozen rows), so the quadratic gcd-reduction
+HNF is more than fast enough, and everything is exact.
 """
 
 from __future__ import annotations
@@ -111,54 +114,26 @@ def cofactor_vector(rows) -> tuple[int, ...]:
     return tuple(out)
 
 
-def _reduce(mat, ncols) -> list[int]:
-    """Gauss-Jordan elimination of the first ``ncols`` columns, in place.
+def solve_echelon(rows, vec):
+    """Exact coefficients ``y`` with ``sum(y[k] * rows[k]) == vec``, or ``None``.
 
-    ``mat`` is a list of Fraction rows, possibly wider than ``ncols``.
-    Returns the pivot columns; pivot row ``r`` has a 1 in column
-    ``pivots[r]`` and that column is zero in every other row.
+    ``rows`` are nonzero and in echelon form, as :func:`hnf_rows` returns
+    them: each row's pivot (its first nonzero entry) lies right of the
+    pivot of the row before, so each pivot column is zero in every later
+    row and the coefficients follow one by one by forward substitution.
+    The result is a tuple of Fractions, non-integral when ``vec`` lies in
+    the rational span but off the row lattice; ``None`` means ``vec`` is
+    off the span.  Empty ``rows`` give ``()`` for the zero vector.
     """
-    pivots = []
-    for col in range(ncols):
-        rank = len(pivots)
-        piv = next((r for r in range(rank, len(mat)) if mat[r][col]), None)
-        if piv is None:
-            continue
-        mat[rank], mat[piv] = mat[piv], mat[rank]
-        inv = 1 / mat[rank][col]
-        mat[rank] = [a * inv for a in mat[rank]]
-        for r in range(len(mat)):
-            if r != rank and mat[r][col]:
-                f = mat[r][col]
-                mat[r] = [a - f * b for a, b in zip(mat[r], mat[rank])]
-        pivots.append(col)
-    return pivots
-
-
-def rank_rational(rows) -> int:
-    """Rank over the rationals."""
-    mat = [[Fraction(x) for x in r] for r in rows]
-    return len(_reduce(mat, len(mat[0]))) if mat else 0
-
-
-def solve_rational(rows, rhs):
-    """Solve ``A x = b`` exactly for a matrix with full column rank.
-
-    Returns the unique solution as a tuple of Fractions, or ``None`` when
-    the system is inconsistent.  Raises if the columns are dependent
-    (callers here always pass bases).
-    """
-    n = len(rows[0]) if rows else 0
-    aug = [[Fraction(x) for x in row] + [Fraction(b)] for row, b in zip(rows, rhs)]
-    pivots = _reduce(aug, n)
-    if len(pivots) < n:
-        raise ValueError("matrix does not have full column rank")
-    if any(row[n] for row in aug[n:]):
-        return None
-    sol = [Fraction(0)] * n
-    for r, col in enumerate(pivots):
-        sol[col] = aug[r][n]
-    return tuple(sol)
+    rest = [Fraction(x) for x in vec]
+    coeffs = []
+    for row in rows:
+        pivot = next(j for j, a in enumerate(row) if a)
+        y = rest[pivot] / row[pivot]
+        if y:
+            rest = [b - y * a for a, b in zip(row, rest)]
+        coeffs.append(y)
+    return None if any(rest) else tuple(coeffs)
 
 
 def solve_integer(basis_rows, target):
@@ -166,24 +141,19 @@ def solve_integer(basis_rows, target):
 
     ``B`` has full row rank ``r`` and its row lattice is saturated, so an
     integer solution exists for every integer ``target``.  Works through
-    the HNF of ``B^T`` with its unimodular transform.
+    the HNF ``H = U B^T`` with its unimodular transform ``U``: the
+    coefficients ``y`` of ``target`` in the rows of ``H`` come from
+    :func:`solve_echelon`, and ``c = y U``.
     """
-    r = len(basis_rows)
     ncols = len(basis_rows[0])
     transpose = [tuple(row[i] for row in basis_rows) for i in range(ncols)]
     hnf, trans = hnf_rows_with_transform(transpose)
-    y = [Fraction(0)] * ncols
-    rhs = [Fraction(t) for t in target]
-    for k in range(r):
-        row = hnf[k]
-        pivot_col = next(j for j in range(r) if row[j])
-        y[k] = rhs[pivot_col] / row[pivot_col]
-        rhs = [b - y[k] * a for a, b in zip(row, rhs)]
-    if any(rhs):
+    y = solve_echelon([row for row in hnf if any(row)], target)
+    if y is None:
         raise ValueError("target not in the image of the basis")
     sol = []
     for i in range(ncols):
-        val = sum(trans[k][i] * y[k] for k in range(r))
+        val = sum(trans[k][i] * c for k, c in enumerate(y))
         if val.denominator != 1:
             raise ValueError("basis is not saturated: no integer solution")
         sol.append(int(val))

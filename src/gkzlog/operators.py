@@ -152,28 +152,21 @@ def verify_box_annihilation(series: LogSeries, op: BoxOp) -> CertifiedReport:
     result = apply_box(series, op)
     checked = 0
     violations = []
-    seen: dict[tuple, bool] = {}
     for term in result.terms():
         checked += 1
-        if term.exponent in seen:
-            certified = seen[term.exponent]
-        else:
-            certified = True
-            for shift in (op.plus, op.minus):
-                delta = tuple(
-                    u + s - b for u, s, b in zip(term.exponent, shift, meta.base)
+        certified = True
+        for shift in (op.plus, op.minus):
+            delta = tuple(u + s - b for u, s, b in zip(term.exponent, shift, meta.base))
+            coords = lattice.coords_of(delta)
+            if coords is None:
+                raise NonLatticeExponent(
+                    f"exponent {term.exponent} is outside the rational span of the lattice"
                 )
-                coords = lattice.coords_of(delta)
-                if coords is None:
-                    raise NonLatticeExponent(
-                        f"exponent {term.exponent} is outside the rational span of the lattice"
-                    )
-                if any(c.denominator != 1 for c in coords) or any(
-                    abs(c) > meta.radius for c in coords
-                ):
-                    certified = False
-                    break
-            seen[term.exponent] = certified
+            if any(c.denominator != 1 for c in coords) or any(
+                abs(c) > meta.radius for c in coords
+            ):
+                certified = False
+                break
         if certified:
             violations.append((term.exponent, term.logdeg, term.coeff))
     # The two sources differ by l: with c its lattice coordinates, the box

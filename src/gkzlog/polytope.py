@@ -4,10 +4,11 @@ The instances here are tiny (a handful of integer points in dimension at
 most five), so the hull is computed by brute force: every spanning
 n-subset of candidate points proposes a hyperplane, and the hyperplanes
 with all candidates on one side are the facets.  The lattice points of a
-polytope given by integer inequalities are enumerated from an exact
-integer Fourier-Motzkin elimination (``_lattice_points``), one nested
-loop per coordinate, without a bounding box.  Everything is exact
-integer arithmetic; no floating point is used anywhere.
+polytope given by integer inequalities, a hull's interior points among
+them, are enumerated from an exact integer Fourier-Motzkin elimination
+(``_lattice_points``), one nested loop per coordinate, without a
+bounding box.  Everything is exact integer arithmetic; no floating
+point is used anywhere.
 """
 
 from __future__ import annotations
@@ -17,7 +18,8 @@ from dataclasses import dataclass
 from math import gcd
 
 from .errors import DegenerateHull, ResourceLimit
-from .linalg import cofactor_vector, rank_rational
+from .lattice import DEFAULT_MAX_BOX_POINTS
+from .linalg import cofactor_vector, hnf_rows
 
 
 @dataclass(frozen=True)
@@ -62,7 +64,7 @@ def minkowski_hull(point_sets) -> Polytope:
 
     origin = candidates[0]
     differences = [tuple(a - b for a, b in zip(p, origin)) for p in candidates[1:]]
-    if rank_rational(differences) < dim:
+    if len(hnf_rows(differences)) < dim:
         raise DegenerateHull(
             f"hull of {len(candidates)} candidate points is not full-dimensional in Z^{dim}"
         )
@@ -91,22 +93,22 @@ def minkowski_hull(point_sets) -> Polytope:
     vertices = []
     for p in candidates:
         active = [normal for normal, offset in facet_list if _dot(normal, p) == offset]
-        if len(active) >= dim and rank_rational(active) == dim:
+        if len(active) >= dim and len(hnf_rows(active)) == dim:
             vertices.append(p)
     return Polytope(dim=dim, vertices=tuple(vertices), facets=facet_list)
 
 
 def interior_lattice_points(poly: Polytope):
-    """Integer points strictly inside every facet, in lexicographic order."""
+    """Integer points strictly inside every facet, in lexicographic order.
+
+    For integer ``x`` the strict ``normal . x < offset`` is the row
+    ``-normal . x + offset - 1 >= 0`` of ``_lattice_points``, which caps
+    the count at ``DEFAULT_MAX_BOX_POINTS``.
+    """
     if not poly.vertices:
         return []
-    lows = [min(v[i] for v in poly.vertices) for i in range(poly.dim)]
-    highs = [max(v[i] for v in poly.vertices) for i in range(poly.dim)]
-    out = []
-    for point in itertools.product(*(range(lo, hi + 1) for lo, hi in zip(lows, highs))):
-        if all(_dot(normal, point) < offset for normal, offset in poly.facets):
-            out.append(point)
-    return out
+    rows = [(tuple(-a for a in normal), offset - 1) for normal, offset in poly.facets]
+    return _lattice_points(rows, poly.dim, DEFAULT_MAX_BOX_POINTS)
 
 
 def has_unique_interior_point(point_sets, point) -> bool:

@@ -199,6 +199,25 @@ def test_mirror_radius_zero_sweeps_radius_one(tmp_path, monkeypatch):
     }
 
 
+def test_mirror_grade_zero_reports_the_radius_it_swept(tmp_path):
+    # grade 0 returns before the rays are read; the sweep still ran at radius 1
+    out = tmp_path / "out"
+    args = ["mirror", TRIANGLES, "--index", "1", "--grade", "0", "--radius", "0"]
+    assert main([*args, "--out", str(out)]) == 0
+    report = json.loads((out / "run_report.json").read_text())
+    assert report["parameters"]["radius_requested"] == 0
+    assert report["parameters"]["radius_used"] == 1
+    assert report["coefficients"] == 1
+
+
+def test_solve_order0_rejects_indices(tmp_path, capsys):
+    out = tmp_path / "out"
+    args = ["solve", GAUSS, "--order", "0", "--indices", "7", "--out", str(out)]
+    assert main(args) == 2
+    assert "--indices" in capsys.readouterr().err
+    assert not out.exists()
+
+
 def test_hexagon_mirror_is_integral_to_grade_20(tmp_path):
     # Lian-Yau, Krattenthaler-Rivoal: the mirror map of a CI family is integral
     out = tmp_path / "out"

@@ -1,17 +1,19 @@
-"""Exact linear algebra: Hermite normal form with transform, ranks, solves."""
+"""Exact linear algebra: Hermite normal form with transform, echelon and integer solves."""
 
+import itertools
 from fractions import Fraction as F
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from gkzlog.lattice import RelationLattice, kernel_basis
 from gkzlog.linalg import (
     det_int,
     hnf_rows,
     hnf_rows_with_transform,
-    rank_rational,
-    solve_rational,
+    solve_echelon,
+    solve_integer,
 )
 
 MATRIX = st.integers(1, 4).flatmap(
@@ -23,6 +25,18 @@ MATRIX = st.integers(1, 4).flatmap(
 
 def matmul(a, b):
     return tuple(tuple(sum(x * y for x, y in zip(row, col)) for col in zip(*b)) for row in a)
+
+
+def minor_rank(rows):
+    """Rank as the largest order of a nonzero minor, by brute force."""
+    rows = [tuple(row) for row in rows]
+    ncols = len(rows[0]) if rows else 0
+    for k in range(min(len(rows), ncols), 0, -1):
+        for row_set in itertools.combinations(rows, k):
+            for cols in itertools.combinations(range(ncols), k):
+                if det_int([[row[c] for c in cols] for row in row_set]):
+                    return k
+    return 0
 
 
 def assert_hermite(rows):
@@ -49,37 +63,75 @@ def test_hnf_transform_is_unimodular_and_maps_m_to_h(matrix):
     assert all(not any(row) for row in hnf[len(nonzero):])
     assert_hermite(nonzero)
     assert hnf_rows(matrix) == tuple(nonzero)
-    assert len(nonzero) == rank_rational(matrix)
+    assert len(nonzero) == minor_rank(matrix)
 
 
 @settings(max_examples=200, deadline=None)
 @given(MATRIX, st.data())
-def test_rank_agrees_with_the_full_rank_check_of_solve(matrix, data):
+def test_solve_echelon_inverts_the_hermite_rows(matrix, data):
+    rows = hnf_rows(matrix)
     ncols = len(matrix[0])
-    rhs = data.draw(st.lists(st.integers(-5, 5), min_size=len(matrix), max_size=len(matrix)))
-    if rank_rational(matrix) < ncols:
-        with pytest.raises(ValueError, match="full column rank"):
-            solve_rational(matrix, rhs)
+    lattice = RelationLattice(ambient_dim=ncols, basis=rows)
+    rank = len(rows)
+
+    # Lattice points: integer coordinates, round trip through point_from_coords.
+    coeffs = data.draw(st.lists(st.integers(-5, 5), min_size=rank, max_size=rank))
+    point = lattice.point_from_coords(coeffs)
+    assert solve_echelon(rows, point) == tuple(coeffs)
+
+    # Rational points of the span: the exact coordinates come back, and they
+    # are integral only for lattice points.
+    fractions = st.fractions(min_value=-5, max_value=5, max_denominator=4)
+    rational = data.draw(st.lists(fractions, min_size=rank, max_size=rank))
+    span_point = tuple(
+        sum((c * row[i] for c, row in zip(rational, rows)), F(0)) for i in range(ncols)
+    )
+    coords = solve_echelon(rows, span_point)
+    assert coords == tuple(rational)
+    # Hermite rows are independent: a non-integral coefficient means off the lattice.
+    assert lattice.contains(span_point) == all(c.denominator == 1 for c in rational)
+
+    # Arbitrary vectors: None exactly when appending them raises the rank.
+    vec = data.draw(st.lists(st.integers(-6, 6), min_size=ncols, max_size=ncols))
+    coords = solve_echelon(rows, vec)
+    assert (coords is None) == (minor_rank(list(rows) + [vec]) > rank)
+    if coords is not None:
+        assert all(
+            sum(c * row[i] for c, row in zip(coords, rows)) == vec[i] for i in range(ncols)
+        )
+
+
+@settings(max_examples=200, deadline=None)
+@given(MATRIX, st.data())
+def test_solve_integer_lifts_every_target_through_a_kernel_basis(matrix, data):
+    basis = kernel_basis(matrix).basis
+    if not basis:
         return
-    sol = solve_rational(matrix, rhs)
-    if sol is None:
-        # inconsistent: the augmented matrix has a larger rank
-        assert rank_rational([row + [b] for row, b in zip(matrix, rhs)]) > ncols
-    else:
-        assert all(sum(a * x for a, x in zip(row, sol)) == b for row, b in zip(matrix, rhs))
+    target = data.draw(st.lists(st.integers(-6, 6), min_size=len(basis), max_size=len(basis)))
+    sol = solve_integer(basis, target)
+    assert all(isinstance(c, int) for c in sol)
+    assert tuple(sum(b * c for b, c in zip(row, sol)) for row in basis) == tuple(target)
+
+
+def test_solve_integer_rejects_a_non_saturated_basis():
+    with pytest.raises(ValueError, match="not saturated"):
+        solve_integer(((2, 0),), (1,))
 
 
 def test_hnf_conventions_by_hand():
     assert hnf_rows([[2, 4], [1, 3]]) == ((1, 1), (0, 2))
     assert hnf_rows([[0, -3], [0, 6]]) == ((0, 3),)
     assert hnf_rows([]) == ()
+    assert len(hnf_rows([[1, 2], [2, 4]])) == 1
     hnf, trans = hnf_rows_with_transform([[0, 0], [-2, 0]])
     assert hnf == ((2, 0), (0, 0))
     assert matmul(trans, [[0, 0], [-2, 0]]) == hnf
 
 
-def test_solve_rational_by_hand():
-    assert solve_rational([[2, 0], [0, 3], [1, 1]], [1, 1, F(5, 6)]) == (F(1, 2), F(1, 3))
-    assert solve_rational([[1], [1]], [1, 2]) is None
-    assert rank_rational([[1, 2], [2, 4]]) == 1
-    assert rank_rational([]) == 0
+def test_solve_echelon_by_hand():
+    assert solve_echelon(((2, 0, 1), (0, 3, 1)), (1, 1, F(5, 6))) == (F(1, 2), F(1, 3))
+    assert solve_echelon(((1, 1),), (1, 2)) is None
+    # entries above a later pivot feed the forward substitution
+    assert solve_echelon(((1, 5), (0, 2)), (1, 1)) == (1, -2)
+    assert solve_echelon((), (0, 0)) == ()
+    assert solve_echelon((), (0, 1)) is None

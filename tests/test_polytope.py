@@ -3,7 +3,7 @@
 import itertools
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from gkzlog import (
@@ -107,6 +107,21 @@ def test_vertices_satisfy_facets():
 def test_rejects_mixed_dimensions():
     with pytest.raises(ValueError):
         minkowski_hull([((0, 0), (1,))])
+
+
+@settings(max_examples=150, deadline=None)
+@given(dim=st.integers(1, 3), data=st.data())
+def test_interior_points_match_a_bounding_box_scan(dim, data):
+    point = st.tuples(*[st.integers(-3, 3)] * dim)
+    sets = data.draw(st.lists(st.lists(point, min_size=2, max_size=4), min_size=1, max_size=2))
+    try:
+        hull = minkowski_hull(sets)
+    except DegenerateHull:
+        assume(False)
+    lows = [min(v[i] for v in hull.vertices) for i in range(dim)]
+    highs = [max(v[i] for v in hull.vertices) for i in range(dim)]
+    box = itertools.product(*(range(lo, hi + 1) for lo, hi in zip(lows, highs)))
+    assert interior_lattice_points(hull) == [p for p in box if hull.contains(p, strict=True)]
 
 
 def _brute_force(rows, ranges):
