@@ -38,9 +38,9 @@ from math import gcd, lcm
 
 from .errors import DegenerateHull, MinimalityViolation, NoPositiveFunctional
 from .lattice import DEFAULT_MAX_BOX_POINTS, IntMatrix, kernel_basis
-from .linalg import cofactor_vector, hnf_rows, solve_echelon, solve_integer
+from .linalg import kernel_rows, solve_echelon, solve_integer
 from .logseries import log_free_coefficients
-from .polytope import _lattice_points, has_unique_interior_point
+from .polytope import _cone_rays, _lattice_points, has_unique_interior_point
 from .rationals import to_int
 from .support import SupportBox
 
@@ -132,7 +132,7 @@ def build_system(spec: CISpec):
     return matrix, beta, v
 
 
-def positive_grading(points, bound: int = DEFAULT_GRADING_BOUND, ambient_dim=None):
+def positive_grading(points, ambient_dim=None):
     """Integer functional that is >= 1 on every nonzero given point.
 
     The functional only matters on the span of the points, so the search
@@ -140,7 +140,8 @@ def positive_grading(points, bound: int = DEFAULT_GRADING_BOUND, ambient_dim=Non
     points generate, by growing max-norm shells in lexicographic order,
     and the first hit is lifted back to an ambient integer vector.
     Raises :class:`NoPositiveFunctional` when the shells are exhausted,
-    which means the support is not pointed or the bound is too small.
+    which means the support is not pointed or ``DEFAULT_GRADING_BOUND``
+    is too small.
     """
     pts = sorted({tuple(int(x) for x in p) for p in points if any(p)})
     if not pts:
@@ -148,7 +149,10 @@ def positive_grading(points, bound: int = DEFAULT_GRADING_BOUND, ambient_dim=Non
             raise ValueError("no nonzero points and no ambient dimension given")
         return (0,) * ambient_dim
     width = len(pts[0])
-    basis = _saturated_span_basis(pts, width)
+    # The saturation of the lattice the points generate: their rational span
+    # is the orthogonal complement of their integer kernel, and integer
+    # kernels are saturated.
+    basis = kernel_rows(kernel_rows(pts, width), width)
     rank = len(basis)
     coords = []
     for p in pts:
@@ -157,7 +161,7 @@ def positive_grading(points, bound: int = DEFAULT_GRADING_BOUND, ambient_dim=Non
             raise AssertionError("point escaped the saturation of its own span")
         coords.append(tuple(int(c) for c in sol))
 
-    for shell in range(bound + 1):
+    for shell in range(DEFAULT_GRADING_BOUND + 1):
         for w in itertools.product(range(-shell, shell + 1), repeat=rank):
             if shell and max(abs(x) for x in w) != shell:
                 continue
@@ -167,22 +171,9 @@ def positive_grading(points, bound: int = DEFAULT_GRADING_BOUND, ambient_dim=Non
                 # same values; grades are never rescaled.
                 return solve_integer(basis, w)
     raise NoPositiveFunctional(
-        f"no integer functional with coordinates in [-{bound}, {bound}] is >= 1 "
-        f"on all {len(pts)} support points"
+        f"no integer functional with coordinates in [-{DEFAULT_GRADING_BOUND}, "
+        f"{DEFAULT_GRADING_BOUND}] is >= 1 on all {len(pts)} support points"
     )
-
-
-def _saturated_span_basis(points, width):
-    """HNF basis of the saturation of the lattice the points generate.
-
-    Saturation via the double-kernel trick: the rational span is the
-    orthogonal complement of the integer kernel of the point matrix, and
-    integer kernels are always saturated.
-    """
-    complement = kernel_basis(IntMatrix.from_rows(points))
-    if complement.rank == 0:
-        return kernel_basis(IntMatrix.from_rows([(0,) * width])).basis
-    return kernel_basis(IntMatrix.from_rows(complement.basis)).basis
 
 
 def _support_cone_rows(v, basis, excluded_col):
@@ -210,34 +201,6 @@ def _support_cone_rows(v, basis, excluded_col):
         if any(row):
             rows.add(row)
     return sorted(rows)
-
-
-def _cone_rays(rows, rank):
-    """Primitive extreme rays of ``{x : rows . x >= 0}``; requires pointed."""
-    if rank == 0:
-        return []
-    if len(hnf_rows(rows)) < rank:
-        raise NoPositiveFunctional("support cone contains a line; not pointed")
-    if rank == 1:
-        rays = []
-        for d in ((1,), (-1,)):
-            if all(r[0] * d[0] >= 0 for r in rows):
-                rays.append(d)
-        return rays
-    rays = set()
-    for subset in itertools.combinations(rows, rank - 1):
-        # A dependent subset has every maximal minor zero: no direction.
-        direction = cofactor_vector(subset)
-        if not any(direction):
-            continue
-        g = 0
-        for a in direction:
-            g = gcd(g, abs(a))
-        direction = tuple(a // g for a in direction)
-        for cand in (direction, tuple(-a for a in direction)):
-            if all(sum(a * b for a, b in zip(row, cand)) >= 0 for row in rows):
-                rays.add(cand)
-    return sorted(rays)
 
 
 @dataclass(frozen=True)
@@ -481,7 +444,6 @@ def mirror_map(
     index,
     grade_bound: int,
     radius: int = 2,
-    grading_bound: int = DEFAULT_GRADING_BOUND,
     max_points: int = DEFAULT_MAX_BOX_POINTS,
 ) -> MirrorMap:
     """Mirror-map series of one column, exact to the given grade bound.
@@ -537,7 +499,7 @@ def mirror_map(
     rays = [(ray, lattice.point_from_coords(ray)) for ray in sorted(all_rays)]
     # Every support point lies in its column's cone, which the rays generate,
     # so the rays alone fix the grading.
-    grading = positive_grading([point for _, point in rays], bound=grading_bound, ambient_dim=width)
+    grading = positive_grading([point for _, point in rays], ambient_dim=width)
 
     needed = max(1, radius)
     max_coord = 0

@@ -253,9 +253,11 @@ def cmd_solve(args) -> int:
     if args.order == 0 and args.indices is not None:
         raise ProblemFileError("--indices needs --order 1 or 2")
     if args.order >= 1:
-        indices = _parse_index_list(args.indices, ncols) if args.indices else range(ncols)
+        indices = range(ncols) if args.indices is None else _parse_index_list(args.indices, ncols)
+        if not indices:
+            raise ProblemFileError(f"--indices {args.indices!r} names no index")
         indices = sorted(set(indices))
-    if args.order == 2 and args.indices:
+    if args.order == 2 and args.indices is not None:
         for chunk in args.indices.split():
             parts = chunk.split(",")
             if len(parts) != 2:

@@ -15,7 +15,7 @@ import itertools
 from dataclasses import dataclass
 
 from .errors import ResourceLimit
-from .linalg import hnf_rows, solve_echelon
+from .linalg import kernel_rows, solve_echelon
 from .rationals import to_int
 
 DEFAULT_MAX_BOX_POINTS = 2_000_000
@@ -98,25 +98,10 @@ class RelationLattice:
 
 
 def kernel_basis(matrix) -> RelationLattice:
-    """Saturated basis of the integer kernel of ``matrix``.
-
-    Row-reduces ``[A^T | I]`` to Hermite normal form; the rows whose
-    left block vanished carry a basis of the kernel in their right block.
-    Because the reduction is unimodular the basis generates the full
-    kernel lattice, not a finite-index sublattice.
-    """
+    """Saturated Hermite basis of the integer kernel of ``matrix`` (``kernel_rows``)."""
     if not isinstance(matrix, IntMatrix):
         matrix = IntMatrix.from_rows(matrix)
-    n, width = matrix.n_rows, matrix.n_cols
-    aug = []
-    for j in range(width):
-        row = list(matrix.column(j)) + [0] * width
-        row[n + j] = 1
-        aug.append(row)
-    reduced = hnf_rows(aug)
-    kernel_rows = [row[n:] for row in reduced if not any(row[:n])]
-    basis = hnf_rows(kernel_rows)
-    return RelationLattice(ambient_dim=width, basis=basis)
+    return RelationLattice(matrix.n_cols, kernel_rows(matrix.rows, matrix.n_cols))
 
 
 def _box(lattice: RelationLattice, radius: int, max_points: int):

@@ -1,12 +1,14 @@
-"""Small exact linear-algebra kernel: HNF, determinants, echelon solves.
+"""Small exact linear-algebra kernel: HNF, integer kernels, echelon solves.
 
 Everything operates on plain tuples/lists of Python ints or Fractions.
 The integer Hermite normal form is the one elimination engine: ranks are
-the number of its nonzero rows, and coordinates in its rows (or in any
-echelon rows) follow by forward substitution (``solve_echelon``), so no
-second, fraction-valued elimination is needed.  The matrices in this
-package are tiny (at most a dozen rows), so the quadratic gcd-reduction
-HNF is more than fast enough, and everything is exact.
+the number of its nonzero rows, integer kernels are the rows of its
+transform that it sends to zero (``kernel_rows``), and coordinates in
+its rows (or in any echelon rows) follow by forward substitution
+(``solve_echelon``), so no second, fraction-valued elimination and no
+determinant is needed.  The matrices in this package are tiny (at most
+a dozen rows), so the quadratic gcd-reduction HNF is more than fast
+enough, and everything is exact.
 """
 
 from __future__ import annotations
@@ -43,17 +45,15 @@ def hnf_rows_with_transform(rows):
 
     pr = 0
     for col in range(ncols):
-        while True:
-            nz = [r for r in range(pr, nrows) if mat[r][col]]
-            if len(nz) <= 1:
-                break
+        nz = [r for r in range(pr, nrows) if mat[r][col]]
+        while len(nz) > 1:
             r0 = min(nz, key=lambda r: abs(mat[r][col]))
             for r in nz:
                 if r != r0:
                     q = mat[r][col] // mat[r0][col]
                     if q:
                         combine(r, r0, q)
-        nz = [r for r in range(pr, nrows) if mat[r][col]]
+            nz = [r for r in range(pr, nrows) if mat[r][col]]
         if not nz:
             continue
         piv = nz[0]
@@ -74,44 +74,17 @@ def hnf_rows_with_transform(rows):
     )
 
 
-def det_int(rows) -> int:
-    """Determinant of a square integer matrix (Bareiss, fraction-free)."""
-    n = len(rows)
-    if n == 0:
-        return 1
-    mat = [list(map(int, r)) for r in rows]
-    sign = 1
-    prev = 1
-    for k in range(n - 1):
-        if mat[k][k] == 0:
-            for r in range(k + 1, n):
-                if mat[r][k]:
-                    mat[k], mat[r] = mat[r], mat[k]
-                    sign = -sign
-                    break
-            else:
-                return 0
-        for i in range(k + 1, n):
-            for j in range(k + 1, n):
-                mat[i][j] = (mat[i][j] * mat[k][k] - mat[i][k] * mat[k][j]) // prev
-            mat[i][k] = 0
-        prev = mat[k][k]
-    return sign * mat[n - 1][n - 1]
+def kernel_rows(rows, width) -> tuple[tuple[int, ...], ...]:
+    """Hermite basis of the integer kernel ``{x in Z^width : rows . x = 0}``.
 
-
-def cofactor_vector(rows) -> tuple[int, ...]:
-    """Integer vector orthogonal to the ``n-1`` given rows of length ``n``.
-
-    Component ``j`` is ``(-1)**j`` times the minor obtained by deleting
-    column ``j``.  The zero vector means the rows do not span a hyperplane.
+    With ``H = U rows^T`` the Hermite form of the transpose, the rows of
+    the unimodular ``U`` whose row of ``H`` vanishes span the whole
+    kernel lattice (it is saturated), not a finite-index sublattice; the
+    result is their :func:`hnf_rows`.  Empty ``rows`` give the unit basis.
     """
-    rows = [tuple(map(int, r)) for r in rows]
-    n = len(rows) + 1
-    out = []
-    for j in range(n):
-        minor = [[row[c] for c in range(n) if c != j] for row in rows]
-        out.append((-1) ** j * det_int(minor))
-    return tuple(out)
+    transpose = [tuple(row[i] for row in rows) for i in range(width)]
+    hnf, trans = hnf_rows_with_transform(transpose)
+    return hnf_rows(u for h, u in zip(hnf, trans) if not any(h))
 
 
 def solve_echelon(rows, vec):

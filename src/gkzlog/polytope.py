@@ -1,14 +1,16 @@
 """Exact Minkowski sums, convex hulls, and lattice points of polytopes.
 
 The instances here are tiny (a handful of integer points in dimension at
-most five), so the hull is computed by brute force: every spanning
-n-subset of candidate points proposes a hyperplane, and the hyperplanes
-with all candidates on one side are the facets.  The lattice points of a
-polytope given by integer inequalities, a hull's interior points among
-them, are enumerated from an exact integer Fourier-Motzkin elimination
-(``_lattice_points``), one nested loop per coordinate, without a
-bounding box.  Everything is exact integer arithmetic; no floating
-point is used anywhere.
+most five), so dual descriptions are found by brute force: the extreme
+rays of a pointed cone ``{x : rows . x >= 0}`` (``_cone_rays``) are the
+one-row integer kernels of its (rank-1)-subsets of rows that keep every
+row nonnegative, and the facets ``a . x <= c`` of a hull are the rays
+of the homogenized cone ``{(a, c) : c - a . p >= 0 for every point p}``.
+The lattice points of a polytope given by integer inequalities, a hull's
+interior points among them, are enumerated from an exact integer
+Fourier-Motzkin elimination (``_lattice_points``), one nested loop per
+coordinate, without a bounding box.  Everything is exact integer
+arithmetic; no floating point is used anywhere.
 """
 
 from __future__ import annotations
@@ -17,9 +19,9 @@ import itertools
 from dataclasses import dataclass
 from math import gcd
 
-from .errors import DegenerateHull, ResourceLimit
+from .errors import DegenerateHull, NoPositiveFunctional, ResourceLimit
 from .lattice import DEFAULT_MAX_BOX_POINTS
-from .linalg import cofactor_vector, hnf_rows
+from .linalg import hnf_rows, kernel_rows
 
 
 @dataclass(frozen=True)
@@ -46,17 +48,45 @@ def _dot(a, b):
     return sum(x * y for x, y in zip(a, b))
 
 
+def _cone_rays(rows, rank):
+    """Primitive extreme rays of ``{x : rows . x >= 0}`` in ``Q^rank``; requires pointed.
+
+    An extreme ray spans the kernel of ``rank - 1`` independent rows.  So
+    each (rank-1)-subset whose integer kernel is one (primitive) row
+    proposes that row with either sign, and the signs that keep every row
+    nonnegative are rays; the empty subset of rank 1 has kernel ``(1,)``.
+    """
+    if rank == 0:
+        return []
+    if len(hnf_rows(rows)) < rank:
+        raise NoPositiveFunctional("support cone contains a line; not pointed")
+    rays = set()
+    for subset in itertools.combinations(rows, rank - 1):
+        kernel = kernel_rows(subset, rank)
+        if len(kernel) != 1:
+            continue
+        for cand in (kernel[0], tuple(-a for a in kernel[0])):
+            if all(_dot(row, cand) >= 0 for row in rows):
+                rays.add(cand)
+    return sorted(rays)
+
+
 def minkowski_hull(point_sets) -> Polytope:
     """Convex hull of the Minkowski sum of the given integer point sets.
 
-    Candidate points are all sums picking one point from each set.
-    Raises :class:`DegenerateHull` when the hull is not full-dimensional
-    (its interior is then empty, which is reported rather than guessed).
+    Candidate points are all sums picking one point from each set.  The
+    facets ``normal . x <= offset`` are the primitive rays ``(normal,
+    offset)`` of the cone ``{(a, c) : c - a . p >= 0 for every candidate
+    p}``, which is pointed because the hull is full-dimensional.  Raises
+    :class:`DegenerateHull` when it is not (its interior is then empty,
+    which is reported rather than guessed).
     """
     sets = [tuple(tuple(int(x) for x in p) for p in s) for s in point_sets]
     if not sets or any(not s for s in sets):
         raise ValueError("point sets must be nonempty")
     dim = len(sets[0][0])
+    if dim == 0:
+        raise ValueError("points need at least one coordinate")
     for s in sets:
         if any(len(p) != dim for p in s):
             raise ValueError("inconsistent dimension")
@@ -69,27 +99,8 @@ def minkowski_hull(point_sets) -> Polytope:
             f"hull of {len(candidates)} candidate points is not full-dimensional in Z^{dim}"
         )
 
-    facets = {}
-    for subset in itertools.combinations(candidates, dim):
-        rows = [tuple(a - b for a, b in zip(p, subset[0])) for p in subset[1:]]
-        normal = cofactor_vector(rows)
-        if not any(normal):
-            continue
-        offset = _dot(normal, subset[0])
-        values = [_dot(normal, p) - offset for p in candidates]
-        if all(v <= 0 for v in values):
-            pass
-        elif all(v >= 0 for v in values):
-            normal = tuple(-a for a in normal)
-            offset = -offset
-        else:
-            continue
-        g = 0
-        for a in normal:
-            g = gcd(g, abs(a))
-        facets[(tuple(a // g for a in normal), offset // g)] = True
-
-    facet_list = tuple(sorted(facets))
+    rows = [tuple(-x for x in p) + (1,) for p in candidates]
+    facet_list = tuple((ray[:-1], ray[-1]) for ray in _cone_rays(rows, dim + 1))
     vertices = []
     for p in candidates:
         active = [normal for normal, offset in facet_list if _dot(normal, p) == offset]

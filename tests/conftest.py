@@ -28,6 +28,27 @@ TWO_TRIANGLES_SETS = (
 QUADRILATERAL_SETS = (((0, 0), (1, 1), (-1, 0), (1, -1), (1, 0)),)
 
 
+def laplace_det(rows):
+    """Determinant of a small square integer matrix by expansion along its first row."""
+    if not rows:
+        return 1
+    return sum(
+        (-1) ** j * a * laplace_det([row[:j] + row[j + 1 :] for row in rows[1:]])
+        for j, a in enumerate(rows[0])
+        if a
+    )
+
+
+def cofactor_vector(rows):
+    """Vector orthogonal to ``n - 1`` rows of length ``n``: signed maximal minors.
+
+    Zero exactly when the rows are dependent.
+    """
+    rows = [tuple(row) for row in rows]
+    n = len(rows) + 1
+    return tuple((-1) ** j * laplace_det([row[:j] + row[j + 1 :] for row in rows]) for j in range(n))
+
+
 def gauss_v(a, b):
     return (-F(a), -F(b), F(0), F(0))
 

@@ -20,7 +20,6 @@ from gkzlog import (
     positive_grading,
 )
 from gkzlog.ci_mirror import (
-    _cone_rays,
     _graded,
     _layer_sum,
     _slice_mul,
@@ -33,6 +32,7 @@ from gkzlog.ci_mirror import (
     render_integrality_report,
 )
 from gkzlog.cli import load_problem
+from gkzlog.polytope import _cone_rays
 from gkzlog.support import SupportBox
 from tests.conftest import FIXTURES
 

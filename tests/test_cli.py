@@ -218,6 +218,16 @@ def test_solve_order0_rejects_indices(tmp_path, capsys):
     assert not out.exists()
 
 
+@pytest.mark.parametrize("order", ["1", "2"])
+@pytest.mark.parametrize("indices", ["", " , "])
+def test_solve_rejects_indices_that_name_no_index(tmp_path, capsys, order, indices):
+    out = tmp_path / "out"
+    args = ["solve", PYRAMID, "--order", order, "--indices", indices, "--radius", "2"]
+    assert main([*args, "--out", str(out)]) == 2
+    assert "names no index" in capsys.readouterr().err
+    assert not out.exists()
+
+
 def test_hexagon_mirror_is_integral_to_grade_20(tmp_path):
     # Lian-Yau, Krattenthaler-Rivoal: the mirror map of a CI family is integral
     out = tmp_path / "out"

@@ -2,16 +2,21 @@
 
 A static scan of every module in ``src/gkzlog``: no float literal, no use of
 the name ``float``, and no absolute import of a module outside the standard
-library (the package's own modules import each other relatively).
+library (the package's own modules import each other relatively).  The
+README's "Library layout" table is held to the modules it describes: every
+code name it lists in a module's row is an attribute of that module.
 """
 
 import ast
+import importlib
+import re
 import sys
 from pathlib import Path
 
 import pytest
 
-SOURCES = sorted((Path(__file__).resolve().parent.parent / "src" / "gkzlog").glob("*.py"))
+ROOT = Path(__file__).resolve().parent.parent
+SOURCES = sorted((ROOT / "src" / "gkzlog").glob("*.py"))
 
 
 def contract_breaches(tree):
@@ -44,3 +49,41 @@ def test_the_scan_flags_each_kind_of_breach():
     source = "import numpy\nfrom scipy import linalg\nfrom . import x\nx = 0.5\ny = float(x)\n"
     found = sorted(line for line, _ in contract_breaches(ast.parse(source)))
     assert found == [1, 2, 4, 5]
+
+
+def layout_rows(readme_text):
+    """``(module, [names])`` per row of the README "Library layout" table.
+
+    A name is a backticked identifier, bare or called (``name(...)``); other
+    backticked text, such as a formula, is not a code name.
+    """
+    section = readme_text.split("## Library layout", 1)[1]
+    rows = []
+    for line in section.splitlines():
+        cells = [cell.strip() for cell in line.strip().strip("|").split("|")]
+        if len(cells) != 2 or not cells[0].startswith("`"):
+            if rows and not line.startswith("|"):
+                break
+            continue
+        names = re.findall(r"`([A-Za-z_]\w*)(?:\([^`]*\))?`", cells[1])
+        rows.append((cells[0].strip("`"), names))
+    return rows
+
+
+def test_the_layout_table_names_only_attributes_of_its_modules():
+    rows = layout_rows((ROOT / "README.md").read_text())
+    assert {module for module, _ in rows} == {
+        path.stem for path in SOURCES if path.stem not in {"__init__", "errors", "rationals"}
+    }
+    missing = [
+        f"{module}.{name}"
+        for module, names in rows
+        for name in names
+        if not hasattr(importlib.import_module(f"gkzlog.{module}"), name)
+    ]
+    assert missing == []
+
+
+def test_the_layout_scan_reads_bare_and_called_names():
+    text = "## Library layout\n\n| m | c |\n| - | - |\n| `linalg` | `a`, `b(x, y)`, `G/(1+f)` |\n\nafter `z`\n"
+    assert layout_rows(text) == [("linalg", ["a", "b"])]

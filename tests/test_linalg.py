@@ -1,4 +1,5 @@
-"""Exact linear algebra: Hermite normal form with transform, echelon and integer solves."""
+"""Exact linear algebra: Hermite normal form with transform, integer kernels, echelon and
+integer solves."""
 
 import itertools
 from fractions import Fraction as F
@@ -9,12 +10,13 @@ from hypothesis import strategies as st
 
 from gkzlog.lattice import RelationLattice, kernel_basis
 from gkzlog.linalg import (
-    det_int,
     hnf_rows,
     hnf_rows_with_transform,
+    kernel_rows,
     solve_echelon,
     solve_integer,
 )
+from tests.conftest import laplace_det
 
 MATRIX = st.integers(1, 4).flatmap(
     lambda ncols: st.lists(
@@ -34,7 +36,7 @@ def minor_rank(rows):
     for k in range(min(len(rows), ncols), 0, -1):
         for row_set in itertools.combinations(rows, k):
             for cols in itertools.combinations(range(ncols), k):
-                if det_int([[row[c] for c in cols] for row in row_set]):
+                if laplace_det([[row[c] for c in cols] for row in row_set]):
                     return k
     return 0
 
@@ -57,7 +59,7 @@ def assert_hermite(rows):
 def test_hnf_transform_is_unimodular_and_maps_m_to_h(matrix):
     hnf, trans = hnf_rows_with_transform(matrix)
     assert matmul(trans, matrix) == hnf
-    assert abs(det_int(trans)) == 1
+    assert abs(laplace_det(trans)) == 1
     nonzero = [row for row in hnf if any(row)]
     # zero rows come last
     assert all(not any(row) for row in hnf[len(nonzero):])
@@ -111,6 +113,31 @@ def test_solve_integer_lifts_every_target_through_a_kernel_basis(matrix, data):
     sol = solve_integer(basis, target)
     assert all(isinstance(c, int) for c in sol)
     assert tuple(sum(b * c for b, c in zip(row, sol)) for row in basis) == tuple(target)
+
+
+@settings(max_examples=200, deadline=None)
+@given(MATRIX)
+def test_kernel_rows_is_the_saturated_hermite_basis_of_the_kernel(matrix):
+    width = len(matrix[0])
+    kernel = kernel_rows(matrix, width)
+    assert all(len(x) == width for x in kernel)
+    assert all(not any(sum(a * b for a, b in zip(row, x)) for row in matrix) for x in kernel)
+    assert len(kernel) + minor_rank(matrix) == width
+    assert hnf_rows(kernel) == kernel
+    # Saturated: the rows map Z^width onto Z^len(kernel), so every unit target lifts.
+    for k in range(len(kernel)):
+        unit = tuple(int(i == k) for i in range(len(kernel)))
+        sol = solve_integer(kernel, unit)
+        assert tuple(sum(b * c for b, c in zip(row, sol)) for row in kernel) == unit
+
+
+def test_kernel_rows_by_hand():
+    assert kernel_rows([], 3) == ((1, 0, 0), (0, 1, 0), (0, 0, 1))
+    assert kernel_rows([()], 0) == ()
+    assert kernel_rows([(2, 4)], 2) == ((2, -1),)
+    assert kernel_rows([(1, 0), (0, 3)], 2) == ()
+    # the rank-1 cone ray of the empty subset
+    assert kernel_rows((), 1) == ((1,),)
 
 
 def test_solve_integer_rejects_a_non_saturated_basis():

@@ -1,6 +1,7 @@
 """Minkowski hulls, interior lattice points, and lattice points of polytopes."""
 
 import itertools
+from math import gcd
 
 import pytest
 from hypothesis import assume, given, settings
@@ -8,6 +9,7 @@ from hypothesis import strategies as st
 
 from gkzlog import (
     DegenerateHull,
+    NoPositiveFunctional,
     ResourceLimit,
     SupportBox,
     build_system,
@@ -19,8 +21,9 @@ from gkzlog import (
 )
 from gkzlog.ci_mirror import _support_polytope
 from gkzlog.cli import load_problem
-from gkzlog.polytope import _lattice_points, _normalized
-from tests.conftest import FIXTURES, QUADRILATERAL_SETS, TWO_TRIANGLES_SETS
+from gkzlog.linalg import hnf_rows
+from gkzlog.polytope import _cone_rays, _lattice_points, _normalized
+from tests.conftest import FIXTURES, QUADRILATERAL_SETS, TWO_TRIANGLES_SETS, cofactor_vector
 
 CI_FIXTURES = ["ci_two_triangles", "ci_quadrilateral", "quintic", "hexagon"]
 
@@ -107,6 +110,82 @@ def test_vertices_satisfy_facets():
 def test_rejects_mixed_dimensions():
     with pytest.raises(ValueError):
         minkowski_hull([((0, 0), (1,))])
+
+
+def test_rejects_zero_dimensional_points():
+    with pytest.raises(ValueError, match="at least one coordinate"):
+        minkowski_hull([[()]])
+
+
+def _dot(a, b):
+    return sum(x * y for x, y in zip(a, b))
+
+
+def _reference_facets(candidates, dim):
+    """Facets by brute force: each spanning dim-subset of the points proposes
+    the hyperplane of its cofactor normal, kept when every point lies on one side."""
+    facets = set()
+    for subset in itertools.combinations(candidates, dim):
+        normal = cofactor_vector([tuple(a - b for a, b in zip(p, subset[0])) for p in subset[1:]])
+        if not any(normal):
+            continue
+        offset = _dot(normal, subset[0])
+        values = [_dot(normal, p) - offset for p in candidates]
+        if all(v >= 0 for v in values):
+            normal, offset = tuple(-a for a in normal), -offset
+        elif not all(v <= 0 for v in values):
+            continue
+        g = gcd(*normal)
+        facets.add((tuple(a // g for a in normal), offset // g))
+    return tuple(sorted(facets))
+
+
+@settings(max_examples=100, deadline=None)
+@given(dim=st.integers(1, 4), data=st.data())
+def test_hull_facets_match_a_brute_force_facet_search(dim, data):
+    point = st.tuples(*[st.integers(-3, 3)] * dim)
+    sets = data.draw(st.lists(st.lists(point, min_size=1, max_size=4), min_size=1, max_size=2))
+    try:
+        hull = minkowski_hull(sets)
+    except DegenerateHull:
+        assume(False)
+    candidates = sorted({tuple(map(sum, zip(*combo))) for combo in itertools.product(*sets)})
+    assert hull.facets == _reference_facets(candidates, dim)
+
+
+def _reference_cone_rays(rows, rank):
+    """Extreme rays from the cofactor directions of the (rank-1)-subsets of rows."""
+    if rank == 0:
+        return []
+    if len(hnf_rows(rows)) < rank:
+        raise NoPositiveFunctional("support cone contains a line; not pointed")
+    if rank == 1:
+        return [d for d in ((1,), (-1,)) if all(r[0] * d[0] >= 0 for r in rows)]
+    rays = set()
+    for subset in itertools.combinations(rows, rank - 1):
+        direction = cofactor_vector(subset)
+        if not any(direction):
+            continue
+        g = gcd(*direction)
+        direction = tuple(a // g for a in direction)
+        for cand in (direction, tuple(-a for a in direction)):
+            if all(_dot(row, cand) >= 0 for row in rows):
+                rays.add(cand)
+    return sorted(rays)
+
+
+@settings(max_examples=300, deadline=None)
+@given(rank=st.integers(1, 4), data=st.data())
+def test_cone_rays_match_the_cofactor_directions(rank, data):
+    row = st.tuples(*[st.integers(-3, 3)] * rank)
+    rows = sorted(set(data.draw(st.lists(row, min_size=1, max_size=7))))
+    try:
+        want = _reference_cone_rays(rows, rank)
+    except NoPositiveFunctional:
+        with pytest.raises(NoPositiveFunctional):
+            _cone_rays(rows, rank)
+        return
+    assert _cone_rays(rows, rank) == want
 
 
 @settings(max_examples=150, deadline=None)
