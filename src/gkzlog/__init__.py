@@ -33,7 +33,7 @@ from .errors import (
     ResourceLimit,
     UndefinedBracket,
 )
-from .lattice import IntMatrix, RelationLattice, enumerate_box, kernel_basis
+from .lattice import IntMatrix, RelationLattice, kernel_basis
 from .logseries import (
     LogSeries,
     LogTerm,
@@ -93,7 +93,6 @@ __all__ = [
     "UndefinedBracket",
     "IntMatrix",
     "RelationLattice",
-    "enumerate_box",
     "kernel_basis",
     "LogSeries",
     "LogTerm",

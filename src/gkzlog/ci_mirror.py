@@ -13,8 +13,8 @@ computed as a formal series supported on a pointed lattice cone, graded
 by an integer functional that is positive on the cone's extreme rays.
 The tails of F and G are read from the support cones themselves: cut by
 the grade bound, each cone is a polytope whose lattice points are
-enumerated exactly (``polytope._lattice_points``), with no coefficient
-box around it.  The quotient ``G / F`` (one graded division,
+enumerated exactly (``polytope._lattice_points``), with no radius
+bounding it.  The quotient ``G / F`` (one graded division,
 ``graded_quotient``) and the exponential proceed grade by grade, so
 truncation at a grade bound is exact.  Both run on integer grade
 layers: one denominator per grade and an integer numerator per point,
@@ -37,12 +37,12 @@ from fractions import Fraction
 from math import gcd, lcm
 
 from .errors import DegenerateHull, MinimalityViolation, NoPositiveFunctional
-from .lattice import DEFAULT_MAX_BOX_POINTS, IntMatrix, kernel_basis
+from .lattice import IntMatrix, kernel_basis
 from .linalg import kernel_rows, solve_echelon, solve_integer
 from .logseries import log_free_coefficients
-from .polytope import _cone_rays, _lattice_points, has_unique_interior_point
+from .polytope import DEFAULT_MAX_BOX_POINTS, _cone_rays, _lattice_points, has_unique_interior_point
 from .rationals import to_int
-from .support import SupportBox
+from .support import SupportBox, support_rows
 
 DEFAULT_GRADING_BOUND = 8
 
@@ -174,33 +174,6 @@ def positive_grading(points, ambient_dim=None):
         f"no integer functional with coordinates in [-{DEFAULT_GRADING_BOUND}, "
         f"{DEFAULT_GRADING_BOUND}] is >= 1 on all {len(pts)} support points"
     )
-
-
-def _support_cone_rows(v, basis, excluded_col):
-    """Sign constraints of a support set, in lattice coordinates.
-
-    The support set is that of ``G_col`` for ``excluded_col = col`` and
-    that of ``F`` for ``excluded_col = None``.  Valid because the base
-    vector has entries in {0, -1}: preserving the negative support away
-    from the excluded column demands the shift be >= 0 where the base is
-    0 and <= 0 where it is -1, which is a homogeneous condition on the
-    coordinates.
-    """
-    rank = len(basis)
-    rows = set()
-    for col, entry in enumerate(v):
-        if col == excluded_col:
-            continue
-        if entry == 0:
-            sign = 1
-        elif entry == -1:
-            sign = -1
-        else:
-            raise AssertionError("base vector entry outside {0, -1}")
-        row = tuple(sign * basis[r][col] for r in range(rank))
-        if any(row):
-            rows.add(row)
-    return sorted(rows)
 
 
 @dataclass(frozen=True)
@@ -424,15 +397,15 @@ def _support_polytope(v, lattice, excluded_col, grading, grade_bound, max_points
     """Support points of grade ``<= grade_bound`` of one column's support set.
 
     The support set of ``G_col`` (``excluded_col = col``), or of ``F``
-    (``excluded_col = None``), is the set of lattice points of the cone
-    ``_support_cone_rows``; with the row ``grade_bound - grading . x >= 0``
-    it is a polytope, as the grading is positive on the cone's extreme
-    rays.  Its points are enumerated in lattice coordinates by
-    ``_lattice_points`` (at most ``max_points``) and returned as ambient
-    points, in lexicographic order of their coordinates.
+    (``excluded_col = None``), keeps the ``support_rows`` of ``v``, whose
+    constants are 0 as ``v`` lies in ``{0, -1}^N``: it is a cone, and the
+    row ``grade_bound - grading . x >= 0`` cuts it to a polytope, as the
+    grading is positive on the cone's extreme rays.  Its ``_lattice_points``
+    (at most ``max_points``) are returned as ambient points.
     """
     weights = tuple(sum(g * b for g, b in zip(grading, row)) for row in lattice.basis)
-    rows = [(row, 0) for row in _support_cone_rows(v, lattice.basis, excluded_col)]
+    excluded = () if excluded_col is None else (excluded_col,)
+    rows = list(support_rows(v, lattice.basis, excluded).values())
     rows.append((tuple(-w for w in weights), grade_bound))
     return [
         lattice.point_from_coords(x) for x in _lattice_points(rows, lattice.rank, max_points)
@@ -453,8 +426,8 @@ def mirror_map(
     finds a positive grading from the extreme rays of the support cones.
     The ``F`` and ``G`` tails are the lattice points of the grade-bounded
     support cones (``_support_polytope``), so truncation at the bound is
-    exact and no box is walked for them; each enumeration, like the
-    minimality box, is capped at ``max_points``.  The quotient ``G / F``
+    exact and no radius bounds them; each enumeration, like those of the
+    minimality checks, is capped at ``max_points``.  The quotient ``G / F``
     and its exponential are then computed grade by grade.  The reported
     radius is the smallest power-of-two multiple of ``max(1, radius)``
     whose box would enclose the tails, read off from the rays.
@@ -494,8 +467,9 @@ def mirror_map(
 
     all_rays = set()
     for column in range(width):
-        rows = _support_cone_rows(v, lattice.basis, column)
-        all_rays.update(_cone_rays(rows, lattice.rank))
+        # Every constant is 0 on a {0, -1} base vector: the rows are the cone's.
+        rows = {a for a, _ in support_rows(v, lattice.basis, (column,)).values() if any(a)}
+        all_rays.update(_cone_rays(sorted(rows), lattice.rank))
     rays = [(ray, lattice.point_from_coords(ray)) for ray in sorted(all_rays)]
     # Every support point lies in its column's cone, which the rays generate,
     # so the rays alone fix the grading.

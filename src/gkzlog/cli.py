@@ -27,7 +27,7 @@ from .ci_mirror import (
     render_integrality_report,
 )
 from .errors import GkzError, ProblemFileError, ResourceLimit
-from .lattice import DEFAULT_MAX_BOX_POINTS, IntMatrix, kernel_basis
+from .lattice import IntMatrix, kernel_basis
 from .logseries import (
     build_F,
     build_G,
@@ -38,7 +38,7 @@ from .logseries import (
     to_text,
 )
 from .operators import BoxOp, verify_box_annihilation, verify_euler_annihilation
-from .polytope import has_unique_interior_point
+from .polytope import DEFAULT_MAX_BOX_POINTS, has_unique_interior_point
 from .rationals import rational_vector, to_int
 from .support import SupportBox
 
@@ -233,10 +233,11 @@ def cmd_support(args) -> int:
     problem, lattice, radius = _load_box_inputs(args)
     box = SupportBox(problem.v, lattice, radius, args.max_terms)
     excluded = tuple(_parse_index_list(args.exclude, problem.matrix.n_cols)) if args.exclude else ()
+    # Both enumerations run before the first line, so a capped run prints nothing.
     verdict = box.check_minimal(excluded)
+    points = box.support_set(excluded)
     print(f"excluded: {sorted(excluded)}")
     print(f"verdict: {verdict}")
-    points = box.support_set(excluded)
     print(f"support points within radius {radius}: {len(points)}")
     for point in points:
         print("  (" + ",".join(str(x) for x in point) + ")")
@@ -278,21 +279,21 @@ def cmd_solve(args) -> int:
     def check(name, series):
         return _verify_and_write(out_dir, name, series, lattice)
 
+    # Every support set is enumerated before the first write, so a capped run
+    # writes nothing.  Only the G_k and H_ij that are read are built.
     series_f = build_F(box)
+    used = set(indices) if args.order == 1 else {k for pair in pairs for k in pair}
+    series_g = [build_G(box, k) if k in used else None for k in range(ncols)]
+    table = [[None] * ncols for _ in range(ncols)]
+    for i, j in pairs:
+        table[i][j] = table[j][i] = build_H(box, i, j)
     checked = [check("F.series", series_f)]
     if args.order == 1:
-        series_g = [build_G(box, i) if i in indices else None for i in range(ncols)]
         checked += [
             check(f"quasi1_{i}.series", combine_first_order(series_f, series_g, _unit(i, ncols)))
             for i in indices
         ]
     elif args.order == 2:
-        # Only the G_k and H_ij of the requested pairs are read; the rest stay None.
-        used = {k for pair in pairs for k in pair}
-        series_g = [build_G(box, k) if k in used else None for k in range(ncols)]
-        table = [[None] * ncols for _ in range(ncols)]
-        for i, j in pairs:
-            table[i][j] = table[j][i] = build_H(box, i, j)
         checked += [
             check(
                 f"quasi2_{i}_{j}.series",
@@ -352,7 +353,9 @@ def cmd_ci(args) -> int:
     if problem.spec is None:
         raise ProblemFileError("'ci' section required for this command")
     spec = problem.spec
+    # The sweep runs before the first line, so a capped run prints nothing.
     box = SupportBox(problem.v, lattice, radius, args.max_terms)
+    verdicts = box.sweep([()] + [(col,) for col in range(problem.matrix.n_cols)])
     print("lifted matrix rows:")
     for row in problem.matrix.rows:
         print("  (" + ",".join(str(x) for x in row) + ")")
@@ -361,7 +364,6 @@ def cmd_ci(args) -> int:
     hypothesis = has_unique_interior_point(spec.point_sets, spec.delta)
     print(f"unique interior point {spec.delta}: {hypothesis}")
     ok = hypothesis
-    verdicts = box.sweep([()] + [(col,) for col in range(problem.matrix.n_cols)])
     for excluded, verdict in verdicts.items():
         what = f"column {excluded[0]} excluded" if excluded else "nothing excluded"
         print(f"minimality, {what}: {verdict}")
@@ -437,7 +439,7 @@ def build_parser() -> argparse.ArgumentParser:
         p.add_argument("file", help="JSON problem file")
         p.add_argument("--radius", type=int, default=None, help="enumeration radius")
         p.add_argument(
-            "--max-terms", type=int, default=DEFAULT_MAX_BOX_POINTS, help="box enumeration cap"
+            "--max-terms", type=int, default=DEFAULT_MAX_BOX_POINTS, help="lattice-point cap"
         )
         if out:
             p.add_argument("--out", default="out", help="artifact directory")

@@ -1,24 +1,20 @@
-"""Integer relation lattices: kernel bases and bounded point enumeration.
+"""Integer relation lattices: kernel bases and lattice coordinates.
 
 The relation lattice of a point configuration (stored as matrix columns)
 is the integer kernel of the matrix.  ``kernel_basis`` computes a
 saturated basis, canonicalized by Hermite normal form so that outputs are
-stable across runs and platforms.  ``enumerate_box`` walks all integer
-coefficient vectors in a max-norm box in a fixed lexicographic order; it
-is the truncation device used by every series builder, which walks it
-lazily through ``support.SupportBox``.
+stable across runs and platforms.  Points are given by their integer
+coordinates in that basis (``point_from_coords``); the lattice points
+themselves are enumerated in those coordinates by
+``polytope._lattice_points``.
 """
 
 from __future__ import annotations
 
-import itertools
 from dataclasses import dataclass
 
-from .errors import ResourceLimit
 from .linalg import kernel_rows, solve_echelon
 from .rationals import to_int
-
-DEFAULT_MAX_BOX_POINTS = 2_000_000
 
 
 @dataclass(frozen=True)
@@ -102,33 +98,3 @@ def kernel_basis(matrix) -> RelationLattice:
     if not isinstance(matrix, IntMatrix):
         matrix = IntMatrix.from_rows(matrix)
     return RelationLattice(matrix.n_cols, kernel_rows(matrix.rows, matrix.n_cols))
-
-
-def _box(lattice: RelationLattice, radius: int, max_points: int):
-    """Lazy ``(coeffs, point)`` pairs of ``enumerate_box``; checks run at once."""
-    if radius < 0:
-        raise ValueError("radius must be nonnegative")
-    count = (2 * radius + 1) ** lattice.rank
-    if count > max_points:
-        raise ResourceLimit(
-            f"box enumeration would produce {count} points (cap {max_points})"
-        )
-    steps = range(-radius, radius + 1)
-    scaled = [[tuple(c * b for b in row) for c in steps] for row in lattice.basis]
-    # The origin summand keeps rank 0 at one point of the ambient dimension.
-    origin = [(0,) * lattice.ambient_dim]
-    return (
-        (coeffs, tuple(map(sum, zip(*rows))))
-        for coeffs, rows in zip(
-            itertools.product(steps, repeat=lattice.rank), itertools.product(origin, *scaled)
-        )
-    )
-
-
-def enumerate_box(lattice: RelationLattice, radius: int, max_points: int = DEFAULT_MAX_BOX_POINTS):
-    """All lattice points with basis coefficients in ``[-radius, radius]``.
-
-    Returns ``[(coeffs, point), ...]`` in lexicographic order of the
-    coefficient vector; the count is ``(2*radius + 1) ** rank``.
-    """
-    return list(_box(lattice, radius, max_points))

@@ -6,11 +6,15 @@ rays of a pointed cone ``{x : rows . x >= 0}`` (``_cone_rays``) are the
 one-row integer kernels of its (rank-1)-subsets of rows that keep every
 row nonnegative, and the facets ``a . x <= c`` of a hull are the rays
 of the homogenized cone ``{(a, c) : c - a . p >= 0 for every point p}``.
-The lattice points of a polytope given by integer inequalities, a hull's
-interior points among them, are enumerated from an exact integer
-Fourier-Motzkin elimination (``_lattice_points``), one nested loop per
-coordinate, without a bounding box.  Everything is exact integer
-arithmetic; no floating point is used anywhere.
+The lattice points of a polytope given by integer inequalities are
+enumerated lazily from an exact integer Fourier-Motzkin elimination
+(``_lattice_points``), one nested loop per coordinate, without a bounding
+box.  It is the package's one lattice-point enumerator, and the one
+place that enforces a point cap (``DEFAULT_MAX_BOX_POINTS`` or the
+caller's): a hull's interior points, every support set and minimality
+verdict of ``support.SupportBox`` and the mirror-map tails all come from
+it.  Everything is exact integer arithmetic; no floating point is used
+anywhere.
 """
 
 from __future__ import annotations
@@ -20,8 +24,9 @@ from dataclasses import dataclass
 from math import gcd
 
 from .errors import DegenerateHull, NoPositiveFunctional, ResourceLimit
-from .lattice import DEFAULT_MAX_BOX_POINTS
 from .linalg import hnf_rows, kernel_rows
+
+DEFAULT_MAX_BOX_POINTS = 2_000_000
 
 
 @dataclass(frozen=True)
@@ -119,7 +124,7 @@ def interior_lattice_points(poly: Polytope):
     if not poly.vertices:
         return []
     rows = [(tuple(-a for a in normal), offset - 1) for normal, offset in poly.facets]
-    return _lattice_points(rows, poly.dim, DEFAULT_MAX_BOX_POINTS)
+    return list(_lattice_points(rows, poly.dim, DEFAULT_MAX_BOX_POINTS))
 
 
 def has_unique_interior_point(point_sets, point) -> bool:
@@ -158,15 +163,14 @@ def _lattice_points(rows, dim: int, max_points: int):
     integer point of the polytope, and level ``dim - 1`` is the input
     itself, so the nested loops, which read the range of ``x_k`` from the
     level-``k`` rows given ``x_0 .. x_(k-1)``, yield exactly its integer
-    points.  Raises :class:`ResourceLimit` as soon as more than
-    ``max_points`` points are found, and ``ValueError`` when a coordinate
-    has no finite range (the polyhedron is unbounded).
+    points.  A generator: a caller that needs only the first point reads
+    only that far.  Raises :class:`ResourceLimit` on reaching point
+    ``max_points + 1``, and ``ValueError`` when a coordinate has no
+    finite range (the polyhedron is unbounded).
     """
     level = _normalized(rows)
     if level is None:
-        return []
-    if dim == 0:
-        return [()]
+        return
     # bounds[k]: (lower, upper) rows of level k, each ``(a_k, a_0..a_(k-1), c)``
     bounds = [None] * dim
     for k in range(dim - 1, -1, -1):
@@ -181,11 +185,13 @@ def _lattice_points(rows, dim: int, max_points: int):
                     kept.append((combined + (0,) * (dim - k), -nk * pc + pk * nc))
             level = _normalized(kept)
             if level is None:
-                return []
-    out = []
+                return
     point = [0] * dim
 
     def walk(k):
+        if k == dim:
+            yield tuple(point)
+            return
         lower, upper = bounds[k]
         if not lower or not upper:
             raise ValueError(f"coordinate {k} is unbounded: the polyhedron is not a polytope")
@@ -194,14 +200,11 @@ def _lattice_points(rows, dim: int, max_points: int):
         hi = min((c + sum(a * x for a, x in zip(pa, prefix))) // -ak for ak, pa, c in upper)
         for x in range(lo, hi + 1):
             point[k] = x
-            if k + 1 < dim:
-                walk(k + 1)
-            elif len(out) < max_points:
-                out.append(tuple(point))
-            else:
-                raise ResourceLimit(
-                    f"polytope has more than {max_points} lattice points (cap {max_points})"
-                )
+            yield from walk(k + 1)
 
-    walk(0)
-    return out
+    for count, found in enumerate(walk(0), 1):
+        if count > max_points:
+            raise ResourceLimit(
+                f"polytope has more than {max_points} lattice points (cap {max_points})"
+            )
+        yield found

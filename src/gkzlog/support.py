@@ -2,33 +2,51 @@
 
 The negative support of an exponent vector is the set of coordinates that
 are negative integers; variants ignore one or two designated coordinates.
-Minimality (no lattice shift strictly shrinks the support) is semi-decided
-by scanning a coefficient box of the given radius, so every verdict is
-radius-qualified.  A :class:`SupportBox` enumerates the box once and
-answers every verdict and support set of one base vector at that radius;
-it is also the one input of the series builders, so a run that sweeps
-and builds from one box enumerates it once.  All indices are 0-based.
+In lattice coordinates, a coordinate of the shift ``v + point`` stays on
+its side of the support when one integer row holds (``support_rows``).  A
+:class:`SupportBox` reads every support set and minimality verdict (no
+shift strictly shrinks the support) of one base vector as the lattice
+points of such rows within a radius (``polytope._lattice_points``), so
+every verdict is radius-qualified; it is also the one input of the
+series builders.  All indices are 0-based.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .lattice import DEFAULT_MAX_BOX_POINTS, RelationLattice, _box
-from .rationals import is_negative_integer, rational_vector
+from .lattice import RelationLattice
+from .polytope import DEFAULT_MAX_BOX_POINTS, _lattice_points
+from .rationals import rational_vector
+
+
+def support_rows(v, basis, excluded=()) -> dict[int, tuple[tuple[int, ...], int]]:
+    """The row ``(a, c)``, read ``a . x + c >= 0``, of each integer coordinate outside ``excluded``.
+
+    A lattice point with coordinates ``x`` in ``basis`` keeps coordinate
+    ``k`` of ``v`` on its side of the negative support when the row of
+    ``k`` holds.  With ``b_k`` column ``k`` of the basis, so that the shift
+    is ``v_k + b_k . x``, the row is ``(b_k, v_k)`` when ``v_k >= 0`` and,
+    as ``v_k + b_k . x <= -1`` for an integer point, ``(-b_k, -v_k - 1)``
+    when ``v_k < 0``.  A non-integer coordinate never is a negative
+    integer, so it has no row.  Keyed by coordinate, in increasing order.
+    """
+    for i in set(excluded):
+        if not 0 <= i < len(v):
+            raise ValueError(f"excluded index {i} out of range")
+    rows = {}
+    for k, x in enumerate(v):
+        if k in excluded or x.denominator != 1:
+            continue
+        b = tuple(row[k] for row in basis)
+        x = int(x)
+        rows[k] = (b, x) if x >= 0 else (tuple(-a for a in b), -x - 1)
+    return rows
 
 
 def nsupp(vector, excluded=()) -> frozenset[int]:
     """Indices (outside ``excluded``) where ``vector`` is a negative integer."""
-    skip = frozenset(excluded)
-    for i in skip:
-        if not 0 <= i < len(vector):
-            raise ValueError(f"excluded index {i} out of range")
-    return frozenset(
-        i
-        for i, x in enumerate(vector)
-        if i not in skip and is_negative_integer(x)
-    )
+    return frozenset(k for k in support_rows(vector, (), excluded) if vector[k] < 0)
 
 
 @dataclass(frozen=True)
@@ -50,52 +68,56 @@ class SupportVerdict:
 
 
 class SupportBox:
-    """The coefficient box of one radius, with the negative support of each shift.
+    """Minimality verdicts and support sets of one base vector within one radius.
 
-    The box is enumerated once, in ``enumerate_box`` order.  Bit ``k`` of
-    a point's mask is set when ``v[k] + point[k]`` is a negative integer,
-    which needs ``v[k]`` to be an integer.  With ``keep`` the mask of the
-    coordinates outside the excluded set, a point's shift has the negative
-    support of ``v`` when ``mask & keep == base_mask & keep``, and strictly
-    shrinks it when ``mask & keep`` is a proper subset of that.
+    The radius bounds each lattice coordinate: the ``2 * rank`` box rows
+    ``radius +- x_r >= 0``.  Each query runs ``_lattice_points`` on them
+    plus ``support_rows``, lexicographic in the coordinates and capped at
+    ``max_points`` points per system; nothing is enumerated before.
     """
 
     def __init__(self, v, lattice: RelationLattice, radius: int, max_points=DEFAULT_MAX_BOX_POINTS):
+        if radius < 0:
+            raise ValueError("radius must be nonnegative")
         self.base = rational_vector(v)
         self.lattice = lattice
         self.radius = radius
-        integral = [(k, int(x)) for k, x in enumerate(self.base) if x.denominator == 1]
-        self.base_mask = sum(1 << k for k, z in integral if z < 0)
-        self.points, self.masks = [], []
-        for _, point in _box(lattice, radius, max_points):
-            self.points.append(point)
-            self.masks.append(sum(1 << k for k, z in integral if z + point[k] < 0))
+        self.max_points = max_points
+        self.box_rows = [
+            (tuple(sign * (r == s) for s in range(lattice.rank)), radius)
+            for sign in (1, -1)
+            for r in range(lattice.rank)
+        ]
 
-    def _target(self, excluded):
-        """``(keep, base_mask & keep)`` for the excluded indices."""
-        keep = (1 << len(self.base)) - 1
-        for i in set(excluded):
-            if not 0 <= i < len(self.base):
-                raise ValueError(f"excluded index {i} out of range")
-            keep &= ~(1 << i)
-        return keep, self.base_mask & keep
+    def _points(self, rows):
+        return _lattice_points(rows + self.box_rows, self.lattice.rank, self.max_points)
 
     def check_minimal(self, excluded=()) -> SupportVerdict:
-        """Verdict with the first point whose shift strictly shrinks the support."""
-        keep, target = self._target(excluded)
-        for point, mask in zip(self.points, self.masks):
-            shifted = mask & keep
-            if shifted != target and shifted | target == target:
-                return SupportVerdict(minimal=False, radius=self.radius, counterexample=point)
-        return SupportVerdict(minimal=True, radius=self.radius)
+        """Verdict with the first point whose shift strictly shrinks the support.
+
+        A shift strictly shrinks it when it keeps every row of a coordinate
+        with ``v_j >= 0`` and breaks the row of at least one ``k`` with
+        ``v_k < 0``: the first point over all ``k`` is the lexicographic
+        minimum of the first point of each ``k``'s system.
+        """
+        rows = support_rows(self.base, self.lattice.basis, excluded)
+        kept = [row for k, row in rows.items() if self.base[k] >= 0]
+        firsts = [
+            next(self._points(kept + [(tuple(-x for x in a), -c - 1)]), None)
+            for k, (a, c) in rows.items()
+            if self.base[k] < 0
+        ]
+        first = min((x for x in firsts if x is not None), default=None)
+        if first is None:
+            return SupportVerdict(minimal=True, radius=self.radius)
+        return SupportVerdict(False, self.radius, self.lattice.point_from_coords(first))
 
     def support_set(self, excluded=()) -> list[tuple[int, ...]]:
-        """Points whose shift preserves the support, in box order."""
-        keep, target = self._target(excluded)
-        return [point for point, mask in zip(self.points, self.masks) if mask & keep == target]
+        """Points whose shift preserves the support, in lexicographic coordinate order."""
+        rows = list(support_rows(self.base, self.lattice.basis, excluded).values())
+        return [self.lattice.point_from_coords(x) for x in self._points(rows)]
 
     def sweep(self, excluded_sets) -> dict[tuple[int, ...], SupportVerdict]:
         """Verdicts keyed by sorted excluded tuple, in first-occurrence order."""
         keys = dict.fromkeys(tuple(sorted(set(excluded))) for excluded in excluded_sets)
         return {key: self.check_minimal(key) for key in keys}
-

@@ -1,5 +1,6 @@
 """Shared fixtures: the four running example systems."""
 
+import itertools
 from fractions import Fraction as F
 from pathlib import Path
 
@@ -47,6 +48,16 @@ def cofactor_vector(rows):
     rows = [tuple(row) for row in rows]
     n = len(rows) + 1
     return tuple((-1) ** j * laplace_det([row[:j] + row[j + 1 :] for row in rows]) for j in range(n))
+
+
+def box_points(lattice, radius):
+    """Every lattice point with basis coordinates in ``[-radius, radius]``, by brute force.
+
+    In lexicographic order of the coordinates; ``(2 * radius + 1) ** rank``
+    points, the one point of rank 0 included.
+    """
+    steps = range(-radius, radius + 1)
+    return [lattice.point_from_coords(c) for c in itertools.product(steps, repeat=lattice.rank)]
 
 
 def gauss_v(a, b):

@@ -49,6 +49,7 @@ from tests.conftest import (
     PYRAMID_V,
     QUADRILATERAL_SETS,
     TWO_TRIANGLES_SETS,
+    box_points,
     gauss_beta,
     gauss_v,
 )
@@ -226,7 +227,7 @@ def test_criterion_2_pyramid_example():
 
 def test_criterion_3_support_machinery():
     with criterion(3, "support sets and minimality verdicts of all examples"):
-        from gkzlog import CISpec, enumerate_box
+        from gkzlog import CISpec
 
         radius = 6
         box = range(-radius, radius + 1)
@@ -268,7 +269,7 @@ def test_criterion_3_support_machinery():
         supports = SupportBox(v, lattice, radius)
         plain = set(supports.support_set(()))
         assert plain == {
-            p for _, p in enumerate_box(lattice, radius) if p[1] >= 0 and p[4] >= 0
+            p for p in box_points(lattice, radius) if p[1] >= 0 and p[4] >= 0
         }
         for col in range(7):
             assert set(supports.support_set((col,))) == plain
@@ -279,13 +280,13 @@ def test_criterion_3_support_machinery():
         supports = SupportBox(v, lattice, radius)
         plain = set(supports.support_set(()))
         assert plain == {
-            p for _, p in enumerate_box(lattice, radius) if p[1] >= 0 and p[4] >= 0
+            p for p in box_points(lattice, radius) if p[1] >= 0 and p[4] >= 0
         }
         for col in range(4):
             assert set(supports.support_set((col,))) == plain
         opened = set(supports.support_set((4,)))
         assert opened == {
-            p for _, p in enumerate_box(lattice, radius) if p[1] >= 0 and p[2] >= 0
+            p for p in box_points(lattice, radius) if p[1] >= 0 and p[2] >= 0
         }
         assert plain < opened
 

@@ -23,7 +23,6 @@ from gkzlog.ci_mirror import (
     _graded,
     _layer_sum,
     _slice_mul,
-    _support_cone_rows,
     graded_exp,
     graded_log,
     graded_mul,
@@ -33,7 +32,7 @@ from gkzlog.ci_mirror import (
 )
 from gkzlog.cli import load_problem
 from gkzlog.polytope import _cone_rays
-from gkzlog.support import SupportBox
+from gkzlog.support import SupportBox, support_rows
 from tests.conftest import FIXTURES
 
 
@@ -480,7 +479,10 @@ def test_grading_from_rays_equals_grading_with_seed_points(name):
     width = lattice.ambient_dim
     rays = set()
     for column in range(width):
-        rays.update(_cone_rays(_support_cone_rows(v, lattice.basis, column), lattice.rank))
+        rows = support_rows(v, lattice.basis, (column,)).values()
+        assert all(c == 0 for _, c in rows)  # v lies in {0, -1}^N: the rows are a cone's
+        cone = sorted({a for a, _ in rows if any(a)})
+        rays.update(_cone_rays(cone, lattice.rank))
     ray_points = [lattice.point_from_coords(r) for r in sorted(rays)]
     seed_box = SupportBox(v, lattice, min(radius, 3))
     seed_points = [

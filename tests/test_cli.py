@@ -43,6 +43,11 @@ def test_support_counterexample_exit_code(tmp_path, capsys):
     )
     assert main(["support", str(bad), "--radius", "5"]) == 1
     assert "counterexample (1, 1, -1, -1)" in capsys.readouterr().out
+    # the counterexample is the first point of its system, so a cap of one
+    # point still fails minimality (exit 1) rather than the cap (exit 3)
+    args = ["solve", str(bad), "--order", "0", "--radius", "5", "--max-terms", "1"]
+    assert main([*args, "--out", str(tmp_path / "out")]) == 1
+    assert "minimality failed" in capsys.readouterr().out
 
 
 def test_solve_order0(tmp_path, capsys):
@@ -144,18 +149,18 @@ def test_combine_at_radius_zero_certifies_nothing_and_fails(tmp_path, capsys):
 
 
 def test_solve_order2_builds_one_support_box(tmp_path, monkeypatch):
-    # the sweep's box feeds F, every G_i and the H table: one 25^2-point box
-    sizes = []
+    # the sweep's box feeds F, every G_i and the H table: one box of radius 12
+    radii = []
     init = SupportBox.__init__
 
     def counting_init(self, *args, **kwargs):
         init(self, *args, **kwargs)
-        sizes.append(len(self.points))
+        radii.append(self.radius)
 
     monkeypatch.setattr(SupportBox, "__init__", counting_init)
     args = ["solve", PYRAMID, "--order", "2", "--radius", "12", "--out", str(tmp_path / "out")]
     assert main(args) == 0
-    assert sizes == [625]
+    assert radii == [12]
 
 
 def test_solve_order2_subset_builds_only_the_requested_tails(tmp_path, monkeypatch):
@@ -178,18 +183,18 @@ def test_mirror_radius_zero_sweeps_radius_one(tmp_path, monkeypatch):
     # --radius 0 would certify the origin alone; the sweep runs at radius 1
     import gkzlog.ci_mirror as ci_mirror
 
-    sizes = []
+    radii = []
     init = SupportBox.__init__
 
     def counting_init(self, *args, **kwargs):
         init(self, *args, **kwargs)
-        sizes.append(len(self.points))
+        radii.append(self.radius)
 
     monkeypatch.setattr(ci_mirror.SupportBox, "__init__", counting_init)
     out = tmp_path / "out"
     args = ["mirror", HEXAGON, "--index", "1", "--grade", "8", "--radius", "0", "--out", str(out)]
     assert main(args) == 0
-    assert sizes == [81]
+    assert radii == [1]
     # the same artifacts as before the sweep radius was raised
     digests = {p.name: hashlib.sha256(p.read_bytes()).hexdigest() for p in out.iterdir()}
     assert digests == {
@@ -304,7 +309,41 @@ def test_non_list_beta_or_v_is_an_input_error(tmp_path, capsys, command, vectors
 
 
 def test_max_terms_resource_limit(tmp_path):
-    assert main(["support", PYRAMID, "--radius", "50", "--max-terms", "100"]) == 3
+    # --max-terms caps the points one enumeration yields: with the last column
+    # excluded the support set holds 51^2 points, with nothing excluded one
+    args = ["support", PYRAMID, "--radius", "50", "--max-terms", "100"]
+    assert main([*args, "--exclude", "4"]) == 3
+    assert main(args) == 0
+
+
+def test_capped_support_prints_nothing(capsys):
+    args = ["support", PYRAMID, "--radius", "50", "--max-terms", "100", "--exclude", "4"]
+    assert main(args) == 3
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert "cap 100" in captured.err
+
+
+def test_capped_solve_writes_nothing(tmp_path, capsys):
+    # F's support set is one point; G_4's, the quadrant, passes the cap
+    out = tmp_path / "out"
+    args = ["solve", PYRAMID, "--order", "1", "--radius", "50", "--max-terms", "100"]
+    assert main([*args, "--out", str(out)]) == 3
+    assert "cap 100" in capsys.readouterr().err
+    assert not out.exists()
+
+
+def test_rank7_reflexive_triangle_ci_passes(tmp_path, capsys):
+    # the 10 points of conv{(-1,-1), (2,-1), (-1,2)}, origin first: a rank-7
+    # lattice whose radius-4 coefficient box holds 9^7 = 4,782,969 points
+    triangle = [[0, 0], [-1, -1], [0, -1], [1, -1], [2, -1]]
+    triangle += [[-1, 0], [1, 0], [-1, 1], [0, 1], [-1, 2]]
+    path = _problem(tmp_path, ci={"point_sets": [triangle]}, radius=4)
+    assert main(["ci", path]) == 0
+    out = capsys.readouterr().out
+    assert "unique interior point (0, 0): True" in out
+    assert "minimal within radius 4" in out
+    assert out.splitlines()[-1] == "status: pass"
 
 
 def test_float_rationals_rejected(tmp_path):

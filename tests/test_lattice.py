@@ -1,10 +1,12 @@
-"""Kernel bases, saturation, and box enumeration."""
+"""Kernel bases, saturation, and lattice coordinates."""
+
+import itertools
 
 import pytest
 
-from gkzlog import IntMatrix, ResourceLimit, enumerate_box, kernel_basis
+from gkzlog import IntMatrix, kernel_basis
 from gkzlog.cli import load_problem
-from tests.conftest import FIXTURES, GAUSS_MATRIX, PYRAMID_MATRIX
+from tests.conftest import FIXTURES, GAUSS_MATRIX, PYRAMID_MATRIX, box_points
 
 
 def test_gauss_kernel():
@@ -19,7 +21,7 @@ def test_identity_kernel_is_trivial():
     lat = kernel_basis(((1, 0), (0, 1)))
     assert lat.rank == 0
     assert lat.basis == ()
-    assert enumerate_box(lat, 5) == [((), (0, 0))]
+    assert lat.point_from_coords(()) == (0, 0)
 
 
 def test_pyramid_kernel_shape():
@@ -69,30 +71,8 @@ def test_kernel_saturation(matrix, member):
 def test_enumerated_points_are_relations():
     lat = kernel_basis(PYRAMID_MATRIX)
     matrix = IntMatrix.from_rows(PYRAMID_MATRIX)
-    for _, point in enumerate_box(lat, 3):
+    for point in box_points(lat, 3):
         assert matrix.mul_vec(point) == (0, 0, 0)
-
-
-def test_enumeration_order_rank1():
-    lat = kernel_basis(GAUSS_MATRIX)
-    items = enumerate_box(lat, 2)
-    assert [c for c, _ in items] == [(-2,), (-1,), (0,), (1,), (2,)]
-    assert len(items) == 5
-
-
-def test_enumeration_order_rank2():
-    lat = kernel_basis(PYRAMID_MATRIX)
-    items = enumerate_box(lat, 1)
-    assert len(items) == 9
-    assert [c for c, _ in items][:3] == [(-1, -1), (-1, 0), (-1, 1)]
-    points = {p for _, p in items}
-    assert (1, 1, 1, 1, -4) in points  # coefficients (1, 1)
-
-
-def test_resource_limit():
-    lat = kernel_basis(PYRAMID_MATRIX)
-    with pytest.raises(ResourceLimit):
-        enumerate_box(lat, 1000, max_points=100)
 
 
 def test_coords_roundtrip():
@@ -112,10 +92,10 @@ FIXTURE_LATTICES["rank0"] = kernel_basis(((1, 0, 0), (0, 1, 0), (0, 0, 1)))
 @pytest.mark.parametrize("name", sorted(FIXTURE_LATTICES))
 @pytest.mark.parametrize("radius", [0, 1, 3])
 def test_box_points_match_point_from_coords(name, radius):
+    # coordinates round-trip through point_from_coords and coords_of
     lat = FIXTURE_LATTICES[name]
-    items = enumerate_box(lat, radius)
-    assert len(items) == (2 * radius + 1) ** lat.rank
-    for coeffs, point in items:
-        assert point == lat.point_from_coords(coeffs)
-    if lat.rank == 0:
-        assert items == [((), (0,) * lat.ambient_dim)]
+    steps = range(-radius, radius + 1)
+    for coeffs in itertools.product(steps, repeat=lat.rank):
+        point = lat.point_from_coords(coeffs)
+        assert lat.coords_of(point) == coeffs
+        assert lat.contains(point)

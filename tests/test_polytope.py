@@ -11,19 +11,25 @@ from gkzlog import (
     DegenerateHull,
     NoPositiveFunctional,
     ResourceLimit,
-    SupportBox,
     build_system,
     has_unique_interior_point,
     interior_lattice_points,
     kernel_basis,
     minkowski_hull,
     mirror_map,
+    nsupp,
 )
 from gkzlog.ci_mirror import _support_polytope
 from gkzlog.cli import load_problem
 from gkzlog.linalg import hnf_rows
 from gkzlog.polytope import _cone_rays, _lattice_points, _normalized
-from tests.conftest import FIXTURES, QUADRILATERAL_SETS, TWO_TRIANGLES_SETS, cofactor_vector
+from tests.conftest import (
+    FIXTURES,
+    QUADRILATERAL_SETS,
+    TWO_TRIANGLES_SETS,
+    box_points,
+    cofactor_vector,
+)
 
 CI_FIXTURES = ["ci_two_triangles", "ci_quadrilateral", "quintic", "hexagon"]
 
@@ -215,19 +221,23 @@ def _brute_force(rows, ranges):
 @pytest.mark.parametrize("name", CI_FIXTURES)
 def test_support_polytopes_match_grade_filtered_box(name):
     # The grade-bounded support cone of F (no column excluded) and of every
-    # G_col has, as a set, the points of the box support set of grade <= D at
-    # the radius mirror_map reports for that grade.
+    # G_col has, as a set, the points of grade <= D of the support set in the
+    # brute-force coefficient box of the radius mirror_map reports for that grade.
     problem = load_problem(str(FIXTURES / f"{name}.json"))
     matrix, beta, v = build_system(problem.spec)
     lattice = kernel_basis(matrix)
     width = lattice.ambient_dim
+    base = nsupp(v)
     support_sets = {}  # radius -> {excluded: support set}
     for grade_bound in range(1, 9):
         q = mirror_map(problem.spec, 0, grade_bound, radius=problem.radius)
         if q.radius not in support_sets:
-            box = SupportBox(v, lattice, q.radius)
+            shifted = [
+                (point, nsupp([x + d for x, d in zip(v, point)]))
+                for point in box_points(lattice, q.radius)
+            ]
             support_sets[q.radius] = {
-                excluded: box.support_set(excluded)
+                excluded: [point for point, s in shifted if s - {*excluded} == base - {*excluded}]
                 for excluded in [()] + [(c,) for c in range(width)]
             }
         for excluded_col in [None, *range(width)]:
@@ -277,31 +287,45 @@ def test_lattice_points_match_brute_force(dim, data):
     rows.append((tuple(-w for w in weights), bound))
     ranges = [(-3, (bound + 3 * (sum(weights) - w)) // w) for w in weights]
     want = _brute_force(rows, ranges)
-    assert _lattice_points(rows, dim, 10**6) == want
+    assert list(_lattice_points(rows, dim, 10**6)) == want
     if want:
         with pytest.raises(ResourceLimit, match=f"cap {len(want) - 1}"):
-            _lattice_points(rows, dim, len(want) - 1)
+            list(_lattice_points(rows, dim, len(want) - 1))
+
+
+def test_lattice_points_yield_up_to_the_cap_then_raise():
+    # a 10 x 10 square, read lazily: the cap fires on reaching point cap + 1
+    square = [((1, 0), 0), ((-1, 0), 9), ((0, 1), 0), ((0, -1), 9)]
+    points = _lattice_points(square, 2, 3)
+    assert [next(points) for _ in range(3)] == [(0, 0), (0, 1), (0, 2)]
+    with pytest.raises(ResourceLimit, match="cap 3"):
+        next(points)
+    assert next(_lattice_points(square, 2, 1)) == (0, 0)
+    # the one point of dimension 0 counts too
+    with pytest.raises(ResourceLimit, match="cap 0"):
+        next(_lattice_points([], 0, 0))
 
 
 def test_lattice_points_infeasible_systems():
-    assert _lattice_points([((1,), -1), ((-1,), 0)], 1, 100) == []
+    assert list(_lattice_points([((1,), -1), ((-1,), 0)], 1, 100)) == []
     # rationally feasible, no integer point: x = 1/2
-    assert _lattice_points([((2,), -1), ((-2,), 1)], 1, 100) == []
+    assert list(_lattice_points([((2,), -1), ((-2,), 1)], 1, 100)) == []
     # x, y >= 1/3 and x + y <= 5/3: a rational triangle without lattice points
     rows = [((3, 0), -1), ((0, 3), -1), ((-3, -3), 5)]
-    assert _lattice_points(rows, 2, 100) == []
+    assert list(_lattice_points(rows, 2, 100)) == []
     # a constant row that fails
-    assert _lattice_points([((0, 0), -1), ((1, 0), 0), ((-1, -1), 2), ((0, 1), 0)], 2, 100) == []
+    rows = [((0, 0), -1), ((1, 0), 0), ((-1, -1), 2), ((0, 1), 0)]
+    assert list(_lattice_points(rows, 2, 100)) == []
 
 
 def test_lattice_points_single_point():
     rows = [((1, 0), -2), ((-1, 0), 2), ((0, 1), 1), ((0, -1), -1)]
-    assert _lattice_points(rows, 2, 100) == [(2, -1)]
+    assert list(_lattice_points(rows, 2, 100)) == [(2, -1)]
     # the apex of a cone cut at grade 0, in three dimensions
     rows = [((1, 0, 0), 0), ((0, 1, 0), 0), ((0, 0, 1), 0), ((-1, -2, -1), 0)]
-    assert _lattice_points(rows, 3, 1) == [(0, 0, 0)]
-    assert _lattice_points([], 0, 1) == [()]
-    assert _lattice_points([((), -1)], 0, 1) == []
+    assert list(_lattice_points(rows, 3, 1)) == [(0, 0, 0)]
+    assert list(_lattice_points([], 0, 1)) == [()]
+    assert list(_lattice_points([((), -1)], 0, 1)) == []
 
 
 def test_lattice_points_duplicate_and_proportional_rows():
@@ -309,10 +333,10 @@ def test_lattice_points_duplicate_and_proportional_rows():
     assert _normalized([((0, 0), 0), ((0, 0), -1)]) is None
     simplex = [((1, 0), 0), ((0, 1), 0), ((-1, -1), 4)]
     repeated = simplex + [((2, 0), 0), ((0, 3), 1), ((-2, -2), 9), ((-1, -1), 4)]
-    assert _lattice_points(repeated, 2, 100) == _lattice_points(simplex, 2, 100)
-    assert len(_lattice_points(simplex, 2, 100)) == 15
+    assert list(_lattice_points(repeated, 2, 100)) == list(_lattice_points(simplex, 2, 100))
+    assert len(list(_lattice_points(simplex, 2, 100))) == 15
 
 
 def test_lattice_points_reject_unbounded_polyhedra():
     with pytest.raises(ValueError, match="unbounded"):
-        _lattice_points([((1, 0), 0), ((0, 1), 0)], 2, 100)
+        list(_lattice_points([((1, 0), 0), ((0, 1), 0)], 2, 100))

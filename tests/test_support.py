@@ -11,12 +11,12 @@ from gkzlog import (
     ResourceLimit,
     SupportBox,
     SupportVerdict,
-    enumerate_box,
     kernel_basis,
     nsupp,
 )
 from gkzlog.cli import load_problem
-from tests.conftest import FIXTURES, GAUSS_MATRIX, PYRAMID_MATRIX, gauss_v
+from gkzlog.support import support_rows
+from tests.conftest import FIXTURES, GAUSS_MATRIX, PYRAMID_MATRIX, box_points, gauss_v
 
 PYRAMID_V = (F(0), F(0), F(0), F(0), F(1))
 
@@ -45,6 +45,28 @@ def test_gauss_counterexample(gauss_lattice):
     verdict = SupportBox((-1, 1, 1, 1), gauss_lattice, 5).check_minimal(())
     assert not verdict.minimal
     assert verdict.counterexample == (1, 1, -1, -1)
+
+
+def test_counterexample_search_stops_at_the_first_point(gauss_lattice):
+    # the 11-point box is never walked: each system is read up to its first point
+    capped = SupportBox((-1, 1, 1, 1), gauss_lattice, 5, max_points=1).check_minimal()
+    assert capped == SupportBox((-1, 1, 1, 1), gauss_lattice, 5).check_minimal()
+    assert not capped.minimal
+
+
+def test_support_rows_by_hand():
+    basis = ((1, 1, -1, -1),)
+    v = (F(-1), F(1, 2), F(0), F(2))
+    # v_0 + x <= -1, v_2 - x >= 0, v_3 - x >= 0; the non-integer v_1 has no row
+    assert support_rows(v, basis) == {0: ((-1,), 0), 2: ((-1,), 0), 3: ((-1,), 2)}
+    assert support_rows(v, basis, (0, 2)) == {3: ((-1,), 2)}
+    with pytest.raises(ValueError):
+        support_rows(v, basis, (4,))
+
+
+def test_negative_radius_is_rejected(gauss_lattice):
+    with pytest.raises(ValueError, match="radius"):
+        SupportBox((-1, 1, 1, 1), gauss_lattice, -1)
 
 
 def test_counterexample_monotone_in_radius(gauss_lattice):
@@ -137,16 +159,16 @@ def test_two_singles_imply_plain_minimality(pyramid_lattice, v):
                 assert box.check_minimal(()).minimal
 
 
-# --- differential tests: one support box against the per-point nsupp scan ---
+# --- differential tests: the lattice-point systems against a brute-force box scan ---
 
 
 def reference_scan(v, lattice, radius, excluded):
-    """The scan the box replaces: nsupp of every shift, box by box."""
+    """nsupp of every shift in the brute-force coefficient box, in box order."""
     base = tuple(F(x) for x in v)
     target = nsupp(base, excluded)
     counterexample = None
     kept = []
-    for _, point in enumerate_box(lattice, radius):
+    for point in box_points(lattice, radius):
         shifted = nsupp([x + d for x, d in zip(base, point)], excluded)
         if counterexample is None and shifted < target:
             counterexample = point
@@ -183,10 +205,19 @@ RATIONALS = st.one_of(
 )
 
 
+RANDOM_VECTOR_LATTICES = {
+    "gauss": (kernel_basis(GAUSS_MATRIX), 3),
+    "pyramid": (kernel_basis(PYRAMID_MATRIX), 3),
+    "hexagon": (kernel_basis(load_problem(str(FIXTURES / "hexagon.json")).matrix), 2),
+}
+
+
 @settings(max_examples=200, deadline=None)
-@given(data=st.data(), which=st.sampled_from(["gauss", "pyramid"]), radius=st.integers(0, 3))
-def test_box_queries_match_reference_scan_on_random_vectors(data, which, radius):
-    lattice = kernel_basis(GAUSS_MATRIX if which == "gauss" else PYRAMID_MATRIX)
+@given(data=st.data(), which=st.sampled_from(sorted(RANDOM_VECTOR_LATTICES)))
+def test_box_queries_match_reference_scan_on_random_vectors(data, which):
+    # ranks 1, 2 and 4, each up to its largest radius
+    lattice, max_radius = RANDOM_VECTOR_LATTICES[which]
+    radius = data.draw(st.integers(0, max_radius), label="radius")
     n = lattice.ambient_dim
     v = data.draw(st.lists(RATIONALS, min_size=n, max_size=n), label="v")
     excluded = data.draw(
@@ -216,6 +247,9 @@ def test_box_excluded_index_out_of_range(gauss_lattice, excluded):
 
 
 def test_box_respects_the_point_cap(pyramid_lattice):
-    with pytest.raises(ResourceLimit):
-        SupportBox(PYRAMID_V, pyramid_lattice, 3, max_points=48)
-    assert len(SupportBox(PYRAMID_V, pyramid_lattice, 3, max_points=49).points) == 49
+    # the last column excluded keeps the 4 x 4 quadrant of the radius-3 box
+    box = SupportBox(PYRAMID_V, pyramid_lattice, 3, max_points=15)
+    with pytest.raises(ResourceLimit, match="cap 15"):
+        box.support_set((4,))
+    assert box.support_set(()) == [(0, 0, 0, 0, 0)]
+    assert len(SupportBox(PYRAMID_V, pyramid_lattice, 3, max_points=16).support_set((4,))) == 16
