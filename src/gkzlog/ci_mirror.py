@@ -10,18 +10,19 @@ a column is
     q = lambda * exp(G / F)
 
 computed as a formal series supported on a pointed lattice cone, graded
-by an integer functional that is positive on the cone's extreme rays.
-The tails of F and G are read from the support cones themselves: cut by
-the grade bound, each cone is a polytope whose lattice points are
-enumerated exactly (``polytope._lattice_points``), with no radius
-bounding it.  The quotient ``G / F`` (one graded division,
-``graded_quotient``) and the exponential proceed grade by grade, so
-truncation at a grade bound is exact.  Both run on integer grade
-layers: one denominator per grade and an integer numerator per point,
-with each point packed into one integer key whose sums are the keys of
-the summed points.  ``graded_mul``
-and ``graded_log`` are not on this path; they keep plain ``Fraction``
-slices (``_slice_mul``) and serve as its independent checks.
+by an integer functional that is positive on the cone's extreme rays,
+the first lattice point of one system of the lattice-point engine
+(``polytope._lattice_points``).  The tails of F and G are read from the
+support cones themselves: cut by the grade row, each cone is a polytope
+whose lattice points the same engine enumerates exactly
+(``support.support_points``), with no radius bounding it.  The quotient
+``G / F`` (one graded division, ``graded_quotient``) and the exponential
+proceed grade by grade, so truncation at a grade bound is exact.  Both
+run on integer grade layers: one denominator per grade and an integer
+numerator per point, with each point packed into one integer key whose
+sums are the keys of the summed points.  ``graded_mul`` and
+``graded_log`` are not on this path; they keep plain ``Fraction`` slices
+(``_slice_mul``) and serve as its independent checks.
 ``integrality_report`` lists the non-integer coefficients, if any, up
 to the bound.
 
@@ -42,7 +43,7 @@ from .linalg import kernel_rows, solve_echelon, solve_integer
 from .logseries import log_free_coefficients
 from .polytope import DEFAULT_MAX_BOX_POINTS, _cone_rays, _lattice_points, has_unique_interior_point
 from .rationals import to_int
-from .support import SupportBox, support_rows
+from .support import SupportBox, support_points, support_rows
 
 DEFAULT_GRADING_BOUND = 8
 
@@ -135,13 +136,13 @@ def build_system(spec: CISpec):
 def positive_grading(points, ambient_dim=None):
     """Integer functional that is >= 1 on every nonzero given point.
 
-    The functional only matters on the span of the points, so the search
-    runs over integer coefficient vectors in the basis of the lattice the
-    points generate, by growing max-norm shells in lexicographic order,
-    and the first hit is lifted back to an ambient integer vector.
-    Raises :class:`NoPositiveFunctional` when the shells are exhausted,
-    which means the support is not pointed or ``DEFAULT_GRADING_BOUND``
-    is too small.
+    The functional only matters on the span of the points, so it is the
+    first lattice point ``(t, w)`` of ``{w . y >= 1 for each point's
+    coordinates y in the basis of the lattice they generate, |w_r| <= t
+    <= DEFAULT_GRADING_BOUND}`` (``_lattice_points``): the least max-norm,
+    then the lexicographically first ``w``, lifted back to an ambient
+    integer vector.  Raises :class:`NoPositiveFunctional` when there is
+    none: the support is not pointed or the bound is too small.
     """
     pts = sorted({tuple(int(x) for x in p) for p in points if any(p)})
     if not pts:
@@ -154,26 +155,24 @@ def positive_grading(points, ambient_dim=None):
     # kernels are saturated.
     basis = kernel_rows(kernel_rows(pts, width), width)
     rank = len(basis)
-    coords = []
+    units = [tuple(int(r == q) for q in range(rank)) for r in range(rank)]
+    rows = [((-1,) + (0,) * rank, DEFAULT_GRADING_BOUND)]
+    rows += [((1,) + tuple(s * x for x in u), 0) for s in (1, -1) for u in units]
     for p in pts:
         sol = solve_echelon(basis, p)
         if sol is None or any(c.denominator != 1 for c in sol):
             raise AssertionError("point escaped the saturation of its own span")
-        coords.append(tuple(int(c) for c in sol))
-
-    for shell in range(DEFAULT_GRADING_BOUND + 1):
-        for w in itertools.product(range(-shell, shell + 1), repeat=rank):
-            if shell and max(abs(x) for x in w) != shell:
-                continue
-            if all(sum(a * b for a, b in zip(w, y)) >= 1 for y in coords):
-                # Saturation makes the value map onto Z^rank, so the searched
-                # functional lifts to an ambient integer vector with the very
-                # same values; grades are never rescaled.
-                return solve_integer(basis, w)
-    raise NoPositiveFunctional(
-        f"no integer functional with coordinates in [-{DEFAULT_GRADING_BOUND}, "
-        f"{DEFAULT_GRADING_BOUND}] is >= 1 on all {len(pts)} support points"
-    )
+        rows.append(((0,) + tuple(int(c) for c in sol), -1))
+    first = next(_lattice_points(rows, rank + 1, 1), None)
+    if first is None:
+        raise NoPositiveFunctional(
+            f"no integer functional with coordinates in [-{DEFAULT_GRADING_BOUND}, "
+            f"{DEFAULT_GRADING_BOUND}] is >= 1 on all {len(pts)} support points"
+        )
+    # Saturation makes the value map onto Z^rank, so the functional lifts to
+    # an ambient integer vector with the very same values; grades are never
+    # rescaled.
+    return solve_integer(basis, first[1:])
 
 
 @dataclass(frozen=True)
@@ -393,25 +392,6 @@ def graded_log(e, grading, bound, origin):
     return {p: c for layer in log.values() for p, c in layer.items()}
 
 
-def _support_polytope(v, lattice, excluded_col, grading, grade_bound, max_points):
-    """Support points of grade ``<= grade_bound`` of one column's support set.
-
-    The support set of ``G_col`` (``excluded_col = col``), or of ``F``
-    (``excluded_col = None``), keeps the ``support_rows`` of ``v``, whose
-    constants are 0 as ``v`` lies in ``{0, -1}^N``: it is a cone, and the
-    row ``grade_bound - grading . x >= 0`` cuts it to a polytope, as the
-    grading is positive on the cone's extreme rays.  Its ``_lattice_points``
-    (at most ``max_points``) are returned as ambient points.
-    """
-    weights = tuple(sum(g * b for g, b in zip(grading, row)) for row in lattice.basis)
-    excluded = () if excluded_col is None else (excluded_col,)
-    rows = list(support_rows(v, lattice.basis, excluded).values())
-    rows.append((tuple(-w for w in weights), grade_bound))
-    return [
-        lattice.point_from_coords(x) for x in _lattice_points(rows, lattice.rank, max_points)
-    ]
-
-
 def mirror_map(
     spec: CISpec,
     index,
@@ -424,13 +404,14 @@ def mirror_map(
     Verifies the unique-interior-point hypothesis and the minimality
     checks (one ``SupportBox`` of radius ``max(1, min(radius, 4))``) and
     finds a positive grading from the extreme rays of the support cones.
-    The ``F`` and ``G`` tails are the lattice points of the grade-bounded
-    support cones (``_support_polytope``), so truncation at the bound is
-    exact and no radius bounds them; each enumeration, like those of the
-    minimality checks, is capped at ``max_points``.  The quotient ``G / F``
-    and its exponential are then computed grade by grade.  The reported
-    radius is the smallest power-of-two multiple of ``max(1, radius)``
-    whose box would enclose the tails, read off from the rays.
+    The ``F`` and ``G`` tails are the support points of ``v`` cut by the
+    grade row ``grade_bound - grading . x >= 0`` (``support_points``), so
+    truncation at the bound is exact and no radius bounds them; each
+    enumeration, like those of the minimality checks, is capped at
+    ``max_points``.  The quotient ``G / F`` and its exponential are then
+    computed grade by grade.  The reported radius is the smallest
+    power-of-two multiple of ``max(1, radius)`` whose box would enclose
+    the tails, read off from the rays.
     """
     if isinstance(index, int):
         index = spec.column_of(index)
@@ -488,9 +469,12 @@ def mirror_map(
     while needed < max_coord:
         needed *= 2
 
+    # On a {0, -1} base vector each support set is a cone; the grade row cuts it.
+    weights = tuple(sum(g * b for g, b in zip(grading, row)) for row in lattice.basis)
+    grade_row = [(tuple(-w for w in weights), grade_bound)]
     tails = []
-    for excluded_col, logs in ((None, ()), (col, (col,))):
-        support = _support_polytope(v, lattice, excluded_col, grading, grade_bound, max_points)
+    for logs in ((), (col,)):
+        support = support_points(v, lattice, logs, grade_row, max_points)
         points = [point for point in support if any(point)]
         for point in points:
             if sum(g * x for g, x in zip(grading, point)) < 1:

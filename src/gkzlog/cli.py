@@ -6,8 +6,8 @@ solve/combine command re-verifies its own output through the operator
 module before reporting success.  Output files are byte-identical across
 runs of the same input; wall-clock timing goes to stdout only.
 
-Exit codes: 0 pass, 1 verification failure, 2 input error, 3 resource
-limit.
+Exit codes: 0 pass, 1 verification failure, 2 input or output error
+(an unwritable ``--out`` or a closed stdout), 3 resource limit.
 """
 
 from __future__ import annotations
@@ -15,6 +15,7 @@ from __future__ import annotations
 import argparse
 import hashlib
 import json
+import os
 import sys
 import time
 from pathlib import Path
@@ -353,15 +354,15 @@ def cmd_ci(args) -> int:
     if problem.spec is None:
         raise ProblemFileError("'ci' section required for this command")
     spec = problem.spec
-    # The sweep runs before the first line, so a capped run prints nothing.
+    # Sweep and hull run before the first line: a capped run or bad hull prints nothing.
     box = SupportBox(problem.v, lattice, radius, args.max_terms)
     verdicts = box.sweep([()] + [(col,) for col in range(problem.matrix.n_cols)])
+    hypothesis = has_unique_interior_point(spec.point_sets, spec.delta)
     print("lifted matrix rows:")
     for row in problem.matrix.rows:
         print("  (" + ",".join(str(x) for x in row) + ")")
     print("beta: (" + ",".join(str(x) for x in problem.beta) + ")")
     print("v: (" + ",".join(str(x) for x in problem.v) + ")")
-    hypothesis = has_unique_interior_point(spec.point_sets, spec.delta)
     print(f"unique interior point {spec.delta}: {hypothesis}")
     ok = hypothesis
     for excluded, verdict in verdicts.items():
@@ -482,7 +483,14 @@ def main(argv=None) -> int:
     args = parser.parse_args(argv)
     try:
         args.max_terms = to_int(args.max_terms, "max-terms", minimum=0)
-        return args.func(args)
+        code = args.func(args)
+        sys.stdout.flush()  # a closed stdout fails here, not at interpreter exit
+        return code
+    except OSError as exc:  # an artifact or stdout that cannot be written
+        if isinstance(exc, BrokenPipeError):  # the reader is gone: flush into devnull
+            os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
+        print(f"output error: {exc}", file=sys.stderr)
+        return 2
     except ProblemFileError as exc:
         print(f"input error: {exc}", file=sys.stderr)
         return 2

@@ -37,7 +37,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 
 from .coefficients import chain_constants, f_coeffs
-from .errors import MinimalityViolation, UndefinedBracket
+from .errors import MinimalityViolation, ProblemFileError, UndefinedBracket
 from .lattice import RelationLattice
 from .rationals import rational_vector, to_rational
 from .support import SupportBox
@@ -384,14 +384,18 @@ def from_text(text: str, nvars: int | None = None, meta=None) -> LogSeries:
         match = _TERM_RE.match(line)
         if not match:
             raise ValueError(f"line {lineno}: cannot parse series term {line!r}")
-        exponent = rational_vector(match.group("exp").split(","))
-        logdeg = tuple(int(d) for d in match.group("deg").split(","))
+        try:
+            exponent = rational_vector(match.group("exp").split(","))
+            logdeg = tuple(int(d) for d in match.group("deg").split(","))
+            coeff = to_rational(match.group("coeff"))
+        except (ProblemFileError, ValueError) as exc:
+            raise ValueError(f"line {lineno}: {exc}") from None
         if width is None:
             width = len(exponent)
         if len(exponent) != width or len(logdeg) != width:
             raise ValueError(f"line {lineno}: inconsistent dimension")
         key = (exponent, logdeg)
-        terms[key] = terms.get(key, Fraction(0)) + Fraction(match.group("coeff"))
+        terms[key] = terms.get(key, Fraction(0)) + coeff
     if width is None:
         raise ValueError("cannot infer dimension of an empty series; pass nvars")
     return LogSeries(width, terms, meta)

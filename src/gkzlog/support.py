@@ -3,12 +3,13 @@
 The negative support of an exponent vector is the set of coordinates that
 are negative integers; variants ignore one or two designated coordinates.
 In lattice coordinates, a coordinate of the shift ``v + point`` stays on
-its side of the support when one integer row holds (``support_rows``).  A
-:class:`SupportBox` reads every support set and minimality verdict (no
-shift strictly shrinks the support) of one base vector as the lattice
-points of such rows within a radius (``polytope._lattice_points``), so
-every verdict is radius-qualified; it is also the one input of the
-series builders.  All indices are 0-based.
+its side of the support when one integer row holds (``support_rows``);
+with bounding rows (a radius box, a grade cut) they are one system of
+``polytope._lattice_points`` (``support_points``).  A :class:`SupportBox`
+reads every support set and minimality verdict (no shift strictly
+shrinks the support) of one base vector so, within a radius, and every
+verdict is radius-qualified; it is also the one input of the series
+builders.  All indices are 0-based.
 """
 
 from __future__ import annotations
@@ -42,6 +43,12 @@ def support_rows(v, basis, excluded=()) -> dict[int, tuple[tuple[int, ...], int]
         x = int(x)
         rows[k] = (b, x) if x >= 0 else (tuple(-a for a in b), -x - 1)
     return rows
+
+
+def support_points(v, lattice: RelationLattice, excluded, bounds, max_points) -> list:
+    """Ambient points of ``support_rows`` plus ``bounds``, as ``_lattice_points`` yields them."""
+    rows = list(support_rows(v, lattice.basis, excluded).values()) + bounds
+    return [lattice.point_from_coords(x) for x in _lattice_points(rows, lattice.rank, max_points)]
 
 
 def nsupp(vector, excluded=()) -> frozenset[int]:
@@ -114,8 +121,7 @@ class SupportBox:
 
     def support_set(self, excluded=()) -> list[tuple[int, ...]]:
         """Points whose shift preserves the support, in lexicographic coordinate order."""
-        rows = list(support_rows(self.base, self.lattice.basis, excluded).values())
-        return [self.lattice.point_from_coords(x) for x in self._points(rows)]
+        return support_points(self.base, self.lattice, excluded, self.box_rows, self.max_points)
 
     def sweep(self, excluded_sets) -> dict[tuple[int, ...], SupportVerdict]:
         """Verdicts keyed by sorted excluded tuple, in first-occurrence order."""

@@ -1,12 +1,15 @@
-"""Shared fixtures: the four running example systems."""
+"""Shared fixtures: the four running example systems, and brute-force references."""
 
 import itertools
 from fractions import Fraction as F
+from math import gcd
 from pathlib import Path
 
 import pytest
 
-from gkzlog import CISpec, kernel_basis
+from gkzlog import CISpec, NoPositiveFunctional, ResourceLimit, kernel_basis
+from gkzlog.ci_mirror import DEFAULT_GRADING_BOUND
+from gkzlog.linalg import kernel_rows, solve_echelon, solve_integer
 
 FIXTURES = Path(__file__).resolve().parent.parent / "fixtures"
 
@@ -58,6 +61,91 @@ def box_points(lattice, radius):
     """
     steps = range(-radius, radius + 1)
     return [lattice.point_from_coords(c) for c in itertools.product(steps, repeat=lattice.rank)]
+
+
+def fm_lattice_points(rows, dim, max_points):
+    """``polytope._lattice_points`` as it was before Kohler's rule, as a reference.
+
+    Plain integer Fourier-Motzkin: every pair of rows with opposite signs
+    in the eliminated coordinate adds its combination, with no bound on the
+    rows of a level.  Yields the same points in the same order, and raises
+    the same ``ResourceLimit`` and ``ValueError``.
+    """
+
+    def normalized(rows):
+        out = set()
+        for a, c in rows:
+            g = gcd(*a)
+            if g == 0:
+                if c < 0:
+                    return None
+                continue
+            out.add((tuple(x // g for x in a), c // g))
+        return sorted(out)
+
+    level = normalized(rows)
+    if level is None:
+        return
+    bounds = [None] * dim
+    for k in range(dim - 1, -1, -1):
+        lower = [(a[k], a[:k], c) for a, c in level if a[k] > 0]
+        upper = [(a[k], a[:k], c) for a, c in level if a[k] < 0]
+        bounds[k] = (lower, upper)
+        if k:
+            kept = [(a, c) for a, c in level if a[k] == 0]
+            for pk, pa, pc in lower:
+                for nk, na, nc in upper:
+                    combined = tuple(-nk * p + pk * n for p, n in zip(pa, na))
+                    kept.append((combined + (0,) * (dim - k), -nk * pc + pk * nc))
+            level = normalized(kept)
+            if level is None:
+                return
+    point = [0] * dim
+
+    def walk(k):
+        if k == dim:
+            yield tuple(point)
+            return
+        lower, upper = bounds[k]
+        if not lower or not upper:
+            raise ValueError(f"coordinate {k} is unbounded: the polyhedron is not a polytope")
+        prefix = point[:k]
+        lo = max(-((c + sum(a * x for a, x in zip(pa, prefix))) // ak) for ak, pa, c in lower)
+        hi = min((c + sum(a * x for a, x in zip(pa, prefix))) // -ak for ak, pa, c in upper)
+        for x in range(lo, hi + 1):
+            point[k] = x
+            yield from walk(k + 1)
+
+    for count, found in enumerate(walk(0), 1):
+        if count > max_points:
+            raise ResourceLimit(
+                f"polytope has more than {max_points} lattice points (cap {max_points})"
+            )
+        yield found
+
+
+def shell_grading(points, ambient_dim=None):
+    """``positive_grading`` by its former search, as a reference.
+
+    Every integer coefficient vector in the saturated basis of the points'
+    span, by growing max-norm shells up to ``DEFAULT_GRADING_BOUND``, each
+    in lexicographic order; the first that is >= 1 on every point wins.
+    """
+    pts = sorted({tuple(int(x) for x in p) for p in points if any(p)})
+    if not pts:
+        if ambient_dim is None:
+            raise ValueError("no nonzero points and no ambient dimension given")
+        return (0,) * ambient_dim
+    width = len(pts[0])
+    basis = kernel_rows(kernel_rows(pts, width), width)
+    coords = [tuple(int(c) for c in solve_echelon(basis, p)) for p in pts]
+    for shell in range(DEFAULT_GRADING_BOUND + 1):
+        for w in itertools.product(range(-shell, shell + 1), repeat=len(basis)):
+            if shell and max(abs(x) for x in w) != shell:
+                continue
+            if all(sum(a * b for a, b in zip(w, y)) >= 1 for y in coords):
+                return solve_integer(basis, w)
+    raise NoPositiveFunctional("shells exhausted")
 
 
 def gauss_v(a, b):

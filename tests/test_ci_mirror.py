@@ -30,10 +30,29 @@ from gkzlog.ci_mirror import (
     render_coefficients,
     render_integrality_report,
 )
+from gkzlog import polytope
 from gkzlog.cli import load_problem
 from gkzlog.polytope import _cone_rays
 from gkzlog.support import SupportBox, support_rows
-from tests.conftest import FIXTURES
+from tests.conftest import FIXTURES, shell_grading
+
+# the 10 lattice points of conv{(-1,-1), (2,-1), (-1,2)}, origin first: a
+# reflexive triangle whose one-set CI has a rank-7 relation lattice
+RANK7_TRIANGLE = (
+    ((0, 0), (-1, -1), (0, -1), (1, -1), (2, -1), (-1, 0), (1, 0), (-1, 1), (0, 1), (-1, 2)),
+)
+
+
+def ray_points(spec):
+    """Ambient points of the extreme rays of every column's support cone, and the width."""
+    matrix, beta, v = build_system(spec)
+    lattice = kernel_basis(matrix)
+    rays = set()
+    for column in range(lattice.ambient_dim):
+        rows = support_rows(v, lattice.basis, (column,)).values()
+        assert all(c == 0 for _, c in rows)  # v lies in {0, -1}^N: the rows are a cone's
+        rays.update(_cone_rays(sorted({a for a, _ in rows if any(a)}), lattice.rank))
+    return [lattice.point_from_coords(r) for r in sorted(rays)], lattice.ambient_dim
 
 
 def fact(n):
@@ -107,6 +126,43 @@ class TestPositiveGrading:
         gens = [(2, 0), (0, 2)]
         c = positive_grading(gens)
         assert [sum(a * x for a, x in zip(c, g)) for g in gens] == [2, 2]
+
+
+    @settings(max_examples=150, deadline=None)
+    @given(
+        st.integers(1, 4).flatmap(
+            lambda width: st.lists(st.tuples(*[st.integers(-3, 3)] * width), max_size=6)
+        )
+    )
+    def test_matches_the_shell_search(self, points):
+        # the least max-norm first, then the lexicographically first functional,
+        # or no functional at all, as the search over growing shells found it
+        try:
+            want = shell_grading(points, ambient_dim=1)
+        except NoPositiveFunctional:
+            with pytest.raises(NoPositiveFunctional):
+                positive_grading(points, ambient_dim=1)
+            return
+        assert positive_grading(points, ambient_dim=1) == want
+
+    def test_rank7_triangle_query_rows_stay_bounded(self, monkeypatch):
+        # With Kohler's rule the largest elimination level of the grading query
+        # on the triangle's 66 rays combines 13,137 rows.  Without it the fifth
+        # level passes 25,000 (and the sixth 13 million), where this guard stops.
+        levels = []
+        normalized = polytope._normalized
+
+        def guarded(rows):
+            if len(rows) > 20_000:
+                raise AssertionError(f"an elimination level of {len(rows)} rows")
+            levels.append(len(rows))
+            return normalized(rows)
+
+        points, width = ray_points(CISpec.from_lists(RANK7_TRIANGLE))
+        assert len(points) == 66
+        monkeypatch.setattr(polytope, "_normalized", guarded)
+        assert positive_grading(points, ambient_dim=width) == (-3, 3, 0, 0, 3, 1, 1, 0, 0, 0)
+        assert len(levels) == 8  # the input and one level per eliminated coordinate
 
 
 class TestGradedArithmetic:
@@ -476,19 +532,12 @@ def test_grading_from_rays_equals_grading_with_seed_points(name):
     spec, radius = problem.spec, problem.radius
     matrix, beta, v = build_system(spec)
     lattice = kernel_basis(matrix)
-    width = lattice.ambient_dim
-    rays = set()
-    for column in range(width):
-        rows = support_rows(v, lattice.basis, (column,)).values()
-        assert all(c == 0 for _, c in rows)  # v lies in {0, -1}^N: the rows are a cone's
-        cone = sorted({a for a, _ in rows if any(a)})
-        rays.update(_cone_rays(cone, lattice.rank))
-    ray_points = [lattice.point_from_coords(r) for r in sorted(rays)]
+    rays, width = ray_points(spec)
     seed_box = SupportBox(v, lattice, min(radius, 3))
     seed_points = [
         point for column in range(width) for point in seed_box.support_set((column,)) if any(point)
     ]
-    want = positive_grading(ray_points + seed_points, ambient_dim=width)
+    want = positive_grading(rays + seed_points, ambient_dim=width)
     for column in range(width):
         assert mirror_map(spec, column, 1, radius=radius).grading == want
 

@@ -2,6 +2,9 @@
 
 import hashlib
 import json
+import os
+import subprocess
+import sys
 
 import pytest
 
@@ -14,6 +17,16 @@ PYRAMID = str(FIXTURES / "square_pyramid.json")
 TRIANGLES = str(FIXTURES / "ci_two_triangles.json")
 QUAD = str(FIXTURES / "ci_quadrilateral.json")
 HEXAGON = str(FIXTURES / "hexagon.json")
+SRC = str(FIXTURES.parent / "src")
+
+
+def _run_gkzlog(args, **streams):
+    """``gkzlog args`` in a fresh interpreter; stderr is captured as text."""
+    pythonpath = os.pathsep.join(filter(None, [SRC, os.environ.get("PYTHONPATH")]))
+    env = dict(os.environ, PYTHONPATH=pythonpath)
+    code = "import sys; from gkzlog.cli import main; sys.exit(main())"
+    argv = [sys.executable, "-c", code, *args]
+    return subprocess.run(argv, env=env, stderr=subprocess.PIPE, text=True, timeout=120, **streams)
 
 
 def test_lattice_command(capsys):
@@ -344,6 +357,50 @@ def test_rank7_reflexive_triangle_ci_passes(tmp_path, capsys):
     assert "unique interior point (0, 0): True" in out
     assert "minimal within radius 4" in out
     assert out.splitlines()[-1] == "status: pass"
+
+
+def test_rank7_reflexive_triangle_mirror(tmp_path):
+    # the grading query over the triangle's 66 rays and the grade-2 tails;
+    # grading and coefficients as recorded before Kohler's rule
+    triangle = [[0, 0], [-1, -1], [0, -1], [1, -1], [2, -1]]
+    triangle += [[-1, 0], [1, 0], [-1, 1], [0, 1], [-1, 2]]
+    path = _problem(tmp_path, ci={"point_sets": [triangle]}, radius=4)
+    out = tmp_path / "out"
+    assert main(["mirror", path, "--index", "1", "--grade", "2", "--out", str(out)]) == 0
+    report = json.loads((out / "run_report.json").read_text())
+    assert report["grading"] == [-3, 3, 0, 0, 3, 1, 1, 0, 0, 0]
+    digest = hashlib.sha256((out / "mirror_0_1.coeffs").read_bytes()).hexdigest()
+    assert digest == "14ec23333e8a3ba4d855383e2e48000b5df65efa2bd713431335dbadb07fdb48"
+
+
+def test_ci_degenerate_hull_prints_nothing(tmp_path, capsys):
+    path = _problem(tmp_path, ci={"point_sets": [[[0, 0], [1, 0], [-1, 0], [2, 0]]]})
+    assert main(["ci", path]) == 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert "not full-dimensional" in captured.err
+
+
+def test_closed_stdout_is_an_output_error():
+    read_end, write_end = os.pipe()
+    os.close(read_end)  # no reader: the first write to stdout fails
+    try:
+        done = _run_gkzlog(["support", PYRAMID, "--radius", "3"], stdout=write_end)
+    finally:
+        os.close(write_end)
+    assert done.returncode == 2
+    assert "output error" in done.stderr
+    assert "Traceback" not in done.stderr
+
+
+def test_out_under_a_regular_file_is_an_output_error(tmp_path):
+    blocker = tmp_path / "file"
+    blocker.write_text("")
+    args = ["mirror", TRIANGLES, "--index", "1", "--grade", "2", "--out", str(blocker / "out")]
+    done = _run_gkzlog(args, stdout=subprocess.DEVNULL)
+    assert done.returncode == 2
+    assert done.stderr.startswith("output error: ")
+    assert "Traceback" not in done.stderr
 
 
 def test_float_rationals_rejected(tmp_path):

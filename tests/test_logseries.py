@@ -360,6 +360,12 @@ class TestSerialization:
     def test_rejects_garbage(self):
         with pytest.raises(ValueError):
             from_text("1/2 + lambda\n")
+        # a zero denominator, in the coefficient or in an exponent, names its line
+        good = "1 * lambda^(0) * log^(0)\n"
+        for bad in ("1/0 * lambda^(0) * log^(0)", "1 * lambda^(1/0) * log^(0)"):
+            with pytest.raises(ValueError, match="^line 2: ") as caught:
+                from_text(good + bad + "\n")
+            assert type(caught.value) is ValueError
 
 
 def test_meta_travels(pyramid_lattice):

@@ -19,16 +19,17 @@ from gkzlog import (
     mirror_map,
     nsupp,
 )
-from gkzlog.ci_mirror import _support_polytope
 from gkzlog.cli import load_problem
 from gkzlog.linalg import hnf_rows
 from gkzlog.polytope import _cone_rays, _lattice_points, _normalized
+from gkzlog.support import support_points
 from tests.conftest import (
     FIXTURES,
     QUADRILATERAL_SETS,
     TWO_TRIANGLES_SETS,
     box_points,
     cofactor_vector,
+    fm_lattice_points,
 )
 
 CI_FIXTURES = ["ci_two_triangles", "ci_quadrilateral", "quintic", "hexagon"]
@@ -209,6 +210,17 @@ def test_interior_points_match_a_bounding_box_scan(dim, data):
     assert interior_lattice_points(hull) == [p for p in box if hull.contains(p, strict=True)]
 
 
+def _grade_cut(lattice, grading, grade_bound):
+    """The row ``grade_bound - grading . x >= 0`` in the lattice's coordinates."""
+    weights = [sum(g * b for g, b in zip(grading, row)) for row in lattice.basis]
+    return [(tuple(-w for w in weights), grade_bound)]
+
+
+def _tail(v, lattice, excluded_col, grading, grade_bound):
+    excluded = () if excluded_col is None else (excluded_col,)
+    return support_points(v, lattice, excluded, _grade_cut(lattice, grading, grade_bound), 10**6)
+
+
 def _brute_force(rows, ranges):
     """Points of the box ``prod range(lo, hi + 1)`` satisfying every row, lexicographic."""
     return [
@@ -247,7 +259,7 @@ def test_support_polytopes_match_grade_filtered_box(name):
                 for point in support_sets[q.radius][excluded]
                 if q.grade_of(point) <= grade_bound
             }
-            got = _support_polytope(v, lattice, excluded_col, q.grading, grade_bound, 10**6)
+            got = _tail(v, lattice, excluded_col, q.grading, grade_bound)
             assert len(got) == len(set(got))
             assert set(got) == want, (name, grade_bound, excluded_col)
 
@@ -260,12 +272,12 @@ def test_tail_polytopes_stay_within_twice_the_coefficient_count(name):
     for col in range(lattice.ambient_dim):
         q = mirror_map(problem.spec, col, 8, radius=problem.radius)
         for excluded_col in (None, col):
-            points = _support_polytope(v, lattice, excluded_col, q.grading, 8, 10**6)
+            points = _tail(v, lattice, excluded_col, q.grading, 8)
             assert len(points) <= 2 * len(q.coefficients)
         if name == "hexagon" and col == 1:
             assert len(q.coefficients) == 72
-            assert len(_support_polytope(v, lattice, None, q.grading, 8, 10**6)) == 63
-            assert len(_support_polytope(v, lattice, 1, q.grading, 8, 10**6)) == 119
+            assert len(_tail(v, lattice, None, q.grading, 8)) == 63
+            assert len(_tail(v, lattice, 1, q.grading, 8)) == 119
 
 
 _coefficient = st.integers(-4, 4)
@@ -291,6 +303,32 @@ def test_lattice_points_match_brute_force(dim, data):
     if want:
         with pytest.raises(ResourceLimit, match=f"cap {len(want) - 1}"):
             list(_lattice_points(rows, dim, len(want) - 1))
+
+
+def _outcome(points):
+    """The points a lattice-point generator yields, then the error it raises, if any."""
+    seen = []
+    try:
+        seen.extend(points)
+    except (ResourceLimit, ValueError) as exc:
+        return seen, type(exc), str(exc)
+    return seen, None, None
+
+
+@settings(max_examples=300, deadline=None)
+@given(dim=st.integers(1, 5), data=st.data())
+def test_lattice_points_match_the_elimination_without_kohlers_rule(dim, data):
+    # up to 7 random rows plus a random subset of the box rows radius +- x_k >= 0,
+    # so that some systems are unbounded or empty: Kohler's rule only drops
+    # redundant rows, so the points, their order and the error raised agree
+    vector = st.tuples(*[_coefficient] * dim)
+    rows = data.draw(st.lists(st.tuples(vector, st.integers(-6, 6)), max_size=7))
+    radius = data.draw(st.integers(0, 2))
+    box = [(tuple(s * (i == k) for i in range(dim)), radius) for s in (1, -1) for k in range(dim)]
+    rows += data.draw(st.lists(st.sampled_from(box), unique=True, max_size=2 * dim))
+    cap = data.draw(st.one_of(st.integers(0, 20), st.just(10**4)))
+    want = _outcome(fm_lattice_points(rows, dim, cap))
+    assert _outcome(_lattice_points(rows, dim, cap)) == want
 
 
 def test_lattice_points_yield_up_to_the_cap_then_raise():
@@ -329,8 +367,11 @@ def test_lattice_points_single_point():
 
 
 def test_lattice_points_duplicate_and_proportional_rows():
-    assert _normalized([((2, 4), 6), ((1, 2), 3), ((3, 6), 10), ((1, 2), 3)]) == [((1, 2), 3)]
-    assert _normalized([((0, 0), 0), ((0, 0), -1)]) is None
+    # each row carries the mask of the input rows it combines; a duplicate
+    # keeps the smaller one
+    rows = [((2, 4), 6, 0b1000), ((1, 2), 3, 0b0110), ((3, 6), 10, 0b0001), ((1, 2), 3, 0b0100)]
+    assert _normalized(rows) == [((1, 2), 3, 0b1)]
+    assert _normalized([((0, 0), 0, 1), ((0, 0), -1, 2)]) is None
     simplex = [((1, 0), 0), ((0, 1), 0), ((-1, -1), 4)]
     repeated = simplex + [((2, 0), 0), ((0, 3), 1), ((-2, -2), 9), ((-1, -1), 4)]
     assert list(_lattice_points(repeated, 2, 100)) == list(_lattice_points(simplex, 2, 100))
