@@ -38,14 +38,11 @@ from .logseries import (
     LogSeries,
     LogTerm,
     SeriesMeta,
-    build_F,
-    build_G,
-    build_H,
-    build_H_table,
-    combine_first_order,
-    combine_second_order,
+    build_tail,
+    combine,
     from_text,
     log_free_coefficients,
+    tails_read,
     to_text,
 )
 from .operators import (
@@ -97,14 +94,11 @@ __all__ = [
     "LogSeries",
     "LogTerm",
     "SeriesMeta",
-    "build_F",
-    "build_G",
-    "build_H",
-    "build_H_table",
-    "combine_first_order",
-    "combine_second_order",
+    "build_tail",
+    "combine",
     "from_text",
     "log_free_coefficients",
+    "tails_read",
     "to_text",
     "BoxOp",
     "CertifiedReport",

@@ -32,7 +32,6 @@ Indices are 0-based throughout: column ``(i, j)`` is member ``j`` of set
 
 from __future__ import annotations
 
-import itertools
 from dataclasses import dataclass
 from fractions import Fraction
 from math import gcd, lcm
@@ -306,19 +305,43 @@ def _from_int_layers(layers, base, width):
     return out
 
 
+def _graded_recurrence(first, step, bound, weight, divisor):
+    """Layers ``r_d = (first_d + sum_{e>=1} weight(e) * step_e * r_(d-e)) / divisor(d)``.
+
+    ``first`` and ``step`` map grades to point-keyed ``Fraction`` slices,
+    ``step`` in grades >= 1 and ``first`` nonempty; the recurrence is exact
+    because the grade of a product is the sum of grades.  Returns the
+    point-keyed series of the layers ``r_0 .. r_bound``.
+
+    Each layer ``r_d`` is one denominator and an integer numerator per
+    point (``_layer_sum``), keyed by the packed point (``_int_layer``).
+    A point of ``r_d`` is a sum of one point of ``first`` and at most
+    ``bound`` points of ``step``, so its coordinates lie strictly inside
+    ``(-B/2, B/2)`` for the base ``B`` of ``_pack_base``, where packing
+    is injective: adding two keys gives the key of the sum.
+    """
+    points = [p for slices in (step, first) for slice_ in slices.values() for p in slice_]
+    base = _pack_base(points, bound)
+    int_first = {d: _int_layer(slice_, base) for d, slice_ in first.items()}
+    int_step = {e: _int_layer(slice_, base) for e, slice_ in step.items()}
+    layers: dict[int, tuple] = {}
+    for d in range(bound + 1):
+        products = [
+            (weight(e), int_step[e], layers[d - e])
+            for e in range(1, d + 1)
+            if e in int_step and (d - e) in layers
+        ]
+        layer = _layer_sum(int_first.get(d), products, divisor(d))
+        if layer is not None:
+            layers[d] = layer
+    return _from_int_layers(layers, base, len(points[0]))
+
+
 def graded_quotient(g, f, grading, bound):
     """Quotient ``g / (1 + f)`` up to the grade bound.
 
     ``f`` has grades >= 1 and ``g`` grades >= 0.  Grade by grade,
-    ``r_d = g_d - sum_{e>=1} f_e * r_(d-e)``, which is exact because the
-    grade of a product is the sum of grades.
-
-    Each layer ``r_d`` is one denominator and an integer numerator per
-    point (``_layer_sum``), keyed by the packed point (``_int_layer``).
-    A point of ``r_d`` is a sum of one point of ``g`` and at most
-    ``bound`` points of ``f``, so its coordinates lie strictly inside
-    ``(-B/2, B/2)`` for the base ``B`` of ``_pack_base``, where packing
-    is injective: adding two keys gives the key of the sum.
+    ``r_d = g_d - sum_{e>=1} f_e * r_(d-e)`` (``_graded_recurrence``).
     """
     grade_of = lambda p: sum(a * x for a, x in zip(grading, p))
     sf, sg = _graded(f, grade_of), _graded(g, grade_of)
@@ -328,48 +351,20 @@ def graded_quotient(g, f, grading, bound):
         raise ValueError("g must be supported in grades >= 0")
     if not g:
         return {}
-    base = _pack_base(itertools.chain(f, g), bound)
-    int_f = {e: _int_layer(layer, base) for e, layer in sf.items()}
-    int_g = {d: _int_layer(layer, base) for d, layer in sg.items()}
-    quotient: dict[int, tuple] = {}
-    for d in range(bound + 1):
-        products = [
-            (-1, int_f[e], quotient[d - e])
-            for e in range(1, d + 1)
-            if e in int_f and (d - e) in quotient
-        ]
-        layer = _layer_sum(int_g.get(d), products)
-        if layer is not None:
-            quotient[d] = layer
-    return _from_int_layers(quotient, base, len(next(iter(g))))
+    return _graded_recurrence(sg, sf, bound, lambda e: -1, lambda d: 1)
 
 
 def graded_exp(h, grading, bound, origin):
     """Exponential of a series with grades >= 1, up to the bound.
 
-    Uses the grade-derivative recursion d*E_d = sum m*H_m E_(d-m), which
-    stays exact because the grade of a product is the sum of grades.
-
-    The layers are integer numerators over one denominator per grade,
-    keyed by packed points, as in ``graded_quotient``: a point of ``E_d``
-    is ``origin`` plus at most ``bound`` points of ``h``, which keeps its
-    coordinates inside the range where the packing is injective.
+    Uses the grade-derivative recursion ``d*E_d = sum m*H_m E_(d-m)``
+    from ``E_0 = 1`` at ``origin`` (``_graded_recurrence``).
     """
     grade_of = lambda p: sum(g * x for g, x in zip(grading, p))
     sh = _graded(h, grade_of)
     if any(g < 1 for g in sh):
         raise ValueError("h must be supported in grades >= 1")
-    base = _pack_base(itertools.chain(h, [origin]), bound)
-    int_h = {m: _int_layer(layer, base) for m, layer in sh.items()}
-    exp: dict[int, tuple] = {0: _int_layer({origin: Fraction(1)}, base)}
-    for d in range(1, bound + 1):
-        products = [
-            (m, int_h[m], exp[d - m]) for m in range(1, d + 1) if m in int_h and (d - m) in exp
-        ]
-        layer = _layer_sum(None, products, d)
-        if layer is not None:
-            exp[d] = layer
-    return _from_int_layers(exp, base, len(origin))
+    return _graded_recurrence({0: {origin: Fraction(1)}}, sh, bound, lambda m: m, lambda d: d or 1)
 
 
 def graded_log(e, grading, bound, origin):

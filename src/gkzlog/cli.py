@@ -29,15 +29,7 @@ from .ci_mirror import (
 )
 from .errors import GkzError, ProblemFileError, ResourceLimit
 from .lattice import IntMatrix, kernel_basis
-from .logseries import (
-    build_F,
-    build_G,
-    build_H,
-    build_H_table,
-    combine_first_order,
-    combine_second_order,
-    to_text,
-)
+from .logseries import build_tail, combine, tails_read, to_text
 from .operators import BoxOp, verify_box_annihilation, verify_euler_annihilation
 from .polytope import DEFAULT_MAX_BOX_POINTS, has_unique_interior_point
 from .rationals import rational_vector, to_int
@@ -142,47 +134,12 @@ def _load_box_inputs(args):
     return problem, kernel_basis(problem.matrix), _override(args.radius, problem.radius, "radius")
 
 
-def _sweep(box, excluded_sets, failure):
-    """``run_report.json`` verdicts, or None after printing the first failure."""
-    verdicts = box.sweep(excluded_sets)
-    for excluded, verdict in verdicts.items():
-        if not verdict.minimal:
-            print(failure(excluded))
-            return None
-    return {f"excluded={excluded}": str(verdict) for excluded, verdict in verdicts.items()}
-
-
 def _solve_failure(excluded):
     if not excluded:
         return "minimality failed for the plain negative support"
     if len(excluded) == 1:
         return f"minimality failed with index {excluded[0]} excluded"
     return f"minimality failed with {list(excluded)} excluded"
-
-
-def _unit(i, n):
-    return tuple(1 if k == i else 0 for k in range(n))
-
-
-def _verify_and_write(out_dir: Path, name, series, lattice, matrix=None, beta=None):
-    """Box-verify ``series`` against every basis operator, and Euler-verify
-    it when ``matrix`` is given; then write it as artifact ``name``.
-
-    Returns the ``run_report.json`` verification entry and whether every
-    check passed.
-    """
-    reports = [
-        (f"box({','.join(str(x) for x in row)})", verify_box_annihilation(series, BoxOp(row)))
-        for row in lattice.basis
-    ]
-    if matrix is not None:
-        reports.append(("euler", verify_euler_annihilation(series, matrix, beta)))
-    checks = [
-        {"op": op, "checked_terms": report.checked_term_count, "violations": len(report.violations)}
-        for op, report in reports
-    ]
-    _write_artifact(out_dir, name, to_text(series))
-    return {"artifact": name, "checks": checks}, all(report.passed for _, report in reports)
 
 
 def _write_artifact(out_dir: Path, name: str, content: str):
@@ -194,30 +151,6 @@ def _write_artifact(out_dir: Path, name: str, content: str):
 def _write_run_report(out_dir: Path, report: dict):
     content = json.dumps(report, indent=2) + "\n"
     return _write_artifact(out_dir, "run_report.json", content)
-
-
-def _finish(args, started, problem, parameters, verdicts, checked) -> int:
-    """Write ``run_report.json`` for the ``_verify_and_write`` results
-    ``checked`` of a solve or combine run, print its summary, return the exit code."""
-    verification = [entry for entry, _ in checked]
-    artifacts = [entry["artifact"] for entry in verification]
-    ok = all(passed for _, passed in checked)
-    report = {
-        "command": args.command,
-        "input": problem.raw,
-        "source": problem.source_hash,
-        "parameters": parameters,
-        "verdicts": verdicts,
-        "artifacts": artifacts,
-        "verification": verification,
-        "status": "pass" if ok else "fail",
-    }
-    artifacts = artifacts + [_write_run_report(Path(args.out), report)]
-    elapsed = time.perf_counter() - started
-    print(f"status: {report['status']}")
-    print(f"artifacts: {', '.join(artifacts)}")
-    print(f"elapsed: {elapsed:.3f}s")
-    return 0 if ok else 1
 
 
 def cmd_lattice(args) -> int:
@@ -245,10 +178,62 @@ def cmd_support(args) -> int:
     return 0 if verdict.minimal else 1
 
 
+def _series_run(args, started, problem, box, sets, failure, artifacts, euler, parameters) -> int:
+    """The pipeline of ``solve`` and ``combine``; returns the exit code.
+
+    Sweeps ``box`` over the excluded ``sets`` (exit 1 after printing
+    ``failure(excluded)`` for the first one that is not minimal), builds
+    each tail the ``artifacts`` read once, and writes each artifact
+    ``(name, terms)`` as ``combine(tails, terms)``, box-verified against
+    every basis operator and, unless ``euler`` is None, Euler-verified
+    against its ``(matrix, beta)``; then ``run_report.json``.  Every
+    support set is enumerated before the first write, so a capped run
+    writes nothing.
+    """
+    verdicts = box.sweep(sets)
+    for excluded, verdict in verdicts.items():
+        if not verdict.minimal:
+            print(failure(excluded))
+            return 1
+    needed = tails_read(term for _, terms in artifacts for term in terms)
+    tails = {logs: build_tail(box, logs) for logs in needed}
+    verification, ok = [], True
+    for name, terms in artifacts:
+        series = combine(tails, terms)
+        reports = [
+            (f"box({','.join(str(x) for x in row)})", verify_box_annihilation(series, BoxOp(row)))
+            for row in box.lattice.basis
+        ]
+        if euler is not None:
+            reports.append(("euler", verify_euler_annihilation(series, *euler)))
+        checks = [
+            {"op": op, "checked_terms": got.checked_term_count, "violations": len(got.violations)}
+            for op, got in reports
+        ]
+        verification.append({"artifact": name, "checks": checks})
+        ok = ok and all(got.passed for _, got in reports)
+        _write_artifact(Path(args.out), name, to_text(series))
+    artifacts = [name for name, _ in artifacts]
+    report = {
+        "command": args.command,
+        "input": problem.raw,
+        "source": problem.source_hash,
+        "parameters": parameters,
+        "verdicts": {f"excluded={excluded}": str(v) for excluded, v in verdicts.items()},
+        "artifacts": artifacts,
+        "verification": verification,
+        "status": "pass" if ok else "fail",
+    }
+    artifacts = artifacts + [_write_run_report(Path(args.out), report)]
+    print(f"status: {report['status']}")
+    print(f"artifacts: {', '.join(artifacts)}")
+    print(f"elapsed: {time.perf_counter() - started:.3f}s")
+    return 0 if ok else 1
+
+
 def cmd_solve(args) -> int:
     started = time.perf_counter()
     problem, lattice, radius = _load_box_inputs(args)
-    out_dir = Path(args.out)
     ncols = problem.matrix.n_cols
 
     indices, pairs = [], []
@@ -272,38 +257,17 @@ def cmd_solve(args) -> int:
         pairs = [(i, j) for i in range(ncols) for j in range(i, ncols)]
     pairs = sorted(set(pairs))
     sets = [()] + [(i,) for i in indices] + pairs
-    box = SupportBox(problem.v, lattice, radius, args.max_terms)
-    verdicts = _sweep(box, sets, _solve_failure)
-    if verdicts is None:
-        return 1
 
-    def check(name, series):
-        return _verify_and_write(out_dir, name, series, lattice)
-
-    # Every support set is enumerated before the first write, so a capped run
-    # writes nothing.  Only the G_k and H_ij that are read are built.
-    series_f = build_F(box)
-    used = set(indices) if args.order == 1 else {k for pair in pairs for k in pair}
-    series_g = [build_G(box, k) if k in used else None for k in range(ncols)]
-    table = [[None] * ncols for _ in range(ncols)]
-    for i, j in pairs:
-        table[i][j] = table[j][i] = build_H(box, i, j)
-    checked = [check("F.series", series_f)]
+    artifacts = [("F.series", [(1, ())])]
     if args.order == 1:
-        checked += [
-            check(f"quasi1_{i}.series", combine_first_order(series_f, series_g, _unit(i, ncols)))
-            for i in indices
-        ]
+        artifacts += [(f"quasi1_{i}.series", [(1, (i,))]) for i in indices]
     elif args.order == 2:
-        checked += [
-            check(
-                f"quasi2_{i}_{j}.series",
-                combine_second_order(series_f, series_g, table, _unit(i, ncols), _unit(j, ncols)),
-            )
-            for i, j in pairs
-        ]
+        artifacts += [(f"quasi2_{i}_{j}.series", [(1, (i, j))]) for i, j in pairs]
+    box = SupportBox(problem.v, lattice, radius, args.max_terms)
     parameters = {"order": args.order, "radius": radius}
-    return _finish(args, started, problem, parameters, verdicts, checked)
+    return _series_run(
+        args, started, problem, box, sets, _solve_failure, artifacts, None, parameters
+    )
 
 
 def cmd_combine(args) -> int:
@@ -315,38 +279,27 @@ def cmd_combine(args) -> int:
     if any(problem.matrix.mul_vec(point)):
         raise ProblemFileError(f"l = {point} is not in the relation lattice")
     point2 = None
-    if args.lprime:
+    if args.lprime is not None:
         point2 = _parse_int_vector(args.lprime, ncols)
         if any(problem.matrix.mul_vec(point2)):
             raise ProblemFileError(f"l' = {point2} is not in the relation lattice")
 
-    needed = [()] + [(i,) for i in range(ncols)]
-    if point2 is not None:
-        needed += [(i, j) for i in range(ncols) for j in range(i + 1, ncols)]
-    failure = "minimality failed with {} excluded".format
-    box = SupportBox(problem.v, lattice, radius, args.max_terms)
-    verdicts = _sweep(box, needed, failure)
-    if verdicts is None:
-        return 1
-
-    series_f = build_F(box)
-    series_g = [build_G(box, i) for i in range(ncols)]
+    sets = [()] + [(i,) for i in range(ncols)]
     if point2 is None:
-        solution = combine_first_order(series_f, series_g, point)
+        terms = [(la, (a,)) for a, la in enumerate(point)]
     else:
-        solution = combine_second_order(series_f, series_g, build_H_table(box), point, point2)
-
-    checked = [
-        _verify_and_write(
-            Path(args.out), "solution.series", solution, lattice, problem.matrix, problem.beta
-        )
-    ]
+        sets += [(i, j) for i in range(ncols) for j in range(i + 1, ncols)]
+        terms = [(la * lb, (a, b)) for a, la in enumerate(point) for b, lb in enumerate(point2)]
+    box = SupportBox(problem.v, lattice, radius, args.max_terms)
+    failure = "minimality failed with {} excluded".format
+    artifacts = [("solution.series", terms)]
+    euler = (problem.matrix, problem.beta)
     parameters = {
         "l": list(point),
         "lprime": list(point2) if point2 is not None else None,
         "radius": radius,
     }
-    return _finish(args, started, problem, parameters, verdicts, checked)
+    return _series_run(args, started, problem, box, sets, failure, artifacts, euler, parameters)
 
 
 def cmd_ci(args) -> int:

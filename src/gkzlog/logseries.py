@@ -9,21 +9,24 @@ log powers.  Terms are keyed by (exponent, logdeg); zero coefficients are
 never stored and iteration order is lexicographic, so two equal series
 serialize identically.
 
-The builders construct the truncations of the classical solution series
-of a GKZ system at a base exponent vector ``v``, each from the support
-sets of one :class:`~gkzlog.support.SupportBox` (``v``, lattice, radius):
+The tails of the classical solution series of a GKZ system at a base
+exponent vector ``v`` are built from the support sets of one
+:class:`~gkzlog.support.SupportBox` (``v``, lattice, radius), one per
+sorted tuple of log indices:
 
-    build_F(box)         log-free series F
-    build_G(box, i)      the log-free partner G_i of F * log(lambda_i)
-    build_H(box, i, j)   the log-free partner H_ij of the second-order
-                         quasisolution (i = j for a repeated variable)
-    build_H_table(box)   every H_ij, as a symmetric table
+    build_tail(box, ())       log-free series F
+    build_tail(box, (i,))     the log-free partner G_i of F * log(lambda_i)
+    build_tail(box, (i, j))   the log-free partner H_ij of the second-order
+                              quasisolution (i = j for a repeated index)
 
-and ``combine_first_order`` / ``combine_second_order`` assemble genuine
-solutions of the full system from them.  A combination, like
-``mul_log_linear``, adds each weighted series into one term dict
-(``_add_into``) and builds a single series at the end.  The builders
-and the mirror map's tails share one coefficient rule,
+and one rule, ``combine``, assembles every quasisolution and solution
+from them: a multiset ``S`` of log indices stands for
+``sum_{T in S} tail(T) * prod_{b in S \\ T} log(lambda_b)`` (``T`` over
+the subsets of the positions of ``S``), and a solution is a weighted sum
+of such terms.  ``tails_read`` names the tails a list of terms reads.  A
+combination, like ``mul_log_linear``, adds each weighted series into one
+term dict (``_add_into``) and builds a single series at the end.  The
+tails and the mirror map's tails share one coefficient rule,
 ``log_free_coefficients``, which reads per-coordinate derivative-chain
 tables.  Each series records the box's truncation metadata (base
 vector, lattice, radius) so that the operator module can compute
@@ -231,12 +234,17 @@ def log_free_coefficients(v, points, logs) -> list[Fraction]:
     return out
 
 
-def _build_log_free(box: SupportBox, logs) -> LogSeries:
-    """One term per support point (log indices excluded) with a nonzero rule value.
+def build_tail(box: SupportBox, logs) -> LogSeries:
+    """Log-free tail for the log indices ``logs``, from the support set that excludes them.
 
-    Support points keep every log-free coordinate that is a negative
-    integer negative, so only a log index can hit an undefined entry, and
-    that raises :class:`MinimalityViolation`.
+    ``logs`` is a sorted tuple: ``()`` gives ``F``, ``(i,)`` the partner
+    ``G_i`` of ``F * log(lambda_i)`` and ``(i, j)`` the second-order tail
+    ``H_ij`` (``i = j`` for a repeated index).  There is one term per
+    support point with a nonzero rule value; the coefficient of ``F`` at
+    the base exponent is 1.  Support points keep every log-free
+    coordinate that is a negative integer negative, so only a log index
+    can hit an undefined entry, and that raises
+    :class:`MinimalityViolation`.
     """
     base = box.base
     points = box.support_set(logs)
@@ -250,43 +258,7 @@ def _build_log_free(box: SupportBox, logs) -> LogSeries:
     return LogSeries(len(base), terms, SeriesMeta(base, box.lattice, box.radius))
 
 
-def build_F(box: SupportBox) -> LogSeries:
-    """Log-free series ``F``: one term per point of the plain support set.
-
-    Requires the box's base vector to have minimal negative support
-    (``box.check_minimal()``); the coefficient at the base exponent is 1.
-    """
-    return _build_log_free(box, ())
-
-
-def build_G(box: SupportBox, i: int) -> LogSeries:
-    """Log-free partner of ``F`` for variable ``i`` (0-based).
-
-    ``F * log(lambda_i) + G_i`` satisfies all box operators when the base
-    vector passes the plain and the i-excluded minimality checks.
-    """
-    return _build_log_free(box, (i,))
-
-
-def build_H(box: SupportBox, i: int, j: int) -> LogSeries:
-    """Log-free tail ``H_ij`` of the second-order quasisolution, symmetric in ``i, j``.
-
-    ``i = j`` gives the repeated-index tail ``H_ii``.
-    """
-    return _build_log_free(box, (i, j))
-
-
-def build_H_table(box: SupportBox):
-    """Symmetric table of all second-order partners ``H_ij``."""
-    n = len(box.base)
-    table = [[None] * n for _ in range(n)]
-    for i in range(n):
-        for j in range(i, n):
-            table[i][j] = table[j][i] = build_H(box, i, j)
-    return tuple(tuple(row) for row in table)
-
-
-def _add_into(out: dict, series: LogSeries, weight, logs=()):
+def _add_into(out: dict, series: LogSeries, weight, logs):
     """Add ``weight * series * prod(log(lambda_b) for b in logs)`` into the term dict ``out``."""
     for (exponent, logdeg), coeff in series.items():
         if logs:
@@ -298,63 +270,45 @@ def _add_into(out: dict, series: LogSeries, weight, logs=()):
         out[key] = out.get(key, 0) + weight * coeff
 
 
-def _entering_meta(series_f: LogSeries, entering) -> SeriesMeta | None:
-    """Metadata shared by ``F`` and the series entering a combination."""
-    meta = series_f.meta
-    for series in entering:
-        if series.nvars != series_f.nvars:
+def _splits(logs):
+    """``(tail key, log factors)`` for each subset of the positions of the multiset ``logs``."""
+    logs = sorted(logs)
+    for mask in range(1 << len(logs)):
+        yield (
+            tuple(b for k, b in enumerate(logs) if mask >> k & 1),
+            tuple(b for k, b in enumerate(logs) if not mask >> k & 1),
+        )
+
+
+def tails_read(terms) -> list[tuple[int, ...]]:
+    """Keys of the tails ``combine(tails, terms)`` reads: F's ``()``, then by length and index."""
+    keys = {()}
+    keys.update(tail for weight, logs in terms if weight for tail, _ in _splits(logs))
+    return sorted(keys, key=lambda key: (len(key), key))
+
+
+def combine(tails, terms) -> LogSeries:
+    """Sum over ``(w, S)`` in ``terms`` of ``w * sum_{T in S} tails[T] * log^(S \\ T)``.
+
+    ``S`` is a multiset of log indices and ``T`` runs over the subsets of
+    the positions of ``S``; ``log^(S \\ T)`` is ``prod_{b in S \\ T}
+    log(lambda_b)``.  So ``[(1, (i,))]`` is ``F*log_i + G_i`` and
+    ``[(1, (i, i))]`` is ``F*log_i^2 + 2*G_i*log_i + H_ii``.  ``tails``
+    maps sorted index tuples to series; only the keys ``tails_read``
+    names are read, and their dimension and metadata must agree with
+    ``tails[()]``.  Terms with ``w = 0`` are skipped.
+    """
+    terms = [(weight, logs) for weight, logs in terms if weight]
+    n = tails[()].nvars
+    meta = None
+    for key in tails_read(terms):
+        if any(not 0 <= b < n for b in key) or tails[key].nvars != n:
             raise ValueError("dimension mismatch")
-        meta = _merge_meta(meta, series.meta)
-    return meta
-
-
-def combine_first_order(series_f: LogSeries, series_g, point) -> LogSeries:
-    """Solution ``sum_a l_a (F*log(lambda_a) + G_a)`` for a lattice point ``l``.
-
-    Only the ``G_a`` with ``l_a != 0`` are read; the other entries of
-    ``series_g`` may be ``None``.
-    """
-    n = series_f.nvars
-    if len(series_g) != n or len(point) != n:
-        raise ValueError("dimension mismatch")
-    meta = _entering_meta(series_f, [g for weight, g in zip(point, series_g) if weight])
+        meta = _merge_meta(meta, tails[key].meta)
     out = {}
-    for a, weight in enumerate(point):
-        if weight:
-            _add_into(out, series_f, weight, (a,))
-            _add_into(out, series_g[a], weight)
-    return LogSeries(n, out, meta)
-
-
-def combine_second_order(series_f, series_g, table_h, point, point2) -> LogSeries:
-    """Second-order solution for the lattice points ``l`` and ``l'``.
-
-    The double sum ``sum_{a,b} l_a l'_b (F*log_a*log_b + G_a*log_b +
-    G_b*log_a + H_ab)`` with ``log_a = log(lambda_a)``.  ``table_h``
-    must be a symmetric N x N table; ``l = l'`` is allowed.  Only the
-    ``G_a`` with ``l_a != 0`` or ``l'_a != 0`` and the ``H_ab`` with
-    ``l_a l'_b != 0`` are read; the other entries may be ``None``.
-    """
-    n = series_f.nvars
-    if len(series_g) != n or len(point) != n or len(point2) != n:
-        raise ValueError("dimension mismatch")
-    if len(table_h) != n or any(len(row) != n for row in table_h):
-        raise ValueError("dimension mismatch")
-    for i in range(n):
-        for j in range(i + 1, n):
-            if table_h[i][j] != table_h[j][i]:
-                raise ValueError(f"asymmetric H table at ({i}, {j})")
-    pairs = [
-        (a, b, la * lb) for a, la in enumerate(point) for b, lb in enumerate(point2) if la * lb
-    ]
-    entering = [g for g, la, lb in zip(series_g, point, point2) if la or lb]
-    meta = _entering_meta(series_f, entering + [table_h[a][b] for a, b, _ in pairs])
-    out = {}
-    for a, b, weight in pairs:
-        _add_into(out, series_f, weight, (a, b))
-        _add_into(out, series_g[a], weight, (b,))
-        _add_into(out, series_g[b], weight, (a,))
-        _add_into(out, table_h[a][b], weight)
+    for weight, logs in terms:
+        for tail, factors in _splits(logs):
+            _add_into(out, tails[tail], weight, factors)
     return LogSeries(n, out, meta)
 
 

@@ -7,7 +7,7 @@ from pathlib import Path
 
 import pytest
 
-from gkzlog import CISpec, NoPositiveFunctional, ResourceLimit, kernel_basis
+from gkzlog import CISpec, NoPositiveFunctional, ResourceLimit, build_tail, kernel_basis, tails_read
 from gkzlog.ci_mirror import DEFAULT_GRADING_BOUND
 from gkzlog.linalg import kernel_rows, solve_echelon, solve_integer
 
@@ -146,6 +146,18 @@ def shell_grading(points, ambient_dim=None):
             if all(sum(a * b for a, b in zip(w, y)) >= 1 for y in coords):
                 return solve_integer(basis, w)
     raise NoPositiveFunctional("shells exhausted")
+
+
+def solution_terms(point, point2=None):
+    """``combine`` terms of the solution for ``l`` (first order) or ``l, l'`` (second order)."""
+    if point2 is None:
+        return [(la, (a,)) for a, la in enumerate(point)]
+    return [(la * lb, (a, b)) for a, la in enumerate(point) for b, lb in enumerate(point2)]
+
+
+def tails_of(box, terms):
+    """Every tail ``combine(tails, terms)`` reads, built from ``box``."""
+    return {logs: build_tail(box, logs) for logs in tails_read(terms)}
 
 
 def gauss_v(a, b):

@@ -19,13 +19,9 @@ from gkzlog import (
     NoPositiveFunctional,
     SupportBox,
     bracket,
-    build_F,
-    build_G,
-    build_H,
-    build_H_table,
     build_system,
-    combine_first_order,
-    combine_second_order,
+    build_tail,
+    combine,
     differentiate,
     elem_sym_shifted,
     f_coeffs,
@@ -52,6 +48,8 @@ from tests.conftest import (
     box_points,
     gauss_beta,
     gauss_v,
+    solution_terms,
+    tails_of,
 )
 
 
@@ -102,14 +100,14 @@ def test_criterion_1_gauss_example():
         for a, b in ((F(1, 2), F(1, 3)), (F(2, 5), F(7, 3))):
             v = gauss_v(a, b)
             box = SupportBox(v, lattice, radius)
-            series_f = build_F(box)
+            series_f = build_tail(box, ())
             for depth in range(radius + 1):
                 exponent = (-a - depth, -b - depth, F(depth), F(depth))
                 want = rising(a, depth) * rising(b, depth) / F(fact(depth)) ** 2
                 assert series_f.coefficient(exponent) == want
 
-            series_g = [build_G(box, i) for i in range(4)]
-            solution = combine_first_order(series_f, series_g, (-1, -1, 1, 1))
+            terms = solution_terms((-1, -1, 1, 1))
+            solution = combine(tails_of(box, terms), terms)
             for depth in range(radius + 1):
                 exponent = (-a - depth, -b - depth, F(depth), F(depth))
                 factor = sum(
@@ -140,12 +138,12 @@ def test_criterion_2_pyramid_example():
             return (F(a), F(b), F(a), F(b), F(1 - 2 * a - 2 * b))
 
         box = SupportBox(v, lattice, radius)
-        series_f = build_F(box)
+        series_f = build_tail(box, ())
         assert series_f == LogSeries.monomial(v)
         for i in range(4):
-            assert not build_G(box, i)
+            assert not build_tail(box, (i,))
 
-        series_g5 = build_G(box, 4)
+        series_g5 = build_tail(box, (4,))
         for a in range(7):
             for b in range(7 - a):
                 if (a, b) == (0, 0):
@@ -153,7 +151,7 @@ def test_criterion_2_pyramid_example():
                 want = F(fact(2 * a + 2 * b - 2), fact(a) ** 2 * fact(b) ** 2)
                 assert series_g5.coefficient(exponent(a, b)) == want
 
-        h55 = build_H(box, 4, 4)
+        h55 = build_tail(box, (4, 4))
         for a in range(7):
             for b in range(7 - a):
                 if (a, b) == (0, 0):
@@ -165,26 +163,26 @@ def test_criterion_2_pyramid_example():
                 assert h55.coefficient(exponent(a, b)) == want
 
         for i in (0, 2):
-            series = build_H(box, i, 4)
+            series = build_tail(box, (i, 4))
             for a in range(1, 7):
                 for b in range(7 - a):
                     want = -F(fact(2 * a + 2 * b - 2), fact(a) ** 2 * fact(b) ** 2)
                     assert series.coefficient(exponent(a, b)) == want * harmonic(a)
         for i in (1, 3):
-            series = build_H(box, i, 4)
+            series = build_tail(box, (i, 4))
             for b in range(1, 7):
                 for a in range(7 - b):
                     want = -F(fact(2 * a + 2 * b - 2), fact(a) ** 2 * fact(b) ** 2)
                     assert series.coefficient(exponent(a, b)) == want * harmonic(b)
 
-        h13 = build_H(box, 0, 2)
+        h13 = build_tail(box, (0, 2))
         for a in range(-6, 0):
             for b in range(0, -a + 1):
                 if abs(a) + b > 6:
                     continue
                 want = F(fact(-a - 1) ** 2, fact(b) ** 2 * fact(-2 * a - 2 * b + 1))
                 assert h13.coefficient(exponent(a, b)) == want
-        h24 = build_H(box, 1, 3)
+        h24 = build_tail(box, (1, 3))
         for b in range(-6, 0):
             for a in range(0, -b + 1):
                 if a + abs(b) > 6:
@@ -192,16 +190,16 @@ def test_criterion_2_pyramid_example():
                 want = F(fact(-b - 1) ** 2, fact(a) ** 2 * fact(-2 * a - 2 * b + 1))
                 assert h24.coefficient(exponent(a, b)) == want
 
-        series_g = [build_G(box, i) for i in range(5)]
-        table = build_H_table(box)
+        series_g = [build_tail(box, (i,)) for i in range(5)]
         l1, l2 = (-1, 0, -1, 0, 2), (0, 1, 0, 1, -2)
-        solution = combine_second_order(series_f, series_g, table, l1, l2)
+        terms = solution_terms(l1, l2)
+        solution = combine(tails_of(box, terms), terms)
         expected = series_f.mul_log_linear(l1).mul_log_linear(l2)
         expected = expected + series_g[4].scale(2).mul_log_linear(l2)
         expected = expected + series_g[4].scale(-2).mul_log_linear(l1)
-        tail = table[4][4].scale(-4)
+        tail = build_tail(box, (4, 4)).scale(-4)
         for i in range(4):
-            tail = tail + table[i][4].scale(2)
+            tail = tail + build_tail(box, (i, 4)).scale(2)
         assert solution == expected + tail
 
         for row in lattice.basis:
@@ -213,13 +211,15 @@ def test_criterion_2_pyramid_example():
             unit_j = tuple(1 if k == j else 0 for k in range(5))
             quasi = series_f.mul_log_linear(unit_i).mul_log_linear(unit_j)
             if i == j:
-                quasi = quasi + series_g[i].mul_log_linear(unit_i).scale(2) + table[i][i]
+                quasi = (
+                    quasi + series_g[i].mul_log_linear(unit_i).scale(2) + build_tail(box, (i, i))
+                )
             else:
                 quasi = (
                     quasi
                     + series_g[i].mul_log_linear(unit_j)
                     + series_g[j].mul_log_linear(unit_i)
-                    + table[i][j]
+                    + build_tail(box, (i, j))
                 )
             for row in lattice.basis:
                 assert verify_box_annihilation(quasi, BoxOp(row)).passed
@@ -297,11 +297,9 @@ def test_criterion_4_pointed_cone_negative_control():
         v = PYRAMID_V
         radius = 5
         box = SupportBox(v, lattice, radius)
-        series_f = build_F(box)
-        series_g = [build_G(box, i) for i in range(5)]
-        table = build_H_table(box)
         l1 = (-1, 0, -1, 0, 2)
-        solution = combine_second_order(series_f, series_g, table, l1, l1)
+        terms = solution_terms(l1, l1)
+        solution = combine(tails_of(box, terms), terms)
         points = set()
         for term in solution.terms():
             delta = tuple(x - y for x, y in zip(term.exponent, v))
@@ -345,13 +343,13 @@ def test_criterion_5_first_lifted_family():
             return F(fact(3 * l + 3 * m), fact(l) ** 3 * fact(m) ** 3)
 
         box = SupportBox(v, lattice, radius)
-        series_f = build_F(box)
+        series_f = build_tail(box, ())
         for l in range(7):
             for m in range(7 - l):
                 assert series_f.coefficient(exponent(l, m)) == (-1) ** (l + m) * base(l, m)
 
         for j in range(7):
-            series = build_G(box, j)
+            series = build_tail(box, (j,))
             for l in range(7):
                 for m in range(7 - l):
                     if j == 0:
@@ -391,7 +389,7 @@ def test_criterion_6_second_lifted_family(tmp_path):
         grade = lambda l, m: 3 * l + m  # the grading the pipeline finds
 
         box = SupportBox(v, lattice, radius)
-        series_f = build_F(box)
+        series_f = build_tail(box, ())
         for l in range(7):
             for m in range(7):
                 if grade(l, m) <= 6:
@@ -404,14 +402,14 @@ def test_criterion_6_second_lifted_family(tmp_path):
             3: lambda l, m: -base(l, m) * harmonic(l),
         }
         for j, oracle in closed.items():
-            series = build_G(box, j)
+            series = build_tail(box, (j,))
             for l in range(7):
                 for m in range(7):
                     if (l, m) == (0, 0) or grade(l, m) > 6:
                         continue
                     assert series.coefficient(exponent(l, m)) == oracle(l, m)
 
-        series_g4 = build_G(box, 4)
+        series_g4 = build_tail(box, (4,))
         for l in range(7):
             for m in range(-2 * l, 7):
                 if (l, m) == (0, 0) or grade(l, m) > 6 or abs(2 * l + m) > radius:
@@ -482,11 +480,11 @@ def test_criterion_7_property_suites():
         lattice = kernel_basis(GAUSS_MATRIX)
         v = gauss_v(F(1, 2), F(1, 3))
         box = SupportBox(v, lattice, 4)
-        quasi = build_F(box).mul_log_linear((1, 0, 0, 0)) + build_G(box, 0)
+        quasi = build_tail(box, ()).mul_log_linear((1, 0, 0, 0)) + build_tail(box, (0,))
         cases.append((quasi, lattice))
         lattice = kernel_basis(PYRAMID_MATRIX)
         box = SupportBox(PYRAMID_V, lattice, 3)
-        quasi = build_F(box).mul_log_linear((0, 0, 0, 0, 1)) + build_G(box, 4)
+        quasi = build_tail(box, ()).mul_log_linear((0, 0, 0, 0, 1)) + build_tail(box, (4,))
         cases.append((quasi, lattice))
         for series, lat in cases:
             ops = [BoxOp(row) for row in lat.basis]

@@ -176,20 +176,45 @@ def test_solve_order2_builds_one_support_box(tmp_path, monkeypatch):
     assert radii == [12]
 
 
-def test_solve_order2_subset_builds_only_the_requested_tails(tmp_path, monkeypatch):
-    # pairs (0,4) and (2,2) read G_0, G_2, G_4, H_04 and H_22 only
+def record_tails(monkeypatch):
+    """The log-index keys of every tail the CLI builds, in build order."""
     import gkzlog.cli as cli
 
-    built = {"G": [], "H": []}
-    build_G, build_H = cli.build_G, cli.build_H
-    monkeypatch.setattr(cli, "build_G", lambda box, i: built["G"].append(i) or build_G(box, i))
+    built = []
+    build_tail = cli.build_tail
     monkeypatch.setattr(
-        cli, "build_H", lambda box, i, j: built["H"].append((i, j)) or build_H(box, i, j)
+        cli, "build_tail", lambda box, logs: built.append(logs) or build_tail(box, logs)
     )
+    return built
+
+
+def test_solve_order2_subset_builds_only_the_requested_tails(tmp_path, monkeypatch):
+    # pairs (0,4) and (2,2) read F, G_0, G_2, G_4, H_04 and H_22 only
+    built = record_tails(monkeypatch)
     args = ["solve", PYRAMID, "--order", "2", "--indices", "0,4 2,2", "--radius", "4"]
     assert main([*args, "--out", str(tmp_path / "out")]) == 0
-    assert sorted(built["G"]) == [0, 2, 4]
-    assert sorted(built["H"]) == [(0, 4), (2, 2)]
+    assert built == [(), (0,), (2,), (4,), (0, 4), (2, 2)]
+
+
+def test_combine_builds_only_the_tails_its_weights_read(tmp_path, monkeypatch):
+    built = record_tails(monkeypatch)
+    args = ["combine", PYRAMID, "--l", "(-1,0,-1,0,2)", "--radius", "4"]
+    assert main([*args, "--out", str(tmp_path / "first")]) == 0
+    assert built == [(), (0,), (2,), (4,)]
+    # l'_b = 0 for b in {0, 2}: 9 of the 15 H tails, and every G
+    built.clear()
+    args += ["--lprime", "(0,1,0,1,-2)"]
+    assert main([*args, "--out", str(tmp_path / "second")]) == 0
+    assert built == [(), (0,), (1,), (2,), (3,), (4,)] + [
+        (0, 1), (0, 3), (0, 4), (1, 2), (1, 4), (2, 3), (2, 4), (3, 4), (4, 4)
+    ]
+
+
+def test_combine_empty_lprime_is_an_input_error(tmp_path, capsys):
+    args = ["combine", GAUSS, "--l", "(-1,-1,1,1)", "--lprime", "", "--radius", "2"]
+    assert main([*args, "--out", str(tmp_path / "out")]) == 2
+    assert "expected 4 integers, got 0" in capsys.readouterr().err
+    assert not (tmp_path / "out").exists()
 
 
 def test_mirror_radius_zero_sweeps_radius_one(tmp_path, monkeypatch):

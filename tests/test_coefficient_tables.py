@@ -17,7 +17,7 @@ from gkzlog import (
     SupportBox,
     UndefinedBracket,
     bracket,
-    build_G,
+    build_tail,
     chain_constants,
     f_coeffs,
     kernel_basis,
@@ -106,7 +106,7 @@ def test_builder_raises_minimality_violation_past_a_pole():
     lattice = kernel_basis(GAUSS_MATRIX)
     v = (F(-1), F(1), F(1), F(1))
     with pytest.raises(MinimalityViolation):
-        build_G(SupportBox(v, lattice, 3), 0)
+        build_tail(SupportBox(v, lattice, 3), (0,))
 
 
 FIXTURE_FILES = sorted(FIXTURES.glob("*.json"))

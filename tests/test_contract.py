@@ -4,11 +4,14 @@ A static scan of every module in ``src/gkzlog``: no float literal, no use of
 the name ``float``, and no absolute import of a module outside the standard
 library (the package's own modules import each other relatively).  The
 README's "Library layout" table is held to the modules it describes: every
-code name it lists in a module's row is an attribute of that module.
+code name it lists in a module's row is an attribute of that module.  The
+names the benchmark tracer (``bench/``, outside the test paths) wraps by
+name are held to the package too.
 """
 
 import ast
 import importlib
+import importlib.util
 import re
 import sys
 from pathlib import Path
@@ -87,3 +90,22 @@ def test_the_layout_table_names_only_attributes_of_its_modules():
 def test_the_layout_scan_reads_bare_and_called_names():
     text = "## Library layout\n\n| m | c |\n| - | - |\n| `linalg` | `a`, `b(x, y)`, `G/(1+f)` |\n\nafter `z`\n"
     assert layout_rows(text) == [("linalg", ["a", "b"])]
+
+
+def test_the_bench_tracer_finds_every_name_it_wraps():
+    # bench/child.py wraps each METHODS entry through vars(class), and rebinds
+    # f_coeffs wherever a module imported it by name
+    spec = importlib.util.spec_from_file_location("bench_layers", ROOT / "bench" / "layers.py")
+    layers = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(layers)
+    missing = [
+        f"{layer}.{class_name}.{method}"
+        for layer, classes in layers.METHODS.items()
+        for class_name, methods in classes.items()
+        for method in methods
+        if method not in vars(getattr(importlib.import_module(f"gkzlog.{layer}"), class_name))
+    ]
+    assert missing == []
+    from gkzlog import coefficients, logseries
+
+    assert logseries.f_coeffs is coefficients.f_coeffs

@@ -11,17 +11,14 @@ from gkzlog import (
     LogSeries,
     SupportBox,
     bracket_vec,
-    build_F,
-    build_G,
-    build_H,
-    build_H_table,
-    combine_first_order,
-    combine_second_order,
+    build_tail,
+    combine,
     from_text,
+    tails_read,
     to_text,
 )
 from gkzlog.logseries import SeriesMeta
-from tests.conftest import gauss_v
+from tests.conftest import gauss_v, solution_terms, tails_of
 
 PYRAMID_V = (F(0), F(0), F(0), F(0), F(1))
 
@@ -41,35 +38,35 @@ def pyramid_exponent(a, b):
 class TestGaussBuilders:
     def test_f_first_coefficient(self, gauss_lattice):
         v = gauss_v(F(1, 2), F(1, 3))
-        series = build_F(SupportBox(v, gauss_lattice, 4))
+        series = build_tail(SupportBox(v, gauss_lattice, 4), ())
         exp = tuple(x + d for x, d in zip(v, (-1, -1, 1, 1)))
         assert series.coefficient(exp) == F(1, 6)
 
     def test_f_base_coefficient_is_one(self, gauss_lattice):
         v = gauss_v(F(2, 5), F(7, 3))
-        series = build_F(SupportBox(v, gauss_lattice, 6))
+        series = build_tail(SupportBox(v, gauss_lattice, 6), ())
         assert series.coefficient(v) == 1
 
     def test_g_vanishes_at_base(self, gauss_lattice):
         v = gauss_v(F(1, 2), F(1, 3))
         box = SupportBox(v, gauss_lattice, 5)
         for i in range(4):
-            series = build_G(box, i)
+            series = build_tail(box, (i,))
             assert series.coefficient(v) == 0
 
 
 class TestPyramidBuilders:
     def test_f_is_single_monomial(self, pyramid_lattice):
-        series = build_F(SupportBox(PYRAMID_V, pyramid_lattice, 6))
+        series = build_tail(SupportBox(PYRAMID_V, pyramid_lattice, 6), ())
         assert series == LogSeries.monomial(PYRAMID_V)
 
     def test_g_zero_for_first_four(self, pyramid_lattice):
         box = SupportBox(PYRAMID_V, pyramid_lattice, 6)
         for i in range(4):
-            assert not build_G(box, i)
+            assert not build_tail(box, (i,))
 
     def test_g_last_closed_form(self, pyramid_lattice):
-        series = build_G(SupportBox(PYRAMID_V, pyramid_lattice, 6), 4)
+        series = build_tail(SupportBox(PYRAMID_V, pyramid_lattice, 6), (4,))
         for a in range(4):
             for b in range(4):
                 if (a, b) == (0, 0):
@@ -78,7 +75,7 @@ class TestPyramidBuilders:
                 assert series.coefficient(pyramid_exponent(a, b)) == want
 
     def test_h_diag_closed_form(self, pyramid_lattice):
-        series = build_H(SupportBox(PYRAMID_V, pyramid_lattice, 6), 4, 4)
+        series = build_tail(SupportBox(PYRAMID_V, pyramid_lattice, 6), (4, 4))
         assert series.coefficient(pyramid_exponent(1, 0)) == 2
         assert series.coefficient(pyramid_exponent(1, 1)) == -2
         for a in range(4):
@@ -92,18 +89,18 @@ class TestPyramidBuilders:
     def test_h_off_with_last_closed_form(self, pyramid_lattice):
         box = SupportBox(PYRAMID_V, pyramid_lattice, 6)
         for i in (0, 2):
-            series = build_H(box, i, 4)
+            series = build_tail(box, (i, 4))
             for a in range(1, 4):
                 for b in range(4):
                     want = -F(fact(2 * a + 2 * b - 2), fact(a) ** 2 * fact(b) ** 2) * harmonic(a)
                     assert series.coefficient(pyramid_exponent(a, b)) == want
         for i in (1, 3):
-            series = build_H(box, i, 4)
+            series = build_tail(box, (i, 4))
             assert series.coefficient(pyramid_exponent(2, 1)) == -F(fact(4), fact(2) ** 2) * harmonic(1)
 
     def test_h_opposite_corners(self, pyramid_lattice):
         box = SupportBox(PYRAMID_V, pyramid_lattice, 6)
-        h13 = build_H(box, 0, 2)
+        h13 = build_tail(box, (0, 2))
         assert h13.coefficient(pyramid_exponent(-1, 0)) == F(1, 6)
         for a in range(-3, 1):
             for b in range(0, 4):
@@ -111,20 +108,20 @@ class TestPyramidBuilders:
                     continue
                 want = F(fact(-a - 1) ** 2, fact(b) ** 2 * fact(-2 * a - 2 * b + 1))
                 assert h13.coefficient(pyramid_exponent(a, b)) == want
-        h24 = build_H(box, 1, 3)
+        h24 = build_tail(box, (1, 3))
         assert h24.coefficient(pyramid_exponent(0, -1)) == F(1, 6)
 
     def test_h_trivial_pairs_are_zero(self, pyramid_lattice):
         box = SupportBox(PYRAMID_V, pyramid_lattice, 5)
         for i, j in ((0, 1), (0, 3), (1, 2), (2, 3)):
-            assert not build_H(box, i, j)
+            assert not build_tail(box, (i, j))
 
     def test_h_symmetric(self, pyramid_lattice):
         box = SupportBox(PYRAMID_V, pyramid_lattice, 4)
         for i in range(5):
             for j in range(i + 1, 5):
-                a = build_H(box, i, j)
-                b = build_H(box, j, i)
+                a = build_tail(box, (i, j))
+                b = build_tail(box, (j, i))
                 assert a == b
 
 
@@ -140,54 +137,43 @@ def test_f_extension_over_single_excluded_support_changes_nothing(pyramid_lattic
 
 
 class TestCombinations:
+    def test_tails_read_f_first_then_by_length_and_index(self):
+        terms = [(1, (4, 2)), (0, (1,)), (-2, (3, 3)), (1, (0,))]
+        assert tails_read(terms) == [(), (0,), (2,), (3,), (4,), (2, 4), (3, 3)]
+        assert tails_read([]) == [()]
+
     def test_first_order_zero_point(self, pyramid_lattice):
         box = SupportBox(PYRAMID_V, pyramid_lattice, 4)
-        series_f = build_F(box)
-        series_g = [build_G(box, i) for i in range(5)]
-        assert not combine_first_order(series_f, series_g, (0, 0, 0, 0, 0))
+        terms = solution_terms((0, 0, 0, 0, 0))
+        assert not combine(tails_of(box, terms), terms)
 
     def test_first_order_displayed_solutions(self, pyramid_lattice):
         box = SupportBox(PYRAMID_V, pyramid_lattice, 5)
-        series_f = build_F(box)
-        series_g = [build_G(box, i) for i in range(5)]
-        got = combine_first_order(series_f, series_g, (-1, 0, -1, 0, 2))
-        want = series_f.mul_log_linear((-1, 0, -1, 0, 2)) + series_g[4].scale(2)
-        assert got == want
-        got = combine_first_order(series_f, series_g, (0, 1, 0, 1, -2))
-        want = series_f.mul_log_linear((0, 1, 0, 1, -2)) + series_g[4].scale(-2)
-        assert got == want
+        series_f, series_g4 = build_tail(box, ()), build_tail(box, (4,))
+        for point, weight in (((-1, 0, -1, 0, 2), 2), ((0, 1, 0, 1, -2), -2)):
+            terms = solution_terms(point)
+            got = combine(tails_of(box, terms), terms)
+            assert got == series_f.mul_log_linear(point) + series_g4.scale(weight)
 
     def test_second_order_zero_points(self, pyramid_lattice):
         box = SupportBox(PYRAMID_V, pyramid_lattice, 3)
-        series_f = build_F(box)
-        series_g = [build_G(box, i) for i in range(5)]
-        table = build_H_table(box)
         zero = (0, 0, 0, 0, 0)
-        assert not combine_second_order(series_f, series_g, table, zero, zero)
+        terms = solution_terms(zero, zero)
+        assert not combine(tails_of(box, terms), terms)
 
     def test_second_order_displayed_tail(self, pyramid_lattice):
         box = SupportBox(PYRAMID_V, pyramid_lattice, 5)
-        series_f = build_F(box)
-        series_g = [build_G(box, i) for i in range(5)]
-        table = build_H_table(box)
         l1, l2 = (-1, 0, -1, 0, 2), (0, 1, 0, 1, -2)
-        got = combine_second_order(series_f, series_g, table, l1, l2)
-        want = series_f.mul_log_linear(l1).mul_log_linear(l2)
-        want = want + series_g[4].scale(2).mul_log_linear(l2)
-        want = want + series_g[4].scale(-2).mul_log_linear(l1)
-        want = want + table[4][4].scale(-4)
+        terms = solution_terms(l1, l2)
+        got = combine(tails_of(box, terms), terms)
+        series_g4 = build_tail(box, (4,))
+        want = build_tail(box, ()).mul_log_linear(l1).mul_log_linear(l2)
+        want = want + series_g4.scale(2).mul_log_linear(l2)
+        want = want + series_g4.scale(-2).mul_log_linear(l1)
+        want = want + build_tail(box, (4, 4)).scale(-4)
         for i in range(4):
-            want = want + table[i][4].scale(2)
+            want = want + build_tail(box, (i, 4)).scale(2)
         assert got == want
-
-    def test_second_order_rejects_asymmetric_table(self, pyramid_lattice):
-        box = SupportBox(PYRAMID_V, pyramid_lattice, 3)
-        series_f = build_F(box)
-        series_g = [build_G(box, i) for i in range(5)]
-        table = [list(row) for row in build_H_table(box)]
-        table[0][4] = table[0][4] + LogSeries.monomial(PYRAMID_V, coeff=1)
-        with pytest.raises(ValueError, match="asymmetric"):
-            combine_second_order(series_f, series_g, table, (0,) * 5, (0,) * 5)
 
 
 # The combinations as chains of whole-series operations, with the log-form
@@ -245,17 +231,24 @@ POINT = st.tuples(*[st.integers(-2, 2)] * NVARS)
     upper=st.lists(SERIES, min_size=6, max_size=6),
     point=POINT,
     point2=POINT,
+    index=st.integers(0, NVARS - 1),
 )
-def test_combinations_equal_the_operation_chains(series_f, series_g, upper, point, point2):
+def test_combinations_equal_the_operation_chains(series_f, series_g, upper, point, point2, index):
     cells = iter(upper)
     table = [[None] * NVARS for _ in range(NVARS)]
+    tails = {(): series_f}
     for i in range(NVARS):
+        tails[(i,)] = series_g[i]
         for j in range(i, NVARS):
-            table[i][j] = table[j][i] = next(cells)
-    got = combine_first_order(series_f, series_g, point)
+            table[i][j] = table[j][i] = tails[(i, j)] = next(cells)
+    got = combine(tails, solution_terms(point))
     assert got == first_order_chain(series_f, series_g, point)
-    got = combine_second_order(series_f, series_g, table, point, point2)
+    got = combine(tails, solution_terms(point, point2))
     assert got == second_order_chain(series_f, series_g, table, point, point2)
+    # the repeated index (a, a): F*log_a^2 + 2*G_a*log_a + H_aa
+    unit = tuple(int(k == index) for k in range(NVARS))
+    got = combine(tails, [(1, (index, index))])
+    assert got == second_order_chain(series_f, series_g, table, unit, unit)
 
 
 class TestCombinationChecks:
@@ -263,36 +256,40 @@ class TestCombinationChecks:
         v = gauss_v(1, 2)
         return SeriesMeta(v, gauss_lattice, 2), SeriesMeta(v, gauss_lattice, 3)
 
+    def _tails(self, n, zero):
+        tails = {(): zero, **{(i,): zero for i in range(n)}}
+        tails.update({(i, j): zero for i in range(n) for j in range(i, n)})
+        return tails
+
     def test_meta_merges_over_entering_series(self, gauss_lattice):
         meta, other = self._metas(gauss_lattice)
-        zero = LogSeries.zero(4)
-        series_g = [LogSeries.zero(4, meta), zero, LogSeries.zero(4, other), zero]
-        table = [[zero] * 4 for _ in range(4)]
-        point = (1, 0, 0, 0)
-        assert combine_first_order(zero, series_g, point).meta == meta
-        assert combine_second_order(zero, series_g, table, point, point).meta == meta
+        tails = self._tails(4, LogSeries.zero(4))
+        tails[(0,)], tails[(2,)] = LogSeries.zero(4, meta), LogSeries.zero(4, other)
+        assert combine(tails, [(1, (0,))]).meta == meta
+        assert combine(tails, [(1, (0, 0))]).meta == meta
+        # a zero weight reads nothing
+        assert combine(tails, [(1, (0,)), (0, (2,))]).meta == meta
         with pytest.raises(ValueError, match="metadata"):
-            combine_first_order(zero, series_g, (1, 0, 1, 0))
+            combine(tails, [(1, (0,)), (1, (2,))])
         with pytest.raises(ValueError, match="metadata"):
-            combine_second_order(zero, series_g, table, point, (0, 0, 1, 0))
-        table[0][1] = table[1][0] = LogSeries.zero(4, other)
+            combine(tails, [(1, (0, 2))])
+        tails[(0, 1)] = LogSeries.zero(4, other)
         with pytest.raises(ValueError, match="metadata"):
-            combine_second_order(zero, series_g, table, point, (0, 1, 0, 0))
+            combine(tails, [(1, (1, 0))])
 
     def test_entering_series_of_another_dimension(self):
-        zero = LogSeries.zero(2)
-        series_g = [zero, LogSeries.zero(3)]
-        table = [[zero, zero], [zero, zero]]
-        assert not combine_first_order(zero, series_g, (1, 0))
+        tails = self._tails(2, LogSeries.zero(2))
+        tails[(1,)] = LogSeries.zero(3)
+        assert not combine(tails, [(1, (0,))])
         with pytest.raises(ValueError, match="dimension"):
-            combine_first_order(zero, series_g, (0, 1))
+            combine(tails, [(1, (1,))])
         with pytest.raises(ValueError, match="dimension"):
-            combine_second_order(zero, series_g, table, (1, 0), (0, 1))
-        table[0][0] = LogSeries.zero(3)
+            combine(tails, [(1, (0, 1))])
+        tails[(0, 0)] = LogSeries.zero(3)
         with pytest.raises(ValueError, match="dimension"):
-            combine_second_order(zero, [zero, zero], table, (1, 0), (1, 0))
+            combine(tails, [(1, (0, 0))])
         with pytest.raises(ValueError, match="dimension"):
-            combine_first_order(zero, series_g, (1, 0, 0))
+            combine(tails, [(1, (2,))])
 
 
 class TestArithmetic:
@@ -316,8 +313,8 @@ class TestArithmetic:
         assert len(s.filter_terms(lambda e, d: e[0] > 0)) == 1
 
     def test_meta_conflict_raises(self, gauss_lattice, pyramid_lattice):
-        a = build_F(SupportBox(gauss_v(F(1, 2), F(1, 3)), gauss_lattice, 2))
-        b = build_F(SupportBox(gauss_v(F(1, 2), F(1, 3)), gauss_lattice, 3))
+        a = build_tail(SupportBox(gauss_v(F(1, 2), F(1, 3)), gauss_lattice, 2), ())
+        b = build_tail(SupportBox(gauss_v(F(1, 2), F(1, 3)), gauss_lattice, 3), ())
         with pytest.raises(ValueError):
             a + b
 
@@ -329,8 +326,8 @@ class TestArithmetic:
 class TestSerialization:
     def test_round_trip(self, pyramid_lattice):
         box = SupportBox(PYRAMID_V, pyramid_lattice, 4)
-        series_f = build_F(box)
-        series_g = build_G(box, 4)
+        series_f = build_tail(box, ())
+        series_g = build_tail(box, (4,))
         quasi = series_f.mul_log_linear((0, 0, 0, 0, 1)) + series_g
         text = to_text(quasi)
         again = from_text(text)
@@ -344,7 +341,7 @@ class TestSerialization:
             from_text("")
 
     def test_golden_text(self, gauss_lattice):
-        series = build_F(SupportBox(gauss_v(F(1, 2), F(1, 3)), gauss_lattice, 2))
+        series = build_tail(SupportBox(gauss_v(F(1, 2), F(1, 3)), gauss_lattice, 2), ())
         # depth-2 coefficient: (1/2)(3/2) * (1/3)(4/3) / 2!^2 = 1/12
         assert to_text(series) == (
             "1/12 * lambda^(-5/2,-7/3,2,2) * log^(0,0,0,0)\n"
@@ -369,6 +366,6 @@ class TestSerialization:
 
 
 def test_meta_travels(pyramid_lattice):
-    series = build_F(SupportBox(PYRAMID_V, pyramid_lattice, 4))
+    series = build_tail(SupportBox(PYRAMID_V, pyramid_lattice, 4), ())
     assert series.meta == SeriesMeta(PYRAMID_V, pyramid_lattice, 4)
     assert series.mul_log_linear((0, 0, 0, 0, 1)).meta == series.meta

@@ -15,9 +15,8 @@ from gkzlog import (
     NonLatticeExponent,
     apply_box,
     apply_euler,
-    build_F,
-    build_G,
-    combine_first_order,
+    build_tail,
+    combine,
     differentiate,
     f_coeffs,
     verify_box_annihilation,
@@ -183,14 +182,14 @@ class TestVerification:
 
     def test_gauss_f_box_and_euler(self, gauss_lattice):
         v = gauss_v(F(2, 5), F(7, 3))
-        series = build_F(SupportBox(v, gauss_lattice, 6))
+        series = build_tail(SupportBox(v, gauss_lattice, 6), ())
         assert verify_box_annihilation(series, BoxOp(gauss_lattice.basis[0])).passed
         assert verify_euler_annihilation(series, GAUSS_MATRIX, gauss_beta(F(2, 5), F(7, 3))).passed
 
     def test_pyramid_quasisolution_boxes(self, pyramid_lattice):
         box = SupportBox(PYRAMID_V, pyramid_lattice, 4)
-        series_f = build_F(box)
-        quasi = series_f.mul_log_linear((0, 0, 0, 0, 1)) + build_G(box, 4)
+        series_f = build_tail(box, ())
+        quasi = series_f.mul_log_linear((0, 0, 0, 0, 1)) + build_tail(box, (4,))
         for row in pyramid_lattice.basis:
             assert verify_box_annihilation(quasi, BoxOp(row)).passed
         # composite relations are annihilated too, not only basis vectors
@@ -206,7 +205,7 @@ class TestVerification:
     ):
         # oracle: box points x whose partner x - c is in the box too
         radius = 2
-        series = build_F(SupportBox(PYRAMID_V, pyramid_lattice, radius))
+        series = build_tail(SupportBox(PYRAMID_V, pyramid_lattice, radius), ())
         row = tuple(a * p + b * q for p, q in zip(*pyramid_lattice.basis))
         span = range(-radius, radius + 1)
         want = sum(1 for x, y in itertools.product(span, span) if x - a in span and y - b in span)
@@ -216,8 +215,8 @@ class TestVerification:
 
     def test_quasisolution_fails_euler(self, pyramid_lattice):
         box = SupportBox(PYRAMID_V, pyramid_lattice, 4)
-        series_f = build_F(box)
-        quasi = series_f.mul_log_linear((0, 0, 0, 0, 1)) + build_G(box, 4)
+        series_f = build_tail(box, ())
+        quasi = series_f.mul_log_linear((0, 0, 0, 0, 1)) + build_tail(box, (4,))
         report = verify_euler_annihilation(quasi, PYRAMID_MATRIX, PYRAMID_BETA)
         assert not report.passed
 
@@ -225,16 +224,15 @@ class TestVerification:
         a, b = F(1, 2), F(1, 3)
         v = gauss_v(a, b)
         box = SupportBox(v, gauss_lattice, 6)
-        series_f = build_F(box)
-        series_g = [build_G(box, i) for i in range(4)]
-        solution = combine_first_order(series_f, series_g, (-1, -1, 1, 1))
+        tails = {logs: build_tail(box, logs) for logs in ((), (0,), (1,), (2,), (3,))}
+        solution = combine(tails, [(la, (a,)) for a, la in enumerate((-1, -1, 1, 1))])
         assert verify_euler_annihilation(solution, GAUSS_MATRIX, gauss_beta(a, b)).passed
         assert verify_box_annihilation(solution, BoxOp(gauss_lattice.basis[0])).passed
 
     def test_corrupted_partner_is_caught(self, pyramid_lattice):
         box = SupportBox(PYRAMID_V, pyramid_lattice, 4)
-        series_f = build_F(box)
-        quasi = series_f.mul_log_linear((0, 0, 0, 0, 1)) + build_G(box, 4)
+        series_f = build_tail(box, ())
+        quasi = series_f.mul_log_linear((0, 0, 0, 0, 1)) + build_tail(box, (4,))
         corrupted = quasi.with_term_added((F(1), F(0), F(1), F(0), F(-1)), (0,) * 5, 1)
         failures = [
             verify_box_annihilation(corrupted, BoxOp(row))
@@ -252,28 +250,27 @@ class TestVerification:
 
 
 def test_gauss_second_order_quasisolutions_box_verified(gauss_lattice):
-    from gkzlog import build_H_table
-
     a, b = F(1, 2), F(1, 3)
     v = gauss_v(a, b)
     radius = 5
     box = SupportBox(v, gauss_lattice, radius)
-    series_f = build_F(box)
-    series_g = [build_G(box, i) for i in range(4)]
-    table = build_H_table(box)
+    series_f = build_tail(box, ())
+    series_g = [build_tail(box, (i,)) for i in range(4)]
     for i in range(4):
         for j in range(i, 4):
             unit_i = tuple(1 if k == i else 0 for k in range(4))
             unit_j = tuple(1 if k == j else 0 for k in range(4))
             quasi = series_f.mul_log_linear(unit_i).mul_log_linear(unit_j)
             if i == j:
-                quasi = quasi + series_g[i].mul_log_linear(unit_i).scale(2) + table[i][i]
+                quasi = (
+                    quasi + series_g[i].mul_log_linear(unit_i).scale(2) + build_tail(box, (i, i))
+                )
             else:
                 quasi = (
                     quasi
                     + series_g[i].mul_log_linear(unit_j)
                     + series_g[j].mul_log_linear(unit_i)
-                    + table[i][j]
+                    + build_tail(box, (i, j))
                 )
             for row in gauss_lattice.basis:
                 assert verify_box_annihilation(quasi, BoxOp(row)).passed, (i, j)
@@ -286,8 +283,8 @@ def test_mutations_flip_verification(gauss_lattice):
     v = gauss_v(a, b)
     radius = 4
     box = SupportBox(v, gauss_lattice, radius)
-    series_f = build_F(box)
-    quasi = series_f.mul_log_linear((1, 0, 0, 0)) + build_G(box, 0)
+    series_f = build_tail(box, ())
+    quasi = series_f.mul_log_linear((1, 0, 0, 0)) + build_tail(box, (0,))
     ops = [BoxOp(row) for row in gauss_lattice.basis]
     assert all(verify_box_annihilation(quasi, op).passed for op in ops)
     for term in quasi.terms():
