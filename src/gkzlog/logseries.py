@@ -42,7 +42,7 @@ from fractions import Fraction
 from .coefficients import chain_constants, f_coeffs
 from .errors import MinimalityViolation, ProblemFileError, UndefinedBracket
 from .lattice import RelationLattice
-from .rationals import rational_vector, to_rational
+from .rationals import rational_vector, to_int, to_rational
 from .support import SupportBox
 
 
@@ -60,6 +60,14 @@ class LogTerm:
     exponent: tuple[Fraction, ...]
     logdeg: tuple[int, ...]
     coeff: Fraction
+
+
+def _log_powers(logdeg) -> tuple[int, ...]:
+    """``logdeg`` as a tuple of ints; a bool, float or str power is rejected, not truncated."""
+    logdeg = tuple(logdeg)
+    if all(type(d) is int for d in logdeg):
+        return logdeg
+    return tuple(int(to_int(d, "log power")) for d in logdeg)
 
 
 def _merge_meta(a, b):
@@ -83,7 +91,7 @@ class LogSeries:
             if value == 0:
                 continue
             exponent = rational_vector(exponent)
-            logdeg = tuple(int(d) for d in logdeg)
+            logdeg = _log_powers(logdeg)
             if len(exponent) != nvars or len(logdeg) != nvars:
                 raise ValueError("term dimension != nvars")
             if any(d < 0 for d in logdeg):
@@ -117,7 +125,9 @@ class LogSeries:
     def coefficient(self, exponent, logdeg=None) -> Fraction:
         if logdeg is None:
             logdeg = (0,) * self.nvars
-        key = (rational_vector(exponent), tuple(int(d) for d in logdeg))
+        key = (rational_vector(exponent), _log_powers(logdeg))
+        if len(key[0]) != self.nvars or len(key[1]) != self.nvars:
+            raise ValueError("dimension mismatch")
         return self._terms.get(key, Fraction(0))
 
     def __len__(self) -> int:

@@ -1,28 +1,33 @@
 """Box and Euler operators on log-series, with certified vanishing checks.
 
 ``apply_box`` and ``apply_euler`` are exact symbolic applications of the
-two operator families attached to a point configuration.  Both work on
-plain ``{(exponent, logdeg): coeff}`` dicts and build one series at the
-end: ``apply_box`` takes each side's derivatives one variable step at a
-time and subtracts the second side in place, and ``differentiate`` is its
-one-step case.  A truncated
-series cannot vanish identically under a box operator: terms near the
-enumeration boundary lose their cancelling partners.  The verifier
-therefore certifies a result term only when both of its potential source
-exponents lie inside the enumerated box recorded in the series metadata;
-certified terms of a true solution must vanish exactly, and any survivor
-is reported as a violation.
+two operator families attached to a point configuration.  Both convert a
+series once to integer terms (``_int_terms``): with ``D`` the LCM of the
+exponent denominators and ``Q`` that of the coefficients, a term is keyed
+by ``D * exponent`` as an int tuple and its log powers, and holds its
+coefficient times ``Q`` as an int.  ``_derive`` takes derivatives one
+variable step at a time on these keys, each step multiplying the shared
+denominator by ``D``; ``apply_box`` subtracts the two sides over one
+denominator, ``differentiate`` is its one-step case, and ``Fraction``
+exponents and coefficients are built only for the nonzero result terms.
+A truncated series cannot vanish identically under a box operator:
+terms near the enumeration boundary lose their cancelling partners.  The
+verifier therefore certifies a result term only when both of its
+potential source exponents lie inside the enumerated box recorded in the
+series metadata; certified terms of a true solution must vanish exactly,
+and any survivor is reported as a violation.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
 from fractions import Fraction
+from math import lcm
 
 from .errors import NonLatticeExponent
 from .lattice import IntMatrix
 from .logseries import LogSeries
-from .rationals import to_rational
+from .rationals import to_int, to_rational
 
 
 @dataclass(frozen=True)
@@ -34,7 +39,8 @@ class BoxOp:
     minus: tuple[int, ...] = field(init=False)
 
     def __post_init__(self):
-        object.__setattr__(self, "point", tuple(int(x) for x in self.point))
+        point = tuple(to_int(x, "box operator entry") for x in self.point)
+        object.__setattr__(self, "point", point)
         object.__setattr__(self, "plus", tuple(max(x, 0) for x in self.point))
         object.__setattr__(self, "minus", tuple(max(-x, 0) for x in self.point))
 
@@ -53,58 +59,119 @@ class EulerOp:
         return f"euler{self.row}={self.beta}"
 
 
-def _derive(series: LogSeries, orders) -> dict:
-    """Term dict of ``prod_j (d/dlambda_j)^orders[j] series``, one derivative at a time."""
-    terms, out = series.items(), None
+def _int_terms(series: LogSeries, dens=()):
+    """``(D, Q, {(D * exponent, logdeg): Q * coeff})``: the series on integer keys and numerators.
+
+    ``D`` is the LCM of the exponent denominators and of ``dens``, ``Q``
+    that of the coefficient denominators; every exponent entry becomes
+    an int over ``D`` and every coefficient an int over ``Q``.
+    """
+    items = series.items()
+    scale = lcm(*dens, *(x.denominator for (exponent, _), _ in items for x in exponent))
+    common = lcm(*(coeff.denominator for _, coeff in items))
+    terms = {}
+    for (exponent, logdeg), coeff in items:
+        key = (tuple(x.numerator * (scale // x.denominator) for x in exponent), logdeg)
+        terms[key] = coeff.numerator * (common // coeff.denominator)
+    return scale, common, terms
+
+
+def _derive(terms: dict, orders, scale: int) -> dict:
+    """``prod_j (d/dlambda_j)^orders[j]`` of an integer term dict, one derivative at a time.
+
+    A step in ``lambda_j`` sends key entry ``c`` to ``c - scale``; the
+    exponent branch multiplies the numerator by ``c`` and the log branch
+    by ``d * scale``, so each step multiplies the shared denominator by
+    ``scale``.  Returns ``terms`` itself when every order is 0.
+    """
     for j, k in enumerate(orders):
         for _ in range(k):
             out = {}
-            for (exponent, logdeg), coeff in terms:
+            get = out.get
+            for (exponent, logdeg), num in terms.items():
                 c, d = exponent[j], logdeg[j]
-                shifted = exponent[:j] + (c - 1,) + exponent[j + 1 :]
+                shifted = exponent[:j] + (c - scale,) + exponent[j + 1 :]
                 if c:
                     key = (shifted, logdeg)
-                    out[key] = out.get(key, 0) + coeff * c
+                    out[key] = get(key, 0) + num * c
                 if d:
                     key = (shifted, logdeg[:j] + (d - 1,) + logdeg[j + 1 :])
-                    out[key] = out.get(key, 0) + coeff * d
-            terms = out.items()
-    return dict(terms) if out is None else out
+                    out[key] = get(key, 0) + num * d * scale
+            terms = out
+    return terms
+
+
+def _series(series: LogSeries, scale: int, den: int, terms: dict) -> LogSeries:
+    """Series of the integer terms ``terms`` over exponent scale ``scale`` and denominator ``den``.
+
+    ``Fraction`` exponents and coefficients are built for the nonzero
+    terms only; the result keeps ``series``'s dimension and metadata.
+    """
+    out = {}
+    for (exponent, logdeg), num in terms.items():
+        if num:
+            out[(tuple(Fraction(c, scale) for c in exponent), logdeg)] = Fraction(num, den)
+    return LogSeries(series.nvars, out, series.meta)
 
 
 def differentiate(series: LogSeries, j: int) -> LogSeries:
     """Exact partial derivative with respect to ``lambda_j``."""
     if not 0 <= j < series.nvars:
         raise ValueError("variable index out of range")
+    scale, common, terms = _int_terms(series)
     orders = [int(i == j) for i in range(series.nvars)]
-    return LogSeries(series.nvars, _derive(series, orders), series.meta)
+    return _series(series, scale, common * scale, _derive(terms, orders, scale))
 
 
 def apply_box(series: LogSeries, op: BoxOp) -> LogSeries:
-    """Difference of the two iterated-derivative monomials of the operator."""
+    """Difference of the two iterated-derivative monomials of the operator.
+
+    Both sides are derived from one integer form of the series and
+    brought over ``Q * D^max(k+, k-)`` for ``k+ = sum(l+)`` and
+    ``k- = sum(l-)`` derivative steps before they are subtracted.
+    """
     if len(op.point) != series.nvars:
         raise ValueError("dimension mismatch")
-    out = _derive(series, op.plus)
-    for key, coeff in _derive(series, op.minus).items():
-        out[key] = out.get(key, 0) - coeff
-    return LogSeries(series.nvars, out, series.meta)
+    scale, common, terms = _int_terms(series)
+    steps_plus, steps_minus = sum(op.plus), sum(op.minus)
+    steps = max(steps_plus, steps_minus)
+    lift_plus, lift_minus = scale ** (steps - steps_plus), scale ** (steps - steps_minus)
+    out = {key: num * lift_plus for key, num in _derive(terms, op.plus, scale).items()}
+    get = out.get
+    for key, num in _derive(terms, op.minus, scale).items():
+        out[key] = get(key, 0) - num * lift_minus
+    return _series(series, scale, common * scale**steps, out)
 
 
 def apply_euler(series: LogSeries, op: EulerOp) -> LogSeries:
-    """Apply ``sum_j a_j lambda_j d/dlambda_j - beta`` term by term."""
+    """Apply ``sum_j a_j lambda_j d/dlambda_j - beta`` term by term.
+
+    On the integer form of the series, with ``beta``'s denominator in
+    ``D``: a term keeps its key with numerator times ``sum a_j c_j -
+    D * beta``, and each log branch adds ``a_j * d_j * D`` times it one
+    log power lower; the shared denominator is ``Q * D``.
+    """
     if len(op.row) != series.nvars:
         raise ValueError("dimension mismatch")
     beta = to_rational(op.beta)
+    scale, common, terms = _int_terms(series, (beta.denominator,))
+    shift = beta.numerator * (scale // beta.denominator)
     out = {}
-    for (exponent, logdeg), coeff in series.items():
+    get = out.get
+    for (exponent, logdeg), num in terms.items():
         key = (exponent, logdeg)
-        out[key] = out.get(key, 0) + coeff * (sum(a * c for a, c in zip(op.row, exponent)) - beta)
+        out[key] = get(key, 0) + num * (sum(a * c for a, c in zip(op.row, exponent)) - shift)
         for j, a in enumerate(op.row):
             d = logdeg[j]
             if a and d:
                 key = (exponent, logdeg[:j] + (d - 1,) + logdeg[j + 1 :])
-                out[key] = out.get(key, 0) + coeff * a * d
-    return LogSeries(series.nvars, out, series.meta)
+                out[key] = get(key, 0) + num * a * d * scale
+    return _series(series, scale, common * scale, out)
+
+
+def _inside(coords, radius: int) -> bool:
+    """Whether lattice coordinates are integral and of max-norm at most ``radius``."""
+    return all(c.denominator == 1 and abs(c) <= radius for c in coords)
 
 
 @dataclass(frozen=True)
@@ -149,35 +216,33 @@ def verify_box_annihilation(series: LogSeries, op: BoxOp) -> CertifiedReport:
         raise ValueError("series carries no truncation metadata")
     meta = series.meta
     lattice = meta.lattice
+    radius = meta.radius
     result = apply_box(series, op)
-    checked = 0
+    # The sources differ by l, so the coordinates of u + l- are those of
+    # u + l+ minus those of l: one lattice solve per term.
+    step = lattice.coords_of(op.point)
     violations = []
     for term in result.terms():
-        checked += 1
-        certified = True
-        for shift in (op.plus, op.minus):
-            delta = tuple(u + s - b for u, s, b in zip(term.exponent, shift, meta.base))
-            coords = lattice.coords_of(delta)
-            if coords is None:
-                raise NonLatticeExponent(
-                    f"exponent {term.exponent} is outside the rational span of the lattice"
-                )
-            if any(c.denominator != 1 for c in coords) or any(
-                abs(c) > meta.radius for c in coords
-            ):
-                certified = False
-                break
-        if certified:
+        coords = lattice.coords_of(
+            tuple(u + s - b for u, s, b in zip(term.exponent, op.plus, meta.base))
+        )
+        if coords is not None and not _inside(coords, radius):
+            continue
+        if coords is None or step is None:
+            # u + l+ is off the span, or l is and so u + l- is
+            raise NonLatticeExponent(
+                f"exponent {term.exponent} is outside the rational span of the lattice"
+            )
+        if _inside([a - b for a, b in zip(coords, step)], radius):
             violations.append((term.exponent, term.logdeg, term.coeff))
-    # The two sources differ by l: with c its lattice coordinates, the box
-    # holds both for prod_k max(0, 2R + 1 - |c_k|) exponents (0 if c is not integral).
-    coords = lattice.coords_of(op.point)
+    # With c the lattice coordinates of l, the box holds both sources for
+    # prod_k max(0, 2R + 1 - |c_k|) exponents (0 if c is not integral).
     region = 0
-    if coords is not None and all(c.denominator == 1 for c in coords):
+    if step is not None and all(c.denominator == 1 for c in step):
         region = 1
-        for c in coords:
-            region *= max(0, 2 * meta.radius + 1 - abs(int(c)))
-    return CertifiedReport(checked, tuple(violations), region)
+        for c in step:
+            region *= max(0, 2 * radius + 1 - abs(int(c)))
+    return CertifiedReport(len(result), tuple(violations), region)
 
 
 def verify_euler_annihilation(series: LogSeries, matrix, beta) -> CertifiedReport:

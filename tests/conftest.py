@@ -7,7 +7,17 @@ from pathlib import Path
 
 import pytest
 
-from gkzlog import CISpec, NoPositiveFunctional, ResourceLimit, build_tail, kernel_basis, tails_read
+from gkzlog import (
+    CertifiedReport,
+    CISpec,
+    LogSeries,
+    NonLatticeExponent,
+    NoPositiveFunctional,
+    ResourceLimit,
+    build_tail,
+    kernel_basis,
+    tails_read,
+)
 from gkzlog.ci_mirror import DEFAULT_GRADING_BOUND
 from gkzlog.linalg import kernel_rows, solve_echelon, solve_integer
 
@@ -146,6 +156,95 @@ def shell_grading(points, ambient_dim=None):
             if all(sum(a * b for a, b in zip(w, y)) >= 1 for y in coords):
                 return solve_integer(basis, w)
     raise NoPositiveFunctional("shells exhausted")
+
+
+def fraction_derive(series, orders):
+    """``operators._derive`` as it was on ``Fraction``-keyed term dicts, as a reference.
+
+    Term dict of ``prod_j (d/dlambda_j)^orders[j] series``, one derivative
+    at a time, with every exponent a ``Fraction``.
+    """
+    terms, out = series.items(), None
+    for j, k in enumerate(orders):
+        for _ in range(k):
+            out = {}
+            for (exponent, logdeg), coeff in terms:
+                c, d = exponent[j], logdeg[j]
+                shifted = exponent[:j] + (c - 1,) + exponent[j + 1 :]
+                if c:
+                    key = (shifted, logdeg)
+                    out[key] = out.get(key, 0) + coeff * c
+                if d:
+                    key = (shifted, logdeg[:j] + (d - 1,) + logdeg[j + 1 :])
+                    out[key] = out.get(key, 0) + coeff * d
+            terms = out.items()
+    return dict(terms) if out is None else out
+
+
+def fraction_apply_box(series, op):
+    """``apply_box`` on ``Fraction`` term dicts (``fraction_derive``), as a reference."""
+    if len(op.point) != series.nvars:
+        raise ValueError("dimension mismatch")
+    out = fraction_derive(series, op.plus)
+    for key, coeff in fraction_derive(series, op.minus).items():
+        out[key] = out.get(key, 0) - coeff
+    return LogSeries(series.nvars, out, series.meta)
+
+
+def fraction_apply_euler(series, op):
+    """``apply_euler`` on ``Fraction`` term dicts, as a reference."""
+    if len(op.row) != series.nvars:
+        raise ValueError("dimension mismatch")
+    beta = F(op.beta)
+    out = {}
+    for (exponent, logdeg), coeff in series.items():
+        key = (exponent, logdeg)
+        out[key] = out.get(key, 0) + coeff * (sum(a * c for a, c in zip(op.row, exponent)) - beta)
+        for j, a in enumerate(op.row):
+            d = logdeg[j]
+            if a and d:
+                key = (exponent, logdeg[:j] + (d - 1,) + logdeg[j + 1 :])
+                out[key] = out.get(key, 0) + coeff * a * d
+    return LogSeries(series.nvars, out, series.meta)
+
+
+def fraction_verify_box(series, op):
+    """``verify_box_annihilation`` with one lattice solve per source, as a reference.
+
+    Each residual term solves for the coordinates of both of its sources
+    ``u + l+`` and ``u + l-``, in that order.
+    """
+    if series.meta is None:
+        raise ValueError("series carries no truncation metadata")
+    meta = series.meta
+    lattice = meta.lattice
+    result = fraction_apply_box(series, op)
+    checked = 0
+    violations = []
+    for term in result.terms():
+        checked += 1
+        certified = True
+        for shift in (op.plus, op.minus):
+            delta = tuple(u + s - b for u, s, b in zip(term.exponent, shift, meta.base))
+            coords = lattice.coords_of(delta)
+            if coords is None:
+                raise NonLatticeExponent(
+                    f"exponent {term.exponent} is outside the rational span of the lattice"
+                )
+            if any(c.denominator != 1 for c in coords) or any(
+                abs(c) > meta.radius for c in coords
+            ):
+                certified = False
+                break
+        if certified:
+            violations.append((term.exponent, term.logdeg, term.coeff))
+    coords = lattice.coords_of(op.point)
+    region = 0
+    if coords is not None and all(c.denominator == 1 for c in coords):
+        region = 1
+        for c in coords:
+            region *= max(0, 2 * meta.radius + 1 - abs(int(c)))
+    return CertifiedReport(checked, tuple(violations), region)
 
 
 def solution_terms(point, point2=None):

@@ -9,6 +9,7 @@ from hypothesis import strategies as st
 
 from gkzlog import (
     LogSeries,
+    ProblemFileError,
     SupportBox,
     bracket_vec,
     build_tail,
@@ -321,6 +322,23 @@ class TestArithmetic:
     def test_dimension_mismatch(self):
         with pytest.raises(ValueError):
             LogSeries.zero(2) + LogSeries.zero(3)
+
+    def test_coefficient_checks_lengths(self):
+        s = LogSeries.monomial((1, 2, 3))
+        assert s.coefficient((1, 2, 3)) == 1
+        for exponent, logdeg in (((1, 2), None), ((1, 2, 3), (0, 0)), ((1, 2, 3, 4), None)):
+            with pytest.raises(ValueError, match="dimension mismatch"):
+                s.coefficient(exponent, logdeg)
+
+    def test_log_powers_are_strict_integers(self):
+        assert LogSeries.monomial((1, 2), (2, 1)).coefficient((1, 2), (2, 1)) == 1
+        for bad in ((0.9, 1), (True, 0), ("1", 0), (F(1), 0)):
+            with pytest.raises(ProblemFileError, match="log power"):
+                LogSeries.monomial((1, 2), bad)
+            with pytest.raises(ProblemFileError, match="log power"):
+                LogSeries.monomial((1, 2)).coefficient((1, 2), bad)
+        with pytest.raises(ValueError, match="negative log power"):
+            LogSeries.monomial((1, 2), (-1, 0))
 
 
 class TestSerialization:

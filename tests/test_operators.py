@@ -13,18 +13,32 @@ from gkzlog import (
     EulerOp,
     LogSeries,
     NonLatticeExponent,
+    ProblemFileError,
+    RelationLattice,
     apply_box,
     apply_euler,
     build_tail,
     combine,
     differentiate,
     f_coeffs,
+    kernel_basis,
     verify_box_annihilation,
     verify_euler_annihilation,
 )
 from gkzlog.logseries import SeriesMeta
 from gkzlog.support import SupportBox
-from tests.conftest import GAUSS_MATRIX, PYRAMID_MATRIX, PYRAMID_BETA, PYRAMID_V, gauss_beta, gauss_v
+from tests.conftest import (
+    GAUSS_MATRIX,
+    PYRAMID_BETA,
+    PYRAMID_MATRIX,
+    PYRAMID_V,
+    fraction_apply_box,
+    fraction_apply_euler,
+    fraction_derive,
+    fraction_verify_box,
+    gauss_beta,
+    gauss_v,
+)
 
 
 def test_differentiate_power_rule():
@@ -77,6 +91,14 @@ def test_differentiate_matches_coefficient_chain(m, z, k):
         1, {((z + k - 1,), (d,)): c for d, c in enumerate(prev.coeffs) if c}
     )
     assert differentiate(series, 0) == want
+
+
+def test_box_op_entries_are_strict_integers():
+    assert BoxOp((2, -1)).point == (2, -1)
+    assert BoxOp((2, -1)).plus == (2, 0) and BoxOp((2, -1)).minus == (0, 1)
+    for bad in ((1.7, -1.2, 0), ("2", "-2"), (True, False), (F(1), 0)):
+        with pytest.raises(ProblemFileError, match="box operator entry"):
+            BoxOp(bad)
 
 
 def test_apply_box_zero_series():
@@ -290,3 +312,89 @@ def test_mutations_flip_verification(gauss_lattice):
     for term in quasi.terms():
         mutated = quasi.with_term_added(term.exponent, term.logdeg, 1)
         assert any(not verify_box_annihilation(mutated, op).passed for op in ops), term
+
+
+DIFF_LATTICES = (kernel_basis(GAUSS_MATRIX), kernel_basis(PYRAMID_MATRIX))
+SMALL_FRACTION = st.builds(F, st.integers(-6, 6), st.sampled_from((1, 2, 3, 4, 6)))
+COEFF = st.builds(F, st.integers(-9, 9).filter(bool), st.sampled_from((1, 2, 5, 7, 12)))
+
+
+@st.composite
+def certified_series(draw):
+    """A series with truncation metadata, mostly on its base coset.
+
+    Exponents are the base plus a lattice point of a box one wider than
+    the radius, and some are moved off the coset: by half a lattice point
+    (in the span, off the lattice) or by a small rational vector (mostly
+    off the span).
+    """
+    lattice = draw(st.sampled_from(DIFF_LATTICES))
+    n = lattice.ambient_dim
+    base = tuple(draw(SMALL_FRACTION) for _ in range(n))
+    radius = draw(st.integers(0, 3))
+    span = st.integers(-radius - 1, radius + 1)
+    terms = {}
+    for _ in range(draw(st.integers(0, 8))):
+        point = lattice.point_from_coords([draw(span) for _ in range(lattice.rank)])
+        exponent = tuple(b + x for b, x in zip(base, point))
+        move = draw(st.sampled_from(("none",) * 6 + ("half", "rational")))
+        if move == "half":
+            half = lattice.point_from_coords([draw(st.integers(-3, 3)) for _ in range(lattice.rank)])
+            exponent = tuple(e + F(x, 2) for e, x in zip(exponent, half))
+        elif move == "rational":
+            exponent = tuple(e + draw(SMALL_FRACTION) for e in exponent)
+        logdeg = tuple(draw(st.integers(0, 2)) for _ in range(n))
+        terms[(exponent, logdeg)] = draw(COEFF)
+    return LogSeries(n, terms, SeriesMeta(base, lattice, radius))
+
+
+@st.composite
+def box_ops(draw, lattice):
+    """A relation of ``lattice``, or any small integer vector (unbalanced, mostly off the span)."""
+    if draw(st.integers(0, 2)):
+        coords = [draw(st.integers(-2, 2)) for _ in range(lattice.rank)]
+        return BoxOp(lattice.point_from_coords(coords))
+    return BoxOp(tuple(draw(st.integers(-2, 2)) for _ in range(lattice.ambient_dim)))
+
+
+def outcome(check, *args):
+    """The value of ``check(*args)``, or the type and message of the error it raised."""
+    try:
+        return check(*args)
+    except NonLatticeExponent as exc:
+        return (type(exc), str(exc))
+
+
+@settings(max_examples=300, deadline=None)
+@given(data=st.data(), series=certified_series())
+def test_integer_operators_match_fraction_oracles(data, series):
+    lattice = series.meta.lattice
+    op = data.draw(box_ops(lattice))
+    assert apply_box(series, op) == fraction_apply_box(series, op)
+    assert outcome(verify_box_annihilation, series, op) == outcome(fraction_verify_box, series, op)
+    row = tuple(data.draw(st.integers(-2, 2)) for _ in range(series.nvars))
+    euler = EulerOp(row, data.draw(SMALL_FRACTION))
+    assert apply_euler(series, euler) == fraction_apply_euler(series, euler)
+    j = data.draw(st.integers(0, series.nvars - 1))
+    unit = [int(i == j) for i in range(series.nvars)]
+    assert differentiate(series, j) == LogSeries(series.nvars, fraction_derive(series, unit))
+
+
+def test_box_check_solves_once_per_residual_term(pyramid_lattice, monkeypatch):
+    calls = []
+    solve = RelationLattice.coords_of
+
+    def counted(self, vec):
+        calls.append(vec)
+        return solve(self, vec)
+
+    monkeypatch.setattr(RelationLattice, "coords_of", counted)
+    box = SupportBox(PYRAMID_V, pyramid_lattice, 4)
+    quasi = build_tail(box, ()).mul_log_linear((0, 0, 0, 0, 1)) + build_tail(box, (4,))
+    corrupted = quasi.with_term_added((F(1), F(0), F(1), F(0), F(-1)), (0,) * 5, 1)
+    for series in (quasi, corrupted):
+        for row in pyramid_lattice.basis:
+            calls.clear()
+            report = verify_box_annihilation(series, BoxOp(row))
+            assert report.checked_term_count > 0
+            assert len(calls) <= report.checked_term_count + 1
