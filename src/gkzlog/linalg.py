@@ -87,24 +87,26 @@ def kernel_rows(rows, width) -> tuple[tuple[int, ...], ...]:
     return hnf_rows(u for h, u in zip(hnf, trans) if not any(h))
 
 
-def solve_echelon(rows, vec):
-    """Exact coefficients ``y`` with ``sum(y[k] * rows[k]) == vec``, or ``None``.
+def solve_echelon(rows, vec, den: int = 1):
+    """Exact coefficients ``y`` with ``sum(y[k] * rows[k]) == vec / den``, or ``None``.
 
     ``rows`` are nonzero and in echelon form, as :func:`hnf_rows` returns
     them: each row's pivot (its first nonzero entry) lies right of the
     pivot of the row before, so each pivot column is zero in every later
-    row and the coefficients follow one by one by forward substitution.
-    The result is a tuple of Fractions, non-integral when ``vec`` lies in
-    the rational span but off the row lattice; ``None`` means ``vec`` is
-    off the span.  Empty ``rows`` give ``()`` for the zero vector.
+    row and the coefficients follow one by one by forward substitution,
+    in ints while each pivot divides.  They are non-integral when ``vec /
+    den`` lies in the rational span but off the row lattice; ``None``
+    means it is off the span.  Empty ``rows`` give ``()`` for ``0``.
     """
-    rest = [Fraction(x) for x in vec]
+    rest = list(vec)
     coeffs = []
     for row in rows:
         pivot = next(j for j, a in enumerate(row) if a)
-        y = rest[pivot] / row[pivot]
+        y, r = divmod(rest[pivot], row[pivot] * den)
+        if r:
+            y = Fraction(rest[pivot], row[pivot] * den)
         if y:
-            rest = [b - y * a for a, b in zip(row, rest)]
+            rest = [b - y * den * a for a, b in zip(row, rest)]
         coeffs.append(y)
     return None if any(rest) else tuple(coeffs)
 

@@ -5,9 +5,11 @@ A series is a finite sum of terms
     coeff * lambda^(e1,...,eN) * log(lambda_1)^d1 * ... * log(lambda_N)^dN
 
 with exact rational coefficients and exponents and nonnegative integer
-log powers.  Terms are keyed by (exponent, logdeg); zero coefficients are
-never stored and iteration order is lexicographic, so two equal series
-serialize identically.
+log powers, held on integers from the tail builder to ``to_text``: with
+``D`` a common multiple of the exponent denominators and ``Q`` the least
+one of the coefficients, a term is keyed by ``(D * exponent, logdeg)``
+as int tuples and holds ``Q * coeff`` as a nonzero int.  ``Fraction``s
+appear only at the public boundary (``coefficient``, ``terms``).
 
 The tails of the classical solution series of a GKZ system at a base
 exponent vector ``v`` are built from the support sets of one
@@ -24,8 +26,8 @@ from them: a multiset ``S`` of log indices stands for
 ``sum_{T in S} tail(T) * prod_{b in S \\ T} log(lambda_b)`` (``T`` over
 the subsets of the positions of ``S``), and a solution is a weighted sum
 of such terms.  ``tails_read`` names the tails a list of terms reads.  A
-combination, like ``mul_log_linear``, adds each weighted series into one
-term dict (``_add_into``) and builds a single series at the end.  The
+combination, like the series algebra, adds each weighted series into one
+integer term dict (``_weighted_sum``) and builds one series at the end.  The
 tails and the mirror map's tails share one coefficient rule,
 ``log_free_coefficients``, which reads per-coordinate derivative-chain
 tables.  Each series records the box's truncation metadata (base
@@ -38,6 +40,8 @@ from __future__ import annotations
 import re
 from dataclasses import dataclass
 from fractions import Fraction
+from math import gcd, lcm
+from operator import add
 
 from .coefficients import chain_constants, f_coeffs
 from .errors import MinimalityViolation, ProblemFileError, UndefinedBracket
@@ -78,28 +82,51 @@ def _merge_meta(a, b):
     raise ValueError("series have incompatible truncation metadata")
 
 
-class LogSeries:
-    """Finite sparse series in lambda with log-monomial factors."""
+def _ratio(num: int, den: int) -> str:
+    """``str(Fraction(num, den))`` without building the Fraction."""
+    g = gcd(num, den)
+    return str(num // g) if g == den else f"{num // g}/{den // g}"
 
-    __slots__ = ("nvars", "meta", "_terms")
 
-    def __init__(self, nvars: int, terms=None, meta: SeriesMeta | None = None):
-        canonical = {}
-        for key, coeff in (terms or {}).items():
-            exponent, logdeg = key
-            value = to_rational(coeff)
-            if value == 0:
-                continue
-            exponent = rational_vector(exponent)
-            logdeg = _log_powers(logdeg)
+def _integer_terms(nvars, items):
+    """``(D, Q, integer terms)`` of checked ``((exponent, logdeg), coeff)`` pairs, summed."""
+    checked = []
+    for (exponent, logdeg), coeff in items:
+        value = to_rational(coeff)
+        if value:
+            exponent, logdeg = rational_vector(exponent), _log_powers(logdeg)
             if len(exponent) != nvars or len(logdeg) != nvars:
                 raise ValueError("term dimension != nvars")
             if any(d < 0 for d in logdeg):
                 raise ValueError("negative log power")
-            canonical[(exponent, logdeg)] = value
-        self.nvars = nvars
-        self.meta = meta
-        self._terms = canonical
+            checked.append((exponent, logdeg, value))
+    den = lcm(*(x.denominator for exponent, _, _ in checked for x in exponent))
+    q = lcm(*(value.denominator for _, _, value in checked))
+    terms = {}
+    for exponent, logdeg, value in checked:
+        key = (tuple(x.numerator * (den // x.denominator) for x in exponent), logdeg)
+        terms[key] = terms.get(key, 0) + value.numerator * (q // value.denominator)
+    return den, q, terms
+
+
+class LogSeries:
+    """Finite sparse log-series: integer ``_terms`` over ``exp_den`` (D) and ``coeff_den`` (Q)."""
+
+    __slots__ = ("nvars", "meta", "exp_den", "coeff_den", "_terms")
+
+    def __init__(self, nvars: int, terms=None, meta: SeriesMeta | None = None):
+        self._store(nvars, *_integer_terms(nvars, (terms or {}).items()), meta)
+
+    def _store(self, nvars, den, q, terms, meta) -> "LogSeries":
+        g = gcd(q, *terms.values())
+        self.nvars, self.exp_den, self.coeff_den, self.meta = nvars, den, q // g, meta
+        self._terms = {key: num // g for key, num in terms.items() if num}
+        return self
+
+    @classmethod
+    def _of(cls, nvars, den, q, terms, meta) -> "LogSeries":
+        """The builders' trusted path: integer ``terms`` over ``den`` and ``q``, not validated."""
+        return object.__new__(cls)._store(nvars, den, q, terms, meta)
 
     @classmethod
     def zero(cls, nvars: int, meta=None) -> "LogSeries":
@@ -112,23 +139,34 @@ class LogSeries:
             logdeg = (0,) * nvars
         return cls(nvars, {(tuple(exponent), tuple(logdeg)): coeff}, meta)
 
+    def terms_over(self, den: int) -> dict:
+        """``_terms`` keyed over the exponent scale ``den``, a multiple of ``self.exp_den``."""
+        f, own = den // self.exp_den, self._terms
+        return own if f == 1 else {(tuple(c * f for c in e), d): n for (e, d), n in own.items()}
+
+    def _exponent(self, key) -> tuple[Fraction, ...]:
+        return tuple(Fraction(c, self.exp_den) for c in key)
+
     def terms(self):
-        """Terms in canonical (lexicographic) order."""
-        for key in sorted(self._terms):
-            exponent, logdeg = key
-            yield LogTerm(exponent, logdeg, self._terms[key])
+        """Terms in canonical (lexicographic) order, with ``Fraction`` exponents and coefficients."""
+        for (exponent, logdeg), num in sorted(self._terms.items()):
+            yield LogTerm(self._exponent(exponent), logdeg, Fraction(num, self.coeff_den))
 
     def items(self):
-        """``((exponent, logdeg), coeff)`` pairs, in no particular order."""
-        return self._terms.items()
+        """``((exponent, logdeg), coeff)`` pairs of the terms, in canonical order."""
+        return [((term.exponent, term.logdeg), term.coeff) for term in self.terms()]
 
     def coefficient(self, exponent, logdeg=None) -> Fraction:
         if logdeg is None:
             logdeg = (0,) * self.nvars
-        key = (rational_vector(exponent), _log_powers(logdeg))
-        if len(key[0]) != self.nvars or len(key[1]) != self.nvars:
+        exponent, logdeg = rational_vector(exponent), _log_powers(logdeg)
+        if len(exponent) != self.nvars or len(logdeg) != self.nvars:
             raise ValueError("dimension mismatch")
-        return self._terms.get(key, Fraction(0))
+        den = self.exp_den
+        if any(den % x.denominator for x in exponent):
+            return Fraction(0)
+        key = (tuple(x.numerator * (den // x.denominator) for x in exponent), logdeg)
+        return Fraction(self._terms.get(key, 0), self.coeff_den)
 
     def __len__(self) -> int:
         return len(self._terms)
@@ -139,23 +177,20 @@ class LogSeries:
     def __eq__(self, other) -> bool:
         if not isinstance(other, LogSeries):
             return NotImplemented
-        return self.nvars == other.nvars and self._terms == other._terms
+        den = lcm(self.exp_den, other.exp_den)
+        same = self.nvars == other.nvars and self.coeff_den == other.coeff_den
+        return same and self.terms_over(den) == other.terms_over(den)
 
     __hash__ = None
 
     def __repr__(self) -> str:
         return f"LogSeries(nvars={self.nvars}, terms={len(self._terms)})"
 
-    def _check_compatible(self, other: "LogSeries"):
+    def __add__(self, other: "LogSeries") -> "LogSeries":
         if self.nvars != other.nvars:
             raise ValueError("dimension mismatch")
-
-    def __add__(self, other: "LogSeries") -> "LogSeries":
-        self._check_compatible(other)
-        merged = dict(self._terms)
-        for key, coeff in other._terms.items():
-            merged[key] = merged.get(key, Fraction(0)) + coeff
-        return LogSeries(self.nvars, merged, _merge_meta(self.meta, other.meta))
+        meta = _merge_meta(self.meta, other.meta)
+        return _weighted_sum(self.nvars, [(self, 1, ()), (other, 1, ())], meta)
 
     def __neg__(self) -> "LogSeries":
         return self.scale(-1)
@@ -164,36 +199,43 @@ class LogSeries:
         return self + (-other)
 
     def scale(self, factor) -> "LogSeries":
-        f = to_rational(factor)
-        return LogSeries(
-            self.nvars,
-            {key: coeff * f for key, coeff in self._terms.items()},
-            self.meta,
-        )
+        return _weighted_sum(self.nvars, [(self, factor, ())], self.meta)
 
     def mul_log_linear(self, ivec) -> "LogSeries":
         """Multiply by the linear log form ``sum_i ivec[i] * log(lambda_i)``."""
         if len(ivec) != self.nvars:
             raise ValueError("dimension mismatch")
-        out = {}
-        for i, weight in enumerate(ivec):
-            if weight:
-                _add_into(out, self, weight, (i,))
-        return LogSeries(self.nvars, out, self.meta)
+        parts = [(self, weight, (i,)) for i, weight in enumerate(ivec)]
+        return _weighted_sum(self.nvars, parts, self.meta)
 
     def filter_terms(self, predicate) -> "LogSeries":
-        """Keep the terms where ``predicate(exponent, logdeg)`` holds."""
-        kept = {
-            key: coeff
-            for key, coeff in self._terms.items()
-            if predicate(key[0], key[1])
-        }
-        return LogSeries(self.nvars, kept, self.meta)
+        """Keep the terms where ``predicate(exponent, logdeg)`` holds (``Fraction`` exponents)."""
+        kept = {k: n for k, n in self._terms.items() if predicate(self._exponent(k[0]), k[1])}
+        return LogSeries._of(self.nvars, self.exp_den, self.coeff_den, kept, self.meta)
 
     def with_term_added(self, exponent, logdeg, delta) -> "LogSeries":
         """Copy with ``delta`` added to one coefficient (mutation testing)."""
-        bump = LogSeries.monomial(exponent, logdeg, delta, self.meta)
-        return self + bump
+        return self + LogSeries.monomial(exponent, logdeg, delta, self.meta)
+
+
+def _weighted_sum(nvars, parts, meta) -> LogSeries:
+    """Sum of ``weight * series * prod(log(lambda_b) for b in logs)`` over ``parts``.
+
+    Keys go over the LCM of the exponent scales and numerators over one
+    denominator, so a term costs one key step and one multiply-add.
+    """
+    parts = [(series, w, logs) for series, weight, logs in parts if (w := to_rational(weight))]
+    den = lcm(*(series.exp_den for series, _, _ in parts))
+    q = lcm(*(series.coeff_den * weight.denominator for series, weight, _ in parts))
+    out = {}
+    get = out.get
+    for series, weight, logs in parts:
+        factor = weight.numerator * (q // (series.coeff_den * weight.denominator))
+        bump = [logs.count(b) for b in range(nvars)]
+        for (exponent, logdeg), num in series.terms_over(den).items():
+            key = (exponent, tuple(map(add, logdeg, bump)) if logs else logdeg)
+            out[key] = get(key, 0) + factor * num
+    return LogSeries._of(nvars, den, q, out, meta)
 
 
 def log_free_coefficients(v, points, logs) -> list[Fraction]:
@@ -257,27 +299,17 @@ def build_tail(box: SupportBox, logs) -> LogSeries:
     :class:`MinimalityViolation`.
     """
     base = box.base
+    den = lcm(*(x.denominator for x in base))
+    shift = [x.numerator * (den // x.denominator) for x in base]
     points = box.support_set(logs)
     coeffs = log_free_coefficients(base, points, logs)
+    q = lcm(*(coeff.denominator for coeff in coeffs))
     zero_deg = (0,) * len(base)
-    terms = {
-        (tuple(x + d for x, d in zip(base, point)), zero_deg): coeff
-        for point, coeff in zip(points, coeffs)
-        if coeff
-    }
-    return LogSeries(len(base), terms, SeriesMeta(base, box.lattice, box.radius))
-
-
-def _add_into(out: dict, series: LogSeries, weight, logs):
-    """Add ``weight * series * prod(log(lambda_b) for b in logs)`` into the term dict ``out``."""
-    for (exponent, logdeg), coeff in series.items():
-        if logs:
-            logdeg = list(logdeg)
-            for b in logs:
-                logdeg[b] += 1
-            logdeg = tuple(logdeg)
-        key = (exponent, logdeg)
-        out[key] = out.get(key, 0) + weight * coeff
+    terms = {}
+    for point, coeff in zip(points, coeffs):
+        key = (tuple(s + den * x for s, x in zip(shift, point)), zero_deg)
+        terms[key] = coeff.numerator * (q // coeff.denominator)
+    return LogSeries._of(len(base), den, q, terms, SeriesMeta(base, box.lattice, box.radius))
 
 
 def _splits(logs):
@@ -315,11 +347,8 @@ def combine(tails, terms) -> LogSeries:
         if any(not 0 <= b < n for b in key) or tails[key].nvars != n:
             raise ValueError("dimension mismatch")
         meta = _merge_meta(meta, tails[key].meta)
-    out = {}
-    for weight, logs in terms:
-        for tail, factors in _splits(logs):
-            _add_into(out, tails[tail], weight, factors)
-    return LogSeries(n, out, meta)
+    parts = [(tails[tail], w, factors) for w, logs in terms for tail, factors in _splits(logs)]
+    return _weighted_sum(n, parts, meta)
 
 
 _TERM_RE = re.compile(
@@ -328,18 +357,21 @@ _TERM_RE = re.compile(
 
 
 def to_text(series: LogSeries) -> str:
-    """Canonical text form: one term per line, exact rationals as ``p/q``."""
+    """Canonical text form: one term per line, exact rationals as ``p/q``, sorted by exponent."""
+    den, q = series.exp_den, series.coeff_den
+    entries = {c for exponent, _ in series._terms for c in exponent}
+    names = {c: _ratio(c, den) for c in entries}
     lines = []
-    for term in series.terms():
-        exps = ",".join(str(x) for x in term.exponent)
-        degs = ",".join(str(d) for d in term.logdeg)
-        lines.append(f"{term.coeff} * lambda^({exps}) * log^({degs})")
+    for (exponent, logdeg), num in sorted(series._terms.items()):
+        exps = ",".join([names[c] for c in exponent])
+        degs = ",".join(map(str, logdeg))
+        lines.append(f"{_ratio(num, q)} * lambda^({exps}) * log^({degs})")
     return "\n".join(lines) + "\n" if lines else ""
 
 
 def from_text(text: str, nvars: int | None = None, meta=None) -> LogSeries:
     """Parse the canonical text form; blank lines and ``#`` comments ignored."""
-    terms = {}
+    rows = []
     width = nvars
     for lineno, raw in enumerate(text.splitlines(), start=1):
         line = raw.strip()
@@ -352,14 +384,15 @@ def from_text(text: str, nvars: int | None = None, meta=None) -> LogSeries:
             exponent = rational_vector(match.group("exp").split(","))
             logdeg = tuple(int(d) for d in match.group("deg").split(","))
             coeff = to_rational(match.group("coeff"))
+            if any(d < 0 for d in logdeg):
+                raise ValueError("negative log power")
         except (ProblemFileError, ValueError) as exc:
             raise ValueError(f"line {lineno}: {exc}") from None
         if width is None:
             width = len(exponent)
         if len(exponent) != width or len(logdeg) != width:
             raise ValueError(f"line {lineno}: inconsistent dimension")
-        key = (exponent, logdeg)
-        terms[key] = terms.get(key, Fraction(0)) + coeff
+        rows.append(((exponent, logdeg), coeff))
     if width is None:
         raise ValueError("cannot infer dimension of an empty series; pass nvars")
-    return LogSeries(width, terms, meta)
+    return LogSeries._of(width, *_integer_terms(width, rows), meta)

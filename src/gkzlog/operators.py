@@ -1,31 +1,32 @@
 """Box and Euler operators on log-series, with certified vanishing checks.
 
 ``apply_box`` and ``apply_euler`` are exact symbolic applications of the
-two operator families attached to a point configuration.  Both convert a
-series once to integer terms (``_int_terms``): with ``D`` the LCM of the
-exponent denominators and ``Q`` that of the coefficients, a term is keyed
-by ``D * exponent`` as an int tuple and its log powers, and holds its
-coefficient times ``Q`` as an int.  ``_derive`` takes derivatives one
-variable step at a time on these keys, each step multiplying the shared
-denominator by ``D``; ``apply_box`` subtracts the two sides over one
-denominator, ``differentiate`` is its one-step case, and ``Fraction``
-exponents and coefficients are built only for the nonzero result terms.
+two operator families attached to a point configuration.  They read a
+series' integer terms as they are: a key is ``D * exponent`` as an int
+tuple with the log powers, a value a coefficient times ``Q`` as an int
+(``LogSeries``).  ``_derive`` takes derivatives one variable step at a
+time on these keys, each step multiplying the shared denominator by
+``D``; ``apply_box`` subtracts the two sides over one denominator and
+``differentiate`` is a one-step derivative.  Keys are rescaled only
+when ``beta``'s or the base's denominators do not divide ``D``.
 A truncated series cannot vanish identically under a box operator:
 terms near the enumeration boundary lose their cancelling partners.  The
 verifier therefore certifies a result term only when both of its
 potential source exponents lie inside the enumerated box recorded in the
-series metadata; certified terms of a true solution must vanish exactly,
-and any survivor is reported as a violation.
+series metadata, by one integer lattice solve per term; certified terms
+of a true solution must vanish exactly, and any survivor is reported as
+a violation.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
 from fractions import Fraction
-from math import lcm
+from math import lcm, prod
 
 from .errors import NonLatticeExponent
 from .lattice import IntMatrix
+from .linalg import solve_echelon
 from .logseries import LogSeries
 from .rationals import to_int, to_rational
 
@@ -59,23 +60,6 @@ class EulerOp:
         return f"euler{self.row}={self.beta}"
 
 
-def _int_terms(series: LogSeries, dens=()):
-    """``(D, Q, {(D * exponent, logdeg): Q * coeff})``: the series on integer keys and numerators.
-
-    ``D`` is the LCM of the exponent denominators and of ``dens``, ``Q``
-    that of the coefficient denominators; every exponent entry becomes
-    an int over ``D`` and every coefficient an int over ``Q``.
-    """
-    items = series.items()
-    scale = lcm(*dens, *(x.denominator for (exponent, _), _ in items for x in exponent))
-    common = lcm(*(coeff.denominator for _, coeff in items))
-    terms = {}
-    for (exponent, logdeg), coeff in items:
-        key = (tuple(x.numerator * (scale // x.denominator) for x in exponent), logdeg)
-        terms[key] = coeff.numerator * (common // coeff.denominator)
-    return scale, common, terms
-
-
 def _derive(terms: dict, orders, scale: int) -> dict:
     """``prod_j (d/dlambda_j)^orders[j]`` of an integer term dict, one derivative at a time.
 
@@ -101,38 +85,25 @@ def _derive(terms: dict, orders, scale: int) -> dict:
     return terms
 
 
-def _series(series: LogSeries, scale: int, den: int, terms: dict) -> LogSeries:
-    """Series of the integer terms ``terms`` over exponent scale ``scale`` and denominator ``den``.
-
-    ``Fraction`` exponents and coefficients are built for the nonzero
-    terms only; the result keeps ``series``'s dimension and metadata.
-    """
-    out = {}
-    for (exponent, logdeg), num in terms.items():
-        if num:
-            out[(tuple(Fraction(c, scale) for c in exponent), logdeg)] = Fraction(num, den)
-    return LogSeries(series.nvars, out, series.meta)
-
-
 def differentiate(series: LogSeries, j: int) -> LogSeries:
     """Exact partial derivative with respect to ``lambda_j``."""
     if not 0 <= j < series.nvars:
         raise ValueError("variable index out of range")
-    scale, common, terms = _int_terms(series)
-    orders = [int(i == j) for i in range(series.nvars)]
-    return _series(series, scale, common * scale, _derive(terms, orders, scale))
+    scale, orders = series.exp_den, [int(i == j) for i in range(series.nvars)]
+    terms = _derive(series.terms_over(scale), orders, scale)
+    return LogSeries._of(series.nvars, scale, series.coeff_den * scale, terms, series.meta)
 
 
 def apply_box(series: LogSeries, op: BoxOp) -> LogSeries:
     """Difference of the two iterated-derivative monomials of the operator.
 
-    Both sides are derived from one integer form of the series and
+    Both sides are derived from the integer terms of the series and
     brought over ``Q * D^max(k+, k-)`` for ``k+ = sum(l+)`` and
     ``k- = sum(l-)`` derivative steps before they are subtracted.
     """
     if len(op.point) != series.nvars:
         raise ValueError("dimension mismatch")
-    scale, common, terms = _int_terms(series)
+    scale, terms = series.exp_den, series.terms_over(series.exp_den)
     steps_plus, steps_minus = sum(op.plus), sum(op.minus)
     steps = max(steps_plus, steps_minus)
     lift_plus, lift_minus = scale ** (steps - steps_plus), scale ** (steps - steps_minus)
@@ -140,25 +111,25 @@ def apply_box(series: LogSeries, op: BoxOp) -> LogSeries:
     get = out.get
     for key, num in _derive(terms, op.minus, scale).items():
         out[key] = get(key, 0) - num * lift_minus
-    return _series(series, scale, common * scale**steps, out)
+    return LogSeries._of(series.nvars, scale, series.coeff_den * scale**steps, out, series.meta)
 
 
 def apply_euler(series: LogSeries, op: EulerOp) -> LogSeries:
     """Apply ``sum_j a_j lambda_j d/dlambda_j - beta`` term by term.
 
-    On the integer form of the series, with ``beta``'s denominator in
-    ``D``: a term keeps its key with numerator times ``sum a_j c_j -
-    D * beta``, and each log branch adds ``a_j * d_j * D`` times it one
-    log power lower; the shared denominator is ``Q * D``.
+    On the integer terms over ``D``, the LCM of the exponent scale and
+    ``beta``'s denominator: a term keeps its key with numerator times
+    ``sum a_j c_j - D * beta``, and each log branch adds ``a_j * d_j * D``
+    times it one log power lower; the shared denominator is ``Q * D``.
     """
     if len(op.row) != series.nvars:
         raise ValueError("dimension mismatch")
     beta = to_rational(op.beta)
-    scale, common, terms = _int_terms(series, (beta.denominator,))
+    scale = lcm(series.exp_den, beta.denominator)
     shift = beta.numerator * (scale // beta.denominator)
     out = {}
     get = out.get
-    for (exponent, logdeg), num in terms.items():
+    for (exponent, logdeg), num in series.terms_over(scale).items():
         key = (exponent, logdeg)
         out[key] = get(key, 0) + num * (sum(a * c for a, c in zip(op.row, exponent)) - shift)
         for j, a in enumerate(op.row):
@@ -166,7 +137,7 @@ def apply_euler(series: LogSeries, op: EulerOp) -> LogSeries:
             if a and d:
                 key = (exponent, logdeg[:j] + (d - 1,) + logdeg[j + 1 :])
                 out[key] = get(key, 0) + num * a * d * scale
-    return _series(series, scale, common * scale, out)
+    return LogSeries._of(series.nvars, scale, series.coeff_den * scale, out, series.meta)
 
 
 def _inside(coords, radius: int) -> bool:
@@ -192,10 +163,6 @@ class CertifiedReport:
     def passed(self) -> bool:
         return not self.violations and self.certified_region != 0
 
-    def summary(self) -> str:
-        status = "pass" if self.passed else "FAIL"
-        return f"{status}: {self.checked_term_count} terms checked, {len(self.violations)} violations"
-
 
 def verify_box_annihilation(series: LogSeries, op: BoxOp) -> CertifiedReport:
     """Apply a box operator and check that every certified term vanished.
@@ -215,33 +182,31 @@ def verify_box_annihilation(series: LogSeries, op: BoxOp) -> CertifiedReport:
     if series.meta is None:
         raise ValueError("series carries no truncation metadata")
     meta = series.meta
-    lattice = meta.lattice
-    radius = meta.radius
+    lattice, radius = meta.lattice, meta.radius
     result = apply_box(series, op)
-    # The sources differ by l, so the coordinates of u + l- are those of
-    # u + l+ minus those of l: one lattice solve per term.
+    # Over D, the LCM of the result's and the base's scales, u + l+ - base is
+    # (u + D * (l+ - base)) / D; as u + l- = u + l+ - l, one solve per term.
+    scale = lcm(result.exp_den, *(b.denominator for b in meta.base))
+    shift = [int(scale * (s - b)) for s, b in zip(op.plus, meta.base)]
     step = lattice.coords_of(op.point)
     violations = []
-    for term in result.terms():
-        coords = lattice.coords_of(
-            tuple(u + s - b for u, s, b in zip(term.exponent, op.plus, meta.base))
-        )
+    for (exponent, logdeg), num in sorted(result.terms_over(scale).items()):
+        coords = solve_echelon(lattice.basis, [u + s for u, s in zip(exponent, shift)], scale)
         if coords is not None and not _inside(coords, radius):
             continue
+        exponent = tuple(Fraction(c, scale) for c in exponent)
         if coords is None or step is None:
             # u + l+ is off the span, or l is and so u + l- is
             raise NonLatticeExponent(
-                f"exponent {term.exponent} is outside the rational span of the lattice"
+                f"exponent {exponent} is outside the rational span of the lattice"
             )
         if _inside([a - b for a, b in zip(coords, step)], radius):
-            violations.append((term.exponent, term.logdeg, term.coeff))
+            violations.append((exponent, logdeg, Fraction(num, result.coeff_den)))
     # With c the lattice coordinates of l, the box holds both sources for
     # prod_k max(0, 2R + 1 - |c_k|) exponents (0 if c is not integral).
     region = 0
     if step is not None and all(c.denominator == 1 for c in step):
-        region = 1
-        for c in step:
-            region *= max(0, 2 * radius + 1 - abs(int(c)))
+        region = prod(max(0, 2 * radius + 1 - abs(int(c))) for c in step)
     return CertifiedReport(len(result), tuple(violations), region)
 
 

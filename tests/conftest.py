@@ -20,6 +20,7 @@ from gkzlog import (
 )
 from gkzlog.ci_mirror import DEFAULT_GRADING_BOUND
 from gkzlog.linalg import kernel_rows, solve_echelon, solve_integer
+from gkzlog.rationals import rational_vector, to_int, to_rational
 
 FIXTURES = Path(__file__).resolve().parent.parent / "fixtures"
 
@@ -245,6 +246,103 @@ def fraction_verify_box(series, op):
         for c in coords:
             region *= max(0, 2 * meta.radius + 1 - abs(int(c)))
     return CertifiedReport(checked, tuple(violations), region)
+
+
+class FractionSeries:
+    """``LogSeries`` as it was on ``Fraction``-keyed term dicts, as a reference.
+
+    Terms are keyed by ``(exponent, logdeg)`` with ``Fraction`` exponents
+    and hold ``Fraction`` coefficients; zero coefficients are never stored.
+    """
+
+    def __init__(self, nvars, terms=None, meta=None):
+        canonical = {}
+        for (exponent, logdeg), coeff in (terms or {}).items():
+            value = to_rational(coeff)
+            if value == 0:
+                continue
+            exponent = rational_vector(exponent)
+            logdeg = tuple(to_int(d, "log power", minimum=0) for d in logdeg)
+            if len(exponent) != nvars or len(logdeg) != nvars:
+                raise ValueError("term dimension != nvars")
+            canonical[(exponent, logdeg)] = value
+        self.nvars, self.meta, self._terms = nvars, meta, canonical
+
+    @classmethod
+    def monomial(cls, exponent, logdeg=None, coeff=1, meta=None):
+        logdeg = (0,) * len(exponent) if logdeg is None else logdeg
+        return cls(len(exponent), {(tuple(exponent), tuple(logdeg)): coeff}, meta)
+
+    def items(self):
+        return self._terms.items()
+
+    def terms(self):
+        for (exponent, logdeg), coeff in sorted(self._terms.items()):
+            yield exponent, logdeg, coeff
+
+    def coefficient(self, exponent, logdeg=None):
+        logdeg = (0,) * self.nvars if logdeg is None else tuple(logdeg)
+        return self._terms.get((rational_vector(exponent), logdeg), F(0))
+
+    def __eq__(self, other):
+        return self.nvars == other.nvars and self._terms == other._terms
+
+    def __add__(self, other):
+        merged = dict(self._terms)
+        for key, coeff in other._terms.items():
+            merged[key] = merged.get(key, 0) + coeff
+        return FractionSeries(self.nvars, merged, self.meta if other.meta is None else other.meta)
+
+    def __neg__(self):
+        return self.scale(-1)
+
+    def __sub__(self, other):
+        return self + (-other)
+
+    def scale(self, factor):
+        f = to_rational(factor)
+        return FractionSeries(self.nvars, {k: c * f for k, c in self._terms.items()}, self.meta)
+
+    def mul_log_linear(self, ivec):
+        out = {}
+        for i, weight in enumerate(ivec):
+            if weight:
+                fraction_add_into(out, self, weight, (i,))
+        return FractionSeries(self.nvars, out, self.meta)
+
+    def filter_terms(self, predicate):
+        kept = {key: c for key, c in self._terms.items() if predicate(*key)}
+        return FractionSeries(self.nvars, kept, self.meta)
+
+    def with_term_added(self, exponent, logdeg, delta):
+        return self + FractionSeries.monomial(exponent, logdeg, delta, self.meta)
+
+
+def fraction_add_into(out, series, weight, logs):
+    """Add ``weight * series * prod(log(lambda_b) for b in logs)`` into the dict ``out``."""
+    for (exponent, logdeg), coeff in series.items():
+        logdeg = tuple(d + logs.count(b) for b, d in enumerate(logdeg))
+        out[(exponent, logdeg)] = out.get((exponent, logdeg), 0) + weight * coeff
+
+
+def fraction_combine(tails, terms):
+    """``combine`` on ``FractionSeries`` tails: each split of each weighted multiset in turn."""
+    out = {}
+    for weight, logs in terms:
+        logs = sorted(logs)
+        for mask in range(1 << len(logs) if weight else 0):
+            tail = tuple(b for k, b in enumerate(logs) if mask >> k & 1)
+            factors = tuple(b for k, b in enumerate(logs) if not mask >> k & 1)
+            fraction_add_into(out, tails[tail], weight, factors)
+    return FractionSeries(tails[()].nvars, out, tails[()].meta)
+
+
+def fraction_to_text(series):
+    """``to_text`` of a ``FractionSeries``: ``str`` of each ``Fraction``, terms in sorted order."""
+    return "".join(
+        f"{coeff} * lambda^({','.join(map(str, exponent))}) * log^({','.join(map(str, logdeg))})\n"
+        for exponent, logdeg, coeff in series.terms()
+    )
 
 
 def solution_terms(point, point2=None):

@@ -19,7 +19,15 @@ from gkzlog import (
     to_text,
 )
 from gkzlog.logseries import SeriesMeta
-from tests.conftest import gauss_v, solution_terms, tails_of
+from tests.conftest import (
+    FIXTURES,
+    FractionSeries,
+    fraction_combine,
+    fraction_to_text,
+    gauss_v,
+    solution_terms,
+    tails_of,
+)
 
 PYRAMID_V = (F(0), F(0), F(0), F(0), F(1))
 
@@ -381,9 +389,137 @@ class TestSerialization:
             with pytest.raises(ValueError, match="^line 2: ") as caught:
                 from_text(good + bad + "\n")
             assert type(caught.value) is ValueError
+        # so does a negative log power
+        with pytest.raises(ValueError, match="^line 2: negative log power$") as caught:
+            from_text(good + "1 * lambda^(0) * log^(-1)\n")
+        assert type(caught.value) is ValueError
+
+    def test_repeated_terms_add_up(self):
+        text = "1/2 * lambda^(1/2) * log^(0)\n-1/2 * lambda^(2/4) * log^(0)\n"
+        text += "1/3 * lambda^(1) * log^(0)\n"
+        assert from_text(text) == LogSeries.monomial((1,), coeff=F(1, 3))
+        assert to_text(from_text(text)) == "1/3 * lambda^(1) * log^(0)\n"
 
 
 def test_meta_travels(pyramid_lattice):
     series = build_tail(SupportBox(PYRAMID_V, pyramid_lattice, 4), ())
     assert series.meta == SeriesMeta(PYRAMID_V, pyramid_lattice, 4)
     assert series.mul_log_linear((0, 0, 0, 0, 1)).meta == series.meta
+
+
+# The integer-keyed series against FractionSeries, the Fraction-keyed class
+# it replaced: the same terms, the same text, through every operation.
+DIFF_NVARS = 2
+MIXED = st.builds(F, st.integers(-6, 6), st.sampled_from((1, 1, 2, 3, 4, 6)))
+DIFF_TERMS = st.dictionaries(
+    st.tuples(st.tuples(*[MIXED] * DIFF_NVARS), st.tuples(*[st.integers(0, 2)] * DIFF_NVARS)),
+    st.builds(F, st.integers(-5, 5), st.sampled_from((1, 2, 3, 7, 12))),
+    max_size=5,
+)
+WEIGHT = st.builds(F, st.integers(-3, 3), st.sampled_from((1, 1, 2, 5)))
+PREDICATES = (
+    lambda e, d: all(x.denominator == 1 for x in e),
+    lambda e, d: e[0] > 0,
+    lambda e, d: sum(d) % 2 == 0,
+)
+
+
+def same(series, oracle):
+    """``series`` holds ``oracle``'s terms, and both print the same text."""
+    assert series.nvars == oracle.nvars and series.meta == oracle.meta
+    assert dict(series.items()) == oracle._terms and len(series) == len(oracle._terms)
+    assert to_text(series) == fraction_to_text(oracle)
+    assert from_text(to_text(series), nvars=series.nvars) == series
+    return series
+
+
+@settings(max_examples=200, deadline=None)
+@given(
+    data=st.data(),
+    first=DIFF_TERMS,
+    second=DIFF_TERMS,
+    weight=WEIGHT,
+    ivec=st.tuples(*[WEIGHT] * DIFF_NVARS),
+    predicate=st.sampled_from(PREDICATES),
+)
+def test_integer_series_match_the_fraction_oracle(data, first, second, weight, ivec, predicate):
+    a, b = LogSeries(DIFF_NVARS, first), LogSeries(DIFF_NVARS, second)
+    ra, rb = FractionSeries(DIFF_NVARS, first), FractionSeries(DIFF_NVARS, second)
+    same(a, ra)
+    same(a + b, ra + rb)
+    same(a - b, ra - rb)
+    same(-a, -ra)
+    same(a.scale(weight), ra.scale(weight))
+    same(a.mul_log_linear(ivec), ra.mul_log_linear(ivec))
+    same(a.filter_terms(predicate), ra.filter_terms(predicate))
+    exponent = data.draw(st.tuples(*[MIXED] * DIFF_NVARS))
+    logdeg = data.draw(st.tuples(*[st.integers(0, 2)] * DIFF_NVARS))
+    same(a.with_term_added(exponent, logdeg, weight), ra.with_term_added(exponent, logdeg, weight))
+    # exponents on the series, off its scale (a fifth never divides D) and anywhere
+    probes = [key for key in first] + [((F(1, 5), F(0)), (0, 0)), (exponent, logdeg)]
+    for probe in probes:
+        assert a.coefficient(*probe) == ra.coefficient(*probe)
+    # combine, over tails of mixed scales
+    tails, oracle_tails = {}, {}
+    for key in [(), (0,), (1,), (0, 0), (0, 1), (1, 1)]:
+        terms = data.draw(DIFF_TERMS)
+        tails[key] = LogSeries(DIFF_NVARS, terms)
+        oracle_tails[key] = FractionSeries(DIFF_NVARS, terms)
+    terms = [(weight, (0, 1)), (ivec[0], (1,)), (ivec[1], (0, 0)), (1, ())]
+    same(combine(tails, terms), fraction_combine(oracle_tails, terms))
+
+
+def test_equality_across_exponent_scales():
+    # dropping the only half-integer exponent leaves D = 2 on one side, 1 on the other
+    s = LogSeries(1, {((F(1, 2),), (0,)): 1, ((F(1),), (0,)): 2})
+    whole = s.filter_terms(lambda e, d: e[0].denominator == 1)
+    plain = LogSeries.monomial((1,), coeff=2)
+    assert (whole.exp_den, plain.exp_den) == (2, 1)
+    assert whole == plain and plain == whole
+    assert whole + plain == plain.scale(2)
+    assert to_text(whole) == to_text(plain) == "2 * lambda^(1) * log^(0)\n"
+    assert whole != LogSeries.monomial((F(1, 2),), coeff=2)
+    # the same integer terms over another coefficient denominator
+    assert LogSeries.monomial((1,), coeff=F(1, 2)) != LogSeries.monomial((1,))
+
+
+def test_coefficient_off_the_exponent_scale_is_zero():
+    s = LogSeries(2, {((F(1, 2), F(1, 3)), (0, 1)): F(5, 7)})
+    assert s.exp_den == 6 and s.coeff_den == 7
+    assert s.coefficient((F(1, 2), F(1, 3)), (0, 1)) == F(5, 7)
+    # 3/4 would land on the key of 1/2 if its denominator were not checked against D = 6
+    for exponent in ((F(3, 4), F(1, 3)), (F(1, 2), F(1, 9)), (F(1, 5), 0)):
+        assert s.coefficient(exponent, (0, 1)) == 0
+
+
+def test_series_pipeline_hashes_no_fraction(monkeypatch, tmp_path):
+    # solve --order 2 on the pyramid: the tails, their combinations, the box
+    # checks and the text keep every term on integer keys
+    from gkzlog import cli
+
+    phases = ("build_tail", "combine", "verify_box_annihilation", "to_text")
+    calls, active = dict.fromkeys(phases, 0), []
+    fraction_hash = F.__hash__
+
+    def counted_hash(self):
+        if active:
+            calls[active[-1]] += 1
+        return fraction_hash(self)
+
+    def counted(name, fn):
+        def run(*args):
+            active.append(name)
+            try:
+                return fn(*args)
+            finally:
+                active.pop()
+
+        return run
+
+    for name in phases:
+        monkeypatch.setattr(cli, name, counted(name, getattr(cli, name)))
+    monkeypatch.setattr(F, "__hash__", counted_hash)
+    argv = ["solve", str(FIXTURES / "square_pyramid.json"), "--order", "2", "--radius", "4"]
+    assert cli.main(argv + ["--out", str(tmp_path)]) == 0
+    assert hash(F(1, 2)) == fraction_hash(F(1, 2)) and not active
+    assert calls == dict.fromkeys(phases, 0)

@@ -25,6 +25,8 @@ from gkzlog import (
     verify_box_annihilation,
     verify_euler_annihilation,
 )
+from gkzlog import operators
+from gkzlog.linalg import solve_echelon
 from gkzlog.logseries import SeriesMeta
 from gkzlog.support import SupportBox
 from tests.conftest import (
@@ -381,20 +383,27 @@ def test_integer_operators_match_fraction_oracles(data, series):
 
 
 def test_box_check_solves_once_per_residual_term(pyramid_lattice, monkeypatch):
-    calls = []
+    # one integer solve per residual term, and one coords_of, for l
+    calls, solves = [], []
     solve = RelationLattice.coords_of
 
     def counted(self, vec):
         calls.append(vec)
         return solve(self, vec)
 
+    def counted_solve(rows, vec, den=1):
+        solves.append(vec)
+        return solve_echelon(rows, vec, den)
+
     monkeypatch.setattr(RelationLattice, "coords_of", counted)
+    monkeypatch.setattr(operators, "solve_echelon", counted_solve)
     box = SupportBox(PYRAMID_V, pyramid_lattice, 4)
     quasi = build_tail(box, ()).mul_log_linear((0, 0, 0, 0, 1)) + build_tail(box, (4,))
     corrupted = quasi.with_term_added((F(1), F(0), F(1), F(0), F(-1)), (0,) * 5, 1)
     for series in (quasi, corrupted):
         for row in pyramid_lattice.basis:
             calls.clear()
+            solves.clear()
             report = verify_box_annihilation(series, BoxOp(row))
             assert report.checked_term_count > 0
-            assert len(calls) <= report.checked_term_count + 1
+            assert len(calls) == 1 and len(solves) == report.checked_term_count
