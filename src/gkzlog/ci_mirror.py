@@ -32,7 +32,6 @@ Indices are 0-based throughout: column ``(i, j)`` is member ``j`` of set
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from fractions import Fraction
 from math import gcd, lcm
 
@@ -40,15 +39,20 @@ from .errors import DegenerateHull, MinimalityViolation, NoPositiveFunctional
 from .lattice import IntMatrix, kernel_basis
 from .linalg import kernel_rows, solve_echelon, solve_integer
 from .logseries import log_free_coefficients
-from .polytope import DEFAULT_MAX_BOX_POINTS, _cone_rays, _lattice_points, has_unique_interior_point
+from .polytope import (
+    DEFAULT_MAX_BOX_POINTS,
+    _lattice_points,
+    _union_of_cone_rays,
+    has_unique_interior_point,
+)
 from .rationals import to_int
 from .support import SupportBox, support_points, support_rows
+from .values import Value
 
 DEFAULT_GRADING_BOUND = 8
 
 
-@dataclass(frozen=True)
-class CISpec:
+class CISpec(Value):
     """Complete-intersection input: point sets with distinguished first points."""
 
     point_sets: tuple[tuple[tuple[int, ...], ...], ...]
@@ -174,8 +178,7 @@ def positive_grading(points, ambient_dim=None):
     return solve_integer(basis, first[1:])
 
 
-@dataclass(frozen=True)
-class MirrorMap:
+class MirrorMap(Value):
     """Truncated mirror-map series for one column of a lifted system.
 
     ``coefficients`` maps lattice points to exact rationals; the grade of
@@ -193,10 +196,12 @@ class MirrorMap:
     def grade_of(self, point) -> int:
         return sum(a * x for a, x in zip(self.grading, point))
 
+    def grade_key(self, item):
+        """Sort key of a ``(point, coeff)`` item: its grade, then its point."""
+        return self.grade_of(item[0]), item[0]
+
     def sorted_items(self):
-        return sorted(
-            self.coefficients.items(), key=lambda kv: (self.grade_of(kv[0]), kv[0])
-        )
+        return sorted(self.coefficients.items(), key=self.grade_key)
 
 
 def _graded(mapping, grade_of):
@@ -441,12 +446,18 @@ def mirror_map(
             radius=max(1, radius),
         )
 
-    all_rays = set()
-    for column in range(width):
-        # Every constant is 0 on a {0, -1} base vector: the rows are the cone's.
-        rows = {a for a, _ in support_rows(v, lattice.basis, (column,)).values() if any(a)}
-        all_rays.update(_cone_rays(sorted(rows), lattice.rank))
-    rays = [(ray, lattice.point_from_coords(ray)) for ray in sorted(all_rays)]
+    # Every constant is 0 on a {0, -1} base vector: the rows are the cones'.
+    # Column k's cone has every row but k's, so all the cones' rays come
+    # from one pass over the subsets of their rows.
+    rows = support_rows(v, lattice.basis)
+    cones = {
+        frozenset(a for k, (a, _) in rows.items() if k != column and any(a))
+        for column in range(width)
+    }
+    rays = [
+        (ray, lattice.point_from_coords(ray))
+        for ray in _union_of_cone_rays(cones, lattice.rank)
+    ]
     # Every support point lies in its column's cone, which the rays generate,
     # so the rays alone fix the grading.
     grading = positive_grading([point for _, point in rays], ambient_dim=width)
@@ -491,11 +502,8 @@ def mirror_map(
 
 def integrality_report(q: MirrorMap):
     """Non-integer coefficients up to the grade bound, sorted by grade."""
-    return [
-        (point, coeff)
-        for point, coeff in q.sorted_items()
-        if coeff.denominator != 1
-    ]
+    items = q.coefficients.items()
+    return sorted(((p, c) for p, c in items if c.denominator != 1), key=q.grade_key)
 
 
 def render_integrality_report(q: MirrorMap, source_hash: str) -> str:

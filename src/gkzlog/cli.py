@@ -357,7 +357,7 @@ def cmd_mirror(args) -> int:
             out_dir, f"{stem}.report", render_integrality_report(q, problem.source_hash)
         ),
     ]
-    non_integer = sum(1 for _, c in q.sorted_items() if c.denominator != 1)
+    non_integer = sum(1 for c in q.coefficients.values() if c.denominator != 1)
     report = {
         "command": "mirror",
         "input": problem.raw,

@@ -25,11 +25,11 @@ oracle.  Every function is pure and exact.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from fractions import Fraction
 
 from .errors import MinimalityViolation, PoleAtShift, UndefinedBracket
 from .rationals import is_negative_integer, to_rational
+from .values import Value
 
 MAX_LOG_POWER = 2
 
@@ -104,8 +104,7 @@ def mono_sum_shifted(k: int, i: int, z) -> Fraction:
     return acc[i]
 
 
-@dataclass(frozen=True)
-class UniLogPoly:
+class UniLogPoly(Value):
     """Polynomial in a single log variable; ``coeffs[d]`` multiplies ``log**d``."""
 
     coeffs: tuple[Fraction, ...]

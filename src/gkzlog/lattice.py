@@ -11,14 +11,12 @@ themselves are enumerated in those coordinates by
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-
 from .linalg import kernel_rows, solve_echelon
 from .rationals import to_int
+from .values import Value
 
 
-@dataclass(frozen=True)
-class IntMatrix:
+class IntMatrix(Value):
     """Immutable integer matrix, stored by rows."""
 
     rows: tuple[tuple[int, ...], ...]
@@ -51,8 +49,7 @@ class IntMatrix:
         return tuple(sum(a * x for a, x in zip(row, vec)) for row in self.rows)
 
 
-@dataclass(frozen=True)
-class RelationLattice:
+class RelationLattice(Value):
     """Saturated integer basis of the kernel of a point-configuration matrix.
 
     ``basis`` rows are in Hermite normal form (leading entries positive,

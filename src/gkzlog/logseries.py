@@ -38,7 +38,6 @@ certified regions later.
 from __future__ import annotations
 
 import re
-from dataclasses import dataclass
 from fractions import Fraction
 from math import gcd, lcm
 from operator import add
@@ -48,10 +47,10 @@ from .errors import MinimalityViolation, ProblemFileError, UndefinedBracket
 from .lattice import RelationLattice
 from .rationals import rational_vector, to_int, to_rational
 from .support import SupportBox
+from .values import Value
 
 
-@dataclass(frozen=True)
-class SeriesMeta:
+class SeriesMeta(Value):
     """Truncation provenance: which box of which lattice built the series."""
 
     base: tuple[Fraction, ...]
@@ -59,8 +58,7 @@ class SeriesMeta:
     radius: int
 
 
-@dataclass(frozen=True)
-class LogTerm:
+class LogTerm(Value):
     exponent: tuple[Fraction, ...]
     logdeg: tuple[int, ...]
     coeff: Fraction

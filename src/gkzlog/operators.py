@@ -20,7 +20,6 @@ a violation.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
 from fractions import Fraction
 from math import lcm, prod
 
@@ -29,28 +28,29 @@ from .lattice import IntMatrix
 from .linalg import solve_echelon
 from .logseries import LogSeries
 from .rationals import to_int, to_rational
+from .values import Value
 
 
-@dataclass(frozen=True)
-class BoxOp:
+class BoxOp(Value, derived=("plus", "minus")):
     """Box operator for a lattice relation; stores the split l = l+ - l-."""
 
     point: tuple[int, ...]
-    plus: tuple[int, ...] = field(init=False)
-    minus: tuple[int, ...] = field(init=False)
+    plus: tuple[int, ...]
+    minus: tuple[int, ...]
 
     def __post_init__(self):
         point = tuple(to_int(x, "box operator entry") for x in self.point)
-        object.__setattr__(self, "point", point)
-        object.__setattr__(self, "plus", tuple(max(x, 0) for x in self.point))
-        object.__setattr__(self, "minus", tuple(max(-x, 0) for x in self.point))
+        self.__dict__.update(
+            point=point,
+            plus=tuple(max(x, 0) for x in point),
+            minus=tuple(max(-x, 0) for x in point),
+        )
 
     def __str__(self):
         return f"box{self.point}"
 
 
-@dataclass(frozen=True)
-class EulerOp:
+class EulerOp(Value):
     """Euler operator from one matrix row and the matching parameter entry."""
 
     row: tuple[int, ...]
@@ -145,8 +145,7 @@ def _inside(coords, radius: int) -> bool:
     return all(c.denominator == 1 and abs(c) <= radius for c in coords)
 
 
-@dataclass(frozen=True)
-class CertifiedReport:
+class CertifiedReport(Value):
     """Result of a vanishing check.
 
     ``certified_region`` is, for a box check, the number of exponents

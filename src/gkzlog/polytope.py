@@ -6,6 +6,9 @@ rays of a pointed cone ``{x : rows . x >= 0}`` (``_cone_rays``) are the
 one-row integer kernels of its (rank-1)-subsets of rows that keep every
 row nonnegative, and the facets ``a . x <= c`` of a hull are the rays
 of the homogenized cone ``{(a, c) : c - a . p >= 0 for every point p}``.
+The cones of a family that each drop at most one row of their union
+(the support cones of a mirror map's columns) get all their rays from
+one pass, one kernel per subset of the union (``_union_of_cone_rays``).
 The lattice points of a polytope given by integer inequalities are
 enumerated lazily from an exact integer Fourier-Motzkin elimination
 (``_lattice_points``), one nested loop per coordinate, without a bounding
@@ -20,17 +23,16 @@ Everything is exact integer arithmetic; no floating point is used.
 from __future__ import annotations
 
 import itertools
-from dataclasses import dataclass
 from math import gcd
 
 from .errors import DegenerateHull, NoPositiveFunctional, ResourceLimit
 from .linalg import hnf_rows, kernel_rows
+from .values import Value
 
 DEFAULT_MAX_BOX_POINTS = 2_000_000
 
 
-@dataclass(frozen=True)
-class Polytope:
+class Polytope(Value):
     """Full-dimensional lattice polytope with exact facet description.
 
     Facets are pairs ``(normal, offset)`` with the polytope on the
@@ -72,6 +74,49 @@ def _cone_rays(rows, rank):
             continue
         for cand in (kernel[0], tuple(-a for a in kernel[0])):
             if all(_dot(row, cand) >= 0 for row in rows):
+                rays.add(cand)
+    return sorted(rays)
+
+
+def _union_of_cone_rays(cones, rank):
+    """The union of ``_cone_rays(cone, rank)`` over ``cones``, from one pass over their rows.
+
+    Each cone is the union ``R`` of all their rows with at most one row
+    dropped.  An extreme ray of a cone spans the kernel of ``rank - 1`` of
+    its rows and is nonnegative on every one of them, so it is negative on
+    at most the one row its cone dropped.  So each (rank-1)-subset ``S``
+    of ``R`` has its kernel computed once, and a sign of a one-row kernel
+    is a ray of some cone iff that cone keeps every row of ``S`` and drops
+    the row the candidate is negative on, if there is one.  Every cone must
+    be pointed, as in ``_cone_rays``.
+    """
+    if rank == 0:
+        return []
+    rows = set().union(*cones)
+    dropped = set()
+    for cone in cones:
+        missing = rows.difference(cone)
+        if len(missing) > 1:
+            raise ValueError("a cone drops more than one row of the union")
+        if len(hnf_rows(cone)) < rank:
+            raise NoPositiveFunctional("support cone contains a line; not pointed")
+        dropped.add(next(iter(missing), None))
+    union = sorted(rows)
+    rays = set()
+    for subset in itertools.combinations(union, rank - 1):
+        kernel = kernel_rows(subset, rank)
+        if len(kernel) != 1:
+            continue
+        ray = kernel[0]
+        dots = [_dot(row, ray) for row in union]
+        below = [row for row, dot in zip(union, dots) if dot < 0]
+        above = [row for row, dot in zip(union, dots) if dot > 0]
+        for cand, negative in ((ray, below), (tuple(-a for a in ray), above)):
+            if len(negative) == 1:
+                keep = negative[0] in dropped
+            else:
+                keep = not negative and any(row not in subset for row in dropped)
+            if keep:
                 rays.add(cand)
     return sorted(rays)
 

@@ -14,11 +14,10 @@ builders.  All indices are 0-based.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-
 from .lattice import RelationLattice
 from .polytope import DEFAULT_MAX_BOX_POINTS, _lattice_points
 from .rationals import rational_vector
+from .values import Value
 
 
 def support_rows(v, basis, excluded=()) -> dict[int, tuple[tuple[int, ...], int]]:
@@ -56,8 +55,7 @@ def nsupp(vector, excluded=()) -> frozenset[int]:
     return frozenset(k for k in support_rows(vector, (), excluded) if vector[k] < 0)
 
 
-@dataclass(frozen=True)
-class SupportVerdict:
+class SupportVerdict(Value):
     """Outcome of a bounded minimality scan.
 
     ``counterexample`` is the first enumerated lattice point (if any)

@@ -31,7 +31,7 @@ from gkzlog.ci_mirror import (
 )
 from gkzlog import polytope
 from gkzlog.cli import load_problem
-from gkzlog.polytope import _cone_rays
+from gkzlog.polytope import _cone_rays, _union_of_cone_rays
 from gkzlog.support import SupportBox, support_rows
 from tests.conftest import FIXTURES, shell_grading
 
@@ -539,6 +539,28 @@ def test_grading_from_rays_equals_grading_with_seed_points(name):
     want = positive_grading(rays + seed_points, ambient_dim=width)
     for column in range(width):
         assert mirror_map(spec, column, 1, radius=radius).grading == want
+
+
+@pytest.mark.parametrize(
+    "name", ["ci_two_triangles", "ci_quadrilateral", "quintic", "hexagon", "rank7_triangle"]
+)
+def test_one_ray_pass_equals_the_per_column_rays(name):
+    # mirror_map's one pass over the rows of all the support cones finds the
+    # rays that _cone_rays finds column by column
+    if name == "rank7_triangle":
+        spec = CISpec.from_lists(RANK7_TRIANGLE)
+    else:
+        spec = load_problem(str(FIXTURES / f"{name}.json")).spec
+    matrix, beta, v = build_system(spec)
+    lattice = kernel_basis(matrix)
+    rows = support_rows(v, lattice.basis)
+    cones = [
+        [a for k, (a, _) in rows.items() if k != column and any(a)]
+        for column in range(lattice.ambient_dim)
+    ]
+    rays = _union_of_cone_rays(cones, lattice.rank)
+    want, _ = ray_points(spec)
+    assert [lattice.point_from_coords(ray) for ray in rays] == want
 
 
 def test_quintic_period_known_answer():

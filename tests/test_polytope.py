@@ -21,7 +21,7 @@ from gkzlog import (
 )
 from gkzlog.cli import load_problem
 from gkzlog.linalg import hnf_rows
-from gkzlog.polytope import _cone_rays, _lattice_points, _normalized
+from gkzlog.polytope import _cone_rays, _lattice_points, _normalized, _union_of_cone_rays
 from gkzlog.support import support_points
 from tests.conftest import (
     FIXTURES,
@@ -193,6 +193,33 @@ def test_cone_rays_match_the_cofactor_directions(rank, data):
             _cone_rays(rows, rank)
         return
     assert _cone_rays(rows, rank) == want
+
+
+@settings(max_examples=300, deadline=None)
+@given(rank=st.integers(1, 4), data=st.data())
+def test_one_ray_pass_matches_the_rays_of_each_cone(rank, data):
+    # a family of cones, each the union of the rows with at most one row dropped
+    row = st.tuples(*[st.integers(-2, 2)] * rank)
+    union = sorted(set(data.draw(st.lists(row, min_size=1, max_size=7))))
+    drops = data.draw(st.lists(st.sampled_from([None] + union), min_size=1, max_size=4))
+    cones = [[r for r in union if r != drop] for drop in drops]
+    try:
+        want = sorted(set().union(*(_cone_rays(cone, rank) for cone in cones)))
+    except NoPositiveFunctional:
+        with pytest.raises(NoPositiveFunctional, match="^support cone contains a line; not pointed$"):
+            _union_of_cone_rays(cones, rank)
+        return
+    assert _union_of_cone_rays(cones, rank) == want
+
+
+def test_one_ray_pass_needs_every_cone_pointed():
+    pointed, line = [(-1, 0), (0, 1), (1, 0)], [(-1, 0), (1, 0)]
+    assert _union_of_cone_rays([pointed], 2) == _cone_rays(pointed, 2) == [(0, 1)]
+    with pytest.raises(NoPositiveFunctional, match="^support cone contains a line; not pointed$"):
+        _union_of_cone_rays([pointed, line], 2)
+    assert _union_of_cone_rays([line], 0) == []
+    with pytest.raises(ValueError, match="drops more than one row"):
+        _union_of_cone_rays([pointed, [(0, 1), (1, 1)]], 2)
 
 
 @settings(max_examples=150, deadline=None)
