@@ -41,8 +41,8 @@ from .linalg import kernel_rows, solve_echelon, solve_integer
 from .logseries import log_free_coefficients
 from .polytope import (
     DEFAULT_MAX_BOX_POINTS,
+    _cone_rays,
     _lattice_points,
-    _union_of_cone_rays,
     has_unique_interior_point,
 )
 from .rationals import to_int
@@ -447,8 +447,7 @@ def mirror_map(
         )
 
     # Every constant is 0 on a {0, -1} base vector: the rows are the cones'.
-    # Column k's cone has every row but k's, so all the cones' rays come
-    # from one pass over the subsets of their rows.
+    # Column k's cone has every row but k's.
     rows = support_rows(v, lattice.basis)
     cones = {
         frozenset(a for k, (a, _) in rows.items() if k != column and any(a))
@@ -456,7 +455,7 @@ def mirror_map(
     }
     rays = [
         (ray, lattice.point_from_coords(ray))
-        for ray in _union_of_cone_rays(cones, lattice.rank)
+        for ray in sorted(set().union(*(_cone_rays(cone, lattice.rank) for cone in cones)))
     ]
     # Every support point lies in its column's cone, which the rays generate,
     # so the rays alone fix the grading.

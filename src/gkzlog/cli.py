@@ -308,7 +308,8 @@ def cmd_ci(args) -> int:
         raise ProblemFileError("'ci' section required for this command")
     spec = problem.spec
     # Sweep and hull run before the first line: a capped run or bad hull prints nothing.
-    box = SupportBox(problem.v, lattice, radius, args.max_terms)
+    # Radius 0 would check the origin alone, so the sweep runs at radius 1 or more.
+    box = SupportBox(problem.v, lattice, max(1, radius), args.max_terms)
     verdicts = box.sweep([()] + [(col,) for col in range(problem.matrix.n_cols)])
     hypothesis = has_unique_interior_point(spec.point_sets, spec.delta)
     print("lifted matrix rows:")

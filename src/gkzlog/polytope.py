@@ -1,14 +1,11 @@
 """Exact Minkowski sums, convex hulls, and lattice points of polytopes.
 
-The instances here are tiny (a handful of integer points in dimension at
-most five), so dual descriptions are found by brute force: the extreme
-rays of a pointed cone ``{x : rows . x >= 0}`` (``_cone_rays``) are the
-one-row integer kernels of its (rank-1)-subsets of rows that keep every
-row nonnegative, and the facets ``a . x <= c`` of a hull are the rays
-of the homogenized cone ``{(a, c) : c - a . p >= 0 for every point p}``.
-The cones of a family that each drop at most one row of their union
-(the support cones of a mirror map's columns) get all their rays from
-one pass, one kernel per subset of the union (``_union_of_cone_rays``).
+The extreme rays of a pointed cone ``{x : rows . x >= 0}`` come from one
+exact integer double-description routine (``_cone_rays``), which adds
+the rows one at a time to a simplicial starting cone and combines only
+adjacent rays.  It gives the facets ``a . x <= c`` of a hull, which are
+the rays of the homogenized cone ``{(a, c) : c - a . p >= 0 for every
+point p}``, and the rays of the support cones of a mirror map's columns.
 The lattice points of a polytope given by integer inequalities are
 enumerated lazily from an exact integer Fourier-Motzkin elimination
 (``_lattice_points``), one nested loop per coordinate, without a bounding
@@ -58,67 +55,46 @@ def _dot(a, b):
 def _cone_rays(rows, rank):
     """Primitive extreme rays of ``{x : rows . x >= 0}`` in ``Q^rank``; requires pointed.
 
-    An extreme ray spans the kernel of ``rank - 1`` independent rows.  So
-    each (rank-1)-subset whose integer kernel is one (primitive) row
-    proposes that row with either sign, and the signs that keep every row
-    nonnegative are rays; the empty subset of rank 1 has kernel ``(1,)``.
+    Exact integer double description (Motzkin et al. 1953; Fukuda and
+    Prodon 1996).  ``rank`` independent rows, picked greedily, bound a
+    simplicial cone whose rays are the one-row kernels of their
+    (rank-1)-subsets.  Each remaining row then cuts the cone: the rays
+    nonnegative on it stay, and each adjacent pair of rays on strictly
+    opposite sides adds its primitive positive combination on the row's
+    hyperplane.  Each ray carries the bitmask of the rows so far that
+    vanish on it; two rays are adjacent iff no third ray's mask contains
+    the common part of theirs, which needs at least ``rank - 2`` bits.
     """
-    if rank == 0:
-        return []
-    if len(hnf_rows(rows)) < rank:
+    rows = sorted(set(map(tuple, rows)))
+    basis = []
+    for row in rows:
+        if len(basis) < rank and len(hnf_rows(basis + [row])) > len(basis):
+            basis.append(row)
+    if len(basis) < rank:
         raise NoPositiveFunctional("support cone contains a line; not pointed")
-    rays = set()
-    for subset in itertools.combinations(rows, rank - 1):
-        kernel = kernel_rows(subset, rank)
-        if len(kernel) != 1:
-            continue
-        for cand in (kernel[0], tuple(-a for a in kernel[0])):
-            if all(_dot(row, cand) >= 0 for row in rows):
-                rays.add(cand)
-    return sorted(rays)
-
-
-def _union_of_cone_rays(cones, rank):
-    """The union of ``_cone_rays(cone, rank)`` over ``cones``, from one pass over their rows.
-
-    Each cone is the union ``R`` of all their rows with at most one row
-    dropped.  An extreme ray of a cone spans the kernel of ``rank - 1`` of
-    its rows and is nonnegative on every one of them, so it is negative on
-    at most the one row its cone dropped.  So each (rank-1)-subset ``S``
-    of ``R`` has its kernel computed once, and a sign of a one-row kernel
-    is a ray of some cone iff that cone keeps every row of ``S`` and drops
-    the row the candidate is negative on, if there is one.  Every cone must
-    be pointed, as in ``_cone_rays``.
-    """
-    if rank == 0:
-        return []
-    rows = set().union(*cones)
-    dropped = set()
-    for cone in cones:
-        missing = rows.difference(cone)
-        if len(missing) > 1:
-            raise ValueError("a cone drops more than one row of the union")
-        if len(hnf_rows(cone)) < rank:
-            raise NoPositiveFunctional("support cone contains a line; not pointed")
-        dropped.add(next(iter(missing), None))
-    union = sorted(rows)
-    rays = set()
-    for subset in itertools.combinations(union, rank - 1):
-        kernel = kernel_rows(subset, rank)
-        if len(kernel) != 1:
-            continue
-        ray = kernel[0]
-        dots = [_dot(row, ray) for row in union]
-        below = [row for row, dot in zip(union, dots) if dot < 0]
-        above = [row for row, dot in zip(union, dots) if dot > 0]
-        for cand, negative in ((ray, below), (tuple(-a for a in ray), above)):
-            if len(negative) == 1:
-                keep = negative[0] in dropped
-            else:
-                keep = not negative and any(row not in subset for row in dropped)
-            if keep:
-                rays.add(cand)
-    return sorted(rays)
+    rays = []
+    for i, row in enumerate(basis):
+        (ray,) = kernel_rows(basis[:i] + basis[i + 1 :], rank)
+        sign = 1 if _dot(row, ray) > 0 else -1
+        rays.append((tuple(sign * a for a in ray), ((1 << rank) - 1) ^ (1 << i)))
+    for i, row in enumerate([row for row in rows if row not in basis], rank):
+        signed = [(ray, zeros, _dot(row, ray)) for ray, zeros in rays]
+        masks = [zeros for _, zeros in rays]
+        positive = [entry for entry in signed if entry[2] > 0]
+        negative = [entry for entry in signed if entry[2] < 0]
+        rays = [(ray, zeros | (1 << i)) for ray, zeros, value in signed if value == 0]
+        rays += [(ray, zeros) for ray, zeros, _ in positive]
+        for p, pzeros, pvalue in positive:
+            for n, nzeros, nvalue in negative:
+                common = pzeros & nzeros
+                if common.bit_count() < rank - 2 or any(
+                    z & common == common and z != pzeros and z != nzeros for z in masks
+                ):
+                    continue
+                ray = tuple(pvalue * b - nvalue * a for a, b in zip(p, n))
+                g = gcd(*ray)
+                rays.append((tuple(a // g for a in ray), common | (1 << i)))
+    return sorted(ray for ray, _ in rays)
 
 
 def minkowski_hull(point_sets) -> Polytope:

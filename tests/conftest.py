@@ -19,7 +19,7 @@ from gkzlog import (
     tails_read,
 )
 from gkzlog.ci_mirror import DEFAULT_GRADING_BOUND
-from gkzlog.linalg import kernel_rows, solve_echelon, solve_integer
+from gkzlog.linalg import hnf_rows, kernel_rows, solve_echelon, solve_integer
 from gkzlog.rationals import rational_vector, to_int, to_rational
 
 FIXTURES = Path(__file__).resolve().parent.parent / "fixtures"
@@ -62,6 +62,43 @@ def cofactor_vector(rows):
     rows = [tuple(row) for row in rows]
     n = len(rows) + 1
     return tuple((-1) ** j * laplace_det([row[:j] + row[j + 1 :] for row in rows]) for j in range(n))
+
+
+def _reference_cone_rays(rows, rank):
+    """Extreme rays from the cofactor directions of the (rank-1)-subsets of rows."""
+    if rank == 0:
+        return []
+    if len(hnf_rows(rows)) < rank:
+        raise NoPositiveFunctional("support cone contains a line; not pointed")
+    if rank == 1:
+        return [d for d in ((1,), (-1,)) if all(r[0] * d[0] >= 0 for r in rows)]
+    rays = set()
+    for subset in itertools.combinations(rows, rank - 1):
+        direction = cofactor_vector(subset)
+        if not any(direction):
+            continue
+        g = gcd(*direction)
+        direction = tuple(a // g for a in direction)
+        for cand in (direction, tuple(-a for a in direction)):
+            if all(sum(a * b for a, b in zip(row, cand)) >= 0 for row in rows):
+                rays.add(cand)
+    return sorted(rays)
+
+
+def projective_ci_sets(degrees):
+    """Point sets of the complete intersection of the given degrees in ``P^n``.
+
+    ``n + 1 = sum(degrees)``: the vertices ``e_1 .. e_n, -(e_1 + .. + e_n)``
+    of the simplex are dealt out in order, ``degrees[i]`` of them to set
+    ``i`` (a nef partition), and each set has the origin first.
+    """
+    n = sum(degrees) - 1
+    vertices = [tuple(int(i == j) for j in range(n)) for i in range(n)] + [(-1,) * n]
+    sets, start = [], 0
+    for degree in degrees:
+        sets.append(((0,) * n,) + tuple(vertices[start : start + degree]))
+        start += degree
+    return tuple(sets)
 
 
 def box_points(lattice, radius):

@@ -31,9 +31,9 @@ from gkzlog.ci_mirror import (
 )
 from gkzlog import polytope
 from gkzlog.cli import load_problem
-from gkzlog.polytope import _cone_rays, _union_of_cone_rays
+from gkzlog.polytope import _cone_rays
 from gkzlog.support import SupportBox, support_rows
-from tests.conftest import FIXTURES, shell_grading
+from tests.conftest import FIXTURES, _reference_cone_rays, shell_grading
 
 # the 10 lattice points of conv{(-1,-1), (2,-1), (-1,2)}, origin first: a
 # reflexive triangle whose one-set CI has a rank-7 relation lattice
@@ -42,15 +42,25 @@ RANK7_TRIANGLE = (
 )
 
 
-def ray_points(spec):
-    """Ambient points of the extreme rays of every column's support cone, and the width."""
+def column_cones(spec):
+    """The relation lattice, and the rows of each column's support cone in column order."""
     matrix, beta, v = build_system(spec)
     lattice = kernel_basis(matrix)
-    rays = set()
+    cones = []
     for column in range(lattice.ambient_dim):
         rows = support_rows(v, lattice.basis, (column,)).values()
         assert all(c == 0 for _, c in rows)  # v lies in {0, -1}^N: the rows are a cone's
-        rays.update(_cone_rays(sorted({a for a, _ in rows if any(a)}), lattice.rank))
+        cones.append(sorted({a for a, _ in rows if any(a)}))
+    return lattice, cones
+
+
+def ray_points(spec):
+    """Ambient points of the extreme rays of every column's support cone, and the width.
+
+    The rays come from the cofactor subset search, not from ``_cone_rays``.
+    """
+    lattice, cones = column_cones(spec)
+    rays = set().union(*(_reference_cone_rays(cone, lattice.rank) for cone in cones))
     return [lattice.point_from_coords(r) for r in sorted(rays)], lattice.ambient_dim
 
 
@@ -544,23 +554,22 @@ def test_grading_from_rays_equals_grading_with_seed_points(name):
 @pytest.mark.parametrize(
     "name", ["ci_two_triangles", "ci_quadrilateral", "quintic", "hexagon", "rank7_triangle"]
 )
-def test_one_ray_pass_equals_the_per_column_rays(name):
-    # mirror_map's one pass over the rows of all the support cones finds the
-    # rays that _cone_rays finds column by column
+def test_support_cone_rays_match_the_cofactor_directions(name):
+    # the rows of a cone that vanish on one of its rays leave a cone that
+    # contains that ray's line
     if name == "rank7_triangle":
         spec = CISpec.from_lists(RANK7_TRIANGLE)
     else:
         spec = load_problem(str(FIXTURES / f"{name}.json")).spec
-    matrix, beta, v = build_system(spec)
-    lattice = kernel_basis(matrix)
-    rows = support_rows(v, lattice.basis)
-    cones = [
-        [a for k, (a, _) in rows.items() if k != column and any(a)]
-        for column in range(lattice.ambient_dim)
-    ]
-    rays = _union_of_cone_rays(cones, lattice.rank)
-    want, _ = ray_points(spec)
-    assert [lattice.point_from_coords(ray) for ray in rays] == want
+    lattice, cones = column_cones(spec)
+    for cone in cones:
+        rays = _cone_rays(cone, lattice.rank)
+        assert rays == _reference_cone_rays(cone, lattice.rank)
+        through = [row for row in cone if sum(a * b for a, b in zip(row, rays[0])) == 0]
+        with pytest.raises(
+            NoPositiveFunctional, match="^support cone contains a line; not pointed$"
+        ):
+            _cone_rays(through, lattice.rank)
 
 
 def test_quintic_period_known_answer():

@@ -10,7 +10,7 @@ import pytest
 
 from gkzlog.cli import main
 from gkzlog.support import SupportBox
-from tests.conftest import FIXTURES
+from tests.conftest import FIXTURES, projective_ci_sets
 
 GAUSS = str(FIXTURES / "gauss.json")
 PYRAMID = str(FIXTURES / "square_pyramid.json")
@@ -288,6 +288,14 @@ def test_ci_command(capsys):
     assert "status: pass" in out
 
 
+def test_ci_radius_zero_sweeps_radius_one(capsys):
+    # radius 0 would check the origin alone; a check of nothing must not pass
+    assert main(["ci", TRIANGLES, "--radius", "0"]) == 0
+    verdicts = [line for line in capsys.readouterr().out.splitlines() if "minimality" in line]
+    assert len(verdicts) == 8
+    assert all(line.endswith("minimal within radius 1") for line in verdicts)
+
+
 def test_mirror_command(tmp_path, capsys):
     out = tmp_path / "out"
     assert main(["mirror", QUAD, "--index", "4", "--grade", "4", "--out", str(out)]) == 0
@@ -396,6 +404,24 @@ def test_rank7_reflexive_triangle_mirror(tmp_path):
     assert report["grading"] == [-3, 3, 0, 0, 3, 1, 1, 0, 0, 0]
     digest = hashlib.sha256((out / "mirror_0_1.coeffs").read_bytes()).hexdigest()
     assert digest == "14ec23333e8a3ba4d855383e2e48000b5df65efa2bd713431335dbadb07fdb48"
+
+
+@pytest.mark.parametrize("degrees", [(2, 2, 3), (2, 2, 2, 2)])
+def test_projective_ci_families_pass_ci(tmp_path, capsys, degrees):
+    # the complete intersections of these degrees in P^6 and P^7, whose hulls
+    # have 36 and 81 Minkowski candidates
+    path = _problem(tmp_path, ci={"point_sets": projective_ci_sets(degrees)})
+    assert main(["ci", path]) == 0
+    out = capsys.readouterr().out
+    assert f"unique interior point {(0,) * (sum(degrees) - 1)}: True" in out
+    assert out.splitlines()[-1] == "status: pass"
+
+
+def test_projective_ci_2222_mirror_is_integral(tmp_path):
+    path = _problem(tmp_path, ci={"point_sets": projective_ci_sets((2, 2, 2, 2))})
+    out = tmp_path / "out"
+    assert main(["mirror", path, "--index", "0,1", "--grade", "12", "--out", str(out)]) == 0
+    assert (out / "mirror_0_1.report").read_text().endswith("\nOK\n")
 
 
 def test_ci_degenerate_hull_prints_nothing(tmp_path, capsys):

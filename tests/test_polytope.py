@@ -20,16 +20,17 @@ from gkzlog import (
     nsupp,
 )
 from gkzlog.cli import load_problem
-from gkzlog.linalg import hnf_rows
-from gkzlog.polytope import _cone_rays, _lattice_points, _normalized, _union_of_cone_rays
+from gkzlog.polytope import _cone_rays, _lattice_points, _normalized
 from gkzlog.support import support_points
 from tests.conftest import (
     FIXTURES,
     QUADRILATERAL_SETS,
     TWO_TRIANGLES_SETS,
+    _reference_cone_rays,
     box_points,
     cofactor_vector,
     fm_lattice_points,
+    projective_ci_sets,
 )
 
 CI_FIXTURES = ["ci_two_triangles", "ci_quadrilateral", "quintic", "hexagon"]
@@ -160,66 +161,43 @@ def test_hull_facets_match_a_brute_force_facet_search(dim, data):
     assert hull.facets == _reference_facets(candidates, dim)
 
 
-def _reference_cone_rays(rows, rank):
-    """Extreme rays from the cofactor directions of the (rank-1)-subsets of rows."""
-    if rank == 0:
-        return []
-    if len(hnf_rows(rows)) < rank:
-        raise NoPositiveFunctional("support cone contains a line; not pointed")
-    if rank == 1:
-        return [d for d in ((1,), (-1,)) if all(r[0] * d[0] >= 0 for r in rows)]
-    rays = set()
-    for subset in itertools.combinations(rows, rank - 1):
-        direction = cofactor_vector(subset)
-        if not any(direction):
-            continue
-        g = gcd(*direction)
-        direction = tuple(a // g for a in direction)
-        for cand in (direction, tuple(-a for a in direction)):
-            if all(_dot(row, cand) >= 0 for row in rows):
-                rays.add(cand)
-    return sorted(rays)
+@pytest.mark.parametrize("degrees, facets", [((2, 2, 3), 21), ((2, 2, 2, 2), 32)])
+def test_projective_ci_hulls_have_the_origin_alone_inside(degrees, facets):
+    # the Calabi-Yau complete intersections of these degrees in P^6 and P^7:
+    # 36 and 81 Minkowski candidates in dimension 6 and 7
+    sets = projective_ci_sets(degrees)
+    hull = minkowski_hull(sets)
+    assert len(hull.facets) == facets
+    assert interior_lattice_points(hull) == [sets[0][0]]
+
+
+@pytest.mark.parametrize("degrees", [(3, 3), (2, 4)])
+def test_projective_ci_hull_facets_match_a_brute_force_facet_search(degrees):
+    sets = projective_ci_sets(degrees)
+    candidates = sorted({tuple(map(sum, zip(*combo))) for combo in itertools.product(*sets)})
+    assert minkowski_hull(sets).facets == _reference_facets(candidates, 5)
 
 
 @settings(max_examples=300, deadline=None)
-@given(rank=st.integers(1, 4), data=st.data())
+@given(rank=st.integers(1, 5), data=st.data())
 def test_cone_rays_match_the_cofactor_directions(rank, data):
+    # zero rows and positive multiples of a row put several rows on one
+    # hyperplane, which the zero sets of the rays must not mistake for more
     row = st.tuples(*[st.integers(-3, 3)] * rank)
-    rows = sorted(set(data.draw(st.lists(row, min_size=1, max_size=7))))
+    rows = data.draw(st.lists(row, min_size=1, max_size=7))
+    multiples = data.draw(st.lists(st.tuples(st.sampled_from(rows), st.integers(2, 3)), max_size=2))
+    rows += [tuple(k * a for a in r) for r, k in multiples]
+    rows += [(0,) * rank] * data.draw(st.integers(0, 1))
+    rows = sorted(set(rows))
     try:
         want = _reference_cone_rays(rows, rank)
     except NoPositiveFunctional:
-        with pytest.raises(NoPositiveFunctional):
+        with pytest.raises(
+            NoPositiveFunctional, match="^support cone contains a line; not pointed$"
+        ):
             _cone_rays(rows, rank)
         return
     assert _cone_rays(rows, rank) == want
-
-
-@settings(max_examples=300, deadline=None)
-@given(rank=st.integers(1, 4), data=st.data())
-def test_one_ray_pass_matches_the_rays_of_each_cone(rank, data):
-    # a family of cones, each the union of the rows with at most one row dropped
-    row = st.tuples(*[st.integers(-2, 2)] * rank)
-    union = sorted(set(data.draw(st.lists(row, min_size=1, max_size=7))))
-    drops = data.draw(st.lists(st.sampled_from([None] + union), min_size=1, max_size=4))
-    cones = [[r for r in union if r != drop] for drop in drops]
-    try:
-        want = sorted(set().union(*(_cone_rays(cone, rank) for cone in cones)))
-    except NoPositiveFunctional:
-        with pytest.raises(NoPositiveFunctional, match="^support cone contains a line; not pointed$"):
-            _union_of_cone_rays(cones, rank)
-        return
-    assert _union_of_cone_rays(cones, rank) == want
-
-
-def test_one_ray_pass_needs_every_cone_pointed():
-    pointed, line = [(-1, 0), (0, 1), (1, 0)], [(-1, 0), (1, 0)]
-    assert _union_of_cone_rays([pointed], 2) == _cone_rays(pointed, 2) == [(0, 1)]
-    with pytest.raises(NoPositiveFunctional, match="^support cone contains a line; not pointed$"):
-        _union_of_cone_rays([pointed, line], 2)
-    assert _union_of_cone_rays([line], 0) == []
-    with pytest.raises(ValueError, match="drops more than one row"):
-        _union_of_cone_rays([pointed, [(0, 1), (1, 1)]], 2)
 
 
 @settings(max_examples=150, deadline=None)
