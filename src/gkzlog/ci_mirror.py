@@ -10,11 +10,14 @@ a column is
     q = lambda * exp(G / F)
 
 computed as a formal series supported on a pointed lattice cone, graded
-by an integer functional that is positive on the cone's extreme rays,
-the first lattice point of one system of the lattice-point engine
-(``polytope._lattice_points``).  The tails of F and G are read from the
-support cones themselves: cut by the grade row, each cone is a polytope
-whose lattice points the same engine enumerates exactly
+by integer weights that are positive on the cone's extreme rays
+(``positive_grading``).  Rays and weights are both in the coordinates of
+the relation lattice's basis, and the weights are the first lattice
+point of one system of the lattice-point engine
+(``polytope._lattice_points``); the ambient grading a report prints is
+their one integer lift through the basis.  The tails of F and G are read
+from the support cones themselves: cut by the grade row, each cone is a
+polytope whose lattice points the same engine enumerates exactly
 (``support.support_points``), with no radius bounding it.  The quotient
 ``G / F`` (one graded division, ``graded_quotient``) and the exponential
 proceed grade by grade, so truncation at a grade bound is exact.  Both
@@ -37,7 +40,7 @@ from math import gcd, lcm
 
 from .errors import DegenerateHull, MinimalityViolation, NoPositiveFunctional
 from .lattice import IntMatrix, kernel_basis
-from .linalg import kernel_rows, solve_echelon, solve_integer
+from .linalg import solve_integer
 from .logseries import log_free_coefficients
 from .polytope import (
     DEFAULT_MAX_BOX_POINTS,
@@ -136,46 +139,29 @@ def build_system(spec: CISpec):
     return matrix, beta, v
 
 
-def positive_grading(points, ambient_dim=None):
-    """Integer functional that is >= 1 on every nonzero given point.
+def positive_grading(rays):
+    """Lattice weights ``w`` with ``w . ray >= 1`` on every given ray.
 
-    The functional only matters on the span of the points, so it is the
-    first lattice point ``(t, w)`` of ``{w . y >= 1 for each point's
-    coordinates y in the basis of the lattice they generate, |w_r| <= t
-    <= DEFAULT_GRADING_BOUND}`` (``_lattice_points``): the least max-norm,
-    then the lexicographically first ``w``, lifted back to an ambient
-    integer vector.  Raises :class:`NoPositiveFunctional` when there is
-    none: the support is not pointed or the bound is too small.
+    The rays, a nonempty sequence, are given and ``w`` is returned in the
+    coordinates of one lattice basis.  ``w`` is the first lattice point
+    ``(t, w)`` of ``{w . ray >= 1 for each ray, |w_r| <= t <=
+    DEFAULT_GRADING_BOUND}`` (``_lattice_points``): the least max-norm,
+    then the lexicographically first.  Raises :class:`NoPositiveFunctional`
+    when there is none: the rays generate no pointed cone or the bound is
+    too small.
     """
-    pts = sorted({tuple(int(x) for x in p) for p in points if any(p)})
-    if not pts:
-        if ambient_dim is None:
-            raise ValueError("no nonzero points and no ambient dimension given")
-        return (0,) * ambient_dim
-    width = len(pts[0])
-    # The saturation of the lattice the points generate: their rational span
-    # is the orthogonal complement of their integer kernel, and integer
-    # kernels are saturated.
-    basis = kernel_rows(kernel_rows(pts, width), width)
-    rank = len(basis)
+    rank = len(rays[0])
     units = [tuple(int(r == q) for q in range(rank)) for r in range(rank)]
     rows = [((-1,) + (0,) * rank, DEFAULT_GRADING_BOUND)]
     rows += [((1,) + tuple(s * x for x in u), 0) for s in (1, -1) for u in units]
-    for p in pts:
-        sol = solve_echelon(basis, p)
-        if sol is None or any(c.denominator != 1 for c in sol):
-            raise AssertionError("point escaped the saturation of its own span")
-        rows.append(((0,) + tuple(int(c) for c in sol), -1))
+    rows += [((0,) + tuple(ray), -1) for ray in rays]
     first = next(_lattice_points(rows, rank + 1, 1), None)
     if first is None:
         raise NoPositiveFunctional(
             f"no integer functional with coordinates in [-{DEFAULT_GRADING_BOUND}, "
-            f"{DEFAULT_GRADING_BOUND}] is >= 1 on all {len(pts)} support points"
+            f"{DEFAULT_GRADING_BOUND}] is >= 1 on all {len(rays)} rays"
         )
-    # Saturation makes the value map onto Z^rank, so the functional lifts to
-    # an ambient integer vector with the very same values; grades are never
-    # rescaled.
-    return solve_integer(basis, first[1:])
+    return first[1:]
 
 
 class MirrorMap(Value):
@@ -204,10 +190,11 @@ class MirrorMap(Value):
         return sorted(self.coefficients.items(), key=self.grade_key)
 
 
-def _graded(mapping, grade_of):
+def _graded(mapping, grading):
+    """Grade slices ``{grade: {point: coeff}}`` of a point-keyed series."""
     slices: dict[int, dict] = {}
     for point, coeff in mapping.items():
-        slices.setdefault(grade_of(point), {})[point] = coeff
+        slices.setdefault(sum(g * x for g, x in zip(grading, point)), {})[point] = coeff
     return slices
 
 
@@ -220,8 +207,7 @@ def _slice_mul(a_slice, b_slice, out):
 
 def graded_mul(a, b, grading, bound):
     """Product of two point-keyed series, truncated at the grade bound."""
-    grade_of = lambda p: sum(g * x for g, x in zip(grading, p))
-    sa, sb = _graded(a, grade_of), _graded(b, grade_of)
+    sa, sb = _graded(a, grading), _graded(b, grading)
     out: dict = {}
     for ga, a_slice in sa.items():
         for gb, b_slice in sb.items():
@@ -348,8 +334,7 @@ def graded_quotient(g, f, grading, bound):
     ``f`` has grades >= 1 and ``g`` grades >= 0.  Grade by grade,
     ``r_d = g_d - sum_{e>=1} f_e * r_(d-e)`` (``_graded_recurrence``).
     """
-    grade_of = lambda p: sum(a * x for a, x in zip(grading, p))
-    sf, sg = _graded(f, grade_of), _graded(g, grade_of)
+    sf, sg = _graded(f, grading), _graded(g, grading)
     if any(e < 1 for e in sf):
         raise ValueError("f must be supported in grades >= 1")
     if any(d < 0 for d in sg):
@@ -365,8 +350,7 @@ def graded_exp(h, grading, bound, origin):
     Uses the grade-derivative recursion ``d*E_d = sum m*H_m E_(d-m)``
     from ``E_0 = 1`` at ``origin`` (``_graded_recurrence``).
     """
-    grade_of = lambda p: sum(g * x for g, x in zip(grading, p))
-    sh = _graded(h, grade_of)
+    sh = _graded(h, grading)
     if any(g < 1 for g in sh):
         raise ValueError("h must be supported in grades >= 1")
     return _graded_recurrence({0: {origin: Fraction(1)}}, sh, bound, lambda m: m, lambda d: d or 1)
@@ -374,8 +358,7 @@ def graded_exp(h, grading, bound, origin):
 
 def graded_log(e, grading, bound, origin):
     """Logarithm of a series with constant term 1, up to the bound."""
-    grade_of = lambda p: sum(g * x for g, x in zip(grading, p))
-    se = _graded(e, grade_of)
+    se = _graded(e, grading)
     if se.get(0) != {origin: Fraction(1)}:
         raise ValueError("series must have constant term exactly 1")
     log: dict[int, dict] = {}
@@ -402,13 +385,14 @@ def mirror_map(
     """Mirror-map series of one column, exact to the given grade bound.
 
     Verifies the unique-interior-point hypothesis and the minimality
-    checks (one ``SupportBox`` of radius ``max(1, min(radius, 4))``) and
-    finds a positive grading from the extreme rays of the support cones.
-    The ``F`` and ``G`` tails are the support points of ``v`` cut by the
-    grade row ``grade_bound - grading . x >= 0`` (``support_points``), so
-    truncation at the bound is exact and no radius bounds them; each
-    enumeration, like those of the minimality checks, is capped at
-    ``max_points``.  The quotient ``G / F`` and its exponential are then
+    checks (one ``SupportBox`` of radius ``max(1, radius)``) and finds
+    positive weights on the extreme rays of the support cones, in lattice
+    coordinates (``positive_grading``); the ambient grading is their one
+    integer lift.  The ``F`` and ``G`` tails are the support points of
+    ``v`` cut by the grade row ``grade_bound - weights . y >= 0``
+    (``support_points``, ``y`` the lattice coordinates), so truncation at
+    the bound is exact and no radius bounds them; each enumeration, like
+    those of the minimality checks, is capped at ``max_points``.  The quotient ``G / F`` and its exponential are then
     computed grade by grade.  The reported radius is the smallest
     power-of-two multiple of ``max(1, radius)`` whose box would enclose
     the tails, read off from the rays.
@@ -429,7 +413,7 @@ def mirror_map(
             "distinguished-point sum is not the unique interior lattice point "
             "of the Minkowski sum"
         )
-    sweep = SupportBox(v, lattice, max(1, min(radius, 4)), max_points).sweep(
+    sweep = SupportBox(v, lattice, max(1, radius), max_points).sweep(
         [()] + [(column,) for column in range(width)]
     )
     for excluded, verdict in sweep.items():
@@ -453,20 +437,22 @@ def mirror_map(
         frozenset(a for k, (a, _) in rows.items() if k != column and any(a))
         for column in range(width)
     }
-    rays = [
-        (ray, lattice.point_from_coords(ray))
-        for ray in sorted(set().union(*(_cone_rays(cone, lattice.rank) for cone in cones)))
-    ]
+    rays = sorted(set().union(*(_cone_rays(cone, lattice.rank) for cone in cones)))
     # Every support point lies in its column's cone, which the rays generate,
-    # so the rays alone fix the grading.
-    grading = positive_grading([point for _, point in rays], ambient_dim=width)
+    # so the rays alone fix the weights of the grade row.
+    weights = positive_grading(rays)
+    # The ambient grading the report prints.  The unique interior point makes
+    # the a_j - a_(j0) positively span R^d, so a strictly positive relation
+    # exists and the all-rows cone, inside every column's cone, is
+    # full-dimensional.  So the rays span the lattice's rational span, the
+    # saturation of their span is the lattice itself with the Hermite basis
+    # lattice.basis, and this lift is the grading of the rays' own span.
+    grading = solve_integer(lattice.basis, weights)
 
     needed = max(1, radius)
     max_coord = 0
-    for ray, point in rays:
-        grade = sum(g * x for g, x in zip(grading, point))
-        if grade < 1:
-            raise NoPositiveFunctional(f"grading fails on extreme ray {point}")
+    for ray in rays:
+        grade = sum(w * x for w, x in zip(weights, ray))
         for x in ray:
             # ceil(grade_bound * |x| / grade): box coordinate reached by the
             # grade-D slice along this ray.
@@ -475,7 +461,6 @@ def mirror_map(
         needed *= 2
 
     # On a {0, -1} base vector each support set is a cone; the grade row cuts it.
-    weights = tuple(sum(g * b for g, b in zip(grading, row)) for row in lattice.basis)
     grade_row = [(tuple(-w for w in weights), grade_bound)]
     tails = []
     for logs in ((), (col,)):

@@ -178,12 +178,12 @@ def cmd_support(args) -> int:
     return 0 if verdict.minimal else 1
 
 
-def _series_run(args, started, problem, box, sets, failure, artifacts, euler, parameters) -> int:
+def _series_run(args, started, problem, box, sets, artifacts, euler, parameters) -> int:
     """The pipeline of ``solve`` and ``combine``; returns the exit code.
 
     Sweeps ``box`` over the excluded ``sets`` (exit 1 after printing
-    ``failure(excluded)`` for the first one that is not minimal), builds
-    each tail the ``artifacts`` read once, and writes each artifact
+    ``_solve_failure(excluded)`` for the first one that is not minimal),
+    builds each tail the ``artifacts`` read once, and writes each artifact
     ``(name, terms)`` as ``combine(tails, terms)``, box-verified against
     every basis operator and, unless ``euler`` is None, Euler-verified
     against its ``(matrix, beta)``; then ``run_report.json``.  Every
@@ -193,7 +193,7 @@ def _series_run(args, started, problem, box, sets, failure, artifacts, euler, pa
     verdicts = box.sweep(sets)
     for excluded, verdict in verdicts.items():
         if not verdict.minimal:
-            print(failure(excluded))
+            print(_solve_failure(excluded))
             return 1
     needed = tails_read(term for _, terms in artifacts for term in terms)
     tails = {logs: build_tail(box, logs) for logs in needed}
@@ -265,9 +265,7 @@ def cmd_solve(args) -> int:
         artifacts += [(f"quasi2_{i}_{j}.series", [(1, (i, j))]) for i, j in pairs]
     box = SupportBox(problem.v, lattice, radius, args.max_terms)
     parameters = {"order": args.order, "radius": radius}
-    return _series_run(
-        args, started, problem, box, sets, _solve_failure, artifacts, None, parameters
-    )
+    return _series_run(args, started, problem, box, sets, artifacts, None, parameters)
 
 
 def cmd_combine(args) -> int:
@@ -291,7 +289,6 @@ def cmd_combine(args) -> int:
         sets += [(i, j) for i in range(ncols) for j in range(i + 1, ncols)]
         terms = [(la * lb, (a, b)) for a, la in enumerate(point) for b, lb in enumerate(point2)]
     box = SupportBox(problem.v, lattice, radius, args.max_terms)
-    failure = "minimality failed with {} excluded".format
     artifacts = [("solution.series", terms)]
     euler = (problem.matrix, problem.beta)
     parameters = {
@@ -299,7 +296,7 @@ def cmd_combine(args) -> int:
         "lprime": list(point2) if point2 is not None else None,
         "radius": radius,
     }
-    return _series_run(args, started, problem, box, sets, failure, artifacts, euler, parameters)
+    return _series_run(args, started, problem, box, sets, artifacts, euler, parameters)
 
 
 def cmd_ci(args) -> int:

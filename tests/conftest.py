@@ -172,18 +172,15 @@ def fm_lattice_points(rows, dim, max_points):
         yield found
 
 
-def shell_grading(points, ambient_dim=None):
-    """``positive_grading`` by its former search, as a reference.
+def shell_grading(points):
+    """The ambient grading of nonzero points by a search over shells, as a reference.
 
     Every integer coefficient vector in the saturated basis of the points'
     span, by growing max-norm shells up to ``DEFAULT_GRADING_BOUND``, each
-    in lexicographic order; the first that is >= 1 on every point wins.
+    in lexicographic order; the first that is >= 1 on every point wins and
+    is lifted to an ambient integer vector.
     """
     pts = sorted({tuple(int(x) for x in p) for p in points if any(p)})
-    if not pts:
-        if ambient_dim is None:
-            raise ValueError("no nonzero points and no ambient dimension given")
-        return (0,) * ambient_dim
     width = len(pts[0])
     basis = kernel_rows(kernel_rows(pts, width), width)
     coords = [tuple(int(c) for c in solve_echelon(basis, p)) for p in pts]

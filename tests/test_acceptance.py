@@ -305,12 +305,12 @@ def test_criterion_4_pointed_cone_negative_control():
             delta = tuple(x - y for x, y in zip(term.exponent, v))
             coords = lattice.coords_of(delta)
             points.add(tuple(int(c) for c in coords))
-        points.discard((0, 0, 0, 0, 0))
-        points = {lattice.point_from_coords(c) for c in points}
-        assert any(p[0] > 0 and p[1] >= 0 for p in points)  # quadrant part
-        assert any(p[0] < 0 and -p[0] >= p[1] >= 0 for p in points)  # opposite part
+        points.discard((0,) * lattice.rank)
+        ambient = {lattice.point_from_coords(c) for c in points}
+        assert any(p[0] > 0 and p[1] >= 0 for p in ambient)  # quadrant part
+        assert any(p[0] < 0 and -p[0] >= p[1] >= 0 for p in ambient)  # opposite part
         with pytest.raises(NoPositiveFunctional):
-            positive_grading(points)
+            positive_grading(sorted(points))
 
 
 def test_criterion_5_first_lifted_family():

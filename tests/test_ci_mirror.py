@@ -4,7 +4,7 @@ import math
 from fractions import Fraction as F
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from gkzlog import (
@@ -31,9 +31,10 @@ from gkzlog.ci_mirror import (
 )
 from gkzlog import polytope
 from gkzlog.cli import load_problem
+from gkzlog.linalg import kernel_rows, solve_integer
 from gkzlog.polytope import _cone_rays
 from gkzlog.support import SupportBox, support_rows
-from tests.conftest import FIXTURES, _reference_cone_rays, shell_grading
+from tests.conftest import FIXTURES, _reference_cone_rays, projective_ci_sets, shell_grading
 
 # the 10 lattice points of conv{(-1,-1), (2,-1), (-1,2)}, origin first: a
 # reflexive triangle whose one-set CI has a rank-7 relation lattice
@@ -54,14 +55,15 @@ def column_cones(spec):
     return lattice, cones
 
 
-def ray_points(spec):
-    """Ambient points of the extreme rays of every column's support cone, and the width.
+def support_cone_rays(spec):
+    """The relation lattice, and the extreme rays of every column's support cone.
 
-    The rays come from the cofactor subset search, not from ``_cone_rays``.
+    The rays are in the lattice's coordinates, sorted, and come from the
+    cofactor subset search, not from ``_cone_rays``.
     """
     lattice, cones = column_cones(spec)
     rays = set().union(*(_reference_cone_rays(cone, lattice.rank) for cone in cones))
-    return [lattice.point_from_coords(r) for r in sorted(rays)], lattice.ambient_dim
+    return lattice, sorted(rays)
 
 
 def fact(n):
@@ -103,39 +105,41 @@ class TestBuildSystem:
         assert spec.column_of(2) == (1, 0)
 
 
+def dot(a, b):
+    return sum(x * y for x, y in zip(a, b))
+
+
 class TestPositiveGrading:
-    def test_two_triangles_generators(self):
-        gens = [(-3, 1, 1, 1, 0, 0, 0), (-3, 0, 0, 0, 1, 1, 1)]
-        c = positive_grading(gens)
-        for gen in gens:
-            assert sum(a * x for a, x in zip(c, gen)) >= 1
+    def test_two_triangles_generators(self, two_triangles_spec):
+        lattice, rays = support_cone_rays(two_triangles_spec)
+        weights = positive_grading(rays)
+        assert len(weights) == lattice.rank
+        assert all(dot(weights, ray) >= 1 for ray in rays)
 
     def test_not_pointed(self):
-        with pytest.raises(NoPositiveFunctional):
+        with pytest.raises(NoPositiveFunctional, match=r"is >= 1 on all 2 rays$"):
             positive_grading([(1, 0), (-1, 0)])
 
-    def test_quadrilateral_generators(self):
-        gens = [(-4, 1, 2, 1, 0), (-2, 0, 1, 0, 1), (0, 1, 0, 1, -2)]
-        c = positive_grading(gens)
-        for gen in gens:
-            assert sum(a * x for a, x in zip(c, gen)) >= 1
+    def test_quadrilateral_generators(self, quadrilateral_spec):
+        lattice, rays = support_cone_rays(quadrilateral_spec)
+        weights = positive_grading(rays)
+        assert len(weights) == lattice.rank
+        assert all(dot(weights, ray) >= 1 for ray in rays)
 
-    def test_no_points_needs_dimension(self):
-        assert positive_grading([], ambient_dim=3) == (0, 0, 0)
-        with pytest.raises(ValueError):
-            positive_grading([])
-
-    def test_searched_values_survive_the_lift(self):
-        # the returned ambient functional takes exactly the searched values,
-        # so grades are never rescaled by the lift
-        gens = [(1, 0, 1), (0, 1, 1)]
-        c = positive_grading(gens)
-        assert [sum(a * x for a, x in zip(c, g)) for g in gens] == [1, 1]
-        # points with a common factor still get the smallest integer values
-        gens = [(2, 0), (0, 2)]
-        c = positive_grading(gens)
-        assert [sum(a * x for a, x in zip(c, g)) for g in gens] == [2, 2]
-
+    def test_searched_values_survive_the_lift(self, quadrilateral_spec):
+        # the least max-norm first, then the lexicographically first weights
+        assert positive_grading([(1, -1), (1, 1)]) == (1, 0)
+        assert positive_grading([(1, 0, 1), (0, 1, 1)]) == (0, 0, 1)
+        # rays with a common factor keep their values: weights are never rescaled
+        assert positive_grading([(2, 0), (0, 2)]) == (1, 1)
+        # the ambient grading of a mirror map takes the searched values on
+        # every ray point, so grades are never rescaled by the lift
+        lattice, rays = support_cone_rays(quadrilateral_spec)
+        grading = mirror_map(quadrilateral_spec, 0, 1).grading
+        weights = positive_grading(rays)
+        assert [dot(grading, lattice.point_from_coords(ray)) for ray in rays] == [
+            dot(weights, ray) for ray in rays
+        ]
 
     @settings(max_examples=150, deadline=None)
     @given(
@@ -145,14 +149,18 @@ class TestPositiveGrading:
     )
     def test_matches_the_shell_search(self, points):
         # the least max-norm first, then the lexicographically first functional,
-        # or no functional at all, as the search over growing shells found it
+        # or no functional at all, as the search over growing shells found it;
+        # on a full-rank point set the shells run over the identity basis, so
+        # their functional is in the points' own coordinates
+        points = [p for p in points if any(p)]
+        assume(points and not kernel_rows(points, len(points[0])))
         try:
-            want = shell_grading(points, ambient_dim=1)
+            want = shell_grading(points)
         except NoPositiveFunctional:
             with pytest.raises(NoPositiveFunctional):
-                positive_grading(points, ambient_dim=1)
+                positive_grading(points)
             return
-        assert positive_grading(points, ambient_dim=1) == want
+        assert positive_grading(points) == want
 
     def test_rank7_triangle_query_rows_stay_bounded(self, monkeypatch):
         # With Kohler's rule the largest elimination level of the grading query
@@ -167,10 +175,11 @@ class TestPositiveGrading:
             levels.append(len(rows))
             return normalized(rows)
 
-        points, width = ray_points(CISpec.from_lists(RANK7_TRIANGLE))
-        assert len(points) == 66
+        lattice, rays = support_cone_rays(CISpec.from_lists(RANK7_TRIANGLE))
+        assert len(rays) == 66
         monkeypatch.setattr(polytope, "_normalized", guarded)
-        assert positive_grading(points, ambient_dim=width) == (-3, 3, 0, 0, 3, 1, 1, 0, 0, 0)
+        grading = solve_integer(lattice.basis, positive_grading(rays))
+        assert grading == (-3, 3, 0, 0, 3, 1, 1, 0, 0, 0)
         assert len(levels) == 8  # the input and one level per eliminated coordinate
 
 
@@ -244,8 +253,7 @@ def test_quotient_times_one_plus_f_is_g(f, g, bound):
 
 def reference_quotient(g, f, grading, bound):
     """``graded_quotient`` on ``Fraction`` slices: the oracle of the integer layers."""
-    grade_of = lambda p: sum(a * x for a, x in zip(grading, p))
-    sf, sg = _graded(f, grade_of), _graded(g, grade_of)
+    sf, sg = _graded(f, grading), _graded(g, grading)
     minus_f = {e: {p: -c for p, c in layer.items()} for e, layer in sf.items()}
     quotient = {}
     for d in range(bound + 1):
@@ -261,8 +269,7 @@ def reference_quotient(g, f, grading, bound):
 
 def reference_exp(h, grading, bound, origin):
     """``graded_exp`` on ``Fraction`` slices: the oracle of the integer layers."""
-    grade_of = lambda p: sum(g * x for g, x in zip(grading, p))
-    sh = _graded(h, grade_of)
+    sh = _graded(h, grading)
     exp = {0: {origin: F(1)}}
     for d in range(1, bound + 1):
         acc = {}
@@ -532,21 +539,29 @@ def test_support_sets_match_sign_conditions(quadrilateral_spec):
 
 
 @pytest.mark.parametrize(
-    "name", ["ci_two_triangles", "ci_quadrilateral", "quintic", "hexagon"]
+    "name",
+    ["ci_two_triangles", "ci_quadrilateral", "quintic", "hexagon"]
+    + [(5,), (4, 2), (3, 3), (2, 2, 3), (2, 2, 2, 2)],
 )
 def test_grading_from_rays_equals_grading_with_seed_points(name):
-    # Seed support points lie in the cones the rays generate, so adding them
-    # to the grading search changes nothing.
-    problem = load_problem(str(FIXTURES / f"{name}.json"))
-    spec, radius = problem.spec, problem.radius
-    matrix, beta, v = build_system(spec)
-    lattice = kernel_basis(matrix)
-    rays, width = ray_points(spec)
+    # Seed support points lie in the cones the rays generate, so the ambient
+    # search over the ray points and the seed points, in the saturation of
+    # their span, finds the grading the lattice-coordinate weights lift to.
+    if isinstance(name, tuple):
+        spec, radius = CISpec.from_lists(projective_ci_sets(name)), 2
+    else:
+        problem = load_problem(str(FIXTURES / f"{name}.json"))
+        spec, radius = problem.spec, problem.radius
+    v = build_system(spec)[2]
+    lattice, rays = support_cone_rays(spec)
+    width = lattice.ambient_dim
     seed_box = SupportBox(v, lattice, min(radius, 3))
     seed_points = [
         point for column in range(width) for point in seed_box.support_set((column,)) if any(point)
     ]
-    want = positive_grading(rays + seed_points, ambient_dim=width)
+    want = shell_grading([lattice.point_from_coords(ray) for ray in rays] + seed_points)
+    weights = positive_grading(rays)
+    assert tuple(dot(row, want) for row in lattice.basis) == weights
     for column in range(width):
         assert mirror_map(spec, column, 1, radius=radius).grading == want
 

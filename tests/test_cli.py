@@ -60,7 +60,13 @@ def test_support_counterexample_exit_code(tmp_path, capsys):
     # point still fails minimality (exit 1) rather than the cap (exit 3)
     args = ["solve", str(bad), "--order", "0", "--radius", "5", "--max-terms", "1"]
     assert main([*args, "--out", str(tmp_path / "out")]) == 1
-    assert "minimality failed" in capsys.readouterr().out
+    failed = "minimality failed for the plain negative support\n"
+    assert capsys.readouterr().out == failed
+    # combine reports the same failure in the same words
+    args = ["combine", str(bad), "--l", "(1,1,-1,-1)", "--radius", "5"]
+    assert main([*args, "--out", str(tmp_path / "out")]) == 1
+    assert capsys.readouterr().out == failed
+    assert not (tmp_path / "out").exists()
 
 
 def test_solve_order0(tmp_path, capsys):
@@ -217,8 +223,16 @@ def test_combine_empty_lprime_is_an_input_error(tmp_path, capsys):
     assert not (tmp_path / "out").exists()
 
 
-def test_mirror_radius_zero_sweeps_radius_one(tmp_path, monkeypatch):
-    # --radius 0 would certify the origin alone; the sweep runs at radius 1
+@pytest.mark.parametrize(
+    "radius, swept, run_report",
+    [
+        ("0", [1], "90b8dbcfd6a85bfb1401c7414b68ecb0d10bf28fd39809080bce236767c19cc9"),
+        ("6", [6], "014a14360a7c48d7fcda7ccf1fe266aa80af0fff1b3567be7c85fb00251d305b"),
+    ],
+)
+def test_mirror_radius_zero_sweeps_radius_one(tmp_path, monkeypatch, radius, swept, run_report):
+    # --radius 0 would certify the origin alone; the sweep runs at radius 1,
+    # and any larger radius is swept as given, as ci sweeps it
     import gkzlog.ci_mirror as ci_mirror
 
     radii = []
@@ -230,15 +244,16 @@ def test_mirror_radius_zero_sweeps_radius_one(tmp_path, monkeypatch):
 
     monkeypatch.setattr(ci_mirror.SupportBox, "__init__", counting_init)
     out = tmp_path / "out"
-    args = ["mirror", HEXAGON, "--index", "1", "--grade", "8", "--radius", "0", "--out", str(out)]
-    assert main(args) == 0
-    assert radii == [1]
-    # the same artifacts as before the sweep radius was raised
+    args = ["mirror", HEXAGON, "--index", "1", "--grade", "8", "--radius", radius]
+    assert main([*args, "--out", str(out)]) == 0
+    assert radii == swept
+    # the same artifacts as with the sweep capped at radius 4; the run
+    # report differs only in the radius requested
     digests = {p.name: hashlib.sha256(p.read_bytes()).hexdigest() for p in out.iterdir()}
     assert digests == {
         "mirror_0_1.coeffs": "8ea7f5fabeb415c9511687e2e508fde0a3a953c9d1cef9b316257f5a93e65387",
         "mirror_0_1.report": "e2ab2a0fddc99ffc7931e587b789cd8c105fb0e1838dfff638774b21c593ec78",
-        "run_report.json": "90b8dbcfd6a85bfb1401c7414b68ecb0d10bf28fd39809080bce236767c19cc9",
+        "run_report.json": run_report,
     }
 
 

@@ -6,7 +6,9 @@ library (the package's own modules import each other relatively).  The
 README's "Library layout" table is held to the modules it describes: every
 code name it lists in a module's row is an attribute of that module.  The
 names the benchmark tracer (``bench/``, outside the test paths) wraps by
-name are held to the package too.
+name are held to the package too.  A dead-code scan stands in for a linter:
+every name a module imports is used in it, and every private module-level
+function or class is referenced somewhere in the package.
 """
 
 import ast
@@ -109,3 +111,86 @@ def test_the_bench_tracer_finds_every_name_it_wraps():
     from gkzlog import coefficients, logseries
 
     assert logseries.f_coeffs is coefficients.f_coeffs
+
+
+def unused_imports(tree):
+    """``(line, name)`` of each imported name the module never reads.
+
+    A name is read where it appears as an expression (attribute roots
+    included) or is listed in ``__all__``; ``__future__`` imports are exempt.
+    """
+    read = {node.id for node in ast.walk(tree) if isinstance(node, ast.Name)}
+    for node in tree.body:
+        if isinstance(node, ast.Assign) and any(
+            isinstance(t, ast.Name) and t.id == "__all__" for t in node.targets
+        ):
+            read |= {elt.value for elt in node.value.elts}
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Import) or (
+            isinstance(node, ast.ImportFrom) and node.module != "__future__"
+        ):
+            for alias in node.names:
+                name = (alias.asname or alias.name).split(".")[0]
+                if name not in read:
+                    yield node.lineno, name
+
+
+def unreferenced_private_defs(trees):
+    """``(module, name)`` of each private top-level function or class no other statement names.
+
+    ``trees`` maps module names to parsed modules.  A reference is a name,
+    an attribute or an imported name in any top-level statement of the
+    package but the definition itself, so recursion does not count.
+    """
+    statements = [(module, stmt) for module, tree in trees.items() for stmt in tree.body]
+    names = []
+    for _, stmt in statements:
+        found = set()
+        for node in ast.walk(stmt):
+            if isinstance(node, ast.Name):
+                found.add(node.id)
+            elif isinstance(node, ast.Attribute):
+                found.add(node.attr)
+            elif isinstance(node, ast.alias):
+                found.add(node.name)
+        names.append(found)
+    for k, (module, stmt) in enumerate(statements):
+        if not isinstance(stmt, (ast.FunctionDef, ast.ClassDef)):
+            continue
+        if not stmt.name.startswith("_") or stmt.name.startswith("__"):
+            continue
+        if not any(stmt.name in found for j, found in enumerate(names) if j != k):
+            yield module, stmt.name
+
+
+@pytest.mark.parametrize("path", SOURCES, ids=lambda path: path.name)
+def test_module_reads_every_name_it_imports(path):
+    tree = ast.parse(path.read_text(), filename=str(path))
+    assert list(unused_imports(tree)) == []
+
+
+def test_every_private_definition_is_referenced():
+    trees = {path.stem: ast.parse(path.read_text(), filename=str(path)) for path in SOURCES}
+    assert list(unreferenced_private_defs(trees)) == []
+
+
+def test_the_dead_code_scan_flags_each_kind():
+    source = (
+        "from __future__ import annotations\n"
+        "import os, sys\n"
+        "from .linalg import kernel_rows, solve_integer\n"
+        "__all__ = ['solve_integer']\n"
+        "def _dead(n):\n"
+        "    return _dead(n - 1) if n else os.sep\n"
+        "def _used():\n"
+        "    pass\n"
+        "class _Dead:\n"
+        "    pass\n"
+    )
+    tree = ast.parse(source)
+    assert sorted(unused_imports(tree)) == [(2, "sys"), (3, "kernel_rows")]
+    other = ast.parse("from .m import _used\n")
+    assert list(unreferenced_private_defs({"m": tree, "n": other})) == [
+        ("m", "_dead"),
+        ("m", "_Dead"),
+    ]

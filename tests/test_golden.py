@@ -54,6 +54,10 @@ CASES = {
     "mirror-triangles-32": ["mirror", TRIANGLES, "--index", "0,2", "--grade", "32"],
     "mirror-hexagon-1": ["mirror", HEXAGON, "--index", "1", "--grade", "8"],
     "mirror-hexagon-14": ["mirror", HEXAGON, "--index", "1", "--grade", "14"],
+    # A sweep radius above 4: the minimality sweep runs at the radius given.
+    "mirror-hexagon-radius-6": [
+        "mirror", HEXAGON, "--index", "1", "--grade", "8", "--radius", "6",
+    ],
 }
 
 GOLDEN = {
@@ -106,6 +110,14 @@ GOLDEN = {
             "mirror_0_1.coeffs": "9e748862a188bdfb3ccae6036d67cd292c14c1f68562841a77987c7a695d35ca",
             "mirror_0_1.report": "b3727c43feacc3ecac36eb109fabfb0f98617a378f2903dac45c973814c4560b",
             "run_report.json": "1ac62e5c4712b8c815b37017d43836609c5f4480516bda40b172d82cdc9328e8",
+        },
+    ),
+    "mirror-hexagon-radius-6": (
+        0,
+        {
+            "mirror_0_1.coeffs": "8ea7f5fabeb415c9511687e2e508fde0a3a953c9d1cef9b316257f5a93e65387",
+            "mirror_0_1.report": "e2ab2a0fddc99ffc7931e587b789cd8c105fb0e1838dfff638774b21c593ec78",
+            "run_report.json": "014a14360a7c48d7fcda7ccf1fe266aa80af0fff1b3567be7c85fb00251d305b",
         },
     ),
     "mirror-quadrilateral-2": (
