@@ -3,65 +3,13 @@
 All arithmetic is exact rational; there is no floating point anywhere in
 the package.  See the README for the problem-file schema, the series
 text format, and the command-line interface.
+
+The names below are resolved on first access (PEP 562): ``import
+gkzlog`` loads no submodule, and ``gkzlog.mirror_map`` loads
+``gkzlog.ci_mirror`` and what it imports, nothing else.
 """
 
-from .ci_mirror import (
-    CISpec,
-    MirrorMap,
-    build_system,
-    integrality_report,
-    mirror_map,
-    positive_grading,
-)
-from .coefficients import (
-    UniLogPoly,
-    bracket,
-    bracket_vec,
-    chain_constants,
-    elem_sym_shifted,
-    f_coeffs,
-    mono_sum_shifted,
-)
-from .errors import (
-    DegenerateHull,
-    GkzError,
-    MinimalityViolation,
-    NoPositiveFunctional,
-    NonLatticeExponent,
-    PoleAtShift,
-    ProblemFileError,
-    ResourceLimit,
-    UndefinedBracket,
-)
-from .lattice import IntMatrix, RelationLattice, kernel_basis
-from .logseries import (
-    LogSeries,
-    LogTerm,
-    SeriesMeta,
-    build_tail,
-    combine,
-    from_text,
-    log_free_coefficients,
-    tails_read,
-    to_text,
-)
-from .operators import (
-    BoxOp,
-    CertifiedReport,
-    EulerOp,
-    apply_box,
-    apply_euler,
-    differentiate,
-    verify_box_annihilation,
-    verify_euler_annihilation,
-)
-from .polytope import (
-    Polytope,
-    has_unique_interior_point,
-    interior_lattice_points,
-    minkowski_hull,
-)
-from .support import SupportBox, SupportVerdict, nsupp
+from importlib import import_module
 
 __version__ = "0.1.0"
 
@@ -116,3 +64,69 @@ __all__ = [
     "SupportVerdict",
     "nsupp",
 ]
+
+# The module that defines each name of __all__.
+_HOME = {
+    "CISpec": "ci_mirror",
+    "MirrorMap": "ci_mirror",
+    "build_system": "ci_mirror",
+    "integrality_report": "ci_mirror",
+    "mirror_map": "ci_mirror",
+    "positive_grading": "ci_mirror",
+    "UniLogPoly": "coefficients",
+    "bracket": "coefficients",
+    "bracket_vec": "coefficients",
+    "chain_constants": "coefficients",
+    "elem_sym_shifted": "coefficients",
+    "f_coeffs": "coefficients",
+    "mono_sum_shifted": "coefficients",
+    "DegenerateHull": "errors",
+    "GkzError": "errors",
+    "MinimalityViolation": "errors",
+    "NoPositiveFunctional": "errors",
+    "NonLatticeExponent": "errors",
+    "PoleAtShift": "errors",
+    "ProblemFileError": "errors",
+    "ResourceLimit": "errors",
+    "UndefinedBracket": "errors",
+    "IntMatrix": "lattice",
+    "RelationLattice": "lattice",
+    "kernel_basis": "lattice",
+    "LogSeries": "logseries",
+    "LogTerm": "logseries",
+    "SeriesMeta": "logseries",
+    "build_tail": "logseries",
+    "combine": "logseries",
+    "from_text": "logseries",
+    "log_free_coefficients": "logseries",
+    "tails_read": "logseries",
+    "to_text": "logseries",
+    "BoxOp": "operators",
+    "CertifiedReport": "operators",
+    "EulerOp": "operators",
+    "apply_box": "operators",
+    "apply_euler": "operators",
+    "differentiate": "operators",
+    "verify_box_annihilation": "operators",
+    "verify_euler_annihilation": "operators",
+    "Polytope": "polytope",
+    "has_unique_interior_point": "polytope",
+    "interior_lattice_points": "polytope",
+    "minkowski_hull": "polytope",
+    "SupportBox": "support",
+    "SupportVerdict": "support",
+    "nsupp": "support",
+}
+
+
+def __getattr__(name):
+    module = _HOME.get(name)
+    if module is None:
+        raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+    value = getattr(import_module(f".{module}", __name__), name)
+    globals()[name] = value
+    return value
+
+
+def __dir__():
+    return sorted(set(globals()) | set(__all__))

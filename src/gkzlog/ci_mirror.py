@@ -17,15 +17,24 @@ point of one system of the lattice-point engine
 (``polytope._lattice_points``); the ambient grading a report prints is
 their one integer lift through the basis.  The tails of F and G are read
 from the support cones themselves: cut by the grade row, each cone is a
-polytope whose lattice points the same engine enumerates exactly
-(``support.support_points``), with no radius bounding it.  The quotient
-``G / F`` (one graded division, ``graded_quotient``) and the exponential
-proceed grade by grade, so truncation at a grade bound is exact.  Both
-run on integer grade layers: one denominator per grade and an integer
-numerator per point, with each point packed into one integer key whose
-sums are the keys of the summed points.  ``graded_mul`` and
-``graded_log`` are not on this path; they keep plain ``Fraction`` slices
-(``_slice_mul``) and serve as its independent checks.
+polytope whose lattice points the same engine enumerates exactly, with
+no radius bounding it.  The tails stay in lattice coordinates, where the
+weights grade them; ambient points serve only the coefficient rule and
+the final map.  The quotient ``G / F`` (one graded division,
+``graded_quotient``) and the exponential (``graded_exp``) proceed grade
+by grade, so truncation at a grade bound is exact.
+
+Both run on packed grade lines (``_Lines``, ``_graded_recurrence``).  A
+line is the set of points of one grade that differ only in one free
+coordinate; a grade layer is one denominator and, per line, one int that
+holds the line's numerators in slots of equal width.  The product of two
+lines is then one big-int multiply (Kronecker substitution), and adding
+the products by line key sums the layer.  The slot width comes from an
+exact bound on every slot of the layer, so the numerators read back
+exactly by construction.  Where the lines would hold few points each
+point is its own line, and a product is one multiply of two numerators.
+On the rank-2 lattice of two triangles each grade is one line.
+
 ``integrality_report`` lists the non-integer coefficients, if any, up
 to the bound.
 
@@ -36,7 +45,9 @@ Indices are 0-based throughout: column ``(i, j)`` is member ``j`` of set
 from __future__ import annotations
 
 from fractions import Fraction
+from itertools import chain, repeat
 from math import gcd, lcm
+from operator import add, mul
 
 from .errors import DegenerateHull, MinimalityViolation, NoPositiveFunctional
 from .lattice import IntMatrix, kernel_basis
@@ -49,10 +60,12 @@ from .polytope import (
     has_unique_interior_point,
 )
 from .rationals import to_int
-from .support import SupportBox, support_points, support_rows
+from .support import SupportBox, support_rows
 from .values import Value
 
 DEFAULT_GRADING_BOUND = 8
+_SLOT_BITS = 32  # packed-line slot widths are multiples of this
+_LINE_POINTS = 4  # the least mean line length worth packing
 
 
 class CISpec(Value):
@@ -190,189 +203,351 @@ class MirrorMap(Value):
         return sorted(self.coefficients.items(), key=self.grade_key)
 
 
-def _graded(mapping, grading):
-    """Grade slices ``{grade: {point: coeff}}`` of a point-keyed series."""
-    slices: dict[int, dict] = {}
-    for point, coeff in mapping.items():
-        slices.setdefault(sum(g * x for g, x in zip(grading, point)), {})[point] = coeff
-    return slices
 
 
-def _slice_mul(a_slice, b_slice, out):
-    for p1, c1 in a_slice.items():
-        for p2, c2 in b_slice.items():
-            key = tuple(x + y for x, y in zip(p1, p2))
-            out[key] = out.get(key, Fraction(0)) + c1 * c2
+def _pack(slots, width):
+    """``sum_i slots[i] * 2**(width * i)``: a line's numerators in ``width``-bit slots."""
+    packed = 0
+    for x in reversed(slots):
+        packed = (packed << width) + x
+    return packed
 
 
-def graded_mul(a, b, grading, bound):
-    """Product of two point-keyed series, truncated at the grade bound."""
-    sa, sb = _graded(a, grading), _graded(b, grading)
-    out: dict = {}
-    for ga, a_slice in sa.items():
-        for gb, b_slice in sb.items():
-            if ga + gb <= bound:
-                _slice_mul(a_slice, b_slice, out)
-    return {p: c for p, c in out.items() if c}
+def _unpack(packed, width):
+    """The slots of a packed line, lowest first, up to the highest nonzero one.
 
-
-def _pack_base(points, bound):
-    """Base ``B`` of the packed keys of sums of at most ``bound + 1`` points.
-
-    With ``M`` the largest ``|coordinate|`` of the given points, every
-    coordinate of such a sum lies in ``[-(bound+1)*M, (bound+1)*M]``,
-    strictly inside ``(-B/2, B/2)`` for ``B = 2*(bound+1)*M + 1``.
+    Exact when every slot lies in ``(-2**(width-1), 2**(width-1))``: such
+    balanced digits are unique, and the low ``width`` bits of ``packed``
+    give the lowest one modulo ``2**width``.
     """
-    return 2 * (bound + 1) * max((abs(x) for p in points for x in p), default=0) + 1
+    mask = (1 << width) - 1
+    half = 1 << (width - 1)
+    slots = []
+    while packed:
+        x = packed & mask
+        if x >= half:
+            x -= mask + 1
+        slots.append(x)
+        packed = (packed - x) >> width
+    return slots
 
 
-def _int_layer(slice_, base):
-    """Integer layer ``(den, {packed point: numerator})`` of one grade slice.
+class _Layer:
+    """One grade layer: a denominator and integer numerators, line by line.
 
-    ``den`` is the LCM of the slice's denominators, and a point packs to
-    the key ``sum_k p_k * base**k``.  The base is odd, and every integer
-    has exactly one expansion in the balanced digits ``-(base-1)/2 ..
-    (base-1)/2``; so on points whose coordinates are such digits the
-    (linear) packing is injective, the key of a sum of points is the sum
-    of their keys, and ``_from_int_layers`` reads the digits back.
+    ``points`` lists ``(key, numerator)`` for one-point lines and
+    ``lines`` lists ``(key, slots)`` for longer ones, with ``key`` the key
+    of the line's first point (``_Lines``) and ``slots`` the numerators at
+    free coordinates ``lo, lo + 1, ...``.  ``at(width)`` lists ``(key,
+    packed int)`` for every line; a one-point line packs to its numerator
+    at every width, and the longer ones are repacked only when the width
+    changes.
     """
-    den = lcm(*(c.denominator for c in slice_.values()))
-    layer = {}
-    for point, coeff in slice_.items():
-        key = 0
-        for x in reversed(point):
-            key = key * base + x
-        layer[key] = coeff.numerator * (den // coeff.denominator)
-    return den, layer
+
+    __slots__ = ("den", "points", "lines", "width", "packed", "_norms")
+
+    def __init__(self, den, points, lines=(), width=None, packed=None):
+        self.den = den
+        self.points = points
+        self.lines = lines
+        if not lines:
+            self.width, self.packed = 0, points
+        elif packed is None:  # packed on first use
+            self.width, self.packed = None, None
+        else:
+            self.width, self.packed = width, points + packed
+        self._norms = None
+
+    def at(self, width):
+        if self.width != width and self.width != 0:
+            self.packed = self.points + [(key, _pack(slots, width)) for key, slots in self.lines]
+            self.width = width
+        return self.packed
+
+    def norms(self):
+        """``(sum, max)`` of the absolute values of the numerators."""
+        if self._norms is None:
+            sizes = [abs(n) for _, n in self.points]
+            sizes += [abs(x) for _, slots in self.lines for x in slots]
+            self._norms = sum(sizes), max(sizes)
+        return self._norms
 
 
-def _layer_sum(first, products, divisor=1):
-    """``(first + sum w * a * b) / divisor`` for integer layers, in lowest terms.
+class _Lines:
+    """Grade lines of integer points under one grading, and their keys.
 
-    ``first`` is an integer layer or None and ``products`` lists
-    ``(w, a, b)`` with an integer weight ``w`` and integer layers ``a``,
-    ``b``.  Every term is brought over the LCM ``L`` of the denominators
-    ``den_a * den_b`` (and ``first``'s), by scaling each left factor once
-    by ``w * L / (den_a * den_b)``; the inner loop is then integer adds
-    and multiply-adds.  One gcd divides out the layer's common factor.
-    Returns None when every numerator cancels.
+    A line of grade ``d`` is the set of points of grade ``d`` that agree
+    on every coordinate but two: ``k0``, whose weight is the least nonzero
+    one in absolute value, so that the grade gives it back, and the free
+    coordinate ``k1``, the one that puts the given points on the fewest
+    lines.  Where those lines hold fewer than ``_LINE_POINTS`` points on
+    average there is no free coordinate (``k1`` is None) and every line is
+    one point.  A point's key packs ``p[k1]`` as digit 0 and the
+    coordinates but ``k0`` and ``k1`` as the next digits, in balanced base
+    ``B``.  With ``M`` the largest ``|coordinate|`` of the given points, a
+    sum of at most ``bound + 1`` of them has every coordinate strictly
+    inside ``(-B/2, B/2)`` for ``B = 2 * (bound + 1) * M + 1``; there
+    packing is injective and the key of a sum is the sum of the keys.  A
+    line is keyed by its first point, so the sum of two line keys is the
+    key of the first point of their product, and keys on one line differ
+    by the distance along it.
+
+    ``layers`` holds ``{grade: _Layer}`` for each given series in turn.
     """
-    dens = [a[0] * b[0] for _, a, b in products]
-    if first is not None:
-        dens.append(first[0])
-    if not dens:
-        return None
-    common = lcm(*dens)
-    acc = {} if first is None else {k: n * (common // first[0]) for k, n in first[1].items()}
-    get = acc.get
-    for (weight, (_, a), (_, b)), den in zip(products, dens):
-        scale = weight * (common // den)
-        b_items = b.items()
-        for ka, na in a.items():
-            na *= scale
-            for kb, nb in b_items:
-                key = ka + kb
-                acc[key] = get(key, 0) + na * nb
-    nums = {k: n for k, n in acc.items() if n}
-    if not nums:
-        return None
-    den = common * divisor
-    g = gcd(den, *nums.values())
-    return den // g, {k: n // g for k, n in nums.items()}
+
+    def __init__(self, grading, bound, *series):
+        self.grading = grading = tuple(grading)
+        points = [p for s in series for p in s]
+        columns = list(zip(*points)) or [()] * len(grading)
+        grades = [0] * len(points)
+        for a, column in zip(grading, columns):
+            if a:
+                grades = list(map(add, grades, map(mul, repeat(a), column)))
+        weighted = [(abs(a), k) for k, a in enumerate(grading) if a]
+        self.k0 = k0 = min(weighted)[1] if weighted else None
+        free = [k for k in range(len(grading)) if k != k0]
+        self.k1, self.rest = None, free
+        fewest = len(points) // _LINE_POINTS + 1
+        for k1 in free:
+            rest = [k for k in free if k != k1]
+            count = len(set(zip(grades, *(columns[k] for k in rest))))
+            if count < fewest:
+                fewest, self.k1, self.rest = count, k1, rest
+        self.base = base = 2 * (bound + 1) * max(map(abs, chain(*columns)), default=0) + 1
+
+        lines = [0] * len(points)
+        for k in reversed(self.rest):
+            lines = [line * base + x for line, x in zip(lines, columns[k])]
+        frees = [0] * len(points) if self.k1 is None else columns[self.k1]
+        self.layers = []
+        start = 0
+        for s in series:
+            found: dict[int, dict] = {}
+            keys = zip(grades[start:], lines[start:], frees[start:])
+            for (grade, line, x), coeff in zip(keys, s.values()):
+                found.setdefault(grade, {}).setdefault(line * base, {})[x] = coeff
+            start += len(s)
+            layers = {}
+            for grade, grade_lines in found.items():
+                den = lcm(*(c.denominator for cs in grade_lines.values() for c in cs.values()))
+                one, longer = [], []
+                for line, coeffs in grade_lines.items():
+                    lo = min(coeffs)
+                    if len(coeffs) == 1:
+                        c = coeffs[lo]
+                        one.append((line + lo, c.numerator * (den // c.denominator)))
+                        continue
+                    slots = [0] * (max(coeffs) - lo + 1)
+                    for x, c in coeffs.items():
+                        slots[x - lo] = c.numerator * (den // c.denominator)
+                    longer.append((line + lo, slots))
+                layers[grade] = _Layer(den, one, longer)
+            self.layers.append(layers)
+
+    def collect(self, acc, width, den):
+        """The ``_Layer`` of ``acc / den``, in lowest terms, or None if it is zero.
+
+        ``acc`` maps keys to packed ints whose slots all lie in
+        ``(-2**(width-1), 2**(width-1))``.  An int inside that range is
+        one slot, a point.  Every other int is merged with the ints of its
+        line, shifted by their distance along it, and read back by
+        ``_unpack``: their slots may overlap.  One gcd divides out the
+        layer's common factor, from the slots and, exactly, from the packed
+        ints.
+        """
+        if self.k1 is None:  # every line is one point
+            points = [item for item in acc.items() if item[1]]
+            if not points:
+                return None
+            g = gcd(den, *acc.values())
+            if g > 1:
+                den //= g
+                points = [(key, n // g) for key, n in points]
+            return _Layer(den, points)
+        base = self.base
+        half_base = base // 2
+        half = 1 << (width - 1)
+        points, wide, lines, packed = [], {}, [], []
+        for key, n in acc.items():
+            if -half < n < half:
+                if n:
+                    points.append((key, n))
+            else:
+                wide.setdefault((key + half_base) // base, []).append(key)
+        if wide:
+            alone = []
+            for key, n in points:
+                keys = wide.get((key + half_base) // base)
+                if keys is None:
+                    alone.append((key, n))
+                else:
+                    keys.append(key)
+            points = alone
+        for keys in wide.values():
+            first = min(keys)
+            n = sum(acc[key] << (width * (key - first)) for key in keys)
+            slots = _unpack(n, width)
+            if not slots:
+                continue
+            zeros = 0
+            while not slots[zeros]:
+                zeros += 1
+            if len(slots) == zeros + 1:
+                points.append((first + zeros, slots[zeros]))
+            else:
+                lines.append((first + zeros, slots[zeros:]))
+                packed.append((first + zeros, n >> (width * zeros)))
+        if not points and not lines:
+            return None
+        g = gcd(den, *[n for _, n in points], *[x for _, slots in lines for x in slots])
+        if g > 1:
+            den //= g
+            points = [(key, n // g) for key, n in points]
+            lines = [(key, [x // g for x in slots]) for key, slots in lines]
+            packed = [(key, n // g) for key, n in packed]
+        return _Layer(den, points, lines, width, packed)
+
+    def series(self, layers):
+        """Point-keyed ``Fraction`` series of ``{grade: _Layer}``."""
+        grading, base, k0, k1 = self.grading, self.base, self.k0, self.k1
+        half_base = base // 2
+        w1 = 0 if k1 is None else grading[k1]
+        out = {}
+        point = [0] * len(grading)
+        for grade, layer in layers.items():
+            den = layer.den
+            for key, slots in chain([(key, (n,)) for key, n in layer.points], layer.lines):
+                lo = (key + half_base) % base - half_base
+                key = (key - lo) // base
+                for k in self.rest:
+                    digit = (key + half_base) % base - half_base
+                    point[k] = digit
+                    key = (key - digit) // base
+                left = grade - sum(grading[k] * point[k] for k in self.rest)
+                for x, n in enumerate(slots, lo):
+                    if n:
+                        if k1 is not None:
+                            point[k1] = x
+                        if k0 is not None:
+                            point[k0] = (left - w1 * x) // grading[k0]
+                        out[tuple(point)] = Fraction(n, den)
+        return out
 
 
-def _from_int_layers(layers, base, width):
-    """Point-keyed ``Fraction`` series of integer layers (balanced base-``base`` digits)."""
-    half = base // 2
-    out = {}
-    for den, nums in layers.values():
-        for key, num in nums.items():
-            point = []
-            for _ in range(width):
-                digit = (key + half) % base - half
-                point.append(digit)
-                key = (key - digit) // base
-            out[tuple(point)] = Fraction(num, den)
-    return out
-
-
-def _graded_recurrence(first, step, bound, weight, divisor):
+def _graded_recurrence(lines, first, step, bound, weight, divisor):
     """Layers ``r_d = (first_d + sum_{e>=1} weight(e) * step_e * r_(d-e)) / divisor(d)``.
 
-    ``first`` and ``step`` map grades to point-keyed ``Fraction`` slices,
-    ``step`` in grades >= 1 and ``first`` nonempty; the recurrence is exact
-    because the grade of a product is the sum of grades.  Returns the
-    point-keyed series of the layers ``r_0 .. r_bound``.
+    ``first`` and ``step`` map grades to ``_Layer``s of ``lines``, ``step``
+    in grades >= 1; the recurrence is exact because the grade of a product
+    is the sum of grades.  Returns ``{d: r_d}`` for ``d <= bound``, the
+    zero layers left out.
 
-    Each layer ``r_d`` is one denominator and an integer numerator per
-    point (``_layer_sum``), keyed by the packed point (``_int_layer``).
-    A point of ``r_d`` is a sum of one point of ``first`` and at most
-    ``bound`` points of ``step``, so its coordinates lie strictly inside
-    ``(-B/2, B/2)`` for the base ``B`` of ``_pack_base``, where packing
-    is injective: adding two keys gives the key of the sum.
+    Each product of a line of ``step_e`` and a line of ``r_(d-e)`` is one
+    int multiply (Kronecker substitution): packed ints multiply as
+    polynomials in ``2**width`` whose coefficients are the slots of the
+    product, added up by key.  The width makes reading them back exact by
+    construction: every slot of ``r_d`` before the division is at most
+    ``sum_e |weight(e) * scale_e| * norm_1(step_e) * norm_inf(r_(d-e))``
+    plus the scaled ``norm_inf(first_d)``, each partial sum of it too, and
+    the width is the least multiple of ``_SLOT_BITS`` above that bound and
+    a sign.  It never shrinks, so a layer is repacked only when it grows.
+    Where every line is one point (``lines.k1`` is None) nothing is packed
+    and the width is not needed.
     """
-    points = [p for slices in (step, first) for slice_ in slices.values() for p in slice_]
-    base = _pack_base(points, bound)
-    int_first = {d: _int_layer(slice_, base) for d, slice_ in first.items()}
-    int_step = {e: _int_layer(slice_, base) for e, slice_ in step.items()}
-    layers: dict[int, tuple] = {}
+    layers = {}
+    width = _SLOT_BITS
     for d in range(bound + 1):
-        products = [
-            (weight(e), int_step[e], layers[d - e])
+        head = first.get(d)
+        parts = [
+            (weight(e), step[e], layers[d - e])
             for e in range(1, d + 1)
-            if e in int_step and (d - e) in layers
+            if e in step and (d - e) in layers
         ]
-        layer = _layer_sum(int_first.get(d), products, divisor(d))
+        if head is None and not parts:
+            continue
+        dens = [a.den * b.den for _, a, b in parts]
+        common = lcm(head.den if head else 1, *dens)
+        parts = [(w * (common // den), a, b) for (w, a, b), den in zip(parts, dens)]
+        if lines.k1 is not None:
+            top = common // head.den * head.norms()[1] if head else 0
+            top += sum(abs(s) * a.norms()[0] * b.norms()[1] for s, a, b in parts)
+            while top >> (width - 1):
+                width += _SLOT_BITS
+        acc = {}
+        if head:
+            scale = common // head.den
+            for key, n in head.at(width):
+                acc[key] = n * scale
+        get = acc.get
+        for scale, a, b in parts:
+            b_items = b.at(width)
+            for ka, na in a.at(width):
+                na *= scale
+                for kb, nb in b_items:
+                    key = ka + kb
+                    acc[key] = get(key, 0) + na * nb
+        layer = lines.collect(acc, width, common * divisor(d))
         if layer is not None:
             layers[d] = layer
-    return _from_int_layers(layers, base, len(points[0]))
+    return layers
+
+
+def _quotient_layers(lines, g, f, bound):
+    """Layers of ``g / (1 + f)``: ``r_d = g_d - sum_{e>=1} f_e * r_(d-e)``."""
+    return _graded_recurrence(lines, g, f, bound, lambda e: -1, lambda d: 1)
+
+
+def _exp_layers(lines, h, bound):
+    """Layers of ``exp(h)`` from 1 at the zero point: ``d*E_d = sum_m m*h_m*E_(d-m)``.
+
+    A point of ``E_d`` is a sum of points of ``h`` whose grades add up to
+    ``d``.
+    """
+    one = {0: _Layer(1, [(0, 1)])}  # key 0 is the zero point
+    return _graded_recurrence(lines, one, h, bound, lambda m: m, lambda d: d or 1)
 
 
 def graded_quotient(g, f, grading, bound):
     """Quotient ``g / (1 + f)`` up to the grade bound.
 
-    ``f`` has grades >= 1 and ``g`` grades >= 0.  Grade by grade,
-    ``r_d = g_d - sum_{e>=1} f_e * r_(d-e)`` (``_graded_recurrence``).
+    ``f`` has grades >= 1 and ``g`` grades >= 0 (``_quotient_layers``).
     """
-    sf, sg = _graded(f, grading), _graded(g, grading)
+    lines = _Lines(grading, bound, f, g)
+    sf, sg = lines.layers
     if any(e < 1 for e in sf):
         raise ValueError("f must be supported in grades >= 1")
     if any(d < 0 for d in sg):
         raise ValueError("g must be supported in grades >= 0")
-    if not g:
-        return {}
-    return _graded_recurrence(sg, sf, bound, lambda e: -1, lambda d: 1)
+    return lines.series(_quotient_layers(lines, sg, sf, bound))
 
 
 def graded_exp(h, grading, bound, origin):
     """Exponential of a series with grades >= 1, up to the bound.
 
     Uses the grade-derivative recursion ``d*E_d = sum m*H_m E_(d-m)``
-    from ``E_0 = 1`` at ``origin`` (``_graded_recurrence``).
+    from ``E_0 = 1`` at ``origin`` (``_exp_layers``).
     """
-    sh = _graded(h, grading)
-    if any(g < 1 for g in sh):
+    lines = _Lines(grading, bound, h)
+    (sh,) = lines.layers
+    if any(m < 1 for m in sh):
         raise ValueError("h must be supported in grades >= 1")
-    return _graded_recurrence({0: {origin: Fraction(1)}}, sh, bound, lambda m: m, lambda d: d or 1)
+    series = lines.series(_exp_layers(lines, sh, bound))
+    if not any(origin):
+        return series
+    return {tuple(a + b for a, b in zip(p, origin)): c for p, c in series.items()}
 
 
-def graded_log(e, grading, bound, origin):
-    """Logarithm of a series with constant term 1, up to the bound."""
-    se = _graded(e, grading)
-    if se.get(0) != {origin: Fraction(1)}:
-        raise ValueError("series must have constant term exactly 1")
-    log: dict[int, dict] = {}
-    for d in range(1, bound + 1):
-        acc = dict(se.get(d, {}))
-        acc = {p: c * d for p, c in acc.items()}
-        for m in range(1, d):
-            if m in log and (d - m) in se:
-                scaled = {p: -c * m for p, c in log[m].items()}
-                _slice_mul(scaled, se[d - m], acc)
-        layer = {p: c / d for p, c in acc.items() if c}
-        if layer:
-            log[d] = layer
-    return {p: c for layer in log.values() for p, c in layer.items()}
+def _exp_of_quotient(g, f, grading, bound):
+    """``exp(g / (1 + f))`` up to the grade bound, for ``f`` and ``g`` in grades >= 1.
+
+    One set of lines serves both steps, and the quotient's layers are the
+    exponent's: a point of the quotient is a sum of points of ``f`` and
+    ``g``, and so is a point of the exponential, at most ``bound`` of
+    them in all, where the keys of ``_Lines`` add up.
+    """
+    lines = _Lines(grading, bound, f, g)
+    sf, sg = lines.layers
+    return lines.series(_exp_layers(lines, _quotient_layers(lines, sg, sf, bound), bound))
 
 
 def mirror_map(
@@ -389,11 +564,14 @@ def mirror_map(
     positive weights on the extreme rays of the support cones, in lattice
     coordinates (``positive_grading``); the ambient grading is their one
     integer lift.  The ``F`` and ``G`` tails are the support points of
-    ``v`` cut by the grade row ``grade_bound - weights . y >= 0``
-    (``support_points``, ``y`` the lattice coordinates), so truncation at
-    the bound is exact and no radius bounds them; each enumeration, like
-    those of the minimality checks, is capped at ``max_points``.  The quotient ``G / F`` and its exponential are then
-    computed grade by grade.  The reported radius is the smallest
+    ``v`` cut by the grade row ``grade_bound - weights . y >= 0`` (``y``
+    the lattice coordinates, ``_lattice_points``), so truncation at the
+    bound is exact and no radius bounds them; each enumeration, like those
+    of the minimality checks, is capped at ``max_points``.  The tails stay
+    keyed by ``y``, and the quotient ``G / F`` and its exponential are
+    computed grade by grade on one set of packed lines
+    (``_exp_of_quotient``); the result is mapped to ambient points once.
+    The reported radius is the smallest
     power-of-two multiple of ``max(1, radius)`` whose box would enclose
     the tails, read off from the rays.
     """
@@ -461,23 +639,24 @@ def mirror_map(
         needed *= 2
 
     # On a {0, -1} base vector each support set is a cone; the grade row cuts it.
+    # The tails stay in lattice coordinates, where the weights grade them.
     grade_row = [(tuple(-w for w in weights), grade_bound)]
     tails = []
     for logs in ((), (col,)):
-        support = support_points(v, lattice, logs, grade_row, max_points)
-        points = [point for point in support if any(point)]
-        for point in points:
-            if sum(g * x for g, x in zip(grading, point)) < 1:
-                raise AssertionError(f"support point {point} has nonpositive grade")
+        rows = list(support_rows(v, lattice.basis, logs).values()) + grade_row
+        coords = [x for x in _lattice_points(rows, lattice.rank, max_points) if any(x)]
+        for x in coords:
+            if sum(w * y for w, y in zip(weights, x)) < 1:
+                raise AssertionError(f"support point {x} has nonpositive grade")
+        points = [lattice.point_from_coords(x) for x in coords]
         coeffs = log_free_coefficients(v, points, logs)
-        tails.append({point: coeff for point, coeff in zip(points, coeffs) if coeff})
+        tails.append({x: coeff for x, coeff in zip(coords, coeffs) if coeff})
     f_tail, g_tail = tails
 
-    ratio = graded_quotient(g_tail, f_tail, grading, grade_bound)
-    series = graded_exp(ratio, grading, grade_bound, (0,) * width)
+    series = _exp_of_quotient(g_tail, f_tail, weights, grade_bound)
     return MirrorMap(
         index=(i, j),
-        coefficients=series,
+        coefficients={lattice.point_from_coords(x): c for x, c in series.items()},
         grading=grading,
         grade_bound=grade_bound,
         radius=needed,

@@ -8,6 +8,11 @@ runs of the same input; wall-clock timing goes to stdout only.
 
 Exit codes: 0 pass, 1 verification failure, 2 input or output error
 (an unwritable ``--out`` or a closed stdout), 3 resource limit.
+
+Each command imports the pipeline it runs when it runs: ``mirror`` (and
+loading a ``ci`` problem) imports ``ci_mirror``, and ``solve`` and
+``combine`` import ``logseries`` and ``operators``, so a run compiles
+only the modules it needs.
 """
 
 from __future__ import annotations
@@ -20,17 +25,8 @@ import sys
 import time
 from pathlib import Path
 
-from .ci_mirror import (
-    CISpec,
-    build_system,
-    mirror_map,
-    render_coefficients,
-    render_integrality_report,
-)
 from .errors import GkzError, ProblemFileError, ResourceLimit
 from .lattice import IntMatrix, kernel_basis
-from .logseries import build_tail, combine, tails_read, to_text
-from .operators import BoxOp, verify_box_annihilation, verify_euler_annihilation
 from .polytope import DEFAULT_MAX_BOX_POINTS, has_unique_interior_point
 from .rationals import rational_vector, to_int
 from .support import SupportBox
@@ -51,6 +47,8 @@ class Problem:
         self.source_hash = "sha256:" + hashlib.sha256(canonical.encode("utf-8")).hexdigest()[:16]
         self.spec = None
         if "ci" in raw:
+            from .ci_mirror import CISpec, build_system
+
             ci = raw["ci"]
             if not isinstance(ci, dict) or "point_sets" not in ci:
                 raise ProblemFileError("'ci' must be an object with 'point_sets'")
@@ -190,6 +188,9 @@ def _series_run(args, started, problem, box, sets, artifacts, euler, parameters)
     support set is enumerated before the first write, so a capped run
     writes nothing.
     """
+    from .logseries import build_tail, combine, tails_read, to_text
+    from .operators import BoxOp, verify_box_annihilation, verify_euler_annihilation
+
     verdicts = box.sweep(sets)
     for excluded, verdict in verdicts.items():
         if not verdict.minimal:
@@ -325,6 +326,8 @@ def cmd_ci(args) -> int:
 
 
 def cmd_mirror(args) -> int:
+    from .ci_mirror import mirror_map, render_coefficients, render_integrality_report
+
     started = time.perf_counter()
     problem = load_problem(args.file)
     if problem.spec is None:

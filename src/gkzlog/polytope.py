@@ -23,7 +23,7 @@ import itertools
 from math import gcd
 
 from .errors import DegenerateHull, NoPositiveFunctional, ResourceLimit
-from .linalg import hnf_rows, kernel_rows
+from .linalg import hnf_rows, hnf_rows_with_transform
 from .values import Value
 
 DEFAULT_MAX_BOX_POINTS = 2_000_000
@@ -56,27 +56,40 @@ def _cone_rays(rows, rank):
     """Primitive extreme rays of ``{x : rows . x >= 0}`` in ``Q^rank``; requires pointed.
 
     Exact integer double description (Motzkin et al. 1953; Fukuda and
-    Prodon 1996).  ``rank`` independent rows, picked greedily, bound a
-    simplicial cone whose rays are the one-row kernels of their
-    (rank-1)-subsets.  Each remaining row then cuts the cone: the rays
-    nonnegative on it stay, and each adjacent pair of rays on strictly
-    opposite sides adds its primitive positive combination on the row's
-    hyperplane.  Each ray carries the bitmask of the rows so far that
+    Prodon 1996).  The first ``rank`` independent rows bound a simplicial
+    cone, and one Hermite form with transform gives both those rows and
+    the cone's rays, the directions of the inverse of their matrix.  Each
+    remaining row then cuts the cone: the rays nonnegative on it stay, and
+    each adjacent pair of rays on strictly opposite sides adds its
+    primitive positive combination on the row's hyperplane.  Each ray
+    carries the bitmask of the rows so far that
     vanish on it; two rays are adjacent iff no third ray's mask contains
     the common part of theirs, which needs at least ``rank - 2`` bits.
     """
     rows = sorted(set(map(tuple, rows)))
-    basis = []
-    for row in rows:
-        if len(basis) < rank and len(hnf_rows(basis + [row])) > len(basis):
-            basis.append(row)
-    if len(basis) < rank:
+    # U R^T = H for the rows R as columns.  Row operations keep the linear
+    # relations among columns, so H's pivot columns are the first rank
+    # independent rows: the basis B of the start cone, with U B^T = H_P.
+    hnf, trans = hnf_rows_with_transform([tuple(row[k] for row in rows) for k in range(rank)])
+    pivots = [next((c for c, a in enumerate(h) if a), None) for h in hnf]
+    if None in pivots:
         raise NoPositiveFunctional("support cone contains a line; not pointed")
+    basis = [rows[c] for c in pivots]
     rays = []
-    for i, row in enumerate(basis):
-        (ray,) = kernel_rows(basis[:i] + basis[i + 1 :], rank)
-        sign = 1 if _dot(row, ray) > 0 else -1
-        rays.append((tuple(sign * a for a in ray), ((1 << rank) - 1) ^ (1 << i)))
+    for i in range(rank):
+        # B (U^T s) = H_P^T s, lower triangular: forward substitution from s_i
+        # = 1 gives a positive multiple of e_i, so the ray U^T s is positive on
+        # basis row i and vanishes on the others.
+        s = [0] * rank
+        s[i] = 1
+        for k in range(i + 1, rank):
+            h = hnf[k][pivots[k]]
+            t = sum(hnf[m][pivots[k]] * s[m] for m in range(i, k))
+            s = [x * h for x in s]
+            s[k] = -t
+        ray = [sum(x * u[q] for x, u in zip(s, trans)) for q in range(rank)]
+        g = gcd(*ray)
+        rays.append((tuple(a // g for a in ray), ((1 << rank) - 1) ^ (1 << i)))
     for i, row in enumerate([row for row in rows if row not in basis], rank):
         signed = [(ray, zeros, _dot(row, ray)) for ray, zeros in rays]
         masks = [zeros for _, zeros in rays]

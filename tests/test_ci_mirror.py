@@ -2,6 +2,7 @@
 
 import math
 from fractions import Fraction as F
+from unittest import mock
 
 import pytest
 from hypothesis import assume, given, settings
@@ -18,13 +19,11 @@ from gkzlog import (
     mirror_map,
     positive_grading,
 )
+from gkzlog import ci_mirror
 from gkzlog.ci_mirror import (
-    _graded,
-    _layer_sum,
-    _slice_mul,
+    _pack,
+    _unpack,
     graded_exp,
-    graded_log,
-    graded_mul,
     graded_quotient,
     render_coefficients,
     render_integrality_report,
@@ -35,6 +34,7 @@ from gkzlog.linalg import kernel_rows, solve_integer
 from gkzlog.polytope import _cone_rays
 from gkzlog.support import SupportBox, support_rows
 from tests.conftest import FIXTURES, _reference_cone_rays, projective_ci_sets, shell_grading
+from tests.oracles import graded_log, graded_mul, reference_exp, reference_quotient
 
 # the 10 lattice points of conv{(-1,-1), (2,-1), (-1,2)}, origin first: a
 # reflexive triangle whose one-set CI has a rank-7 relation lattice
@@ -251,38 +251,6 @@ def test_quotient_times_one_plus_f_is_g(f, g, bound):
     assert graded_mul(one_plus_f, quotient, grading, bound) == want
 
 
-def reference_quotient(g, f, grading, bound):
-    """``graded_quotient`` on ``Fraction`` slices: the oracle of the integer layers."""
-    sf, sg = _graded(f, grading), _graded(g, grading)
-    minus_f = {e: {p: -c for p, c in layer.items()} for e, layer in sf.items()}
-    quotient = {}
-    for d in range(bound + 1):
-        acc = dict(sg.get(d, {}))
-        for e in range(1, d + 1):
-            if e in minus_f and (d - e) in quotient:
-                _slice_mul(minus_f[e], quotient[d - e], acc)
-        layer = {p: c for p, c in acc.items() if c}
-        if layer:
-            quotient[d] = layer
-    return {p: c for layer in quotient.values() for p, c in layer.items()}
-
-
-def reference_exp(h, grading, bound, origin):
-    """``graded_exp`` on ``Fraction`` slices: the oracle of the integer layers."""
-    sh = _graded(h, grading)
-    exp = {0: {origin: F(1)}}
-    for d in range(1, bound + 1):
-        acc = {}
-        for m in range(1, d + 1):
-            if m in sh and (d - m) in exp:
-                scaled = {p: c * m for p, c in sh[m].items()}
-                _slice_mul(scaled, exp[d - m], acc)
-        layer = {p: c / d for p, c in acc.items() if c}
-        if layer:
-            exp[d] = layer
-    return {p: c for layer in exp.values() for p, c in layer.items()}
-
-
 # Grading (1, 1) on points with negative coordinates: grade 1 is reached by
 # points like (M, 1 - M), whose multiples run far from the origin.
 FLAT = (1, 1)
@@ -363,35 +331,118 @@ def test_log_of_exp_is_identity(h, bound):
     assert graded_log(graded_exp(h, FLAT, bound, origin), FLAT, bound, origin) == want
 
 
-INT_LAYER = st.tuples(
-    st.integers(1, 60), st.dictionaries(st.integers(-50, 50), st.integers(-40, 40), max_size=5)
-)
-
-
 @settings(max_examples=200, deadline=None)
 @given(
-    first=st.none() | INT_LAYER,
-    products=st.lists(st.tuples(st.integers(-4, 4), INT_LAYER, INT_LAYER), max_size=4),
-    divisor=st.integers(1, 12),
+    width=st.integers(2, 130),
+    data=st.data(),
 )
-def test_layer_sum_is_the_fraction_sum_in_lowest_terms(first, products, divisor):
-    want = {}
-    if first is not None:
-        for k, n in first[1].items():
-            want[k] = want.get(k, 0) + F(n, first[0])
-    for w, (da, a), (db, b) in products:
-        for ka, na in a.items():
-            for kb, nb in b.items():
-                want[ka + kb] = want.get(ka + kb, 0) + F(w * na * nb, da * db)
-    want = {k: c / divisor for k, c in want.items() if c}
-    layer = _layer_sum(first, products, divisor)
-    if not want:
-        assert layer is None
-        return
-    den, nums = layer
-    assert {k: F(n, den) for k, n in nums.items()} == want
-    assert all(nums.values())
-    assert math.gcd(den, *nums.values()) == 1
+def test_unpack_inverts_pack_inside_the_balanced_range(width, data):
+    # every slot strictly inside (-2**(width-1), 2**(width-1)), the extremes included
+    edge = 2 ** (width - 1) - 1
+    slot = st.sampled_from([edge, -edge, 1, -1, 0]) | st.integers(-edge, edge)
+    slots = data.draw(st.lists(slot, max_size=8))
+    while slots and not slots[-1]:
+        slots.pop()
+    assert _unpack(_pack(slots, width), width) == slots
+
+
+@st.composite
+def graded_inputs(draw):
+    """A grading of rank 1-4, ``f`` and ``h`` in its grades >= 1 and ``g`` in grades >= 0.
+
+    Each coordinate ranges over ``[-span, span]``: coordinates with span 0
+    are fixed, so the points crowd onto few lines along the others (dense
+    lines), while wide spans scatter them (one-point lines).  Coefficients
+    have both signs.
+    """
+    rank = draw(st.integers(1, 4))
+    grading = draw(st.tuples(*[st.integers(-2, 2)] * rank).filter(any))
+    spans = draw(st.tuples(*[st.integers(0, 4)] * rank))
+    point = st.tuples(*[st.integers(-s, s) for s in spans])
+    size = draw(st.integers(0, 30))
+    series = [draw(st.dictionaries(point, WIDE_COEFF, max_size=size)) for _ in range(3)]
+    f, g, h = (
+        {p: c for p, c in s.items() if dot(grading, p) >= low}
+        for s, low in zip(series, (1, 0, 1))
+    )
+    return grading, f, g, h
+
+
+@pytest.mark.parametrize("line_points", [1, 4, 10**9])
+@settings(max_examples=150, deadline=None)
+@given(inputs=graded_inputs(), bound=st.integers(0, 6))
+def test_packed_lines_equal_the_fraction_oracle(line_points, inputs, bound):
+    # line_points 1 packs every line it can, 10**9 keeps every point on its
+    # own line, and 4 is the package's choice
+    grading, f, g, h = inputs
+    zero = (0,) * len(grading)
+    with mock.patch.object(ci_mirror, "_LINE_POINTS", line_points):
+        assert graded_quotient(g, f, grading, bound) == reference_quotient(g, f, grading, bound)
+        assert graded_exp(h, grading, bound, zero) == reference_exp(h, grading, bound, zero)
+        g = {p: c for p, c in g.items() if dot(grading, p) >= 1}
+        ratio = reference_quotient(g, f, grading, bound)
+        want = reference_exp(ratio, grading, bound, zero)
+        assert ci_mirror._exp_of_quotient(g, f, grading, bound) == want
+
+
+@settings(max_examples=80, deadline=None)
+@given(
+    bits=st.sampled_from([31, 32, 63, 64, 95, 127, 128]),
+    shift=st.integers(-1, 1),
+    log_length=st.integers(0, 3),
+    log_v=st.integers(0, 3),
+    sign=st.sampled_from([1, -1]),
+    extra=st.integers(0, 3),
+    bound=st.integers(1, 3),
+)
+def test_a_slot_at_the_exact_bound_reads_back(bits, shift, log_length, log_v, sign, extra, bound):
+    # f_1 is a line of L points with coefficient -sign*c and g = r_0 a line of
+    # L + extra points with coefficient v, L and v powers of two.  The slot at
+    # (1, L - 1) of r_1 = -f_1 * r_0 sums all L products: it is sign * L*c*v,
+    # exactly norm_1(f_1) * norm_inf(r_0), the bound the width must hold,
+    # and L*c*v = 2**bits + shift*L*v sits at a power-of-two edge.
+    length, v = 2**log_length, 2**log_v
+    c = 2**bits // (length * v) + shift
+    f = {(1, y): F(-sign * c) for y in range(length)}
+    g = {(0, y): F(v) for y in range(length + extra)}
+    with mock.patch.object(ci_mirror, "_LINE_POINTS", 1):
+        quotient = graded_quotient(g, f, (1, 0), bound)
+    assert quotient[(1, length - 1)] == sign * length * c * v
+    assert quotient == reference_quotient(g, f, (1, 0), bound)
+
+
+@settings(max_examples=40, deadline=None)
+@given(
+    bits=st.sampled_from([31, 32, 63, 64, 95]),
+    shift=st.integers(-1, 1),
+    signs=st.lists(st.sampled_from([1, -1]), min_size=2, max_size=6),
+    bound=st.integers(0, 2),
+)
+def test_a_first_layer_at_the_exact_bound_reads_back(bits, shift, signs, bound):
+    # with f empty the quotient is g itself: every slot of r_0 is a scaled
+    # numerator of g_0 alone, at a power-of-two edge of the width
+    g = {(0, y): F(s * (2**bits + shift)) for y, s in enumerate(signs)}
+    with mock.patch.object(ci_mirror, "_LINE_POINTS", 1):
+        assert graded_quotient(g, {}, (1, 0), bound) == g
+
+
+def test_two_triangles_tails_lie_on_one_line_per_grade(two_triangles_spec):
+    # the bench workload's lattice tails: weights (-1, 0), so every grade
+    # layer of F and G is one dense line along the second coordinate
+    tails = {}
+
+    def spy(g, f, grading, bound):
+        tails.update(f=f, g=g, grading=grading)
+        return exp_of_quotient(g, f, grading, bound)
+
+    exp_of_quotient = ci_mirror._exp_of_quotient
+    with mock.patch.object(ci_mirror, "_exp_of_quotient", spy):
+        mirror_map(two_triangles_spec, 2, 12, radius=4)
+    lines = ci_mirror._Lines(tails["grading"], 12, tails["f"], tails["g"])
+    assert tails["grading"] == (-1, 0) and (lines.k0, lines.k1) == (0, 1)
+    for layers in lines.layers:
+        assert all(len(layer.points) + len(layer.lines) == 1 for layer in layers.values())
+        assert sum(len(layer.lines) for layer in layers.values()) >= len(layers) - 1
 
 
 class TestMirrorMap:
@@ -569,16 +620,23 @@ def test_grading_from_rays_equals_grading_with_seed_points(name):
 @pytest.mark.parametrize(
     "name", ["ci_two_triangles", "ci_quadrilateral", "quintic", "hexagon", "rank7_triangle"]
 )
-def test_support_cone_rays_match_the_cofactor_directions(name):
+def test_support_cone_rays_match_the_cofactor_directions(name, monkeypatch):
     # the rows of a cone that vanish on one of its rays leave a cone that
-    # contains that ray's line
+    # contains that ray's line; one Hermite form gives the start cone's rays
     if name == "rank7_triangle":
         spec = CISpec.from_lists(RANK7_TRIANGLE)
     else:
         spec = load_problem(str(FIXTURES / f"{name}.json")).spec
     lattice, cones = column_cones(spec)
+    forms = []
+    hermite = polytope.hnf_rows_with_transform
+    monkeypatch.setattr(
+        polytope, "hnf_rows_with_transform", lambda m: forms.append(m) or hermite(m)
+    )
     for cone in cones:
+        forms.clear()
         rays = _cone_rays(cone, lattice.rank)
+        assert len(forms) == 1
         assert rays == _reference_cone_rays(cone, lattice.rank)
         through = [row for row in cone if sum(a * b for a, b in zip(row, rays[0])) == 0]
         with pytest.raises(

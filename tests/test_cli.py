@@ -184,12 +184,12 @@ def test_solve_order2_builds_one_support_box(tmp_path, monkeypatch):
 
 def record_tails(monkeypatch):
     """The log-index keys of every tail the CLI builds, in build order."""
-    import gkzlog.cli as cli
+    import gkzlog.logseries as logseries
 
     built = []
-    build_tail = cli.build_tail
+    build_tail = logseries.build_tail
     monkeypatch.setattr(
-        cli, "build_tail", lambda box, logs: built.append(logs) or build_tail(box, logs)
+        logseries, "build_tail", lambda box, logs: built.append(logs) or build_tail(box, logs)
     )
     return built
 
@@ -585,3 +585,51 @@ def test_negative_max_terms_is_an_input_error(tmp_path, capsys):
     assert main([*args, "--max-terms", "0"]) == 3
     assert "cap 0" in capsys.readouterr().err
     assert not (tmp_path / "out").exists()
+
+
+@pytest.mark.parametrize(
+    "args, absent",
+    [
+        (["mirror", TRIANGLES, "--index", "1", "--grade", "4"], "gkzlog.operators"),
+        (["solve", PYRAMID, "--order", "1", "--radius", "3"], "gkzlog.ci_mirror"),
+        (["combine", PYRAMID, "--l", "(-1,1,-1,1,0)", "--radius", "3"], "gkzlog.ci_mirror"),
+    ],
+)
+def test_a_command_imports_only_its_pipeline(tmp_path, args, absent):
+    # each command imports the pipeline it runs, so a run compiles no other
+    pythonpath = os.pathsep.join(filter(None, [SRC, os.environ.get("PYTHONPATH")]))
+    env = dict(os.environ, PYTHONPATH=pythonpath)
+    code = (
+        "import json, sys; from gkzlog.cli import main; code = main(sys.argv[1:]); "
+        "print(json.dumps(sorted(m for m in sys.modules if m.startswith('gkzlog')))); "
+        "sys.exit(code)"
+    )
+    argv = [sys.executable, "-c", code, *args, "--out", str(tmp_path / "out")]
+    done = subprocess.run(argv, env=env, capture_output=True, text=True, timeout=120)
+    assert done.returncode == 0, done.stderr
+    loaded = json.loads(done.stdout.strip().splitlines()[-1])
+    assert absent not in loaded
+    assert {"gkzlog.cli", "gkzlog.support"} <= set(loaded)
+
+
+def test_package_names_resolve_on_first_access():
+    # gkzlog.__all__ is resolved lazily, each name from the module that defines it
+    import importlib
+
+    import gkzlog
+
+    assert sorted(gkzlog._HOME) == sorted(gkzlog.__all__)
+    for name, module in gkzlog._HOME.items():
+        assert getattr(gkzlog, name) is getattr(importlib.import_module(f"gkzlog.{module}"), name)
+    with pytest.raises(AttributeError):
+        gkzlog.no_such_name
+    pythonpath = os.pathsep.join(filter(None, [SRC, os.environ.get("PYTHONPATH")]))
+    code = "import sys, gkzlog; print(sorted(m for m in sys.modules if m.startswith('gkzlog.')))"
+    done = subprocess.run(
+        [sys.executable, "-c", code],
+        env=dict(os.environ, PYTHONPATH=pythonpath),
+        capture_output=True,
+        text=True,
+        timeout=60,
+    )
+    assert done.stdout.strip() == "[]", done.stderr

@@ -495,9 +495,14 @@ def test_coefficient_off_the_exponent_scale_is_zero():
 def test_series_pipeline_hashes_no_fraction(monkeypatch, tmp_path):
     # solve --order 2 on the pyramid: the tails, their combinations, the box
     # checks and the text keep every term on integer keys
-    from gkzlog import cli
+    from gkzlog import cli, logseries, operators
 
-    phases = ("build_tail", "combine", "verify_box_annihilation", "to_text")
+    phases = {
+        "build_tail": logseries,
+        "combine": logseries,
+        "verify_box_annihilation": operators,
+        "to_text": logseries,
+    }
     calls, active = dict.fromkeys(phases, 0), []
     fraction_hash = F.__hash__
 
@@ -516,8 +521,8 @@ def test_series_pipeline_hashes_no_fraction(monkeypatch, tmp_path):
 
         return run
 
-    for name in phases:
-        monkeypatch.setattr(cli, name, counted(name, getattr(cli, name)))
+    for name, module in phases.items():  # cli imports each when solve runs
+        monkeypatch.setattr(module, name, counted(name, getattr(module, name)))
     monkeypatch.setattr(F, "__hash__", counted_hash)
     argv = ["solve", str(FIXTURES / "square_pyramid.json"), "--order", "2", "--radius", "4"]
     assert cli.main(argv + ["--out", str(tmp_path)]) == 0
