@@ -43,6 +43,7 @@ __all__ = [
     "LogTerm",
     "SeriesMeta",
     "build_tail",
+    "build_tails",
     "combine",
     "from_text",
     "log_free_coefficients",
@@ -55,6 +56,7 @@ __all__ = [
     "apply_euler",
     "differentiate",
     "verify_box_annihilation",
+    "verify_box_operators",
     "verify_euler_annihilation",
     "Polytope",
     "has_unique_interior_point",
@@ -96,6 +98,7 @@ _HOME = {
     "LogTerm": "logseries",
     "SeriesMeta": "logseries",
     "build_tail": "logseries",
+    "build_tails": "logseries",
     "combine": "logseries",
     "from_text": "logseries",
     "log_free_coefficients": "logseries",
@@ -108,6 +111,7 @@ _HOME = {
     "apply_euler": "operators",
     "differentiate": "operators",
     "verify_box_annihilation": "operators",
+    "verify_box_operators": "operators",
     "verify_euler_annihilation": "operators",
     "Polytope": "polytope",
     "has_unique_interior_point": "polytope",

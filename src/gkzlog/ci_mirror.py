@@ -641,22 +641,23 @@ def mirror_map(
     # On a {0, -1} base vector each support set is a cone; the grade row cuts it.
     # The tails stay in lattice coordinates, where the weights grade them.
     grade_row = [(tuple(-w for w in weights), grade_bound)]
-    tails = []
+    coords = {}
     for logs in ((), (col,)):
         rows = list(support_rows(v, lattice.basis, logs).values()) + grade_row
-        coords = [x for x in _lattice_points(rows, lattice.rank, max_points) if any(x)]
-        for x in coords:
+        coords[logs] = [x for x in _lattice_points(rows, lattice.rank, max_points) if any(x)]
+        for x in coords[logs]:
             if sum(w * y for w, y in zip(weights, x)) < 1:
                 raise AssertionError(f"support point {x} has nonpositive grade")
-        points = [lattice.point_from_coords(x) for x in coords]
-        coeffs = log_free_coefficients(v, points, logs)
-        tails.append({x: coeff for x, coeff in zip(coords, coeffs) if coeff})
-    f_tail, g_tail = tails
+    points = {logs: lattice.points_from_coords(xs) for logs, xs in coords.items()}
+    f_tail, g_tail = (
+        {x: Fraction(n, q) for x, n in zip(coords[logs], numerators) if n}
+        for logs, (q, numerators) in log_free_coefficients(v, points).items()
+    )
 
     series = _exp_of_quotient(g_tail, f_tail, weights, grade_bound)
     return MirrorMap(
         index=(i, j),
-        coefficients={lattice.point_from_coords(x): c for x, c in series.items()},
+        coefficients=dict(zip(lattice.points_from_coords(series), series.values())),
         grading=grading,
         grade_bound=grade_bound,
         radius=needed,

@@ -181,15 +181,17 @@ def _series_run(args, started, problem, box, sets, artifacts, euler, parameters)
 
     Sweeps ``box`` over the excluded ``sets`` (exit 1 after printing
     ``_solve_failure(excluded)`` for the first one that is not minimal),
-    builds each tail the ``artifacts`` read once, and writes each artifact
-    ``(name, terms)`` as ``combine(tails, terms)``, box-verified against
-    every basis operator and, unless ``euler`` is None, Euler-verified
-    against its ``(matrix, beta)``; then ``run_report.json``.  Every
+    builds each tail the ``artifacts`` read once, in one ``build_tails``
+    call, and writes each artifact ``(name, terms)`` as ``combine(tails,
+    terms)``, box-verified against the whole basis in one
+    ``verify_box_operators`` call and, unless ``euler`` is None,
+    Euler-verified against its ``(matrix, beta)``; then
+    ``run_report.json``.  Every
     support set is enumerated before the first write, so a capped run
     writes nothing.
     """
-    from .logseries import build_tail, combine, tails_read, to_text
-    from .operators import BoxOp, verify_box_annihilation, verify_euler_annihilation
+    from .logseries import build_tails, combine, tails_read, to_text
+    from .operators import BoxOp, verify_box_operators, verify_euler_annihilation
 
     verdicts = box.sweep(sets)
     for excluded, verdict in verdicts.items():
@@ -197,14 +199,13 @@ def _series_run(args, started, problem, box, sets, artifacts, euler, parameters)
             print(_solve_failure(excluded))
             return 1
     needed = tails_read(term for _, terms in artifacts for term in terms)
-    tails = {logs: build_tail(box, logs) for logs in needed}
+    tails = build_tails(box, needed)
+    ops = [BoxOp(row) for row in box.lattice.basis]
+    labels = [f"box({','.join(str(x) for x in row)})" for row in box.lattice.basis]
     verification, ok = [], True
     for name, terms in artifacts:
         series = combine(tails, terms)
-        reports = [
-            (f"box({','.join(str(x) for x in row)})", verify_box_annihilation(series, BoxOp(row)))
-            for row in box.lattice.basis
-        ]
+        reports = list(zip(labels, verify_box_operators(series, ops)))
         if euler is not None:
             reports.append(("euler", verify_euler_annihilation(series, *euler)))
         checks = [

@@ -17,15 +17,17 @@ From these, ``f_coeffs(z, k, m)`` assembles in closed form the
 coefficient polynomial (in the log variable) of the k-th member of the
 derivative chain that starts at ``t**z * log(t)**m``.  Consecutive
 members satisfy ``f_{k-1} = (z+k) f_k + d/dlog f_k``, and
-``chain_constants`` walks that recurrence from ``f_0`` to tabulate the
-constant terms of a whole range of members at O(m) work per member; the
-series builders use these tables, and the closed forms remain as their
-oracle.  Every function is pure and exact.
+``chain_constants`` walks that recurrence from ``f_0`` on integers to
+tabulate the constant terms of a whole range of members, as ``(num,
+den)`` pairs, at O(m) work per member; the series builders use these
+tables, and the closed forms remain as their oracle.  Every function is
+pure and exact.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
+from math import gcd, lcm
 
 from .errors import MinimalityViolation, PoleAtShift, UndefinedBracket
 from .rationals import is_negative_integer, to_rational
@@ -179,9 +181,10 @@ def f_coeffs(z, k: int, m: int) -> UniLogPoly:
     return UniLogPoly.of(coeffs)
 
 
-def chain_constants(seed: UniLogPoly, z, lo: int, hi: int) -> list[Fraction]:
-    """Constant terms of the chain members ``f_k`` for ``lo <= k <= hi``.
+def chain_constants(seed: UniLogPoly, z, lo: int, hi: int) -> list[tuple[int, int]]:
+    """Constant terms of the chain members ``f_k`` for ``lo <= k <= hi``, as int pairs.
 
+    Each constant is ``(num, den)`` in lowest terms with ``den > 0``.
     ``seed`` is the member ``f_0``; for the chain of ``t**z log(t)**m`` it
     is ``f_coeffs(z, 0, m)``.  Walking down applies the recurrence
     ``f_{k-1} = (z+k) f_k + d/dlog f_k`` directly.  Walking up solves it
@@ -189,33 +192,43 @@ def chain_constants(seed: UniLogPoly, z, lo: int, hi: int) -> list[Fraction]:
     divides by ``z+k``; the walk stops before the first ``k > 0`` with
     ``z+k = 0``.  The list then ends early: every entry past its end is
     undefined, exactly where ``f_coeffs`` raises.
+
+    A member is held as integer numerators over one denominator: with
+    ``z = p/q`` and ``s = p + k q``, a step down multiplies the
+    denominator by ``q`` and a step up by ``s**width``, and the common
+    factor is divided out after each step up.
     """
     z = to_rational(z)
-    top = list(seed.coeffs)
+    p, q = z.numerator, z.denominator
+    den = lcm(*(c.denominator for c in seed.coeffs))
+    top = [c.numerator * (den // c.denominator) for c in seed.coeffs]
     width = len(top)
     out = []
     if lo <= 0:
-        poly = top
-        down = [poly[0]]  # down[n] is the constant term of f_{-n}
+        poly, d = top, den
+        down = [(poly[0], d)]  # down[n] is the constant term of f_{-n}
         for k in range(0, lo, -1):
-            shift = z + k
+            shift = p + k * q
             poly = [
-                shift * c + (d + 1) * poly[d + 1] if d + 1 < width else shift * c
-                for d, c in enumerate(poly)
+                shift * c + q * (i + 1) * poly[i + 1] if i + 1 < width else shift * c
+                for i, c in enumerate(poly)
             ]
-            down.append(poly[0])
+            d *= q
+            down.append((poly[0], d))
         out = [down[-k] for k in range(lo, min(hi, 0) + 1)]
-    poly = top
+    poly, d = top, den
     for k in range(1, hi + 1):
-        shift = z + k
+        shift = p + k * q
         if shift == 0:
             break
-        above = Fraction(0)  # the coefficient one degree up, already solved
-        solved = [Fraction(0)] * width
-        for d in range(width - 1, -1, -1):
-            above = (poly[d] - (d + 1) * above) / shift
-            solved[d] = above
-        poly = solved
+        # f_k[i] = x_i / (d * shift**(width - i)), x solved from the top degree down
+        x, solved = 0, [0] * width
+        for i in range(width - 1, -1, -1):
+            x = q * (poly[i] * shift ** (width - 1 - i) - (i + 1) * x)
+            solved[i] = x * shift**i
+        d *= shift**width
+        g = gcd(d, *solved) if d > 0 else -gcd(d, *solved)
+        poly, d = [c // g for c in solved], d // g
         if k >= lo:
-            out.append(poly[0])
-    return out
+            out.append((poly[0], d))
+    return [(n // g, d // g) for n, d in out for g in [gcd(n, d)]]

@@ -4,12 +4,14 @@ The relation lattice of a point configuration (stored as matrix columns)
 is the integer kernel of the matrix.  ``kernel_basis`` computes a
 saturated basis, canonicalized by Hermite normal form so that outputs are
 stable across runs and platforms.  Points are given by their integer
-coordinates in that basis (``point_from_coords``); the lattice points
+coordinates in that basis (``points_from_coords``); the lattice points
 themselves are enumerated in those coordinates by
 ``polytope._lattice_points``.
 """
 
 from __future__ import annotations
+
+from operator import add
 
 from .linalg import kernel_rows, solve_echelon
 from .rationals import to_int
@@ -63,15 +65,26 @@ class RelationLattice(Value):
     def rank(self) -> int:
         return len(self.basis)
 
-    def point_from_coords(self, coeffs) -> tuple[int, ...]:
-        if len(coeffs) != self.rank:
+    def points_from_coords(self, coords) -> list[tuple[int, ...]]:
+        """Ambient points of a list of coordinate tuples, in order.
+
+        One column-wise pass: ambient entry ``i`` of every point is
+        ``sum_r basis[r][i] * column_r``, with ``column_r`` the ``r``-th
+        coordinates of all the points, and a zero basis entry adds nothing.
+        """
+        coords = list(coords)
+        if any(len(x) != self.rank for x in coords):
             raise ValueError("coefficient length != lattice rank")
-        point = [0] * self.ambient_dim
-        for c, row in zip(coeffs, self.basis):
-            if c:
-                for i, b in enumerate(row):
-                    point[i] += c * b
-        return tuple(point)
+        columns = list(zip(*coords))
+        entries = []
+        for i in range(self.ambient_dim):
+            entry = [0] * len(coords)
+            for row, column in zip(self.basis, columns):
+                b = row[i]
+                if b:
+                    entry = list(map(add, entry, column if b == 1 else map(b.__mul__, column)))
+            entries.append(entry)
+        return list(zip(*entries))
 
     def coords_of(self, vec):
         """Coordinates of ``vec`` in the basis, or ``None`` if off the span.

@@ -14,12 +14,13 @@ appear only at the public boundary (``coefficient``, ``terms``).
 The tails of the classical solution series of a GKZ system at a base
 exponent vector ``v`` are built from the support sets of one
 :class:`~gkzlog.support.SupportBox` (``v``, lattice, radius), one per
-sorted tuple of log indices:
+sorted tuple of log indices, all of them in one ``build_tails(box,
+keys)`` call (``build_tail(box, logs)`` is its one-key case):
 
-    build_tail(box, ())       log-free series F
-    build_tail(box, (i,))     the log-free partner G_i of F * log(lambda_i)
-    build_tail(box, (i, j))   the log-free partner H_ij of the second-order
-                              quasisolution (i = j for a repeated index)
+    ()       log-free series F
+    (i,)     the log-free partner G_i of F * log(lambda_i)
+    (i, j)   the log-free partner H_ij of the second-order
+             quasisolution (i = j for a repeated index)
 
 and one rule, ``combine``, assembles every quasisolution and solution
 from them: a multiset ``S`` of log indices stands for
@@ -29,10 +30,12 @@ of such terms.  ``tails_read`` names the tails a list of terms reads.  A
 combination, like the series algebra, adds each weighted series into one
 integer term dict (``_weighted_sum``) and builds one series at the end.  The
 tails and the mirror map's tails share one coefficient rule,
-``log_free_coefficients``, which reads per-coordinate derivative-chain
-tables.  Each series records the box's truncation metadata (base
-vector, lattice, radius) so that the operator module can compute
-certified regions later.
+``log_free_coefficients``: one call walks the derivative chain of each
+distinct (coordinate, log power) once, for all the keys it is given, and
+writes each key's coefficients as integer numerators over one
+denominator, with no ``Fraction`` per point.  Each series records the
+box's truncation metadata (base vector, lattice, radius) so that the
+operator module can compute certified regions later.
 """
 
 from __future__ import annotations
@@ -40,7 +43,7 @@ from __future__ import annotations
 import re
 from fractions import Fraction
 from math import gcd, lcm
-from operator import add
+from operator import add, mul
 
 from .coefficients import chain_constants, f_coeffs
 from .errors import MinimalityViolation, ProblemFileError, UndefinedBracket
@@ -236,78 +239,92 @@ def _weighted_sum(nvars, parts, meta) -> LogSeries:
     return LogSeries._of(nvars, den, q, out, meta)
 
 
-def log_free_coefficients(v, points, logs) -> list[Fraction]:
-    """Coefficients the log-free rule attaches to ``points``, in order.
+def log_free_coefficients(v, point_sets) -> dict:
+    """``{logs: (q, numerators)}``: the log-free rule on each key's points, over one denominator.
 
+    ``point_sets`` maps sorted tuples of log indices to lists of points.
     The coefficient of a point is the product over coordinates ``j`` of
     the constant term of ``f_coeffs(v[j], point[j], m_j)``, with log
     power ``m_j = logs.count(j)``; ``logs`` is ``()`` for F, ``(i,)`` for
     ``G_i``, ``(i, i)`` for ``H_ii`` and ``(i, j)`` for ``H_ij``.  Each
-    coordinate's constants come from one walk of its derivative chain over
-    the range of ``point[j]`` in ``points``.
+    distinct ``(j, m_j)`` walks its derivative chain once, over the union
+    of the ranges of ``point[j]`` in the keys that share it, into
+    ``(num, den)`` int pairs.  A key's coefficients are the integer
+    ``numerators`` over ``q``, the LCM of the products of the pairs'
+    denominators, in point order; ``q`` need not be the least one.
 
-    A point past a chain's pole raises what the closed forms raise there:
-    :class:`UndefinedBracket` when a log-free coordinate (``m_j = 0``) is
-    undefined, :class:`MinimalityViolation` otherwise.
+    Keys are read in order, and a point past a chain's pole raises what
+    the closed forms raise there: :class:`UndefinedBracket` when a
+    log-free coordinate (``m_j = 0``) is undefined,
+    :class:`MinimalityViolation` otherwise.
     """
     base = rational_vector(v)
-    if not points:
-        return []
-    tables = []
-    for j, z in enumerate(base):
-        m = logs.count(j)
-        lo = min(point[j] for point in points)
-        hi = max(point[j] for point in points)
-        constants = chain_constants(f_coeffs(z, 0, m), z, lo, hi)
-        # integer pairs: a point costs one Fraction normalization, not one per factor
-        tables.append((lo, [(c.numerator, c.denominator) for c in constants], m))
-    out = []
-    for point in points:
-        num = den = 1
-        try:
-            for k, (lo, table, _) in zip(point, tables):
-                n, d = table[k - lo]
-                num *= n
-                den *= d
-        except IndexError:
-            m, j = min(
-                (m, j)
-                for j, (k, (lo, table, m)) in enumerate(zip(point, tables))
-                if k - lo >= len(table)
-            )
-            if m == 0:
-                raise UndefinedBracket(base[j], point[j], index=j) from None
-            raise MinimalityViolation(
-                f"f_coeffs({base[j]}, {point[j]}, {m}) has no product formula"
-            ) from None
-        out.append(Fraction(num, den))
+    needed = {}  # (j, m): every point[j] of the keys with m_j = m
+    for logs, points in point_sets.items():
+        for j, column in enumerate(zip(*points)):
+            needed.setdefault((j, logs.count(j)), []).extend(column)
+    tables = {}  # (j, m): lo, the first undefined k, numerators, denominators
+    for (j, m), column in needed.items():
+        lo = min(column)
+        pairs = chain_constants(f_coeffs(base[j], 0, m), base[j], lo, max(column))
+        tables[j, m] = lo, lo + len(pairs), [n for n, _ in pairs], [d for _, d in pairs]
+    out = {}
+    for logs, points in point_sets.items():
+        nums = dens = [1] * len(points)
+        for j, column in enumerate(zip(*points)):
+            lo, end, table_nums, table_dens = tables[j, logs.count(j)]
+            if max(column) >= end:
+                ends = [tables[i, logs.count(i)][1] for i in range(len(base))]
+                point = next(p for p in points if any(k >= e for k, e in zip(p, ends)))
+                m, i = min((logs.count(i), i) for i, k in enumerate(point) if k >= ends[i])
+                if m == 0:
+                    raise UndefinedBracket(base[i], point[i], index=i)
+                raise MinimalityViolation(
+                    f"f_coeffs({base[i]}, {point[i]}, {m}) has no product formula"
+                )
+            at = [k - lo for k in column]
+            nums = list(map(mul, nums, map(table_nums.__getitem__, at)))
+            dens = list(map(mul, dens, map(table_dens.__getitem__, at)))
+        q = lcm(*dens)
+        out[logs] = q, [n * (q // d) for n, d in zip(nums, dens)]
     return out
 
 
-def build_tail(box: SupportBox, logs) -> LogSeries:
-    """Log-free tail for the log indices ``logs``, from the support set that excludes them.
+def build_tails(box: SupportBox, keys) -> dict:
+    """Log-free tails for each sorted tuple of log indices in ``keys``, keyed by it.
 
-    ``logs`` is a sorted tuple: ``()`` gives ``F``, ``(i,)`` the partner
-    ``G_i`` of ``F * log(lambda_i)`` and ``(i, j)`` the second-order tail
-    ``H_ij`` (``i = j`` for a repeated index).  There is one term per
-    support point with a nonzero rule value; the coefficient of ``F`` at
-    the base exponent is 1.  Support points keep every log-free
-    coordinate that is a negative integer negative, so only a log index
-    can hit an undefined entry, and that raises
+    The tail of ``logs`` holds one term per point of the support set that
+    excludes ``logs`` with a nonzero rule value (``log_free_coefficients``):
+    ``()`` gives ``F``, whose coefficient at the base exponent is 1,
+    ``(i,)`` the partner ``G_i`` of ``F * log(lambda_i)`` and ``(i, j)``
+    the second-order tail ``H_ij`` (``i = j`` for a repeated index).  Every
+    support set is enumerated before the first coefficient, and all of
+    them share one set of chain tables.  Support points keep every
+    log-free coordinate that is a negative integer negative, so only a
+    log index can hit an undefined entry, and that raises
     :class:`MinimalityViolation`.
     """
     base = box.base
     den = lcm(*(x.denominator for x in base))
     shift = [x.numerator * (den // x.denominator) for x in base]
-    points = box.support_set(logs)
-    coeffs = log_free_coefficients(base, points, logs)
-    q = lcm(*(coeff.denominator for coeff in coeffs))
+    point_sets = {logs: box.support_set(logs) for logs in keys}
+    coefficients = log_free_coefficients(base, point_sets)
+    meta = SeriesMeta(base, box.lattice, box.radius)
     zero_deg = (0,) * len(base)
-    terms = {}
-    for point, coeff in zip(points, coeffs):
-        key = (tuple(s + den * x for s, x in zip(shift, point)), zero_deg)
-        terms[key] = coeff.numerator * (q // coeff.denominator)
-    return LogSeries._of(len(base), den, q, terms, SeriesMeta(base, box.lattice, box.radius))
+    tails = {}
+    for logs, points in point_sets.items():
+        q, numerators = coefficients[logs]
+        terms = {
+            (tuple(map(add, shift, map(den.__mul__, point))), zero_deg): num
+            for point, num in zip(points, numerators)
+        }
+        tails[logs] = LogSeries._of(len(base), den, q, terms, meta)
+    return tails
+
+
+def build_tail(box: SupportBox, logs) -> LogSeries:
+    """The one tail ``build_tails(box, [logs])`` builds."""
+    return build_tails(box, [logs])[logs]
 
 
 def _splits(logs):
@@ -357,13 +374,13 @@ _TERM_RE = re.compile(
 def to_text(series: LogSeries) -> str:
     """Canonical text form: one term per line, exact rationals as ``p/q``, sorted by exponent."""
     den, q = series.exp_den, series.coeff_den
-    entries = {c for exponent, _ in series._terms for c in exponent}
-    names = {c: _ratio(c, den) for c in entries}
-    lines = []
-    for (exponent, logdeg), num in sorted(series._terms.items()):
-        exps = ",".join([names[c] for c in exponent])
-        degs = ",".join(map(str, logdeg))
-        lines.append(f"{_ratio(num, q)} * lambda^({exps}) * log^({degs})")
+    exponents = {exponent for exponent, _ in series._terms}
+    names = {c: _ratio(c, den) for c in {c for exponent in exponents for c in exponent}}
+    texts = {exponent: ",".join([names[c] for c in exponent]) for exponent in exponents}
+    lines = [
+        f"{_ratio(num, q)} * lambda^({texts[exponent]}) * log^({','.join(map(str, logdeg))})"
+        for (exponent, logdeg), num in sorted(series._terms.items())
+    ]
     return "\n".join(lines) + "\n" if lines else ""
 
 

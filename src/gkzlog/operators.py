@@ -15,7 +15,10 @@ verifier therefore certifies a result term only when both of its
 potential source exponents lie inside the enumerated box recorded in the
 series metadata, by one integer lattice solve per term; certified terms
 of a true solution must vanish exactly, and any survivor is reported as
-a violation.
+a violation.  ``verify_box_operators`` checks a list of operators, such
+as a lattice basis, against one series and derives each distinct side
+(``l+`` or ``l-``) once; ``verify_box_annihilation`` is its
+one-operator case.
 """
 
 from __future__ import annotations
@@ -94,6 +97,28 @@ def differentiate(series: LogSeries, j: int) -> LogSeries:
     return LogSeries._of(series.nvars, scale, series.coeff_den * scale, terms, series.meta)
 
 
+def _apply_box(series: LogSeries, op: BoxOp, sides: dict) -> LogSeries:
+    """``apply_box``, with the derivative of each side read from ``sides`` by its orders.
+
+    A side missing from ``sides`` is derived and stored there, so the
+    operators that share a side derive it once per series.
+    """
+    if len(op.point) != series.nvars:
+        raise ValueError("dimension mismatch")
+    scale, terms = series.exp_den, series.terms_over(series.exp_den)
+    for orders in (op.plus, op.minus):
+        if orders not in sides:
+            sides[orders] = _derive(terms, orders, scale)
+    steps_plus, steps_minus = sum(op.plus), sum(op.minus)
+    steps = max(steps_plus, steps_minus)
+    lift_plus, lift_minus = scale ** (steps - steps_plus), scale ** (steps - steps_minus)
+    out = {key: num * lift_plus for key, num in sides[op.plus].items()}
+    get = out.get
+    for key, num in sides[op.minus].items():
+        out[key] = get(key, 0) - num * lift_minus
+    return LogSeries._of(series.nvars, scale, series.coeff_den * scale**steps, out, series.meta)
+
+
 def apply_box(series: LogSeries, op: BoxOp) -> LogSeries:
     """Difference of the two iterated-derivative monomials of the operator.
 
@@ -101,17 +126,7 @@ def apply_box(series: LogSeries, op: BoxOp) -> LogSeries:
     brought over ``Q * D^max(k+, k-)`` for ``k+ = sum(l+)`` and
     ``k- = sum(l-)`` derivative steps before they are subtracted.
     """
-    if len(op.point) != series.nvars:
-        raise ValueError("dimension mismatch")
-    scale, terms = series.exp_den, series.terms_over(series.exp_den)
-    steps_plus, steps_minus = sum(op.plus), sum(op.minus)
-    steps = max(steps_plus, steps_minus)
-    lift_plus, lift_minus = scale ** (steps - steps_plus), scale ** (steps - steps_minus)
-    out = {key: num * lift_plus for key, num in _derive(terms, op.plus, scale).items()}
-    get = out.get
-    for key, num in _derive(terms, op.minus, scale).items():
-        out[key] = get(key, 0) - num * lift_minus
-    return LogSeries._of(series.nvars, scale, series.coeff_den * scale**steps, out, series.meta)
+    return _apply_box(series, op, {})
 
 
 def apply_euler(series: LogSeries, op: EulerOp) -> LogSeries:
@@ -163,8 +178,13 @@ class CertifiedReport(Value):
         return not self.violations and self.certified_region != 0
 
 
-def verify_box_annihilation(series: LogSeries, op: BoxOp) -> CertifiedReport:
-    """Apply a box operator and check that every certified term vanished.
+def verify_box_operators(series: LogSeries, ops) -> list[CertifiedReport]:
+    """Apply each box operator of ``ops`` and check that every certified term vanished.
+
+    One report per operator, in order.  The derivatives of the series
+    are taken once per distinct side (``l+`` or ``l-``) of the operators,
+    in a dict local to the call: the sides of a lattice basis often
+    repeat.
 
     A result term at exponent ``u`` is certified when both candidate
     sources ``u + l+`` and ``u + l-`` have integer lattice coordinates of
@@ -175,38 +195,46 @@ def verify_box_annihilation(series: LogSeries, op: BoxOp) -> CertifiedReport:
 
     ``checked_term_count`` counts every residual term examined; the
     violations are the certified ones (uncertified residue is the
-    expected truncation boundary).  A radius too small for the operator
-    certifies no exponent, and the report then does not pass.
+    expected truncation boundary).  A radius too small for an operator
+    certifies no exponent, and its report then does not pass.
     """
     if series.meta is None:
         raise ValueError("series carries no truncation metadata")
     meta = series.meta
     lattice, radius = meta.lattice, meta.radius
-    result = apply_box(series, op)
-    # Over D, the LCM of the result's and the base's scales, u + l+ - base is
-    # (u + D * (l+ - base)) / D; as u + l- = u + l+ - l, one solve per term.
-    scale = lcm(result.exp_den, *(b.denominator for b in meta.base))
-    shift = [int(scale * (s - b)) for s, b in zip(op.plus, meta.base)]
-    step = lattice.coords_of(op.point)
-    violations = []
-    for (exponent, logdeg), num in sorted(result.terms_over(scale).items()):
-        coords = solve_echelon(lattice.basis, [u + s for u, s in zip(exponent, shift)], scale)
-        if coords is not None and not _inside(coords, radius):
-            continue
-        exponent = tuple(Fraction(c, scale) for c in exponent)
-        if coords is None or step is None:
-            # u + l+ is off the span, or l is and so u + l- is
-            raise NonLatticeExponent(
-                f"exponent {exponent} is outside the rational span of the lattice"
-            )
-        if _inside([a - b for a, b in zip(coords, step)], radius):
-            violations.append((exponent, logdeg, Fraction(num, result.coeff_den)))
-    # With c the lattice coordinates of l, the box holds both sources for
-    # prod_k max(0, 2R + 1 - |c_k|) exponents (0 if c is not integral).
-    region = 0
-    if step is not None and all(c.denominator == 1 for c in step):
-        region = prod(max(0, 2 * radius + 1 - abs(int(c))) for c in step)
-    return CertifiedReport(len(result), tuple(violations), region)
+    sides, reports = {}, []
+    for op in ops:
+        result = _apply_box(series, op, sides)
+        # Over D, the LCM of the result's and the base's scales, u + l+ - base is
+        # (u + D * (l+ - base)) / D; as u + l- = u + l+ - l, one solve per term.
+        scale = lcm(result.exp_den, *(b.denominator for b in meta.base))
+        shift = [int(scale * (s - b)) for s, b in zip(op.plus, meta.base)]
+        step = lattice.coords_of(op.point)
+        violations = []
+        for (exponent, logdeg), num in sorted(result.terms_over(scale).items()):
+            coords = solve_echelon(lattice.basis, [u + s for u, s in zip(exponent, shift)], scale)
+            if coords is not None and not _inside(coords, radius):
+                continue
+            exponent = tuple(Fraction(c, scale) for c in exponent)
+            if coords is None or step is None:
+                # u + l+ is off the span, or l is and so u + l- is
+                raise NonLatticeExponent(
+                    f"exponent {exponent} is outside the rational span of the lattice"
+                )
+            if _inside([a - b for a, b in zip(coords, step)], radius):
+                violations.append((exponent, logdeg, Fraction(num, result.coeff_den)))
+        # With c the lattice coordinates of l, the box holds both sources for
+        # prod_k max(0, 2R + 1 - |c_k|) exponents (0 if c is not integral).
+        region = 0
+        if step is not None and all(c.denominator == 1 for c in step):
+            region = prod(max(0, 2 * radius + 1 - abs(int(c))) for c in step)
+        reports.append(CertifiedReport(len(result), tuple(violations), region))
+    return reports
+
+
+def verify_box_annihilation(series: LogSeries, op: BoxOp) -> CertifiedReport:
+    """The report of one operator: ``verify_box_operators(series, [op])``."""
+    return verify_box_operators(series, [op])[0]
 
 
 def verify_euler_annihilation(series: LogSeries, matrix, beta) -> CertifiedReport:

@@ -47,7 +47,7 @@ def support_rows(v, basis, excluded=()) -> dict[int, tuple[tuple[int, ...], int]
 def support_points(v, lattice: RelationLattice, excluded, bounds, max_points) -> list:
     """Ambient points of ``support_rows`` plus ``bounds``, as ``_lattice_points`` yields them."""
     rows = list(support_rows(v, lattice.basis, excluded).values()) + bounds
-    return [lattice.point_from_coords(x) for x in _lattice_points(rows, lattice.rank, max_points)]
+    return lattice.points_from_coords(_lattice_points(rows, lattice.rank, max_points))
 
 
 def nsupp(vector, excluded=()) -> frozenset[int]:
@@ -115,7 +115,7 @@ class SupportBox:
         first = min((x for x in firsts if x is not None), default=None)
         if first is None:
             return SupportVerdict(minimal=True, radius=self.radius)
-        return SupportVerdict(False, self.radius, self.lattice.point_from_coords(first))
+        return SupportVerdict(False, self.radius, self.lattice.points_from_coords([first])[0])
 
     def support_set(self, excluded=()) -> list[tuple[int, ...]]:
         """Points whose shift preserves the support, in lexicographic coordinate order."""

@@ -108,7 +108,14 @@ def box_points(lattice, radius):
     points, the one point of rank 0 included.
     """
     steps = range(-radius, radius + 1)
-    return [lattice.point_from_coords(c) for c in itertools.product(steps, repeat=lattice.rank)]
+    return [point_of(lattice, c) for c in itertools.product(steps, repeat=lattice.rank)]
+
+
+def point_of(lattice, coords):
+    """The ambient point ``sum_r coords[r] * basis[r]``, one entry at a time (reference map)."""
+    return tuple(
+        sum(c * row[i] for c, row in zip(coords, lattice.basis)) for i in range(lattice.ambient_dim)
+    )
 
 
 def fm_lattice_points(rows, dim, max_points):

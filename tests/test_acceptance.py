@@ -306,7 +306,7 @@ def test_criterion_4_pointed_cone_negative_control():
             coords = lattice.coords_of(delta)
             points.add(tuple(int(c) for c in coords))
         points.discard((0,) * lattice.rank)
-        ambient = {lattice.point_from_coords(c) for c in points}
+        ambient = set(lattice.points_from_coords(points))
         assert any(p[0] > 0 and p[1] >= 0 for p in ambient)  # quadrant part
         assert any(p[0] < 0 and -p[0] >= p[1] >= 0 for p in ambient)  # opposite part
         with pytest.raises(NoPositiveFunctional):

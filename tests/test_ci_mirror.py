@@ -33,7 +33,13 @@ from gkzlog.cli import load_problem
 from gkzlog.linalg import kernel_rows, solve_integer
 from gkzlog.polytope import _cone_rays
 from gkzlog.support import SupportBox, support_rows
-from tests.conftest import FIXTURES, _reference_cone_rays, projective_ci_sets, shell_grading
+from tests.conftest import (
+    FIXTURES,
+    _reference_cone_rays,
+    point_of,
+    projective_ci_sets,
+    shell_grading,
+)
 from tests.oracles import graded_log, graded_mul, reference_exp, reference_quotient
 
 # the 10 lattice points of conv{(-1,-1), (2,-1), (-1,2)}, origin first: a
@@ -137,7 +143,7 @@ class TestPositiveGrading:
         lattice, rays = support_cone_rays(quadrilateral_spec)
         grading = mirror_map(quadrilateral_spec, 0, 1).grading
         weights = positive_grading(rays)
-        assert [dot(grading, lattice.point_from_coords(ray)) for ray in rays] == [
+        assert [dot(grading, point) for point in lattice.points_from_coords(rays)] == [
             dot(weights, ray) for ray in rays
         ]
 
@@ -583,7 +589,7 @@ def test_support_sets_match_sign_conditions(quadrilateral_spec):
     want = set()
     for c1 in range(-3, 4):
         for c2 in range(-3, 4):
-            point = lattice.point_from_coords((c1, c2))
+            point = point_of(lattice, (c1, c2))
             if point[0] <= 0 and all(point[k] >= 0 for k in (1, 2, 3)):
                 want.add(point)
     assert got == want
@@ -610,7 +616,7 @@ def test_grading_from_rays_equals_grading_with_seed_points(name):
     seed_points = [
         point for column in range(width) for point in seed_box.support_set((column,)) if any(point)
     ]
-    want = shell_grading([lattice.point_from_coords(ray) for ray in rays] + seed_points)
+    want = shell_grading(lattice.points_from_coords(rays) + seed_points)
     weights = positive_grading(rays)
     assert tuple(dot(row, want) for row in lattice.basis) == weights
     for column in range(width):

@@ -187,11 +187,42 @@ def record_tails(monkeypatch):
     import gkzlog.logseries as logseries
 
     built = []
-    build_tail = logseries.build_tail
+    build_tails = logseries.build_tails
     monkeypatch.setattr(
-        logseries, "build_tail", lambda box, logs: built.append(logs) or build_tail(box, logs)
+        logseries, "build_tails", lambda box, keys: built.extend(keys) or build_tails(box, keys)
     )
     return built
+
+
+def count_calls(monkeypatch, module, name):
+    """A list that grows by one entry per call of ``module.name``."""
+    calls, fn = [], getattr(module, name)
+    monkeypatch.setattr(module, name, lambda *args: calls.append(args) or fn(*args))
+    return calls
+
+
+def test_solve_walks_each_chain_and_derives_each_side_once(tmp_path, monkeypatch):
+    # 21 tails on 5 coordinates read 15 distinct (coordinate, log power)
+    # chains; 16 artifacts meet 2 basis operators, whose minus sides agree
+    import gkzlog.logseries as logseries
+    import gkzlog.operators as operators
+
+    walks = count_calls(monkeypatch, logseries, "chain_constants")
+    derives = count_calls(monkeypatch, operators, "_derive")
+    args = ["solve", PYRAMID, "--order", "2", "--radius", "4", "--out", str(tmp_path)]
+    assert main(args) == 0
+    assert len(walks) == 15
+    assert len(derives) == 48
+
+
+def test_mirror_walks_each_chain_once(tmp_path, monkeypatch):
+    # F and G_2 on 7 coordinates: 7 log-free chains and one with log power 1
+    import gkzlog.logseries as logseries
+
+    walks = count_calls(monkeypatch, logseries, "chain_constants")
+    args = ["mirror", TRIANGLES, "--index", "2", "--grade", "8", "--out", str(tmp_path)]
+    assert main(args) == 0
+    assert len(walks) == 8
 
 
 def test_solve_order2_subset_builds_only_the_requested_tails(tmp_path, monkeypatch):

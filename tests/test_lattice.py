@@ -3,10 +3,12 @@
 import itertools
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from gkzlog import IntMatrix, kernel_basis
 from gkzlog.cli import load_problem
-from tests.conftest import FIXTURES, GAUSS_MATRIX, PYRAMID_MATRIX, box_points
+from tests.conftest import FIXTURES, GAUSS_MATRIX, PYRAMID_MATRIX, box_points, point_of
 
 
 def test_gauss_kernel():
@@ -21,7 +23,7 @@ def test_identity_kernel_is_trivial():
     lat = kernel_basis(((1, 0), (0, 1)))
     assert lat.rank == 0
     assert lat.basis == ()
-    assert lat.point_from_coords(()) == (0, 0)
+    assert lat.points_from_coords([()]) == [(0, 0)]
 
 
 def test_pyramid_kernel_shape():
@@ -77,7 +79,7 @@ def test_enumerated_points_are_relations():
 
 def test_coords_roundtrip():
     lat = kernel_basis(PYRAMID_MATRIX)
-    point = lat.point_from_coords((3, -2))
+    [point] = lat.points_from_coords([(3, -2)])
     coords = lat.coords_of(point)
     assert coords == (3, -2)
     assert lat.coords_of((1, 0, 0, 0, 0)) is None
@@ -91,11 +93,32 @@ FIXTURE_LATTICES["rank0"] = kernel_basis(((1, 0, 0), (0, 1, 0), (0, 0, 1)))
 
 @pytest.mark.parametrize("name", sorted(FIXTURE_LATTICES))
 @pytest.mark.parametrize("radius", [0, 1, 3])
-def test_box_points_match_point_from_coords(name, radius):
-    # coordinates round-trip through point_from_coords and coords_of
+def test_box_points_match_points_from_coords(name, radius):
+    # coordinates round-trip through points_from_coords and coords_of
     lat = FIXTURE_LATTICES[name]
     steps = range(-radius, radius + 1)
-    for coeffs in itertools.product(steps, repeat=lat.rank):
-        point = lat.point_from_coords(coeffs)
+    coords = list(itertools.product(steps, repeat=lat.rank))
+    for coeffs, point in zip(coords, lat.points_from_coords(coords), strict=True):
         assert lat.coords_of(point) == coeffs
         assert lat.contains(point)
+
+
+def test_points_from_coords_of_no_points_and_of_rank_zero():
+    assert FIXTURE_LATTICES["square_pyramid"].points_from_coords([]) == []
+    rank0 = FIXTURE_LATTICES["rank0"]
+    assert rank0.points_from_coords([]) == []
+    assert rank0.points_from_coords([(), ()]) == [(0, 0, 0), (0, 0, 0)]
+    with pytest.raises(ValueError, match="coefficient length"):
+        rank0.points_from_coords([(), (1,)])
+    with pytest.raises(ValueError, match="coefficient length"):
+        FIXTURE_LATTICES["square_pyramid"].points_from_coords([(1, 2), (3,)])
+
+
+@settings(max_examples=200, deadline=None)
+@given(data=st.data(), name=st.sampled_from(sorted(FIXTURE_LATTICES)))
+def test_points_from_coords_matches_the_per_point_map(data, name):
+    lat = FIXTURE_LATTICES[name]
+    coords = data.draw(st.lists(st.tuples(*[st.integers(-50, 50)] * lat.rank), max_size=12))
+    assert lat.points_from_coords(coords) == [point_of(lat, c) for c in coords]
+    # a generator of coordinates maps as its list does
+    assert lat.points_from_coords(iter(coords)) == [point_of(lat, c) for c in coords]

@@ -76,9 +76,9 @@ def test_solve_echelon_inverts_the_hermite_rows(matrix, data):
     lattice = RelationLattice(ambient_dim=ncols, basis=rows)
     rank = len(rows)
 
-    # Lattice points: integer coordinates, round trip through point_from_coords.
+    # Lattice points: integer coordinates, round trip through points_from_coords.
     coeffs = data.draw(st.lists(st.integers(-5, 5), min_size=rank, max_size=rank))
-    point = lattice.point_from_coords(coeffs)
+    [point] = lattice.points_from_coords([coeffs])
     assert solve_echelon(rows, point) == tuple(coeffs)
 
     # Rational points of the span: the exact coordinates come back, and they

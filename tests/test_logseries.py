@@ -498,9 +498,9 @@ def test_series_pipeline_hashes_no_fraction(monkeypatch, tmp_path):
     from gkzlog import cli, logseries, operators
 
     phases = {
-        "build_tail": logseries,
+        "build_tails": logseries,
         "combine": logseries,
-        "verify_box_annihilation": operators,
+        "verify_box_operators": operators,
         "to_text": logseries,
     }
     calls, active = dict.fromkeys(phases, 0), []

@@ -23,6 +23,7 @@ from gkzlog import (
     f_coeffs,
     kernel_basis,
     verify_box_annihilation,
+    verify_box_operators,
     verify_euler_annihilation,
 )
 from gkzlog import operators
@@ -40,6 +41,7 @@ from tests.conftest import (
     fraction_verify_box,
     gauss_beta,
     gauss_v,
+    point_of,
 )
 
 
@@ -337,11 +339,11 @@ def certified_series(draw):
     span = st.integers(-radius - 1, radius + 1)
     terms = {}
     for _ in range(draw(st.integers(0, 8))):
-        point = lattice.point_from_coords([draw(span) for _ in range(lattice.rank)])
+        point = point_of(lattice, [draw(span) for _ in range(lattice.rank)])
         exponent = tuple(b + x for b, x in zip(base, point))
         move = draw(st.sampled_from(("none",) * 6 + ("half", "rational")))
         if move == "half":
-            half = lattice.point_from_coords([draw(st.integers(-3, 3)) for _ in range(lattice.rank)])
+            half = point_of(lattice, [draw(st.integers(-3, 3)) for _ in range(lattice.rank)])
             exponent = tuple(e + F(x, 2) for e, x in zip(exponent, half))
         elif move == "rational":
             exponent = tuple(e + draw(SMALL_FRACTION) for e in exponent)
@@ -355,7 +357,7 @@ def box_ops(draw, lattice):
     """A relation of ``lattice``, or any small integer vector (unbalanced, mostly off the span)."""
     if draw(st.integers(0, 2)):
         coords = [draw(st.integers(-2, 2)) for _ in range(lattice.rank)]
-        return BoxOp(lattice.point_from_coords(coords))
+        return BoxOp(point_of(lattice, coords))
     return BoxOp(tuple(draw(st.integers(-2, 2)) for _ in range(lattice.ambient_dim)))
 
 
@@ -380,6 +382,26 @@ def test_integer_operators_match_fraction_oracles(data, series):
     j = data.draw(st.integers(0, series.nvars - 1))
     unit = [int(i == j) for i in range(series.nvars)]
     assert differentiate(series, j) == LogSeries(series.nvars, fraction_derive(series, unit))
+
+
+@settings(max_examples=200, deadline=None)
+@given(data=st.data(), series=certified_series())
+def test_shared_sides_verify_as_each_operator_alone(data, series):
+    # the basis shares sides (the pyramid's minus sides agree), and so do an
+    # operator, its negative and repeats of it
+    lattice = series.meta.lattice
+    drawn = data.draw(st.lists(box_ops(lattice), min_size=1, max_size=3))
+    ops = [BoxOp(row) for row in lattice.basis] + drawn + [BoxOp(tuple(-x for x in drawn[0].point))]
+    ops = data.draw(st.permutations(ops + drawn[:1]))
+
+    def each(series, ops):
+        return [verify_box_annihilation(series, op) for op in ops]
+
+    def oracle(series, ops):
+        return [fraction_verify_box(series, op) for op in ops]
+
+    got = outcome(verify_box_operators, series, ops)
+    assert got == outcome(each, series, ops) == outcome(oracle, series, ops)
 
 
 def test_box_check_solves_once_per_residual_term(pyramid_lattice, monkeypatch):
