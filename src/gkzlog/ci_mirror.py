@@ -20,20 +20,24 @@ from the support cones themselves: cut by the grade row, each cone is a
 polytope whose lattice points the same engine enumerates exactly, with
 no radius bounding it.  The tails stay in lattice coordinates, where the
 weights grade them; ambient points serve only the coefficient rule and
-the final map.  The quotient ``G / F`` (one graded division,
-``graded_quotient``) and the exponential (``graded_exp``) proceed grade
-by grade, so truncation at a grade bound is exact.
+the final map.  The tails keep the integer numerators over one
+denominator that ``log_free_coefficients`` returns.  The quotient ``G /
+F`` (one graded division, ``_quotient_layers``) and the exponential
+(``_exp_layers``) proceed grade by grade, so truncation at a grade bound
+is exact.
 
 Both run on packed grade lines (``_Lines``, ``_graded_recurrence``).  A
 line is the set of points of one grade that differ only in one free
-coordinate; a grade layer is one denominator and, per line, one int that
-holds the line's numerators in slots of equal width.  The product of two
-lines is then one big-int multiply (Kronecker substitution), and adding
-the products by line key sums the layer.  The slot width comes from an
-exact bound on every slot of the layer, so the numerators read back
-exactly by construction.  Where the lines would hold few points each
-point is its own line, and a product is one multiply of two numerators.
-On the rank-2 lattice of two triangles each grade is one line.
+coordinate; a grade layer is one denominator and a list of lines, each
+one int that holds the line's numerators in slots of equal width, a
+point being a one-slot line.  The product of two lines is then one
+big-int multiply (Kronecker substitution), and adding the products by
+line key sums the layer.  The slot width comes from an exact bound on
+every slot of the layer, so the numerators read back exactly by
+construction.  Lines run along the free coordinate that puts the tails
+on the fewest lines; a one-coordinate grading has none, and there each
+grade is one point.  On the rank-2 lattice of two triangles each grade
+is one line.
 
 ``integrality_report`` lists the non-integer coefficients, if any, up
 to the bound.
@@ -65,7 +69,6 @@ from .values import Value
 
 DEFAULT_GRADING_BOUND = 8
 _SLOT_BITS = 32  # packed-line slot widths are multiples of this
-_LINE_POINTS = 4  # the least mean line length worth packing
 
 
 class CISpec(Value):
@@ -235,40 +238,30 @@ def _unpack(packed, width):
 class _Layer:
     """One grade layer: a denominator and integer numerators, line by line.
 
-    ``points`` lists ``(key, numerator)`` for one-point lines and
-    ``lines`` lists ``(key, slots)`` for longer ones, with ``key`` the key
-    of the line's first point (``_Lines``) and ``slots`` the numerators at
-    free coordinates ``lo, lo + 1, ...``.  ``at(width)`` lists ``(key,
-    packed int)`` for every line; a one-point line packs to its numerator
-    at every width, and the longer ones are repacked only when the width
-    changes.
+    ``lines`` lists ``(key, slots)``, with ``key`` the key of the line's
+    first point (``_Lines``) and ``slots`` the numerators at free
+    coordinates ``lo, lo + 1, ...``; a point is a one-slot line.
+    ``at(width)`` lists ``(key, packed int)`` for every line, repacked only
+    when the width changes.
     """
 
-    __slots__ = ("den", "points", "lines", "width", "packed", "_norms")
+    __slots__ = ("den", "lines", "width", "packed", "_norms")
 
-    def __init__(self, den, points, lines=(), width=None, packed=None):
-        self.den = den
-        self.points = points
-        self.lines = lines
-        if not lines:
-            self.width, self.packed = 0, points
-        elif packed is None:  # packed on first use
-            self.width, self.packed = None, None
-        else:
-            self.width, self.packed = width, points + packed
+    def __init__(self, den, lines, width=None, packed=None):
+        self.den, self.lines = den, lines
+        self.width, self.packed = width, packed  # packed on first use
         self._norms = None
 
     def at(self, width):
-        if self.width != width and self.width != 0:
-            self.packed = self.points + [(key, _pack(slots, width)) for key, slots in self.lines]
+        if self.width != width:
+            self.packed = [(key, _pack(slots, width)) for key, slots in self.lines]
             self.width = width
         return self.packed
 
     def norms(self):
         """``(sum, max)`` of the absolute values of the numerators."""
         if self._norms is None:
-            sizes = [abs(n) for _, n in self.points]
-            sizes += [abs(x) for _, slots in self.lines for x in slots]
+            sizes = [abs(x) for _, slots in self.lines for x in slots]
             self._norms = sum(sizes), max(sizes)
         return self._norms
 
@@ -280,24 +273,28 @@ class _Lines:
     on every coordinate but two: ``k0``, whose weight is the least nonzero
     one in absolute value, so that the grade gives it back, and the free
     coordinate ``k1``, the one that puts the given points on the fewest
-    lines.  Where those lines hold fewer than ``_LINE_POINTS`` points on
-    average there is no free coordinate (``k1`` is None) and every line is
-    one point.  A point's key packs ``p[k1]`` as digit 0 and the
-    coordinates but ``k0`` and ``k1`` as the next digits, in balanced base
-    ``B``.  With ``M`` the largest ``|coordinate|`` of the given points, a
-    sum of at most ``bound + 1`` of them has every coordinate strictly
-    inside ``(-B/2, B/2)`` for ``B = 2 * (bound + 1) * M + 1``; there
-    packing is injective and the key of a sum is the sum of the keys.  A
-    line is keyed by its first point, so the sum of two line keys is the
-    key of the first point of their product, and keys on one line differ
-    by the distance along it.
+    lines.  A one-coordinate grading has no free coordinate (``k1`` is
+    None), and there every line is one point.  A point's key packs
+    ``p[k1]`` as digit 0 and the coordinates but ``k0`` and ``k1`` as the
+    next digits, in balanced base ``B``.  With ``M`` the largest
+    ``|coordinate|`` of the given points, a sum of at most ``bound + 1`` of
+    them has every coordinate strictly inside ``(-B/2, B/2)`` for ``B = 2 *
+    (bound + 1) * M + 1``; there packing is injective and the key of a sum
+    is the sum of the keys.  A line is keyed by its first point, so the sum
+    of two line keys is the key of the first point of their product, and
+    keys on one line differ by the distance along it.
 
-    ``layers`` holds ``{grade: _Layer}`` for each given series in turn.
+    Each series is given as ``(points, q, numerators)``: coefficient
+    ``numerators[i] / q`` at ``points[i]``, zeros allowed, as
+    ``log_free_coefficients`` returns it.  ``layers`` holds ``{grade:
+    _Layer}`` for each series in turn; a layer's denominator is ``q //
+    gcd(q, its numerators)``, the least common multiple of its reduced
+    denominators.
     """
 
     def __init__(self, grading, bound, *series):
         self.grading = grading = tuple(grading)
-        points = [p for s in series for p in s]
+        points = [p for s in series for p in s[0]]
         columns = list(zip(*points)) or [()] * len(grading)
         grades = [0] * len(points)
         for a, column in zip(grading, columns):
@@ -306,13 +303,11 @@ class _Lines:
         weighted = [(abs(a), k) for k, a in enumerate(grading) if a]
         self.k0 = k0 = min(weighted)[1] if weighted else None
         free = [k for k in range(len(grading)) if k != k0]
-        self.k1, self.rest = None, free
-        fewest = len(points) // _LINE_POINTS + 1
-        for k1 in free:
-            rest = [k for k in free if k != k1]
-            count = len(set(zip(grades, *(columns[k] for k in rest))))
-            if count < fewest:
-                fewest, self.k1, self.rest = count, k1, rest
+        counts = {
+            k1: len(set(zip(grades, *(columns[k] for k in free if k != k1)))) for k1 in free
+        }
+        self.k1 = min(counts, key=counts.get, default=None)
+        self.rest = [k for k in free if k != self.k1]
         self.base = base = 2 * (bound + 1) * max(map(abs, chain(*columns)), default=0) + 1
 
         lines = [0] * len(points)
@@ -321,69 +316,43 @@ class _Lines:
         frees = [0] * len(points) if self.k1 is None else columns[self.k1]
         self.layers = []
         start = 0
-        for s in series:
+        for coords, q, numerators in series:
             found: dict[int, dict] = {}
             keys = zip(grades[start:], lines[start:], frees[start:])
-            for (grade, line, x), coeff in zip(keys, s.values()):
-                found.setdefault(grade, {}).setdefault(line * base, {})[x] = coeff
-            start += len(s)
+            for (grade, line, x), n in zip(keys, numerators):
+                if n:
+                    found.setdefault(grade, {}).setdefault(line * base, {})[x] = n
+            start += len(coords)
             layers = {}
             for grade, grade_lines in found.items():
-                den = lcm(*(c.denominator for cs in grade_lines.values() for c in cs.values()))
-                one, longer = [], []
-                for line, coeffs in grade_lines.items():
-                    lo = min(coeffs)
-                    if len(coeffs) == 1:
-                        c = coeffs[lo]
-                        one.append((line + lo, c.numerator * (den // c.denominator)))
-                        continue
-                    slots = [0] * (max(coeffs) - lo + 1)
-                    for x, c in coeffs.items():
-                        slots[x - lo] = c.numerator * (den // c.denominator)
-                    longer.append((line + lo, slots))
-                layers[grade] = _Layer(den, one, longer)
+                g = gcd(q, *(n for ns in grade_lines.values() for n in ns.values()))
+                layer_lines = []
+                for line, ns in grade_lines.items():
+                    lo = min(ns)
+                    slots = [0] * (max(ns) - lo + 1)
+                    for x, n in ns.items():
+                        slots[x - lo] = n // g
+                    layer_lines.append((line + lo, slots))
+                layers[grade] = _Layer(q // g, layer_lines)
             self.layers.append(layers)
 
     def collect(self, acc, width, den):
         """The ``_Layer`` of ``acc / den``, in lowest terms, or None if it is zero.
 
         ``acc`` maps keys to packed ints whose slots all lie in
-        ``(-2**(width-1), 2**(width-1))``.  An int inside that range is
-        one slot, a point.  Every other int is merged with the ints of its
-        line, shifted by their distance along it, and read back by
-        ``_unpack``: their slots may overlap.  One gcd divides out the
+        ``(-2**(width-1), 2**(width-1))``.  The ints of one line are
+        merged, each shifted by its distance along the line, and read back
+        by ``_unpack``: their slots may overlap.  One gcd divides out the
         layer's common factor, from the slots and, exactly, from the packed
         ints.
         """
-        if self.k1 is None:  # every line is one point
-            points = [item for item in acc.items() if item[1]]
-            if not points:
-                return None
-            g = gcd(den, *acc.values())
-            if g > 1:
-                den //= g
-                points = [(key, n // g) for key, n in points]
-            return _Layer(den, points)
         base = self.base
         half_base = base // 2
-        half = 1 << (width - 1)
-        points, wide, lines, packed = [], {}, [], []
-        for key, n in acc.items():
-            if -half < n < half:
-                if n:
-                    points.append((key, n))
-            else:
-                wide.setdefault((key + half_base) // base, []).append(key)
-        if wide:
-            alone = []
-            for key, n in points:
-                keys = wide.get((key + half_base) // base)
-                if keys is None:
-                    alone.append((key, n))
-                else:
-                    keys.append(key)
-            points = alone
-        for keys in wide.values():
+        found: dict[int, list] = {}
+        for key in acc:
+            found.setdefault((key + half_base) // base, []).append(key)
+        lines, packed = [], []
+        for keys in found.values():
             first = min(keys)
             n = sum(acc[key] << (width * (key - first)) for key in keys)
             slots = _unpack(n, width)
@@ -392,20 +361,16 @@ class _Lines:
             zeros = 0
             while not slots[zeros]:
                 zeros += 1
-            if len(slots) == zeros + 1:
-                points.append((first + zeros, slots[zeros]))
-            else:
-                lines.append((first + zeros, slots[zeros:]))
-                packed.append((first + zeros, n >> (width * zeros)))
-        if not points and not lines:
+            lines.append((first + zeros, slots[zeros:]))
+            packed.append((first + zeros, n >> (width * zeros)))
+        if not lines:
             return None
-        g = gcd(den, *[n for _, n in points], *[x for _, slots in lines for x in slots])
+        g = gcd(den, *[x for _, slots in lines for x in slots])
         if g > 1:
             den //= g
-            points = [(key, n // g) for key, n in points]
             lines = [(key, [x // g for x in slots]) for key, slots in lines]
             packed = [(key, n // g) for key, n in packed]
-        return _Layer(den, points, lines, width, packed)
+        return _Layer(den, lines, width, packed)
 
     def series(self, layers):
         """Point-keyed ``Fraction`` series of ``{grade: _Layer}``."""
@@ -416,7 +381,7 @@ class _Lines:
         point = [0] * len(grading)
         for grade, layer in layers.items():
             den = layer.den
-            for key, slots in chain([(key, (n,)) for key, n in layer.points], layer.lines):
+            for key, slots in layer.lines:
                 lo = (key + half_base) % base - half_base
                 key = (key - lo) // base
                 for k in self.rest:
@@ -445,14 +410,14 @@ def _graded_recurrence(lines, first, step, bound, weight, divisor):
     Each product of a line of ``step_e`` and a line of ``r_(d-e)`` is one
     int multiply (Kronecker substitution): packed ints multiply as
     polynomials in ``2**width`` whose coefficients are the slots of the
-    product, added up by key.  The width makes reading them back exact by
-    construction: every slot of ``r_d`` before the division is at most
-    ``sum_e |weight(e) * scale_e| * norm_1(step_e) * norm_inf(r_(d-e))``
-    plus the scaled ``norm_inf(first_d)``, each partial sum of it too, and
-    the width is the least multiple of ``_SLOT_BITS`` above that bound and
-    a sign.  It never shrinks, so a layer is repacked only when it grows.
-    Where every line is one point (``lines.k1`` is None) nothing is packed
-    and the width is not needed.
+    product, added up by key.  A point is a one-slot line, and its product
+    with another point is one multiply of two numerators.  The width makes
+    reading the slots back exact by construction: every slot of ``r_d``
+    before the division is at most ``sum_e |weight(e) * scale_e| *
+    norm_1(step_e) * norm_inf(r_(d-e))`` plus the scaled
+    ``norm_inf(first_d)``, each partial sum of it too, and the width is the
+    least multiple of ``_SLOT_BITS`` above that bound and a sign.  It never
+    shrinks, so a layer is repacked only when it grows.
     """
     layers = {}
     width = _SLOT_BITS
@@ -468,11 +433,10 @@ def _graded_recurrence(lines, first, step, bound, weight, divisor):
         dens = [a.den * b.den for _, a, b in parts]
         common = lcm(head.den if head else 1, *dens)
         parts = [(w * (common // den), a, b) for (w, a, b), den in zip(parts, dens)]
-        if lines.k1 is not None:
-            top = common // head.den * head.norms()[1] if head else 0
-            top += sum(abs(s) * a.norms()[0] * b.norms()[1] for s, a, b in parts)
-            while top >> (width - 1):
-                width += _SLOT_BITS
+        top = common // head.den * head.norms()[1] if head else 0
+        top += sum(abs(s) * a.norms()[0] * b.norms()[1] for s, a, b in parts)
+        while top >> (width - 1):
+            width += _SLOT_BITS
         acc = {}
         if head:
             scale = common // head.den
@@ -503,43 +467,14 @@ def _exp_layers(lines, h, bound):
     A point of ``E_d`` is a sum of points of ``h`` whose grades add up to
     ``d``.
     """
-    one = {0: _Layer(1, [(0, 1)])}  # key 0 is the zero point
+    one = {0: _Layer(1, [(0, [1])])}  # key 0 is the zero point
     return _graded_recurrence(lines, one, h, bound, lambda m: m, lambda d: d or 1)
-
-
-def graded_quotient(g, f, grading, bound):
-    """Quotient ``g / (1 + f)`` up to the grade bound.
-
-    ``f`` has grades >= 1 and ``g`` grades >= 0 (``_quotient_layers``).
-    """
-    lines = _Lines(grading, bound, f, g)
-    sf, sg = lines.layers
-    if any(e < 1 for e in sf):
-        raise ValueError("f must be supported in grades >= 1")
-    if any(d < 0 for d in sg):
-        raise ValueError("g must be supported in grades >= 0")
-    return lines.series(_quotient_layers(lines, sg, sf, bound))
-
-
-def graded_exp(h, grading, bound, origin):
-    """Exponential of a series with grades >= 1, up to the bound.
-
-    Uses the grade-derivative recursion ``d*E_d = sum m*H_m E_(d-m)``
-    from ``E_0 = 1`` at ``origin`` (``_exp_layers``).
-    """
-    lines = _Lines(grading, bound, h)
-    (sh,) = lines.layers
-    if any(m < 1 for m in sh):
-        raise ValueError("h must be supported in grades >= 1")
-    series = lines.series(_exp_layers(lines, sh, bound))
-    if not any(origin):
-        return series
-    return {tuple(a + b for a, b in zip(p, origin)): c for p, c in series.items()}
 
 
 def _exp_of_quotient(g, f, grading, bound):
     """``exp(g / (1 + f))`` up to the grade bound, for ``f`` and ``g`` in grades >= 1.
 
+    ``f`` and ``g`` are ``(points, q, numerators)`` series (``_Lines``).
     One set of lines serves both steps, and the quotient's layers are the
     exponent's: a point of the quotient is a sum of points of ``f`` and
     ``g``, and so is a point of the exponential, at most ``bound`` of
@@ -568,11 +503,11 @@ def mirror_map(
     the lattice coordinates, ``_lattice_points``), so truncation at the
     bound is exact and no radius bounds them; each enumeration, like those
     of the minimality checks, is capped at ``max_points``.  The tails stay
-    keyed by ``y``, and the quotient ``G / F`` and its exponential are
-    computed grade by grade on one set of packed lines
+    keyed by ``y``, with the integer numerators and the one denominator of
+    ``log_free_coefficients``, and the quotient ``G / F`` and its
+    exponential are computed grade by grade on one set of packed lines
     (``_exp_of_quotient``); the result is mapped to ambient points once.
-    The reported radius is the smallest
-    power-of-two multiple of ``max(1, radius)`` whose box would enclose
+    The reported radius is the smallest power-of-two multiple of ``max(1, radius)`` whose box would enclose
     the tails, read off from the rays.
     """
     if isinstance(index, int):
@@ -650,7 +585,7 @@ def mirror_map(
                 raise AssertionError(f"support point {x} has nonpositive grade")
     points = {logs: lattice.points_from_coords(xs) for logs, xs in coords.items()}
     f_tail, g_tail = (
-        {x: Fraction(n, q) for x, n in zip(coords[logs], numerators) if n}
+        (coords[logs], q, numerators)
         for logs, (q, numerators) in log_free_coefficients(v, points).items()
     )
 

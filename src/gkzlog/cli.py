@@ -38,9 +38,8 @@ DEFAULT_GRADE = 6
 class Problem:
     """Loaded and validated problem file."""
 
-    def __init__(self, raw: dict, path: str):
+    def __init__(self, raw: dict):
         self.raw = raw
-        self.name = raw.get("name", Path(path).stem)
         self.radius = to_int(raw.get("radius", DEFAULT_RADIUS), "radius", minimum=0)
         self.grade = to_int(raw.get("grade", DEFAULT_GRADE), "grade", minimum=0)
         canonical = json.dumps(raw, sort_keys=True, separators=(",", ":"))
@@ -93,7 +92,7 @@ def load_problem(path: str) -> Problem:
         raise ProblemFileError(exc.msg, line=exc.lineno, column=exc.colno) from None
     if not isinstance(raw, dict):
         raise ProblemFileError("top-level JSON value must be an object")
-    return Problem(raw, path)
+    return Problem(raw)
 
 
 def _int(chunk):

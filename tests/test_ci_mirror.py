@@ -20,14 +20,7 @@ from gkzlog import (
     positive_grading,
 )
 from gkzlog import ci_mirror
-from gkzlog.ci_mirror import (
-    _pack,
-    _unpack,
-    graded_exp,
-    graded_quotient,
-    render_coefficients,
-    render_integrality_report,
-)
+from gkzlog.ci_mirror import _pack, _unpack, render_coefficients, render_integrality_report
 from gkzlog import polytope
 from gkzlog.cli import load_problem
 from gkzlog.linalg import kernel_rows, solve_integer
@@ -189,6 +182,25 @@ class TestPositiveGrading:
         assert len(levels) == 8  # the input and one level per eliminated coordinate
 
 
+def as_tail(series):
+    """``(points, q, numerators)`` of a point-keyed ``Fraction`` series, as ``_Lines`` reads it."""
+    q = math.lcm(*(c.denominator for c in series.values()))
+    return list(series), q, [c.numerator * (q // c.denominator) for c in series.values()]
+
+
+def graded_quotient(g, f, grading, bound):
+    """``g / (1 + f)`` on packed lines, for ``f`` in grades >= 1 and ``g`` in grades >= 0."""
+    lines = ci_mirror._Lines(grading, bound, as_tail(f), as_tail(g))
+    sf, sg = lines.layers
+    return lines.series(ci_mirror._quotient_layers(lines, sg, sf, bound))
+
+
+def graded_exp(h, grading, bound):
+    """``exp(h)`` on packed lines from 1 at the zero point, for ``h`` in grades >= 1."""
+    lines = ci_mirror._Lines(grading, bound, as_tail(h))
+    return lines.series(ci_mirror._exp_layers(lines, lines.layers[0], bound))
+
+
 class TestGradedArithmetic:
     GRADING = (1, 1)
     ORIGIN = (0, 0)
@@ -210,27 +222,17 @@ class TestGradedArithmetic:
         product = graded_mul(one_plus, inv, self.GRADING, 6)
         assert product == {self.ORIGIN: F(1)}
 
-    def test_quotient_rejects_bad_grades(self):
-        with pytest.raises(ValueError):
-            graded_quotient({self.ORIGIN: F(1)}, {self.ORIGIN: F(1)}, self.GRADING, 3)
-        with pytest.raises(ValueError):
-            graded_quotient({(-1, 0): F(1)}, self._sample(), self.GRADING, 3)
-
     def test_exp_log_roundtrip(self):
         h = self._sample()
-        e = graded_exp(h, self.GRADING, 7, self.ORIGIN)
+        e = graded_exp(h, self.GRADING, 7)
         assert e[self.ORIGIN] == 1
         back = graded_log(e, self.GRADING, 7, self.ORIGIN)
         assert back == h
 
     def test_grades_bounded(self):
         f = self._sample()
-        e = graded_exp(f, self.GRADING, 5, self.ORIGIN)
+        e = graded_exp(f, self.GRADING, 5)
         assert all(sum(p) <= 5 for p in e)
-
-    def test_exp_rejects_grade_zero_terms(self):
-        with pytest.raises(ValueError):
-            graded_exp({self.ORIGIN: F(1)}, self.GRADING, 3, self.ORIGIN)
 
 
 GRADED_POINT = st.tuples(st.integers(-2, 4), st.integers(0, 4))
@@ -288,7 +290,7 @@ def test_quotient_equals_fraction_reference(f, g, bound):
 def test_exp_equals_fraction_reference(h, bound):
     h = _with_grades(h, 1)
     origin = (0, 0)
-    assert graded_exp(h, FLAT, bound, origin) == reference_exp(h, FLAT, bound, origin)
+    assert graded_exp(h, FLAT, bound) == reference_exp(h, FLAT, bound, origin)
 
 
 @settings(max_examples=100, deadline=None)
@@ -312,7 +314,7 @@ def test_points_at_the_packing_bound(top, coeffs, extra, bound):
     if not extra:
         assert quotient[far] == coeffs[1] * (-coeffs[0]) ** bound
     h = {**_with_grades(extra, 1), step: coeffs[2]}
-    assert graded_exp(h, FLAT, bound, (0, 0)) == reference_exp(h, FLAT, bound, (0, 0))
+    assert graded_exp(h, FLAT, bound) == reference_exp(h, FLAT, bound, (0, 0))
 
 
 @pytest.mark.parametrize("bound", [0, 3])
@@ -322,7 +324,7 @@ def test_empty_series(bound):
     for g, f in (({}, {}), ({}, sample), ({origin: F(2)}, {})):
         assert graded_quotient(g, f, FLAT, bound) == reference_quotient(g, f, FLAT, bound)
     assert graded_quotient({}, sample, FLAT, bound) == {}
-    assert graded_exp({}, FLAT, bound, origin) == {origin: F(1)}
+    assert graded_exp({}, FLAT, bound) == {origin: F(1)}
 
 
 @settings(max_examples=150, deadline=None)
@@ -334,7 +336,7 @@ def test_log_of_exp_is_identity(h, bound):
     h = _with_grades(h, 1)
     origin = (0, 0)
     want = {p: c for p, c in h.items() if flat_grade(p) <= bound and c}
-    assert graded_log(graded_exp(h, FLAT, bound, origin), FLAT, bound, origin) == want
+    assert graded_log(graded_exp(h, FLAT, bound), FLAT, bound, origin) == want
 
 
 @settings(max_examples=200, deadline=None)
@@ -374,21 +376,20 @@ def graded_inputs(draw):
     return grading, f, g, h
 
 
-@pytest.mark.parametrize("line_points", [1, 4, 10**9])
 @settings(max_examples=150, deadline=None)
 @given(inputs=graded_inputs(), bound=st.integers(0, 6))
-def test_packed_lines_equal_the_fraction_oracle(line_points, inputs, bound):
-    # line_points 1 packs every line it can, 10**9 keeps every point on its
-    # own line, and 4 is the package's choice
+def test_packed_lines_equal_the_fraction_oracle(inputs, bound):
     grading, f, g, h = inputs
     zero = (0,) * len(grading)
-    with mock.patch.object(ci_mirror, "_LINE_POINTS", line_points):
-        assert graded_quotient(g, f, grading, bound) == reference_quotient(g, f, grading, bound)
-        assert graded_exp(h, grading, bound, zero) == reference_exp(h, grading, bound, zero)
-        g = {p: c for p, c in g.items() if dot(grading, p) >= 1}
-        ratio = reference_quotient(g, f, grading, bound)
-        want = reference_exp(ratio, grading, bound, zero)
-        assert ci_mirror._exp_of_quotient(g, f, grading, bound) == want
+    assert graded_quotient(g, f, grading, bound) == reference_quotient(g, f, grading, bound)
+    assert graded_exp(h, grading, bound) == reference_exp(h, grading, bound, zero)
+    g = {p: c for p, c in g.items() if dot(grading, p) >= 1}
+    ratio = reference_quotient(g, f, grading, bound)
+    want = reference_exp(ratio, grading, bound, zero)
+    assert ci_mirror._exp_of_quotient(as_tail(g), as_tail(f), grading, bound) == want
+    # only a one-coordinate grading leaves no free coordinate to pack along
+    lines = ci_mirror._Lines(grading, bound, as_tail(f), as_tail(g))
+    assert (lines.k1 is None) == (len(grading) == 1)
 
 
 @settings(max_examples=80, deadline=None)
@@ -411,8 +412,7 @@ def test_a_slot_at_the_exact_bound_reads_back(bits, shift, log_length, log_v, si
     c = 2**bits // (length * v) + shift
     f = {(1, y): F(-sign * c) for y in range(length)}
     g = {(0, y): F(v) for y in range(length + extra)}
-    with mock.patch.object(ci_mirror, "_LINE_POINTS", 1):
-        quotient = graded_quotient(g, f, (1, 0), bound)
+    quotient = graded_quotient(g, f, (1, 0), bound)
     assert quotient[(1, length - 1)] == sign * length * c * v
     assert quotient == reference_quotient(g, f, (1, 0), bound)
 
@@ -428,13 +428,11 @@ def test_a_first_layer_at_the_exact_bound_reads_back(bits, shift, signs, bound):
     # with f empty the quotient is g itself: every slot of r_0 is a scaled
     # numerator of g_0 alone, at a power-of-two edge of the width
     g = {(0, y): F(s * (2**bits + shift)) for y, s in enumerate(signs)}
-    with mock.patch.object(ci_mirror, "_LINE_POINTS", 1):
-        assert graded_quotient(g, {}, (1, 0), bound) == g
+    assert graded_quotient(g, {}, (1, 0), bound) == g
 
 
-def test_two_triangles_tails_lie_on_one_line_per_grade(two_triangles_spec):
-    # the bench workload's lattice tails: weights (-1, 0), so every grade
-    # layer of F and G is one dense line along the second coordinate
+def mirror_tails(spec, index, bound, **kwargs):
+    """The lattice weights and the ``f`` and ``g`` tails ``mirror_map`` passes to the graded step."""
     tails = {}
 
     def spy(g, f, grading, bound):
@@ -443,12 +441,35 @@ def test_two_triangles_tails_lie_on_one_line_per_grade(two_triangles_spec):
 
     exp_of_quotient = ci_mirror._exp_of_quotient
     with mock.patch.object(ci_mirror, "_exp_of_quotient", spy):
-        mirror_map(two_triangles_spec, 2, 12, radius=4)
-    lines = ci_mirror._Lines(tails["grading"], 12, tails["f"], tails["g"])
-    assert tails["grading"] == (-1, 0) and (lines.k0, lines.k1) == (0, 1)
+        mirror_map(spec, index, bound, **kwargs)
+    return tails["grading"], tails["f"], tails["g"]
+
+
+def test_two_triangles_tails_lie_on_one_line_per_grade(two_triangles_spec):
+    # the bench workload's lattice tails: weights (-1, 0), so every grade
+    # layer of F and G is one dense line along the second coordinate
+    grading, f, g = mirror_tails(two_triangles_spec, 2, 12, radius=4)
+    lines = ci_mirror._Lines(grading, 12, f, g)
+    assert grading == (-1, 0) and (lines.k0, lines.k1) == (0, 1)
     for layers in lines.layers:
-        assert all(len(layer.points) + len(layer.lines) == 1 for layer in layers.values())
-        assert sum(len(layer.lines) for layer in layers.values()) >= len(layers) - 1
+        assert all(len(layer.lines) == 1 for layer in layers.values())
+        longer = [layer for layer in layers.values() if len(layer.lines[0][1]) > 1]
+        assert len(longer) >= len(layers) - 1
+
+
+@pytest.mark.parametrize("column", range(1, 7))
+def test_hexagon_tails_pack_along_a_free_coordinate(column):
+    # the rank-4 tails of the hexagon-mirror8 workload: a free coordinate
+    # always exists past rank 1, so the lines run along one and some hold
+    # more than one point
+    spec = load_problem(str(FIXTURES / "hexagon.json")).spec
+    grading, f, g = mirror_tails(spec, column, 8, radius=4)
+    lines = ci_mirror._Lines(grading, 8, f, g)
+    assert len(grading) == 4 and lines.k1 is not None
+    assert len({lines.k0, lines.k1, *lines.rest}) == 4
+    layers = [layer for layers in lines.layers for layer in layers.values()]
+    slots = [len(slots) for layer in layers for _, slots in layer.lines]
+    assert max(slots) > 1
 
 
 class TestMirrorMap:
@@ -662,3 +683,28 @@ def test_quintic_period_known_answer():
     for n in range(11):
         exponent = tuple(x + n * d for x, d in zip(problem.v, (-5, 1, 1, 1, 1, 1)))
         assert series.coefficient(exponent) == (-1) ** n * fact(5 * n) // fact(n) ** 5
+
+
+def test_quintic_mirror_map_known_answer():
+    # Candelas-de la Ossa-Green-Parkes: with F = sum (5n)!/(n!)^5 z^n and
+    # G = 5 sum (5n)!/(n!)^5 (H_5n - H_n) z^n, the map exp(G/F) of the
+    # relation (-5,1,1,1,1,1) is m_0^(-5) * m_1^5, read along n*(-5,1,1,1,1,1)
+    # in the alternating-sign convention of the generating function.  The
+    # lattice has rank 1, so the graded step runs with no free coordinate.
+    bound, grading, zero = 8, (1,), (0,)
+    spec = load_problem(str(FIXTURES / "quintic.json")).spec
+    ray = (-5, 1, 1, 1, 1, 1)
+    logs = []
+    for column in (0, 1):
+        q = mirror_map(spec, column, bound, radius=10)
+        assert len(q.coefficients) == bound + 1
+        along = {(n,): q.coefficients[tuple(n * x for x in ray)] for n in range(bound + 1)}
+        logs.append(graded_log(along, grading, bound, zero))
+    exponent = {p: 5 * (logs[1].get(p, 0) - logs[0].get(p, 0)) for p in logs[0] | logs[1]}
+    got = reference_exp(exponent, grading, bound, zero)
+    period = {n: F(fact(5 * n), fact(n) ** 5) for n in range(bound + 1)}
+    f = {(n,): period[n] for n in range(1, bound + 1)}
+    g = {(n,): 5 * period[n] * (harmonic(5 * n) - harmonic(n)) for n in range(1, bound + 1)}
+    want = reference_exp(reference_quotient(g, f, grading, bound), grading, bound, zero)
+    assert got == {(n,): (-1) ** n * c for (n,), c in want.items()}
+    assert [want[(n,)] for n in range(5)] == [1, 770, 1014275, 1703916750, 3286569025625]

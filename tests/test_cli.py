@@ -3,10 +3,16 @@
 import hashlib
 import json
 import os
+import re
 import subprocess
 import sys
+import tempfile
+from fractions import Fraction
+from pathlib import Path
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from gkzlog.cli import main
 from gkzlog.support import SupportBox
@@ -555,6 +561,42 @@ def test_quintic_mirror_is_integral(tmp_path):
     quintic = str(FIXTURES / "quintic.json")
     assert main(["mirror", quintic, "--index", "1", "--grade", "12", "--out", str(out)]) == 0
     assert (out / "mirror_0_1.report").read_text().splitlines()[-1] == "OK"
+
+
+# The eight points of [-1, 1]^2 but the origin: with the origin, any 3-8 of
+# them make a one-set CI whose only possible interior point is the origin.
+SQUARE_RING = [(x, y) for x in (-1, 0, 1) for y in (-1, 0, 1) if x or y]
+COEFFS_LINE = re.compile(r"(\d+) \| \((-?\d+(?:,-?\d+)*)\) \| (-?\d+(?:/\d+)?)")
+
+
+@settings(max_examples=60, deadline=None)
+@given(
+    points=st.lists(st.sampled_from(SQUARE_RING), min_size=3, max_size=8, unique=True),
+    radius=st.integers(0, 2),
+    data=st.data(),
+)
+def test_mirror_exit_codes_under_fuzzing(points, radius, data):
+    # every run ends in a documented exit code, and a passing run's
+    # artifacts agree with each other and with its run report
+    column = data.draw(st.integers(0, len(points)))
+    with tempfile.TemporaryDirectory() as tmp:
+        problem = Path(tmp) / "ci.json"
+        problem.write_text(json.dumps({"ci": {"point_sets": [[(0, 0), *points]]}}))
+        out = Path(tmp) / "out"
+        args = ["mirror", str(problem), "--index", str(column), "--grade", "4"]
+        code = main([*args, "--radius", str(radius), "--out", str(out)])
+        assert code in (0, 1, 2, 3)
+        if code != 0:
+            return
+        non_integer = 0
+        for line in (out / f"mirror_0_{column}.coeffs").read_text().splitlines():
+            match = COEFFS_LINE.fullmatch(line)
+            assert match, line
+            non_integer += Fraction(match[3]).denominator != 1
+        report = json.loads((out / "run_report.json").read_text())
+        assert report["non_integer_coefficients"] == non_integer
+        last = (out / f"mirror_0_{column}.report").read_text().splitlines()[-1]
+        assert (last == "OK") == (non_integer == 0)
 
 
 def test_negative_radius_and_grade_are_input_errors(tmp_path, capsys):

@@ -7,8 +7,10 @@ README's "Library layout" table is held to the modules it describes: every
 code name it lists in a module's row is an attribute of that module.  The
 names the benchmark tracer (``bench/``, outside the test paths) wraps by
 name are held to the package too.  A dead-code scan stands in for a linter:
-every name a module imports is used in it, and every private module-level
-function or class is referenced somewhere in the package.
+every name a module imports is used in it, every private module-level
+function or class is referenced somewhere in the package, and every public
+one is exported in ``gkzlog.__all__`` or referenced somewhere in the
+package.
 """
 
 import ast
@@ -135,12 +137,13 @@ def unused_imports(tree):
                     yield node.lineno, name
 
 
-def unreferenced_private_defs(trees):
-    """``(module, name)`` of each private top-level function or class no other statement names.
+def unreferenced_defs(trees):
+    """``(module, name)`` of each top-level function or class no other statement names.
 
     ``trees`` maps module names to parsed modules.  A reference is a name,
     an attribute or an imported name in any top-level statement of the
     package but the definition itself, so recursion does not count.
+    Dunder names are exempt.
     """
     statements = [(module, stmt) for module, tree in trees.items() for stmt in tree.body]
     names = []
@@ -157,10 +160,24 @@ def unreferenced_private_defs(trees):
     for k, (module, stmt) in enumerate(statements):
         if not isinstance(stmt, (ast.FunctionDef, ast.ClassDef)):
             continue
-        if not stmt.name.startswith("_") or stmt.name.startswith("__"):
+        if stmt.name.startswith("__"):
             continue
         if not any(stmt.name in found for j, found in enumerate(names) if j != k):
             yield module, stmt.name
+
+
+def unreferenced_private_defs(trees):
+    """``(module, name)`` of each private definition of ``unreferenced_defs``."""
+    return [(module, name) for module, name in unreferenced_defs(trees) if name.startswith("_")]
+
+
+def dead_public_defs(trees, exported):
+    """``(module, name)`` of each public definition of ``unreferenced_defs`` not in ``exported``."""
+    return [
+        (module, name)
+        for module, name in unreferenced_defs(trees)
+        if not name.startswith("_") and name not in exported
+    ]
 
 
 @pytest.mark.parametrize("path", SOURCES, ids=lambda path: path.name)
@@ -169,9 +186,18 @@ def test_module_reads_every_name_it_imports(path):
     assert list(unused_imports(tree)) == []
 
 
+def package_trees():
+    return {path.stem: ast.parse(path.read_text(), filename=str(path)) for path in SOURCES}
+
+
 def test_every_private_definition_is_referenced():
-    trees = {path.stem: ast.parse(path.read_text(), filename=str(path)) for path in SOURCES}
-    assert list(unreferenced_private_defs(trees)) == []
+    assert unreferenced_private_defs(package_trees()) == []
+
+
+def test_every_public_definition_is_exported_or_referenced():
+    import gkzlog
+
+    assert dead_public_defs(package_trees(), set(gkzlog.__all__)) == []
 
 
 def test_the_dead_code_scan_flags_each_kind():
@@ -190,7 +216,28 @@ def test_the_dead_code_scan_flags_each_kind():
     tree = ast.parse(source)
     assert sorted(unused_imports(tree)) == [(2, "sys"), (3, "kernel_rows")]
     other = ast.parse("from .m import _used\n")
-    assert list(unreferenced_private_defs({"m": tree, "n": other})) == [
-        ("m", "_dead"),
-        ("m", "_Dead"),
-    ]
+    assert unreferenced_private_defs({"m": tree, "n": other}) == [("m", "_dead"), ("m", "_Dead")]
+
+
+def test_the_public_dead_code_scan_flags_each_kind():
+    source = (
+        "def dead(n):\n"
+        "    return dead(n - 1) if n else 0\n"
+        "def exported():\n"
+        "    pass\n"
+        "def used():\n"
+        "    pass\n"
+        "def called():\n"
+        "    pass\n"
+        "class Dead:\n"
+        "    pass\n"
+        "class Named:\n"
+        "    pass\n"
+        "def __getattr__(name):\n"
+        "    pass\n"
+        "def _private():\n"
+        "    pass\n"
+    )
+    other = ast.parse("from .m import used\nx = called() or m.Named\n")
+    trees = {"m": ast.parse(source), "n": other}
+    assert dead_public_defs(trees, {"exported"}) == [("m", "dead"), ("m", "Dead")]
