@@ -13,61 +13,8 @@ from importlib import import_module
 
 __version__ = "0.1.0"
 
-__all__ = [
-    "CISpec",
-    "MirrorMap",
-    "build_system",
-    "integrality_report",
-    "mirror_map",
-    "positive_grading",
-    "UniLogPoly",
-    "bracket",
-    "bracket_vec",
-    "chain_constants",
-    "elem_sym_shifted",
-    "f_coeffs",
-    "mono_sum_shifted",
-    "DegenerateHull",
-    "GkzError",
-    "MinimalityViolation",
-    "NoPositiveFunctional",
-    "NonLatticeExponent",
-    "PoleAtShift",
-    "ProblemFileError",
-    "ResourceLimit",
-    "UndefinedBracket",
-    "IntMatrix",
-    "RelationLattice",
-    "kernel_basis",
-    "LogSeries",
-    "LogTerm",
-    "SeriesMeta",
-    "build_tail",
-    "build_tails",
-    "combine",
-    "from_text",
-    "log_free_coefficients",
-    "tails_read",
-    "to_text",
-    "BoxOp",
-    "CertifiedReport",
-    "EulerOp",
-    "apply_box",
-    "apply_euler",
-    "differentiate",
-    "verify_box_annihilation",
-    "verify_box_operators",
-    "verify_euler_annihilation",
-    "Polytope",
-    "has_unique_interior_point",
-    "interior_lattice_points",
-    "minkowski_hull",
-    "SupportBox",
-    "SupportVerdict",
-    "nsupp",
-]
 
-# The module that defines each name of __all__.
+# The module that defines each exported name, in the order of __all__.
 _HOME = {
     "CISpec": "ci_mirror",
     "MirrorMap": "ci_mirror",
@@ -76,18 +23,13 @@ _HOME = {
     "mirror_map": "ci_mirror",
     "positive_grading": "ci_mirror",
     "UniLogPoly": "coefficients",
-    "bracket": "coefficients",
-    "bracket_vec": "coefficients",
     "chain_constants": "coefficients",
-    "elem_sym_shifted": "coefficients",
     "f_coeffs": "coefficients",
-    "mono_sum_shifted": "coefficients",
     "DegenerateHull": "errors",
     "GkzError": "errors",
     "MinimalityViolation": "errors",
     "NoPositiveFunctional": "errors",
     "NonLatticeExponent": "errors",
-    "PoleAtShift": "errors",
     "ProblemFileError": "errors",
     "ResourceLimit": "errors",
     "UndefinedBracket": "errors",
@@ -119,8 +61,8 @@ _HOME = {
     "minkowski_hull": "polytope",
     "SupportBox": "support",
     "SupportVerdict": "support",
-    "nsupp": "support",
 }
+__all__ = list(_HOME)
 
 
 def __getattr__(name):

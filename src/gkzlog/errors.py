@@ -10,10 +10,11 @@ class GkzError(Exception):
 class UndefinedBracket(GkzError):
     """A shifted product would invert a zero factor.
 
-    Raised by ``bracket(z, k)`` when ``z`` is a negative integer and
-    ``k >= -z``, so that one of the factors ``z + 1, ..., z + k`` vanishes.
-    ``index`` identifies the offending coordinate for vector inputs
-    (0-based), ``None`` for scalar calls.
+    Raised by ``log_free_coefficients`` when a log-free coordinate ``z``
+    is a negative integer and its shift ``k >= -z``, so that one of the
+    factors ``z + 1, ..., z + k`` of the bracket ``[z]_k`` vanishes.
+    ``index`` identifies the offending coordinate (0-based), ``None``
+    when there is none.
     """
 
     def __init__(self, z, k, index=None):
@@ -22,15 +23,6 @@ class UndefinedBracket(GkzError):
         self.index = index
         where = "" if index is None else f" at index {index}"
         super().__init__(f"bracket({z}, {k}) undefined{where}: a factor z+j is zero")
-
-
-class PoleAtShift(GkzError):
-    """Some shifted argument ``z + j`` is zero where a reciprocal is needed."""
-
-    def __init__(self, z, shift):
-        self.z = z
-        self.shift = shift
-        super().__init__(f"pole: z + {shift} = 0 for z = {z}")
 
 
 class MinimalityViolation(GkzError):

@@ -209,15 +209,6 @@ class LogSeries:
         parts = [(self, weight, (i,)) for i, weight in enumerate(ivec)]
         return _weighted_sum(self.nvars, parts, self.meta)
 
-    def filter_terms(self, predicate) -> "LogSeries":
-        """Keep the terms where ``predicate(exponent, logdeg)`` holds (``Fraction`` exponents)."""
-        kept = {k: n for k, n in self._terms.items() if predicate(self._exponent(k[0]), k[1])}
-        return LogSeries._of(self.nvars, self.exp_den, self.coeff_den, kept, self.meta)
-
-    def with_term_added(self, exponent, logdeg, delta) -> "LogSeries":
-        """Copy with ``delta`` added to one coefficient (mutation testing)."""
-        return self + LogSeries.monomial(exponent, logdeg, delta, self.meta)
-
 
 def _weighted_sum(nvars, parts, meta) -> LogSeries:
     """Sum of ``weight * series * prod(log(lambda_b) for b in logs)`` over ``parts``.

@@ -46,8 +46,3 @@ def to_int(value, what: str = "value", minimum: int | None = None) -> int:
 
 def rational_vector(values) -> tuple[Fraction, ...]:
     return tuple(to_rational(v) for v in values)
-
-
-def is_negative_integer(value) -> bool:
-    q = value if isinstance(value, Fraction) else Fraction(value)
-    return q.denominator == 1 and q < 0

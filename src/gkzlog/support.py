@@ -50,11 +50,6 @@ def support_points(v, lattice: RelationLattice, excluded, bounds, max_points) ->
     return lattice.points_from_coords(_lattice_points(rows, lattice.rank, max_points))
 
 
-def nsupp(vector, excluded=()) -> frozenset[int]:
-    """Indices (outside ``excluded``) where ``vector`` is a negative integer."""
-    return frozenset(k for k in support_rows(vector, (), excluded) if vector[k] < 0)
-
-
 class SupportVerdict(Value):
     """Outcome of a bounded minimality scan.
 

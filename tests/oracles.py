@@ -1,12 +1,183 @@
-"""Plain ``Fraction`` oracles of the graded mirror-map arithmetic.
+"""Plain ``Fraction`` oracles of the package's exact arithmetic.
 
-The package runs the quotient ``g / (1 + f)`` and the exponential on
-packed grade lines (``gkzlog.ci_mirror._graded_recurrence``).  These
-oracles compute the same series, and the product and logarithm that
-invert them, on point-keyed ``Fraction`` slices, one point at a time.
+- The paper's closed forms of the derivative-chain coefficients: the
+  shifted product ``[z]_k`` (``bracket``), shifted symmetric sums, and
+  ``closed_form_f_coeffs`` assembled from them, with the arithmetic of
+  ``UniLogPoly`` that states the chain recurrence.  The package walks
+  that recurrence on integers instead (``gkzlog.coefficients``).
+- The negative support of a vector, read off coordinate by coordinate
+  (``nsupp``), and the mutation helpers of ``LogSeries``.
+- The graded mirror-map arithmetic.  The package runs the quotient
+  ``g / (1 + f)`` and the exponential on packed grade lines
+  (``gkzlog.ci_mirror._graded_recurrence``).  These oracles compute the
+  same series, and the product and logarithm that invert them, on
+  point-keyed ``Fraction`` slices, one point at a time.
 """
 
 from fractions import Fraction
+
+from gkzlog import LogSeries, MinimalityViolation, UndefinedBracket, UniLogPoly
+
+
+class PoleAtShift(ArithmeticError):
+    """Some shifted argument ``z + j`` is zero where a reciprocal is needed."""
+
+    def __init__(self, z, shift):
+        self.z = z
+        self.shift = shift
+        super().__init__(f"pole: z + {shift} = 0 for z = {z}")
+
+
+def _negative_integer(z) -> bool:
+    return z.denominator == 1 and z < 0
+
+
+def bracket(z, k: int) -> Fraction:
+    """The shifted product ``[z]_k``.
+
+        [z]_0 = 1
+        [z]_k = 1 / ((z+1)(z+2)...(z+k))      for k > 0
+        [z]_k = z(z-1)...(z+k+1)              for k < 0
+
+    Undefined exactly when ``z`` is a negative integer and ``k >= -z``
+    (a zero factor would be inverted); raises :class:`UndefinedBracket`.
+    """
+    z = Fraction(z)
+    if k == 0:
+        return Fraction(1)
+    if k > 0:
+        if _negative_integer(z) and k >= -z:
+            raise UndefinedBracket(z, k)
+        denom = Fraction(1)
+        for j in range(1, k + 1):
+            denom *= z + j
+        return 1 / denom
+    prod = Fraction(1)
+    for j in range(-k):
+        prod *= z - j
+    return prod
+
+
+def bracket_vec(zs, ks) -> Fraction:
+    """Product of coordinate-wise brackets for equal-length vectors."""
+    if len(zs) != len(ks):
+        raise ValueError("vector lengths differ")
+    total = Fraction(1)
+    for index, (z, k) in enumerate(zip(zs, ks)):
+        try:
+            total *= bracket(z, int(k))
+        except UndefinedBracket as exc:
+            raise UndefinedBracket(exc.z, exc.k, index=index) from None
+    return total
+
+
+def elem_sym_shifted(i: int, j: int, z) -> Fraction:
+    """Elementary symmetric sum of degree ``j`` in ``z, z-1, ..., z-i+1``."""
+    if i < 1:
+        raise ValueError("i must be positive")
+    if not 0 <= j <= i:
+        raise ValueError("need 0 <= j <= i")
+    z = Fraction(z)
+    acc = [Fraction(1)] + [Fraction(0)] * j
+    for t in range(i):
+        x = z - t
+        for d in range(min(t + 1, j), 0, -1):
+            acc[d] += x * acc[d - 1]
+    return acc[j]
+
+
+def mono_sum_shifted(k: int, i: int, z) -> Fraction:
+    """Sum of all degree-``i`` monomials in ``1/(z+1), ..., 1/(z+k)``.
+
+    Raises :class:`PoleAtShift` when some ``z + j`` vanishes.
+    """
+    if k < 1:
+        raise ValueError("k must be positive")
+    if i < 0:
+        raise ValueError("i must be nonnegative")
+    z = Fraction(z)
+    acc = [Fraction(1)] + [Fraction(0)] * i
+    for j in range(1, k + 1):
+        if z + j == 0:
+            raise PoleAtShift(z, j)
+        x = 1 / (z + j)
+        for d in range(1, i + 1):
+            acc[d] += x * acc[d - 1]
+    return acc[i]
+
+
+def closed_form_f_coeffs(z, k: int, m: int) -> UniLogPoly:
+    """``f_coeffs(z, k, m)`` in closed form, from brackets and shifted symmetric sums.
+
+    For ``k < 0`` the coefficient of ``log**(m-i)`` is ``m!/(m-i)!`` times
+    the elementary symmetric sum of degree ``-k-i`` in ``z, ..., z+k+1``;
+    for ``k > 0`` it is ``(-1)**i m!/(m-i)! [z]_k`` times the complete
+    sum of degree ``i`` in ``1/(z+1), ..., 1/(z+k)``.  Raises
+    :class:`MinimalityViolation`, as the package does, where ``z`` is a
+    negative integer and ``k >= -z``.
+    """
+    if not 0 <= m <= 2:
+        raise ValueError("log power must be in 0..2")
+    z = Fraction(z)
+    if k > 0 and _negative_integer(z) and k >= -z:
+        raise MinimalityViolation(
+            f"f_coeffs({z}, {k}, {m}) has no product formula (z negative integer, k >= -z)"
+        )
+    if k == 0:
+        return UniLogPoly.of([Fraction(0)] * m + [Fraction(1)])
+    coeffs = [Fraction(0)] * (m + 1)
+    falling = Fraction(1)
+    if k < 0:
+        for i in range(min(-k, m) + 1):
+            coeffs[m - i] = falling * elem_sym_shifted(-k, -k - i, z)
+            falling *= m - i
+    else:
+        b = bracket(z, k)
+        for i in range(m + 1):
+            coeffs[m - i] = (-1) ** i * falling * b * mono_sum_shifted(k, i, z)
+            falling *= m - i
+    return UniLogPoly.of(coeffs)
+
+
+def scaled(poly: UniLogPoly, factor) -> UniLogPoly:
+    return UniLogPoly.of(c * Fraction(factor) for c in poly.coeffs)
+
+
+def plus(a: UniLogPoly, b: UniLogPoly) -> UniLogPoly:
+    long, short = a.coeffs, b.coeffs
+    if len(long) < len(short):
+        long, short = short, long
+    merged = list(long)
+    for d, c in enumerate(short):
+        merged[d] += c
+    return UniLogPoly.of(merged)
+
+
+def dlog(poly: UniLogPoly) -> UniLogPoly:
+    """Derivative with respect to the log variable."""
+    return UniLogPoly.of(d * c for d, c in enumerate(poly.coeffs) if d > 0)
+
+
+def nsupp(vector, excluded=()) -> frozenset[int]:
+    """Indices (outside ``excluded``) where ``vector`` is a negative integer."""
+    if any(not 0 <= i < len(vector) for i in excluded):
+        raise ValueError("excluded index out of range")
+    return frozenset(
+        k
+        for k, x in enumerate(vector)
+        if k not in excluded and _negative_integer(Fraction(x))
+    )
+
+
+def filter_terms(series: LogSeries, predicate) -> LogSeries:
+    """Copy of ``series`` with the terms where ``predicate(exponent, logdeg)`` holds."""
+    kept = {key: coeff for key, coeff in series.items() if predicate(*key)}
+    return LogSeries(series.nvars, kept, series.meta)
+
+
+def with_term_added(series: LogSeries, exponent, logdeg, delta) -> LogSeries:
+    """Copy of ``series`` with ``delta`` added to one coefficient (mutation testing)."""
+    return series + LogSeries.monomial(exponent, logdeg, delta, series.meta)
 
 
 def grade_slices(mapping, grading):

@@ -11,10 +11,11 @@ from fractions import Fraction
 from pathlib import Path
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import event, given, settings
 from hypothesis import strategies as st
 
-from gkzlog.cli import main
+from gkzlog import BoxOp, SeriesMeta, from_text, kernel_basis, verify_box_operators
+from gkzlog.cli import load_problem, main
 from gkzlog.support import SupportBox
 from tests.conftest import FIXTURES, projective_ci_sets
 
@@ -597,6 +598,61 @@ def test_mirror_exit_codes_under_fuzzing(points, radius, data):
         assert report["non_integer_coefficients"] == non_integer
         last = (out / f"mirror_0_{column}.report").read_text().splitlines()[-1]
         assert (last == "OK") == (non_integer == 0)
+
+
+MATRIX_PROBLEMS = [
+    json.loads((FIXTURES / name).read_text()) for name in ("gauss.json", "square_pyramid.json")
+]
+SHIFTS = st.one_of(st.integers(-2, 2).map(Fraction), st.fractions(-2, 2, max_denominator=3))
+WRONG_TYPES = st.sampled_from([None, True, 1.5, "1", {}, [[]], ["1/0"], [1.5], "[[1]]"])
+
+
+@st.composite
+def matrix_problems(draw):
+    """A matrix fixture with a perturbed ``v``, an inconsistent ``beta``, a mistyped field or
+    a missing key."""
+    raw = dict(draw(st.sampled_from(MATRIX_PROBLEMS)))
+    # mostly consistent problems, so that many runs pass and their series are checked
+    change = draw(st.sampled_from(["v", "v", "v", "beta", "type", "missing"]))
+    if change == "v":  # beta follows v, so the problem stays consistent
+        v = [Fraction(x) + draw(SHIFTS) for x in raw["v"]]
+        raw["v"] = [str(x) for x in v]
+        raw["beta"] = [str(sum(a * x for a, x in zip(row, v))) for row in raw["matrix"]]
+    elif change == "beta":
+        i = draw(st.integers(0, len(raw["beta"]) - 1))
+        shift = draw(st.sampled_from([-1, 1, Fraction(1, 3), Fraction(-1, 2)]))
+        raw["beta"] = [str(Fraction(b) + shift * (k == i)) for k, b in enumerate(raw["beta"])]
+    elif change == "type":
+        raw[draw(st.sampled_from(["matrix", "beta", "v", "radius"]))] = draw(WRONG_TYPES)
+    else:
+        del raw[draw(st.sampled_from(["matrix", "beta", "v"]))]
+    return raw
+
+
+@settings(max_examples=100, deadline=None)
+@given(raw=matrix_problems(), order=st.integers(0, 2), radius=st.integers(1, 3))
+def test_solve_exit_codes_under_fuzzing(raw, order, radius):
+    # every run ends in a documented exit code, and a passing run's series
+    # re-parse and pass the box operators of the lattice basis again
+    with tempfile.TemporaryDirectory() as tmp:
+        problem = Path(tmp) / "problem.json"
+        problem.write_text(json.dumps(raw))
+        out = Path(tmp) / "out"
+        args = ["solve", str(problem), "--order", str(order), "--radius", str(radius)]
+        code = main([*args, "--out", str(out)])
+        assert code in (0, 1, 2, 3)
+        event(f"exit {code}, order {order}")
+        if code != 0:
+            return
+        loaded = load_problem(str(problem))
+        lattice = kernel_basis(loaded.matrix)
+        meta = SeriesMeta(loaded.v, lattice, radius)
+        ops = [BoxOp(row) for row in lattice.basis]
+        names = json.loads((out / "run_report.json").read_text())["artifacts"]
+        assert names[0] == "F.series"
+        for name in names:
+            series = from_text((out / name).read_text(), len(loaded.v), meta)
+            assert all(report.passed for report in verify_box_operators(series, ops)), name
 
 
 def test_negative_radius_and_grade_are_input_errors(tmp_path, capsys):

@@ -3,8 +3,9 @@
 The series builders and the mirror map read their coefficients from
 ``chain_constants`` tables through ``log_free_coefficients``, one walk
 per coordinate and log power for all the keys of a call.  The closed
-forms (``bracket``, ``bracket_vec`` and ``f_coeffs``, which is built from
-``elem_sym_shifted`` and ``mono_sum_shifted``) are the oracle here.
+forms in ``tests/oracles.py`` (``bracket``, ``bracket_vec`` and
+``closed_form_f_coeffs``, which is built from ``elem_sym_shifted`` and
+``mono_sum_shifted``) are the oracle here.
 """
 
 from fractions import Fraction as F
@@ -18,8 +19,6 @@ from gkzlog import (
     MinimalityViolation,
     SupportBox,
     UndefinedBracket,
-    bracket,
-    bracket_vec,
     build_tail,
     build_tails,
     chain_constants,
@@ -29,6 +28,7 @@ from gkzlog import (
 )
 from gkzlog.cli import load_problem
 from tests.conftest import FIXTURES, GAUSS_MATRIX
+from tests.oracles import bracket, bracket_vec, closed_form_f_coeffs
 
 
 def closed_form_chain(z, m, lo, hi):
@@ -36,7 +36,7 @@ def closed_form_chain(z, m, lo, hi):
     out = []
     for k in range(lo, hi + 1):
         try:
-            out.append(f_coeffs(z, k, m).constant)
+            out.append(closed_form_f_coeffs(z, k, m).constant)
         except MinimalityViolation:
             break
     return out
@@ -46,14 +46,14 @@ def closed_form_coefficient(v, point, logs):
     """The coefficient as the closed forms give it, or the exception they raise.
 
     Log-free coordinates are brackets and come first; coordinates with a
-    log power are constant terms of ``f_coeffs``.
+    log power are constant terms of ``closed_form_f_coeffs``.
     """
     powers = [logs.count(j) for j in range(len(v))]
     try:
         out = F(1)
         for j in sorted(range(len(v)), key=lambda j: powers[j] > 0):
             z, k, m = v[j], point[j], powers[j]
-            out *= bracket(z, k) if m == 0 else f_coeffs(z, k, m).constant
+            out *= bracket(z, k) if m == 0 else closed_form_f_coeffs(z, k, m).constant
         return out
     except (UndefinedBracket, MinimalityViolation) as exc:
         return type(exc)

@@ -1,20 +1,29 @@
-"""Scalar kernel tests: brackets, symmetric sums, log-coefficient families."""
+"""Scalar kernel tests: the derivative-chain walk against the closed forms.
+
+``f_coeffs`` reads one member of the package's integer chain walk; the
+closed forms (brackets and shifted symmetric sums) live in
+``tests/oracles.py``, and their own hand values are checked here first.
+"""
 
 from fractions import Fraction as F
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from gkzlog import (
-    MinimalityViolation,
+from gkzlog import MinimalityViolation, UndefinedBracket, f_coeffs
+from gkzlog.coefficients import UniLogPoly
+from tests.oracles import (
     PoleAtShift,
-    UndefinedBracket,
     bracket,
     bracket_vec,
+    closed_form_f_coeffs,
+    dlog,
     elem_sym_shifted,
-    f_coeffs,
     mono_sum_shifted,
+    plus,
+    scaled,
 )
-from gkzlog.coefficients import UniLogPoly
 
 
 @pytest.mark.parametrize("z", [F(0), F(1), F(-5, 2), F(1, 3), F(-7)])
@@ -84,8 +93,16 @@ def test_f_coeffs_examples():
     assert f_coeffs(F(5, 7), 0, 1) == UniLogPoly.of([0, 1])
     assert f_coeffs(F(-1, 2), -1, 1) == UniLogPoly.of([1, F(-1, 2)])
     assert f_coeffs(0, 2, 2) == UniLogPoly.of([F(7, 4), F(-3, 2), F(1, 2)])
-    with pytest.raises(MinimalityViolation):
+    with pytest.raises(MinimalityViolation) as err:
         f_coeffs(-2, 2, 1)
+    message = "f_coeffs(-2, 2, 1) has no product formula (z negative integer, k >= -z)"
+    assert str(err.value) == message
+
+
+@pytest.mark.parametrize("m", [-1, 3])
+def test_f_coeffs_log_power_is_capped(m):
+    with pytest.raises(ValueError, match="log power must be in 0..2"):
+        f_coeffs(F(1, 2), 1, m)
 
 
 @pytest.mark.parametrize("z", [F(0), F(1), F(-5, 2), F(1, 3)])
@@ -102,7 +119,8 @@ def test_f_coeffs_derivative_chain(m, z, k):
     # (z+k) * f + df/dlog.
     here = f_coeffs(z, k, m)
     prev = f_coeffs(z, k - 1, m)
-    assert here.scaled(z + k).plus(here.dlog()) == prev
+    assert plus(scaled(here, z + k), dlog(here)) == prev
+    assert here == closed_form_f_coeffs(z, k, m)
 
 
 def test_f_coeffs_negative_one_quadratic_has_no_constant():
@@ -115,4 +133,27 @@ def test_f_coeffs_negative_one_quadratic_has_no_constant():
 def test_purity_bit_identical():
     for _ in range(3):
         assert f_coeffs(F(-5, 2), 4, 2) == f_coeffs(F(-5, 2), 4, 2)
-        assert bracket(F(22, 7), -5) == bracket(F(22, 7), -5)
+
+
+def outcome(function, z, k, m):
+    """What ``function`` returns, or the message of the ``MinimalityViolation`` it raises."""
+    try:
+        return function(z, k, m)
+    except MinimalityViolation as exc:
+        return str(exc)
+
+
+@settings(max_examples=400, deadline=None)
+@given(
+    z=st.one_of(
+        st.integers(-9, 9).map(F),
+        st.fractions(min_value=-9, max_value=9, max_denominator=7),
+    ),
+    k=st.integers(-8, 8),
+    m=st.integers(0, 2),
+)
+def test_walk_matches_the_closed_form_for_random_rationals(z, k, m):
+    walked = outcome(f_coeffs, z, k, m)
+    assert walked == outcome(closed_form_f_coeffs, z, k, m)
+    # both stop exactly where a factor z + j, 1 <= j <= k, vanishes
+    assert isinstance(walked, str) == (z.denominator == 1 and z < 0 and k >= -z)

@@ -8,9 +8,11 @@ code name it lists in a module's row is an attribute of that module.  The
 names the benchmark tracer (``bench/``, outside the test paths) wraps by
 name are held to the package too.  A dead-code scan stands in for a linter:
 every name a module imports is used in it, every private module-level
-function or class is referenced somewhere in the package, and every public
+function or class is referenced somewhere in the package, every public
 one is exported in ``gkzlog.__all__`` or referenced somewhere in the
-package.
+package, and every public method of a package class is read somewhere in
+the package, the tests or the benchmark.  Each export resolves to the
+object of that name in the module ``gkzlog._HOME`` gives for it.
 """
 
 import ast
@@ -24,6 +26,8 @@ import pytest
 
 ROOT = Path(__file__).resolve().parent.parent
 SOURCES = sorted((ROOT / "src" / "gkzlog").glob("*.py"))
+READERS = SOURCES + sorted((ROOT / "tests").glob("*.py"))
+READERS += sorted((ROOT / "bench").glob("*.py"))
 
 
 def contract_breaches(tree):
@@ -123,8 +127,10 @@ def unused_imports(tree):
     """
     read = {node.id for node in ast.walk(tree) if isinstance(node, ast.Name)}
     for node in tree.body:
-        if isinstance(node, ast.Assign) and any(
-            isinstance(t, ast.Name) and t.id == "__all__" for t in node.targets
+        if (
+            isinstance(node, ast.Assign)
+            and any(isinstance(t, ast.Name) and t.id == "__all__" for t in node.targets)
+            and isinstance(node.value, (ast.List, ast.Tuple))
         ):
             read |= {elt.value for elt in node.value.elts}
     for node in ast.walk(tree):
@@ -180,6 +186,31 @@ def dead_public_defs(trees, exported):
     ]
 
 
+def dead_methods(trees, readers):
+    """``(module, "Class.method")`` of each public method no tree of ``readers`` reads.
+
+    ``trees`` maps module names to parsed modules whose classes are
+    scanned.  A method is read where its name is read as an attribute
+    (``x.name``) or is a string constant, as the benchmark names the
+    methods it wraps, in any of the parsed ``readers``.
+    """
+    read = set()
+    for tree in readers:
+        for node in ast.walk(tree):
+            if isinstance(node, ast.Attribute) and isinstance(node.ctx, ast.Load):
+                read.add(node.attr)
+            elif isinstance(node, ast.Constant) and isinstance(node.value, str):
+                read.add(node.value)
+    for module, tree in trees.items():
+        for cls in ast.walk(tree):
+            if not isinstance(cls, ast.ClassDef):
+                continue
+            for stmt in cls.body:
+                if isinstance(stmt, ast.FunctionDef) and not stmt.name.startswith("_"):
+                    if stmt.name not in read:
+                        yield module, f"{cls.name}.{stmt.name}"
+
+
 @pytest.mark.parametrize("path", SOURCES, ids=lambda path: path.name)
 def test_module_reads_every_name_it_imports(path):
     tree = ast.parse(path.read_text(), filename=str(path))
@@ -198,6 +229,22 @@ def test_every_public_definition_is_exported_or_referenced():
     import gkzlog
 
     assert dead_public_defs(package_trees(), set(gkzlog.__all__)) == []
+
+
+def test_every_public_method_is_read():
+    readers = [ast.parse(path.read_text(), filename=str(path)) for path in READERS]
+    assert list(dead_methods(package_trees(), readers)) == []
+
+
+def test_every_export_is_the_object_of_its_home_module():
+    import gkzlog
+
+    homes = {
+        name: getattr(importlib.import_module(f"gkzlog.{module}"), name)
+        for name, module in gkzlog._HOME.items()
+    }
+    assert {name: getattr(gkzlog, name) for name in gkzlog.__all__} == homes
+    assert gkzlog.__all__ == list(homes)
 
 
 def test_the_dead_code_scan_flags_each_kind():
@@ -241,3 +288,34 @@ def test_the_public_dead_code_scan_flags_each_kind():
     other = ast.parse("from .m import used\nx = called() or m.Named\n")
     trees = {"m": ast.parse(source), "n": other}
     assert dead_public_defs(trees, {"exported"}) == [("m", "dead"), ("m", "Dead")]
+
+
+def test_the_dead_method_scan_flags_each_kind():
+    source = (
+        "class Shape:\n"
+        "    def read(self):\n"
+        "        pass\n"
+        "    def named(self):\n"
+        "        pass\n"
+        "    @property\n"
+        "    def unread(self):\n"
+        "        pass\n"
+        "    def stored(self):\n"
+        "        pass\n"
+        "    def _private(self):\n"
+        "        pass\n"
+        "    def __len__(self):\n"
+        "        return 0\n"
+        "    class Inner:\n"
+        "        def lost(self):\n"
+        "            pass\n"
+        "def read():\n"
+        "    pass\n"
+    )
+    tree = ast.parse(source)
+    other = ast.parse("x = Shape().read() or 'named'\nx.stored = read()\n")
+    assert list(dead_methods({"m": tree}, [tree, other])) == [
+        ("m", "Shape.unread"),
+        ("m", "Shape.stored"),
+        ("m", "Inner.lost"),
+    ]

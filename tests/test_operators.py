@@ -20,7 +20,6 @@ from gkzlog import (
     build_tail,
     combine,
     differentiate,
-    f_coeffs,
     kernel_basis,
     verify_box_annihilation,
     verify_box_operators,
@@ -43,6 +42,7 @@ from tests.conftest import (
     gauss_v,
     point_of,
 )
+from tests.oracles import closed_form_f_coeffs, with_term_added
 
 
 def test_differentiate_power_rule():
@@ -86,11 +86,11 @@ def test_partials_commute_on_random_series():
 @pytest.mark.parametrize("k", range(-4, 5))
 def test_differentiate_matches_coefficient_chain(m, z, k):
     # one-variable series t^(z+k) * f(log t) differentiates to the k-1 member
-    poly = f_coeffs(z, k, m)
+    poly = closed_form_f_coeffs(z, k, m)
     series = LogSeries(
         1, {((z + k,), (d,)): c for d, c in enumerate(poly.coeffs) if c}
     )
-    prev = f_coeffs(z, k - 1, m)
+    prev = closed_form_f_coeffs(z, k - 1, m)
     want = LogSeries(
         1, {((z + k - 1,), (d,)): c for d, c in enumerate(prev.coeffs) if c}
     )
@@ -112,10 +112,10 @@ def test_apply_box_zero_series():
 def derivative_oracle(exponent, logdeg, coeff, orders):
     """Terms of prod_j (d/dlambda_j)^orders[j] of one monomial, read off the
     derivative chain: the k-th derivative of t^u log(t)^d is member -k of
-    the chain that ``f_coeffs`` describes."""
+    the chain that ``closed_form_f_coeffs`` describes."""
     terms = {((), ()): coeff}
     for u, d, k in zip(exponent, logdeg, orders):
-        poly = f_coeffs(u, -k, d).coeffs
+        poly = closed_form_f_coeffs(u, -k, d).coeffs
         terms = {
             (e + (u - k,), degs + (m,)): c * w
             for (e, degs), c in terms.items()
@@ -259,7 +259,7 @@ class TestVerification:
         box = SupportBox(PYRAMID_V, pyramid_lattice, 4)
         series_f = build_tail(box, ())
         quasi = series_f.mul_log_linear((0, 0, 0, 0, 1)) + build_tail(box, (4,))
-        corrupted = quasi.with_term_added((F(1), F(0), F(1), F(0), F(-1)), (0,) * 5, 1)
+        corrupted = with_term_added(quasi, (F(1), F(0), F(1), F(0), F(-1)), (0,) * 5, 1)
         failures = [
             verify_box_annihilation(corrupted, BoxOp(row))
             for row in pyramid_lattice.basis
@@ -314,7 +314,7 @@ def test_mutations_flip_verification(gauss_lattice):
     ops = [BoxOp(row) for row in gauss_lattice.basis]
     assert all(verify_box_annihilation(quasi, op).passed for op in ops)
     for term in quasi.terms():
-        mutated = quasi.with_term_added(term.exponent, term.logdeg, 1)
+        mutated = with_term_added(quasi, term.exponent, term.logdeg, 1)
         assert any(not verify_box_annihilation(mutated, op).passed for op in ops), term
 
 
@@ -421,7 +421,7 @@ def test_box_check_solves_once_per_residual_term(pyramid_lattice, monkeypatch):
     monkeypatch.setattr(operators, "solve_echelon", counted_solve)
     box = SupportBox(PYRAMID_V, pyramid_lattice, 4)
     quasi = build_tail(box, ()).mul_log_linear((0, 0, 0, 0, 1)) + build_tail(box, (4,))
-    corrupted = quasi.with_term_added((F(1), F(0), F(1), F(0), F(-1)), (0,) * 5, 1)
+    corrupted = with_term_added(quasi, (F(1), F(0), F(1), F(0), F(-1)), (0,) * 5, 1)
     for series in (quasi, corrupted):
         for row in pyramid_lattice.basis:
             calls.clear()

@@ -17,7 +17,6 @@ from gkzlog import (
     kernel_basis,
     minkowski_hull,
     mirror_map,
-    nsupp,
 )
 from gkzlog.cli import load_problem
 from gkzlog.polytope import _cone_rays, _lattice_points, _normalized
@@ -32,6 +31,7 @@ from tests.conftest import (
     fm_lattice_points,
     projective_ci_sets,
 )
+from tests.oracles import nsupp
 
 CI_FIXTURES = ["ci_two_triangles", "ci_quadrilateral", "quintic", "hexagon"]
 

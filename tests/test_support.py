@@ -12,11 +12,11 @@ from gkzlog import (
     SupportBox,
     SupportVerdict,
     kernel_basis,
-    nsupp,
 )
 from gkzlog.cli import load_problem
 from gkzlog.support import support_rows
 from tests.conftest import FIXTURES, GAUSS_MATRIX, PYRAMID_MATRIX, box_points, gauss_v
+from tests.oracles import nsupp
 
 PYRAMID_V = (F(0), F(0), F(0), F(0), F(1))
 
