@@ -494,21 +494,22 @@ def mirror_map(
 ) -> MirrorMap:
     """Mirror-map series of one column, exact to the given grade bound.
 
-    Verifies the unique-interior-point hypothesis and the minimality
-    checks (one ``SupportBox`` of radius ``max(1, radius)``) and finds
-    positive weights on the extreme rays of the support cones, in lattice
-    coordinates (``positive_grading``); the ambient grading is their one
-    integer lift.  The ``F`` and ``G`` tails are the support points of
-    ``v`` cut by the grade row ``grade_bound - weights . y >= 0`` (``y``
-    the lattice coordinates, ``_lattice_points``), so truncation at the
-    bound is exact and no radius bounds them; each enumeration, like those
-    of the minimality checks, is capped at ``max_points``.  The tails stay
-    keyed by ``y``, with the integer numerators and the one denominator of
-    ``log_free_coefficients``, and the quotient ``G / F`` and its
-    exponential are computed grade by grade on one set of packed lines
-    (``_exp_of_quotient``); the result is mapped to ambient points once.
-    The reported radius is the smallest power-of-two multiple of ``max(1, radius)`` whose box would enclose
-    the tails, read off from the rays.
+    Verifies the unique-interior-point hypothesis and the minimality checks
+    (one ``SupportBox`` of radius ``max(1, radius)``) and finds positive
+    weights, in lattice coordinates (``positive_grading``), on the extreme
+    rays of the cone that the support cones' extreme rays generate; the
+    ambient grading is their one integer lift.  The ``F`` and ``G`` tails are
+    the support points of ``v`` cut by the grade row
+    ``grade_bound - weights . y >= 0`` (``y`` the lattice coordinates,
+    ``_lattice_points``), so truncation at the bound is exact and no radius
+    bounds them; each enumeration, like those of the minimality checks, is
+    capped at ``max_points``.  The tails stay keyed by ``y``, with the integer
+    numerators and the one denominator of ``log_free_coefficients``, and the
+    quotient ``G / F`` and its exponential are computed grade by grade on
+    one set of packed lines (``_exp_of_quotient``); the result is mapped to
+    ambient points once.  The reported radius is the smallest power-of-two
+    multiple of ``max(1, radius)`` whose box would enclose the tails, read
+    off from the rays.
     """
     if isinstance(index, int):
         index = spec.column_of(index)
@@ -551,9 +552,10 @@ def mirror_map(
         for column in range(width)
     }
     rays = sorted(set().union(*(_cone_rays(cone, lattice.rank) for cone in cones)))
-    # Every support point lies in its column's cone, which the rays generate,
-    # so the rays alone fix the weights of the grade row.
-    weights = positive_grading(rays)
+    # Every support point lies in its column's cone, which the rays generate;
+    # an integer w positive on the extreme rays of their cone, read off its
+    # dual, is >= 1 on every ray, so those fix the weights of the grade row.
+    weights = positive_grading(_cone_rays(_cone_rays(rays, lattice.rank), lattice.rank))
     # The ambient grading the report prints.  The unique interior point makes
     # the a_j - a_(j0) positively span R^d, so a strictly positive relation
     # exists and the all-rows cone, inside every column's cone, is

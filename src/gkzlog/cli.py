@@ -6,6 +6,9 @@ solve/combine command re-verifies its own output through the operator
 module before reporting success.  Output files are byte-identical across
 runs of the same input; wall-clock timing goes to stdout only.
 
+``solve --order K`` (any ``K >= 0``) and ``combine`` (one ``--l`` lattice
+point per log order) run one pipeline, ``_series_run``, at every order.
+
 Exit codes: 0 pass, 1 verification failure, 2 input or output error
 (an unwritable ``--out`` or a closed stdout), 3 resource limit.
 
@@ -178,26 +181,25 @@ def cmd_support(args) -> int:
 def _series_run(args, started, problem, box, sets, artifacts, euler, parameters) -> int:
     """The pipeline of ``solve`` and ``combine``; returns the exit code.
 
-    Sweeps ``box`` over the excluded ``sets`` (exit 1 after printing
+    Sweeps ``box`` over the excluded ``sets`` and then the keys of the
+    tails the ``artifacts`` read (exit 1 after printing
     ``_solve_failure(excluded)`` for the first one that is not minimal),
-    builds each tail the ``artifacts`` read once, in one ``build_tails``
-    call, and writes each artifact ``(name, terms)`` as ``combine(tails,
-    terms)``, box-verified against the whole basis in one
-    ``verify_box_operators`` call and, unless ``euler`` is None,
-    Euler-verified against its ``(matrix, beta)``; then
-    ``run_report.json``.  Every
-    support set is enumerated before the first write, so a capped run
-    writes nothing.
+    builds each of those tails once, in one ``build_tails`` call, and
+    writes each artifact ``(name, terms)`` as ``combine(tails, terms)``,
+    box-verified against the whole basis in one ``verify_box_operators``
+    call and, unless ``euler`` is None, Euler-verified against its
+    ``(matrix, beta)``; then ``run_report.json``.  Every support set is
+    enumerated before the first write, so a capped run writes nothing.
     """
     from .logseries import build_tails, combine, tails_read, to_text
     from .operators import BoxOp, verify_box_operators, verify_euler_annihilation
 
-    verdicts = box.sweep(sets)
+    needed = tails_read(term for _, terms in artifacts for term in terms)
+    verdicts = box.sweep([*sets, *needed])
     for excluded, verdict in verdicts.items():
         if not verdict.minimal:
             print(_solve_failure(excluded))
             return 1
-    needed = tails_read(term for _, terms in artifacts for term in terms)
     tails = build_tails(box, needed)
     ops = [BoxOp(row) for row in box.lattice.basis]
     labels = [f"box({','.join(str(x) for x in row)})" for row in box.lattice.basis]
@@ -233,70 +235,56 @@ def _series_run(args, started, problem, box, sets, artifacts, euler, parameters)
 
 
 def cmd_solve(args) -> int:
+    from itertools import combinations_with_replacement
+
     started = time.perf_counter()
     problem, lattice, radius = _load_box_inputs(args)
     ncols = problem.matrix.n_cols
+    order = to_int(args.order, "order", minimum=0)
 
-    indices, pairs = [], []
-    if args.order == 0 and args.indices is not None:
-        raise ProblemFileError("--indices needs --order 1 or 2")
-    if args.order >= 1:
-        indices = range(ncols) if args.indices is None else _parse_index_list(args.indices, ncols)
-        if not indices:
+    if args.indices is None:
+        keys = combinations_with_replacement(range(ncols), order)
+    elif order == 0:
+        raise ProblemFileError("--indices needs --order 1 or more")
+    else:
+        flat = _parse_index_list(args.indices, ncols)
+        if not flat:
             raise ProblemFileError(f"--indices {args.indices!r} names no index")
-        indices = sorted(set(indices))
-    if args.order == 2 and args.indices is not None:
-        for chunk in args.indices.split():
-            parts = chunk.split(",")
-            if len(parts) != 2:
-                raise ProblemFileError(f"order-2 indices are 'i,j' pairs, got {chunk!r}")
-            i, j = (_int(p) for p in parts)
-            if not (0 <= i < ncols and 0 <= j < ncols):
-                raise ProblemFileError(f"pair {chunk!r} out of range 0..{ncols - 1}")
-            pairs.append((min(i, j), max(i, j)))
-    elif args.order == 2:
-        pairs = [(i, j) for i in range(ncols) for j in range(i, ncols)]
-    pairs = sorted(set(pairs))
-    sets = [()] + [(i,) for i in indices] + pairs
-
-    artifacts = [("F.series", [(1, ())])]
-    if args.order == 1:
-        artifacts += [(f"quasi1_{i}.series", [(1, (i,))]) for i in indices]
-    elif args.order == 2:
-        artifacts += [(f"quasi2_{i}_{j}.series", [(1, (i, j))]) for i, j in pairs]
+        if len(flat) % order:
+            raise ProblemFileError(f"--indices: {len(flat)} indices are not {order}-tuples")
+        keys = {tuple(sorted(flat[s : s + order])) for s in range(0, len(flat), order)}
+    artifacts = [("F.series", [(1, ())])] + [
+        (f"quasi{order}_{'_'.join(map(str, logs))}.series", [(1, logs)])
+        for logs in sorted(keys)
+        if logs
+    ]
     box = SupportBox(problem.v, lattice, radius, args.max_terms)
-    parameters = {"order": args.order, "radius": radius}
-    return _series_run(args, started, problem, box, sets, artifacts, None, parameters)
+    parameters = {"order": order, "radius": radius}
+    return _series_run(args, started, problem, box, (), artifacts, None, parameters)
 
 
 def cmd_combine(args) -> int:
+    from itertools import combinations, product
+    from math import prod
+
     started = time.perf_counter()
     problem, lattice, radius = _load_box_inputs(args)
     ncols = problem.matrix.n_cols
 
-    point = _parse_int_vector(args.l, ncols)
-    if any(problem.matrix.mul_vec(point)):
-        raise ProblemFileError(f"l = {point} is not in the relation lattice")
-    point2 = None
-    if args.lprime is not None:
-        point2 = _parse_int_vector(args.lprime, ncols)
-        if any(problem.matrix.mul_vec(point2)):
-            raise ProblemFileError(f"l' = {point2} is not in the relation lattice")
-
-    sets = [()] + [(i,) for i in range(ncols)]
-    if point2 is None:
-        terms = [(la, (a,)) for a, la in enumerate(point)]
-    else:
-        sets += [(i, j) for i in range(ncols) for j in range(i + 1, ncols)]
-        terms = [(la * lb, (a, b)) for a, la in enumerate(point) for b, lb in enumerate(point2)]
+    points = [_parse_int_vector(text, ncols) for text in args.l]
+    for point in points:
+        if any(problem.matrix.mul_vec(point)):
+            raise ProblemFileError(f"l = {point} is not in the relation lattice")
+    order = len(points)
+    sets = [()] + [s for size in range(1, order + 1) for s in combinations(range(ncols), size)]
+    terms = [
+        (prod(point[a] for point, a in zip(points, logs)), logs)
+        for logs in product(range(ncols), repeat=order)
+    ]
     box = SupportBox(problem.v, lattice, radius, args.max_terms)
     artifacts = [("solution.series", terms)]
     euler = (problem.matrix, problem.beta)
-    parameters = {
-        "l": list(point),
-        "lprime": list(point2) if point2 is not None else None,
-        "radius": radius,
-    }
+    parameters = {"l": [list(point) for point in points], "radius": radius}
     return _series_run(args, started, problem, box, sets, artifacts, euler, parameters)
 
 
@@ -410,14 +398,13 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("solve", help="build and verify (quasi)solutions")
     common(p, out=True)
-    p.add_argument("--order", type=int, choices=(0, 1, 2), required=True)
-    p.add_argument("--indices", default=None, help="log indices; pairs 'i,j' for order 2")
+    p.add_argument("--order", type=int, required=True, help="log order K >= 0")
+    p.add_argument("--indices", default=None, help="log indices, cut into K-tuples")
     p.set_defaults(func=cmd_solve)
 
     p = sub.add_parser("combine", help="combine quasisolutions into a solution")
     common(p, out=True)
-    p.add_argument("--l", required=True, help="lattice point, e.g. '(-1,-1,1,1)'")
-    p.add_argument("--lprime", default=None, help="second lattice point (second order)")
+    p.add_argument("--l", action="append", required=True, help="lattice point, once per order")
     p.set_defaults(func=cmd_combine)
 
     p = sub.add_parser("ci", help="build a lifted system and check hypotheses")

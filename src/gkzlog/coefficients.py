@@ -26,8 +26,6 @@ from .errors import MinimalityViolation
 from .rationals import to_rational
 from .values import Value
 
-MAX_LOG_POWER = 2
-
 
 class UniLogPoly(Value):
     """Polynomial in a single log variable; ``coeffs[d]`` multiplies ``log**d``."""
@@ -97,14 +95,14 @@ def f_coeffs(z, k: int, m: int) -> UniLogPoly:
 
     The chain starts at ``t**z log(t)**m`` and each step is d/dt; the
     member at index ``k`` factors as ``t**(z+k)`` times the polynomial
-    returned here.  ``m`` is capped at 2.
+    returned here.  ``m``, the log power, is any nonnegative integer.
 
     The case ``z`` a negative integer with ``k >= -z`` has no product
     formula; it is excluded by the minimality hypotheses of every caller,
     so requesting it raises :class:`MinimalityViolation`.
     """
-    if not 0 <= m <= MAX_LOG_POWER:
-        raise ValueError(f"log power must be in 0..{MAX_LOG_POWER}")
+    if m < 0:
+        raise ValueError("log power must be nonnegative")
     z = to_rational(z)
     for poly, d in _walk([0] * m + [1], 1, z, k, k):
         return UniLogPoly.of(Fraction(c, d) for c in poly)

@@ -21,6 +21,7 @@ keys)`` call (``build_tail(box, logs)`` is its one-key case):
     (i,)     the log-free partner G_i of F * log(lambda_i)
     (i, j)   the log-free partner H_ij of the second-order
              quasisolution (i = j for a repeated index)
+    (a1, ..., ak)  sorted: the tail of the order-k quasisolution
 
 and one rule, ``combine``, assembles every quasisolution and solution
 from them: a multiset ``S`` of log indices stands for
@@ -42,7 +43,8 @@ from __future__ import annotations
 
 import re
 from fractions import Fraction
-from math import gcd, lcm
+from itertools import product
+from math import comb, gcd, lcm, prod
 from operator import add, mul
 
 from .coefficients import chain_constants, f_coeffs
@@ -237,7 +239,8 @@ def log_free_coefficients(v, point_sets) -> dict:
     The coefficient of a point is the product over coordinates ``j`` of
     the constant term of ``f_coeffs(v[j], point[j], m_j)``, with log
     power ``m_j = logs.count(j)``; ``logs`` is ``()`` for F, ``(i,)`` for
-    ``G_i``, ``(i, i)`` for ``H_ii`` and ``(i, j)`` for ``H_ij``.  Each
+    ``G_i``, ``(i, i)`` for ``H_ii``, ``(i, j)`` for ``H_ij`` and a sorted
+    ``k``-tuple for a tail of order ``k``.  Each
     distinct ``(j, m_j)`` walks its derivative chain once, over the union
     of the ranges of ``point[j]`` in the keys that share it, into
     ``(num, den)`` int pairs.  A key's coefficients are the integer
@@ -287,8 +290,9 @@ def build_tails(box: SupportBox, keys) -> dict:
     The tail of ``logs`` holds one term per point of the support set that
     excludes ``logs`` with a nonzero rule value (``log_free_coefficients``):
     ``()`` gives ``F``, whose coefficient at the base exponent is 1,
-    ``(i,)`` the partner ``G_i`` of ``F * log(lambda_i)`` and ``(i, j)``
-    the second-order tail ``H_ij`` (``i = j`` for a repeated index).  Every
+    ``(i,)`` the partner ``G_i`` of ``F * log(lambda_i)``, ``(i, j)``
+    the second-order tail ``H_ij`` (``i = j`` for a repeated index), and
+    a sorted ``k``-tuple the tail of order ``k``.  Every
     support set is enumerated before the first coefficient, and all of
     them share one set of chain tables.  Support points keep every
     log-free coordinate that is a negative integer negative, so only a
@@ -319,28 +323,32 @@ def build_tail(box: SupportBox, logs) -> LogSeries:
 
 
 def _splits(logs):
-    """``(tail key, log factors)`` for each subset of the positions of the multiset ``logs``."""
-    logs = sorted(logs)
-    for mask in range(1 << len(logs)):
-        yield (
-            tuple(b for k, b in enumerate(logs) if mask >> k & 1),
-            tuple(b for k, b in enumerate(logs) if not mask >> k & 1),
-        )
+    """``(tail key, log factors, count)`` for each sub-multiset of the multiset ``logs``.
+
+    ``count = prod_b C(m_b, t_b)``, with ``m_b`` and ``t_b`` the multiplicities
+    of ``b`` in ``logs`` and in the key, is how many subsets of the positions
+    of ``logs`` give the key: ``prod_b (m_b + 1)`` splits, not ``2**len(logs)``.
+    """
+    counts = [(b, logs.count(b)) for b in sorted(set(logs))]
+    for taken in product(*(range(m + 1) for _, m in counts)):
+        tail = tuple(b for (b, _), t in zip(counts, taken) for _ in range(t))
+        factors = tuple(b for (b, m), t in zip(counts, taken) for _ in range(m - t))
+        yield tail, factors, prod(comb(m, t) for (_, m), t in zip(counts, taken))
 
 
 def tails_read(terms) -> list[tuple[int, ...]]:
     """Keys of the tails ``combine(tails, terms)`` reads: F's ``()``, then by length and index."""
     keys = {()}
-    keys.update(tail for weight, logs in terms if weight for tail, _ in _splits(logs))
+    keys.update(tail for weight, logs in terms if weight for tail, _, _ in _splits(logs))
     return sorted(keys, key=lambda key: (len(key), key))
 
 
 def combine(tails, terms) -> LogSeries:
     """Sum over ``(w, S)`` in ``terms`` of ``w * sum_{T in S} tails[T] * log^(S \\ T)``.
 
-    ``S`` is a multiset of log indices and ``T`` runs over the subsets of
-    the positions of ``S``; ``log^(S \\ T)`` is ``prod_{b in S \\ T}
-    log(lambda_b)``.  So ``[(1, (i,))]`` is ``F*log_i + G_i`` and
+    ``S`` is a multiset of log indices of any size ``k`` and ``T`` runs over
+    the subsets of the positions of ``S``; ``log^(S \\ T)`` is ``prod_{b in
+    S \\ T} log(lambda_b)``.  So ``[(1, (i,))]`` is ``F*log_i + G_i`` and
     ``[(1, (i, i))]`` is ``F*log_i^2 + 2*G_i*log_i + H_ii``.  ``tails``
     maps sorted index tuples to series; only the keys ``tails_read``
     names are read, and their dimension and metadata must agree with
@@ -353,7 +361,7 @@ def combine(tails, terms) -> LogSeries:
         if any(not 0 <= b < n for b in key) or tails[key].nvars != n:
             raise ValueError("dimension mismatch")
         meta = _merge_meta(meta, tails[key].meta)
-    parts = [(tails[tail], w, factors) for w, logs in terms for tail, factors in _splits(logs)]
+    parts = [(tails[t], w * count, f) for w, logs in terms for t, f, count in _splits(logs)]
     return _weighted_sum(n, parts, meta)
 
 

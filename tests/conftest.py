@@ -2,7 +2,7 @@
 
 import itertools
 from fractions import Fraction as F
-from math import gcd
+from math import gcd, prod
 from pathlib import Path
 
 import pytest
@@ -21,6 +21,7 @@ from gkzlog import (
 from gkzlog.ci_mirror import DEFAULT_GRADING_BOUND
 from gkzlog.linalg import hnf_rows, kernel_rows, solve_echelon, solve_integer
 from gkzlog.rationals import rational_vector, to_int, to_rational
+from tests.oracles import position_splits
 
 FIXTURES = Path(__file__).resolve().parent.parent / "fixtures"
 
@@ -367,13 +368,10 @@ def fraction_add_into(out, series, weight, logs):
 
 
 def fraction_combine(tails, terms):
-    """``combine`` on ``FractionSeries`` tails: each split of each weighted multiset in turn."""
+    """``combine`` on ``FractionSeries`` tails: each position split of each weighted multiset."""
     out = {}
     for weight, logs in terms:
-        logs = sorted(logs)
-        for mask in range(1 << len(logs) if weight else 0):
-            tail = tuple(b for k, b in enumerate(logs) if mask >> k & 1)
-            factors = tuple(b for k, b in enumerate(logs) if not mask >> k & 1)
+        for tail, factors in position_splits(logs) if weight else ():
             fraction_add_into(out, tails[tail], weight, factors)
     return FractionSeries(tails[()].nvars, out, tails[()].meta)
 
@@ -386,11 +384,16 @@ def fraction_to_text(series):
     )
 
 
-def solution_terms(point, point2=None):
-    """``combine`` terms of the solution for ``l`` (first order) or ``l, l'`` (second order)."""
-    if point2 is None:
-        return [(la, (a,)) for a, la in enumerate(point)]
-    return [(la * lb, (a, b)) for a, la in enumerate(point) for b, lb in enumerate(point2)]
+def solution_terms(*points):
+    """``combine`` terms of the order-``k`` solution of ``k`` lattice points ``l1, ..., lk``.
+
+    The weight of the index tuple ``(a_1, ..., a_k)`` is ``prod_t l_t[a_t]``.
+    """
+    n = len(points[0])
+    return [
+        (prod(point[a] for point, a in zip(points, logs)), logs)
+        for logs in itertools.product(range(n), repeat=len(points))
+    ]
 
 
 def tails_of(box, terms):

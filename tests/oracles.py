@@ -7,6 +7,11 @@
   that recurrence on integers instead (``gkzlog.coefficients``).
 - The negative support of a vector, read off coordinate by coordinate
   (``nsupp``), and the mutation helpers of ``LogSeries``.
+- The subsets of the positions of a multiset of log indices
+  (``position_splits``), over which ``tests/conftest.py``'s
+  ``fraction_combine`` combines tails.  The package enumerates the
+  distinct sub-multisets once each, with their multiplicities
+  (``gkzlog.logseries._splits``).
 - The graded mirror-map arithmetic.  The package runs the quotient
   ``g / (1 + f)`` and the exponential on packed grade lines
   (``gkzlog.ci_mirror._graded_recurrence``).  These oracles compute the
@@ -116,8 +121,8 @@ def closed_form_f_coeffs(z, k: int, m: int) -> UniLogPoly:
     :class:`MinimalityViolation`, as the package does, where ``z`` is a
     negative integer and ``k >= -z``.
     """
-    if not 0 <= m <= 2:
-        raise ValueError("log power must be in 0..2")
+    if m < 0:
+        raise ValueError("log power must be nonnegative")
     z = Fraction(z)
     if k > 0 and _negative_integer(z) and k >= -z:
         raise MinimalityViolation(
@@ -178,6 +183,16 @@ def filter_terms(series: LogSeries, predicate) -> LogSeries:
 def with_term_added(series: LogSeries, exponent, logdeg, delta) -> LogSeries:
     """Copy of ``series`` with ``delta`` added to one coefficient (mutation testing)."""
     return series + LogSeries.monomial(exponent, logdeg, delta, series.meta)
+
+
+def position_splits(logs):
+    """``(tail key, log factors)`` for each subset of the positions of the multiset ``logs``."""
+    logs = sorted(logs)
+    for mask in range(1 << len(logs)):
+        yield (
+            tuple(b for k, b in enumerate(logs) if mask >> k & 1),
+            tuple(b for k, b in enumerate(logs) if not mask >> k & 1),
+        )
 
 
 def grade_slices(mapping, grading):

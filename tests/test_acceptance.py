@@ -505,7 +505,7 @@ def test_criterion_8_determinism(tmp_path):
                 str(FIXTURES / "square_pyramid.json"),
                 "--l",
                 "(-1,0,-1,0,2)",
-                "--lprime",
+                "--l",
                 "(0,1,0,1,-2)",
             ],
             "triangles": [

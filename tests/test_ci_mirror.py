@@ -23,7 +23,7 @@ from gkzlog import ci_mirror
 from gkzlog.ci_mirror import _pack, _unpack, render_coefficients, render_integrality_report
 from gkzlog import polytope
 from gkzlog.cli import load_problem
-from gkzlog.linalg import kernel_rows, solve_integer
+from gkzlog.linalg import hnf_rows, kernel_rows, solve_integer
 from gkzlog.polytope import _cone_rays
 from gkzlog.support import SupportBox, support_rows
 from tests.conftest import (
@@ -180,6 +180,72 @@ class TestPositiveGrading:
         grading = solve_integer(lattice.basis, positive_grading(rays))
         assert grading == (-3, 3, 0, 0, 3, 1, 1, 0, 0, 0)
         assert len(levels) == 8  # the input and one level per eliminated coordinate
+
+
+CI_SPECS = {
+    **{
+        name: load_problem(str(FIXTURES / f"{name}.json")).spec
+        for name in ("ci_two_triangles", "ci_quadrilateral", "quintic", "hexagon")
+    },
+    "rank7_triangle": CISpec.from_lists(RANK7_TRIANGLE),
+}
+
+
+def union_cone_extreme_rays(rays, rank):
+    """The extreme rays of the cone the rays generate, read off its dual, as ``mirror_map`` does."""
+    return _cone_rays(_cone_rays(rays, rank), rank)
+
+
+@pytest.mark.parametrize("name", sorted(CI_SPECS))
+def test_the_union_cone_extreme_rays_grade_as_all_rays_do(name, monkeypatch):
+    spec = CI_SPECS[name]
+    lattice, rays = support_cone_rays(spec)
+    extreme = union_cone_extreme_rays(rays, lattice.rank)
+    assert set(extreme) <= set(rays)
+    assert positive_grading(extreme) == positive_grading(rays)
+    # the grading system of mirror_map holds one row, w . ray >= 1, per extreme ray
+    systems = []
+    points = ci_mirror._lattice_points
+    record = lambda rows, *args: systems.append(rows) or points(rows, *args)
+    monkeypatch.setattr(ci_mirror, "_lattice_points", record)
+    mirror_map(spec, 1, 1)
+    assert sum(c == -1 for _, c in systems[0]) == len(extreme)
+    if name == "hexagon":
+        assert (len(rays), len(extreme)) == (11, 6)
+
+
+@settings(max_examples=150, deadline=None)
+@given(
+    st.integers(2, 4).flatmap(
+        lambda rank: st.tuples(
+            st.just(rank),
+            st.lists(
+                st.lists(st.tuples(*[st.integers(-2, 2)] * rank), min_size=rank, max_size=rank + 2),
+                min_size=1,
+                max_size=3,
+            ),
+        )
+    )
+)
+def test_the_union_cone_extreme_rays_grade_as_all_rays_do_on_random_cones(drawn):
+    # the rays of one to three random pointed cones, spanning the lattice as
+    # the support cones of a mirror map do
+    rank, cones = drawn
+    rays = set()
+    for rows in cones:
+        if len(hnf_rows(rows)) == rank:
+            rays.update(_reference_cone_rays(rows, rank))
+    rays = sorted(rays)
+    assume(rays and len(hnf_rows(rays)) == rank)
+    try:
+        want = positive_grading(rays)
+    except NoPositiveFunctional:
+        with pytest.raises(NoPositiveFunctional):
+            positive_grading(union_cone_extreme_rays(rays, rank))
+        return
+    extreme = union_cone_extreme_rays(rays, rank)
+    assert set(extreme) <= set(rays)
+    assert positive_grading(extreme) == want
 
 
 def as_tail(series):

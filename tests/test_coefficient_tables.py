@@ -9,6 +9,7 @@ forms in ``tests/oracles.py`` (``bracket``, ``bracket_vec`` and
 """
 
 from fractions import Fraction as F
+from itertools import combinations_with_replacement
 from math import gcd
 
 import pytest
@@ -81,7 +82,7 @@ def log_sets(n):
             yield (i, j)
 
 
-@pytest.mark.parametrize("m", [0, 1, 2])
+@pytest.mark.parametrize("m", [0, 1, 2, 3, 4])
 @pytest.mark.parametrize("z", [F(0), F(1), F(-5, 2), F(1, 3)])
 def test_chain_matches_closed_form_on_the_criterion_7_grid(m, z):
     assert chain(z, m, -6, 6) == closed_form_chain(z, m, -6, 6)
@@ -90,11 +91,11 @@ def test_chain_matches_closed_form_on_the_criterion_7_grid(m, z):
 @pytest.mark.parametrize("lo, hi", [(-4, -1), (2, 5), (0, 0), (3, 2)])
 def test_chain_ranges_that_miss_zero(lo, hi):
     z = F(-1, 3)
-    for m in range(3):
+    for m in range(5):
         assert chain(z, m, lo, hi) == closed_form_chain(z, m, lo, hi)
 
 
-@pytest.mark.parametrize("m", [0, 1, 2])
+@pytest.mark.parametrize("m", [0, 1, 2, 3, 4])
 def test_chain_stops_at_the_pole(m):
     # z = -3: f_k is undefined exactly for k >= 3
     constants = chain(F(-3), m, -2, 6)
@@ -188,9 +189,10 @@ rationals = st.one_of(
 @given(data=st.data(), n=st.integers(1, 3))
 def test_multi_key_rule_matches_closed_forms_for_random_rationals(data, n):
     # random points, so keys that share a (j, m) walk its chain over the
-    # union of ranges that differ
+    # union of ranges that differ; keys up to order 4
     v = tuple(data.draw(rationals) for _ in range(n))
-    keys = data.draw(st.lists(st.sampled_from(list(log_sets(n))), unique=True, min_size=1))
+    orders = [key for k in range(5) for key in combinations_with_replacement(range(n), k)]
+    keys = data.draw(st.lists(st.sampled_from(orders), unique=True, min_size=1))
     point = st.tuples(*[st.integers(-6, 6)] * n)
     sets = {logs: data.draw(st.lists(point, max_size=6)) for logs in keys}
     expected = {
@@ -208,7 +210,7 @@ def test_multi_key_rule_matches_closed_forms_for_random_rationals(data, n):
 @settings(max_examples=300, deadline=None)
 @given(
     z=rationals,
-    m=st.integers(0, 2),
+    m=st.integers(0, 4),
     lo=st.integers(-12, 12),
     span=st.integers(0, 12),
 )

@@ -99,10 +99,12 @@ def test_f_coeffs_examples():
     assert str(err.value) == message
 
 
-@pytest.mark.parametrize("m", [-1, 3])
-def test_f_coeffs_log_power_is_capped(m):
-    with pytest.raises(ValueError, match="log power must be in 0..2"):
-        f_coeffs(F(1, 2), 1, m)
+def test_f_coeffs_rejects_only_a_negative_log_power():
+    with pytest.raises(ValueError, match="log power must be nonnegative"):
+        f_coeffs(F(1, 2), 1, -1)
+    for m in (3, 4):
+        for k in (-3, 1, 4):
+            assert f_coeffs(F(1, 2), k, m) == closed_form_f_coeffs(F(1, 2), k, m)
 
 
 @pytest.mark.parametrize("z", [F(0), F(1), F(-5, 2), F(1, 3)])
@@ -111,7 +113,7 @@ def test_f_coeffs_m0_is_bracket(z, k):
     assert f_coeffs(z, k, 0) == UniLogPoly.of([bracket(z, k)])
 
 
-@pytest.mark.parametrize("m", [0, 1, 2])
+@pytest.mark.parametrize("m", [0, 1, 2, 3, 4])
 @pytest.mark.parametrize("z", [F(0), F(1), F(-5, 2), F(1, 3)])
 @pytest.mark.parametrize("k", range(-5, 7))
 def test_f_coeffs_derivative_chain(m, z, k):
@@ -150,7 +152,7 @@ def outcome(function, z, k, m):
         st.fractions(min_value=-9, max_value=9, max_denominator=7),
     ),
     k=st.integers(-8, 8),
-    m=st.integers(0, 2),
+    m=st.integers(0, 4),
 )
 def test_walk_matches_the_closed_form_for_random_rationals(z, k, m):
     walked = outcome(f_coeffs, z, k, m)

@@ -37,13 +37,13 @@ CASES = {
     "combine-gauss-1": ["combine", GAUSS, "--l", "(-1,-1,1,1)", "--radius", "8"],
     "combine-pyramid-1": ["combine", PYRAMID, "--l", "(-1,0,-1,0,2)", "--radius", "4"],
     "combine-gauss-2": [
-        "combine", GAUSS, "--l", "(1,1,-1,-1)", "--lprime", "(-2,-2,2,2)", "--radius", "6",
+        "combine", GAUSS, "--l", "(1,1,-1,-1)", "--l", "(-2,-2,2,2)", "--radius", "6",
     ],
     "combine-pyramid-2": [
-        "combine", PYRAMID, "--l", "(-1,0,-1,0,2)", "--lprime", "(0,1,0,1,-2)", "--radius", "5",
+        "combine", PYRAMID, "--l", "(-1,0,-1,0,2)", "--l", "(0,1,0,1,-2)", "--radius", "5",
     ],
     "combine-pyramid-2-diag": [
-        "combine", PYRAMID, "--l", "(1,-1,1,-1,0)", "--lprime", "(1,-1,1,-1,0)", "--radius", "4",
+        "combine", PYRAMID, "--l", "(1,-1,1,-1,0)", "--l", "(1,-1,1,-1,0)", "--radius", "4",
     ],
     "mirror-triangles-1": ["mirror", TRIANGLES, "--index", "1", "--grade", "10"],
     "mirror-triangles-5": ["mirror", TRIANGLES, "--index", "0,5", "--grade", "10"],
@@ -64,35 +64,35 @@ GOLDEN = {
     "combine-gauss-1": (
         0,
         {
-            "run_report.json": "f9a0f3a7b9d926aa2bdc095019563f2807499c3ea4931b99bbf73f81628c84a1",
+            "run_report.json": "887ca218f04cb550890178bff2851827493306f36b657f17af5ed65f2ce330e8",
             "solution.series": "11c29db30b1a45f9cdf562150fac3c4a1026e156997cbb3db8f6f6f5cb70e765",
         },
     ),
     "combine-gauss-2": (
         0,
         {
-            "run_report.json": "b6841736c126e280659cabc2c431be439982cd56329fe68b507b87cf3692ade2",
+            "run_report.json": "6554da92783419f625dd24c0c4f1cf45bfb4be707021a9288b8e742d943c6ca8",
             "solution.series": "9178d66f188cb3841697bff2bf399778fac2c2472cb43dcad3d994a942d1e436",
         },
     ),
     "combine-pyramid-1": (
         0,
         {
-            "run_report.json": "8008d39604d140ff63c633645ce746eb1f04584b3775135d0285a4f78360c6d1",
+            "run_report.json": "271079b66aa85feafd5aecc39dbc9ab7cb82a426f04ba29dcd09b589932d5f88",
             "solution.series": "8074fb60fd865907c8fa7ea2de84069e7699e7dcf1b3e577994a5a6fba9b6732",
         },
     ),
     "combine-pyramid-2": (
         0,
         {
-            "run_report.json": "6185e7511298a31b2c60af6f28ef27d1237e86073575a8c89809c79897f47fe0",
+            "run_report.json": "39c13a380673a12777a2668293fac384c482bd6189047516b74a022fa405053a",
             "solution.series": "9a17029b44814d9f53297ae9e62771a8113f2d282b354feca50da00fc325e5e2",
         },
     ),
     "combine-pyramid-2-diag": (
         0,
         {
-            "run_report.json": "bc43aa2a40b939d72b0f876679845099ea4cd7651b46f1beeae10d5298465c85",
+            "run_report.json": "b28ac37a07be8dc65f8c98a368f0e38f0aacd39ccdd0a2283e116acaf1fd67a8",
             "solution.series": "0bcda420c9b0ac8185a8ec403328ab9d5b7f9c07d586e3136540f810302d5a06",
         },
     ),

@@ -12,11 +12,14 @@ from gkzlog import (
     ProblemFileError,
     SupportBox,
     build_tail,
+    build_tails,
     combine,
     from_text,
+    kernel_basis,
     tails_read,
     to_text,
 )
+from gkzlog.cli import load_problem
 from gkzlog.logseries import SeriesMeta
 from tests.conftest import (
     FIXTURES,
@@ -27,7 +30,7 @@ from tests.conftest import (
     solution_terms,
     tails_of,
 )
-from tests.oracles import bracket_vec, filter_terms, with_term_added
+from tests.oracles import bracket_vec, filter_terms, position_splits, with_term_added
 
 PYRAMID_V = (F(0), F(0), F(0), F(0), F(1))
 
@@ -260,6 +263,33 @@ def test_combinations_equal_the_operation_chains(series_f, series_g, upper, poin
     assert got == second_order_chain(series_f, series_g, table, unit, unit)
 
 
+@pytest.mark.parametrize("k", [1, 2, 3, 4])
+def test_order_k_solution_leads_with_powers_of_the_log_form(k):
+    # the order-k solution of l, ..., l is F*(l.log)^k + k*(sum_a l_a G_a)*(l.log)^(k-1)
+    # plus terms of lower log degree
+    problem = load_problem(str(FIXTURES / "quintic.json"))
+    lattice = kernel_basis(problem.matrix)
+    (point,) = lattice.basis
+    terms = solution_terms(*[point] * k)
+    tails = build_tails(SupportBox(problem.v, lattice, 3), tails_read(terms))
+    solution = combine(tails, terms)
+
+    def log_degree(series, d):
+        return filter_terms(series, lambda exponent, logdeg: sum(logdeg) == d)
+
+    def times_power(series, d):
+        for _ in range(d):
+            series = series.mul_log_linear(point)
+        return series
+
+    partner = LogSeries.zero(len(point))
+    for a, weight in enumerate(point):
+        partner = partner + tails[(a,)].scale(weight)
+    assert log_degree(solution, k) == times_power(tails[()], k)
+    assert log_degree(solution, k - 1) == times_power(partner, k - 1).scale(k)
+    assert log_degree(solution, k - 1)
+
+
 class TestCombinationChecks:
     def _metas(self, gauss_lattice):
         v = gauss_v(1, 2)
@@ -466,6 +496,25 @@ def test_integer_series_match_the_fraction_oracle(data, first, second, weight, i
         tails[key] = LogSeries(DIFF_NVARS, terms)
         oracle_tails[key] = FractionSeries(DIFF_NVARS, terms)
     terms = [(weight, (0, 1)), (ivec[0], (1,)), (ivec[1], (0, 0)), (1, ())]
+    same(combine(tails, terms), fraction_combine(oracle_tails, terms))
+
+
+@settings(max_examples=100, deadline=None)
+@given(
+    data=st.data(),
+    terms=st.lists(
+        st.tuples(WEIGHT, st.lists(st.integers(0, DIFF_NVARS - 1), max_size=4).map(tuple)),
+        max_size=3,
+    ),
+)
+def test_combine_matches_the_position_subset_oracle(data, terms):
+    # each sub-multiset once with its multiplicity, against all 2**k
+    # position subsets one at a time, up to order 4
+    keys = {()} | {t for w, logs in terms if w for t, _ in position_splits(logs)}
+    assert tails_read(terms) == sorted(keys, key=lambda key: (len(key), key))
+    drawn = {key: data.draw(DIFF_TERMS) for key in sorted(keys)}
+    tails = {key: LogSeries(DIFF_NVARS, t) for key, t in drawn.items()}
+    oracle_tails = {key: FractionSeries(DIFF_NVARS, t) for key, t in drawn.items()}
     same(combine(tails, terms), fraction_combine(oracle_tails, terms))
 
 
