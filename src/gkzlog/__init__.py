@@ -39,7 +39,6 @@ _HOME = {
     "LogSeries": "logseries",
     "LogTerm": "logseries",
     "SeriesMeta": "logseries",
-    "build_tail": "logseries",
     "build_tails": "logseries",
     "combine": "logseries",
     "from_text": "logseries",
@@ -52,7 +51,6 @@ _HOME = {
     "apply_box": "operators",
     "apply_euler": "operators",
     "differentiate": "operators",
-    "verify_box_annihilation": "operators",
     "verify_box_operators": "operators",
     "verify_euler_annihilation": "operators",
     "Polytope": "polytope",

@@ -14,7 +14,7 @@ by integer weights that are positive on the cone's extreme rays
 (``positive_grading``).  Rays and weights are both in the coordinates of
 the relation lattice's basis, and the weights are the first lattice
 point of one system of the lattice-point engine
-(``polytope._lattice_points``); the ambient grading a report prints is
+(``lattice._lattice_points``); the ambient grading a report prints is
 their one integer lift through the basis.  The tails of F and G are read
 from the support cones themselves: cut by the grade row, each cone is a
 polytope whose lattice points the same engine enumerates exactly, with
@@ -54,15 +54,10 @@ from math import gcd, lcm
 from operator import add, mul
 
 from .errors import DegenerateHull, MinimalityViolation, NoPositiveFunctional
-from .lattice import IntMatrix, kernel_basis
+from .lattice import DEFAULT_MAX_BOX_POINTS, IntMatrix, _lattice_points, kernel_basis
 from .linalg import solve_integer
 from .logseries import log_free_coefficients
-from .polytope import (
-    DEFAULT_MAX_BOX_POINTS,
-    _cone_rays,
-    _lattice_points,
-    has_unique_interior_point,
-)
+from .polytope import _cone_rays, has_unique_interior_point
 from .rationals import to_int
 from .support import SupportBox, support_rows
 from .values import Value

@@ -12,10 +12,10 @@ point per log order) run one pipeline, ``_series_run``, at every order.
 Exit codes: 0 pass, 1 verification failure, 2 input or output error
 (an unwritable ``--out`` or a closed stdout), 3 resource limit.
 
-Each command imports the pipeline it runs when it runs: ``mirror`` (and
-loading a ``ci`` problem) imports ``ci_mirror``, and ``solve`` and
-``combine`` import ``logseries`` and ``operators``, so a run compiles
-only the modules it needs.
+Each command imports the pipeline it runs when it runs: loading a ``ci``
+problem imports ``ci_mirror`` and the hull code of ``polytope``, and
+``solve`` and ``combine`` import ``logseries`` and ``operators``, so a
+run compiles only the modules it needs.
 """
 
 from __future__ import annotations
@@ -29,8 +29,7 @@ import time
 from pathlib import Path
 
 from .errors import GkzError, ProblemFileError, ResourceLimit
-from .lattice import IntMatrix, kernel_basis
-from .polytope import DEFAULT_MAX_BOX_POINTS, has_unique_interior_point
+from .lattice import DEFAULT_MAX_BOX_POINTS, IntMatrix, kernel_basis
 from .rationals import rational_vector, to_int
 from .support import SupportBox
 
@@ -91,11 +90,15 @@ def load_problem(path: str) -> Problem:
         raise ProblemFileError(f"cannot read {path}: {exc}") from None
     try:
         raw = json.loads(text)
+        if not isinstance(raw, dict):
+            raise ProblemFileError("top-level JSON value must be an object")
+        return Problem(raw)  # whose source hash dumps the file back, as deep as it nests
     except json.JSONDecodeError as exc:
         raise ProblemFileError(exc.msg, line=exc.lineno, column=exc.colno) from None
-    if not isinstance(raw, dict):
-        raise ProblemFileError("top-level JSON value must be an object")
-    return Problem(raw)
+    except RecursionError:
+        raise ProblemFileError("JSON nested too deep") from None
+    except ValueError as exc:  # an integer literal past the interpreter's digit limit
+        raise ProblemFileError(str(exc)) from None
 
 
 def _int(chunk):
@@ -263,9 +266,24 @@ def cmd_solve(args) -> int:
     return _series_run(args, started, problem, box, (), artifacts, None, parameters)
 
 
+def _multiset_terms(points):
+    """The solution's ``combine`` terms: ``prod_t l_t[a_t]`` summed over the orderings of each
+    sorted multiset ``(a_1, ..., a_k)``, by multiplying out the linear forms ``sum_a l_t[a]
+    x_a`` one at a time, not over the ``n**k`` tuples; a cancelled multiset is dropped."""
+    weights = {(): 1}
+    for point in points:
+        step = {}
+        for logs, weight in weights.items():
+            for a, x in enumerate(point):
+                if weight and x:
+                    key = tuple(sorted((*logs, a)))
+                    step[key] = step.get(key, 0) + weight * x
+        weights = step
+    return [(weight, logs) for logs, weight in weights.items() if weight]
+
+
 def cmd_combine(args) -> int:
-    from itertools import combinations, product
-    from math import prod
+    from itertools import combinations
 
     started = time.perf_counter()
     problem, lattice, radius = _load_box_inputs(args)
@@ -275,20 +293,17 @@ def cmd_combine(args) -> int:
     for point in points:
         if any(problem.matrix.mul_vec(point)):
             raise ProblemFileError(f"l = {point} is not in the relation lattice")
-    order = len(points)
-    sets = [()] + [s for size in range(1, order + 1) for s in combinations(range(ncols), size)]
-    terms = [
-        (prod(point[a] for point, a in zip(points, logs)), logs)
-        for logs in product(range(ncols), repeat=order)
-    ]
+    sets = [()] + [s for k in range(1, len(points) + 1) for s in combinations(range(ncols), k)]
     box = SupportBox(problem.v, lattice, radius, args.max_terms)
-    artifacts = [("solution.series", terms)]
+    artifacts = [("solution.series", _multiset_terms(points))]
     euler = (problem.matrix, problem.beta)
     parameters = {"l": [list(point) for point in points], "radius": radius}
     return _series_run(args, started, problem, box, sets, artifacts, euler, parameters)
 
 
 def cmd_ci(args) -> int:
+    from .polytope import has_unique_interior_point
+
     problem, lattice, radius = _load_box_inputs(args)
     if problem.spec is None:
         raise ProblemFileError("'ci' section required for this command")

@@ -15,7 +15,7 @@ The tails of the classical solution series of a GKZ system at a base
 exponent vector ``v`` are built from the support sets of one
 :class:`~gkzlog.support.SupportBox` (``v``, lattice, radius), one per
 sorted tuple of log indices, all of them in one ``build_tails(box,
-keys)`` call (``build_tail(box, logs)`` is its one-key case):
+keys)`` call:
 
     ()       log-free series F
     (i,)     the log-free partner G_i of F * log(lambda_i)
@@ -317,11 +317,6 @@ def build_tails(box: SupportBox, keys) -> dict:
     return tails
 
 
-def build_tail(box: SupportBox, logs) -> LogSeries:
-    """The one tail ``build_tails(box, [logs])`` builds."""
-    return build_tails(box, [logs])[logs]
-
-
 def _splits(logs):
     """``(tail key, log factors, count)`` for each sub-multiset of the multiset ``logs``.
 
@@ -365,9 +360,7 @@ def combine(tails, terms) -> LogSeries:
     return _weighted_sum(n, parts, meta)
 
 
-_TERM_RE = re.compile(
-    r"^\s*(?P<coeff>-?\d+(?:/\d+)?)\s*\*\s*lambda\^\((?P<exp>[^)]*)\)\s*\*\s*log\^\((?P<deg>[^)]*)\)\s*$"
-)
+_TERM = r"^\s*(?P<coeff>-?\d+(?:/\d+)?)\s*\*\s*lambda\^\((?P<exp>[^)]*)\)\s*\*\s*log\^\((?P<deg>[^)]*)\)\s*$"
 
 
 def to_text(series: LogSeries) -> str:
@@ -385,13 +378,14 @@ def to_text(series: LogSeries) -> str:
 
 def from_text(text: str, nvars: int | None = None, meta=None) -> LogSeries:
     """Parse the canonical text form; blank lines and ``#`` comments ignored."""
+    term = re.compile(_TERM)  # compiled on the first parse, then read from re's cache
     rows = []
     width = nvars
     for lineno, raw in enumerate(text.splitlines(), start=1):
         line = raw.strip()
         if not line or line.startswith("#"):
             continue
-        match = _TERM_RE.match(line)
+        match = term.match(line)
         if not match:
             raise ValueError(f"line {lineno}: cannot parse series term {line!r}")
         try:

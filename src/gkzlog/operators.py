@@ -17,8 +17,7 @@ series metadata, by one integer lattice solve per term; certified terms
 of a true solution must vanish exactly, and any survivor is reported as
 a violation.  ``verify_box_operators`` checks a list of operators, such
 as a lattice basis, against one series and derives each distinct side
-(``l+`` or ``l-``) once; ``verify_box_annihilation`` is its
-one-operator case.
+(``l+`` or ``l-``) once.
 """
 
 from __future__ import annotations
@@ -230,11 +229,6 @@ def verify_box_operators(series: LogSeries, ops) -> list[CertifiedReport]:
             region = prod(max(0, 2 * radius + 1 - abs(int(c))) for c in step)
         reports.append(CertifiedReport(len(result), tuple(violations), region))
     return reports
-
-
-def verify_box_annihilation(series: LogSeries, op: BoxOp) -> CertifiedReport:
-    """The report of one operator: ``verify_box_operators(series, [op])``."""
-    return verify_box_operators(series, [op])[0]
 
 
 def verify_euler_annihilation(series: LogSeries, matrix, beta) -> CertifiedReport:

@@ -5,7 +5,7 @@ are negative integers; variants ignore one or two designated coordinates.
 In lattice coordinates, a coordinate of the shift ``v + point`` stays on
 its side of the support when one integer row holds (``support_rows``);
 with bounding rows (a radius box, a grade cut) they are one system of
-``polytope._lattice_points`` (``support_points``).  A :class:`SupportBox`
+``lattice._lattice_points`` (``support_points``).  A :class:`SupportBox`
 reads every support set and minimality verdict (no shift strictly
 shrinks the support) of one base vector so, within a radius, and every
 verdict is radius-qualified; it is also the one input of the series
@@ -14,8 +14,7 @@ builders.  All indices are 0-based.
 
 from __future__ import annotations
 
-from .lattice import RelationLattice
-from .polytope import DEFAULT_MAX_BOX_POINTS, _lattice_points
+from .lattice import DEFAULT_MAX_BOX_POINTS, RelationLattice, _lattice_points
 from .rationals import rational_vector
 from .values import Value
 

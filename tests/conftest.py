@@ -14,7 +14,7 @@ from gkzlog import (
     NonLatticeExponent,
     NoPositiveFunctional,
     ResourceLimit,
-    build_tail,
+    build_tails,
     kernel_basis,
     tails_read,
 )
@@ -120,7 +120,7 @@ def point_of(lattice, coords):
 
 
 def fm_lattice_points(rows, dim, max_points):
-    """``polytope._lattice_points`` as it was before Kohler's rule, as a reference.
+    """``lattice._lattice_points`` as it was before Kohler's rule, as a reference.
 
     Plain integer Fourier-Motzkin: every pair of rows with opposite signs
     in the eliminated coordinate adds its combination, with no bound on the
@@ -252,7 +252,7 @@ def fraction_apply_euler(series, op):
 
 
 def fraction_verify_box(series, op):
-    """``verify_box_annihilation`` with one lattice solve per source, as a reference.
+    """``verify_box_operators(series, [op])[0]`` with one lattice solve per source, as a reference.
 
     Each residual term solves for the coordinates of both of its sources
     ``u + l+`` and ``u + l-``, in that order.
@@ -398,7 +398,7 @@ def solution_terms(*points):
 
 def tails_of(box, terms):
     """Every tail ``combine(tails, terms)`` reads, built from ``box``."""
-    return {logs: build_tail(box, logs) for logs in tails_read(terms)}
+    return build_tails(box, tails_read(terms))
 
 
 def gauss_v(a, b):

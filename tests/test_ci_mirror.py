@@ -13,7 +13,7 @@ from gkzlog import (
     NoPositiveFunctional,
     ResourceLimit,
     build_system,
-    build_tail,
+    build_tails,
     integrality_report,
     kernel_basis,
     mirror_map,
@@ -23,6 +23,7 @@ from gkzlog import ci_mirror
 from gkzlog.ci_mirror import _pack, _unpack, render_coefficients, render_integrality_report
 from gkzlog import polytope
 from gkzlog.cli import load_problem
+from gkzlog.lattice import _normalized
 from gkzlog.linalg import hnf_rows, kernel_rows, solve_integer
 from gkzlog.polytope import _cone_rays
 from gkzlog.support import SupportBox, support_rows
@@ -166,17 +167,16 @@ class TestPositiveGrading:
         # on the triangle's 66 rays combines 13,137 rows.  Without it the fifth
         # level passes 25,000 (and the sixth 13 million), where this guard stops.
         levels = []
-        normalized = polytope._normalized
 
         def guarded(rows):
             if len(rows) > 20_000:
                 raise AssertionError(f"an elimination level of {len(rows)} rows")
             levels.append(len(rows))
-            return normalized(rows)
+            return _normalized(rows)
 
         lattice, rays = support_cone_rays(CISpec.from_lists(RANK7_TRIANGLE))
         assert len(rays) == 66
-        monkeypatch.setattr(polytope, "_normalized", guarded)
+        monkeypatch.setattr("gkzlog.lattice._normalized", guarded)
         grading = solve_integer(lattice.basis, positive_grading(rays))
         assert grading == (-3, 3, 0, 0, 3, 1, 1, 0, 0, 0)
         assert len(levels) == 8  # the input and one level per eliminated coordinate
@@ -582,7 +582,7 @@ class TestMirrorMap:
         matrix, beta, v = build_system(spec)
         lattice = kernel_basis(matrix)
         assert lattice.basis == ((2, -1, -1),)
-        series = build_tail(SupportBox(v, lattice, 6), ())
+        series = build_tails(SupportBox(v, lattice, 6), [()])[()]
         for k in range(7):
             want = F(fact(2 * k), fact(k) ** 2)
             assert series.coefficient((F(-1 - 2 * k), F(k), F(k))) == want
@@ -613,9 +613,8 @@ class TestMirrorMap:
                     out[point] = term.coeff
             return out
 
-        box = SupportBox(v, lattice, radius)
-        f_mapping = as_points(build_tail(box, ()))
-        g_mapping = as_points(build_tail(box, (4,)))
+        tails = build_tails(SupportBox(v, lattice, radius), [(), (4,)])
+        f_mapping, g_mapping = as_points(tails[()]), as_points(tails[4,])
         ratio = graded_log(q.coefficients, q.grading, bound, (0,) * 5)
         assert graded_mul(f_mapping, ratio, q.grading, bound) == g_mapping
 
@@ -648,23 +647,21 @@ class TestReports:
 def test_lifted_quasisolutions_box_verified(spec_name, request):
     # F and the first-order quasisolutions of both lifted systems pass the
     # certified box check for every basis operator
-    from gkzlog import BoxOp, verify_box_annihilation
+    from gkzlog import BoxOp, verify_box_operators
 
     spec = request.getfixturevalue(spec_name)
     matrix, beta, v = build_system(spec)
     lattice = kernel_basis(matrix)
     radius = 4
-    box = SupportBox(v, lattice, radius)
-    series_f = build_tail(box, ())
-    ops = [BoxOp(row) for row in lattice.basis]
-    for op in ops:
-        assert verify_box_annihilation(series_f, op).passed
     width = matrix.n_cols
+    tails = build_tails(SupportBox(v, lattice, radius), [(), (0,), (width - 1,)])
+    series_f = tails[()]
+    ops = [BoxOp(row) for row in lattice.basis]
+    assert all(report.passed for report in verify_box_operators(series_f, ops))
     for col in (0, width - 1):
         unit = tuple(1 if k == col else 0 for k in range(width))
-        quasi = series_f.mul_log_linear(unit) + build_tail(box, (col,))
-        for op in ops:
-            assert verify_box_annihilation(quasi, op).passed
+        quasi = series_f.mul_log_linear(unit) + tails[col,]
+        assert all(report.passed for report in verify_box_operators(quasi, ops))
 
 
 def test_support_sets_match_sign_conditions(quadrilateral_spec):
@@ -744,7 +741,7 @@ def test_quintic_period_known_answer():
     problem = load_problem(str(FIXTURES / "quintic.json"))
     lattice = kernel_basis(problem.matrix)
     assert lattice.basis == ((5, -1, -1, -1, -1, -1),)
-    series = build_tail(SupportBox(problem.v, lattice, 10), ())
+    series = build_tails(SupportBox(problem.v, lattice, 10), [()])[()]
     assert len(series) == 11
     for n in range(11):
         exponent = tuple(x + n * d for x, d in zip(problem.v, (-5, 1, 1, 1, 1, 1)))

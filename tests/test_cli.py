@@ -1,6 +1,9 @@
 """End-to-end command-line runs on the shipped fixtures."""
 
+import contextlib
 import hashlib
+import io
+import itertools
 import json
 import os
 import re
@@ -17,15 +20,19 @@ from hypothesis import strategies as st
 
 from gkzlog import (
     BoxOp,
+    ProblemFileError,
     SeriesMeta,
+    build_tails,
+    combine,
     from_text,
     kernel_basis,
+    tails_read,
     verify_box_operators,
     verify_euler_annihilation,
 )
-from gkzlog.cli import load_problem, main
+from gkzlog.cli import _multiset_terms, load_problem, main
 from gkzlog.support import SupportBox
-from tests.conftest import FIXTURES, projective_ci_sets
+from tests.conftest import FIXTURES, projective_ci_sets, solution_terms
 
 GAUSS = str(FIXTURES / "gauss.json")
 PYRAMID = str(FIXTURES / "square_pyramid.json")
@@ -265,6 +272,57 @@ def test_combine_builds_only_the_tails_its_weights_read(tmp_path, monkeypatch):
     ]
 
 
+def test_an_order_7_combine_passes_one_term_per_multiset(tmp_path):
+    # 330 multisets of 7 indices out of 5, where the ordered tuples are 5**7 = 78,125
+    started = time.perf_counter()
+    args = ["combine", PYRAMID, *["--l=(-1,0,-1,0,2)"] * 7, "--radius", "3"]
+    assert main([*args, "--out", str(tmp_path / "out")]) == 0
+    assert time.perf_counter() - started < 1.5
+
+
+PYRAMID_LATTICE = kernel_basis(load_problem(PYRAMID).matrix)
+# Their weights cancel on the multisets {0, 1}, {0, 3}, {1, 2} and {2, 3}.
+CANCELLING = [(1, 1, 1, 1, -4), (1, -1, 1, -1, 0)]
+
+
+@settings(max_examples=40, deadline=None)
+@given(
+    points=st.one_of(
+        st.just(CANCELLING),
+        st.lists(st.tuples(st.integers(-2, 2), st.integers(-2, 2)), min_size=1, max_size=3).map(
+            lambda coords: PYRAMID_LATTICE.points_from_coords(coords)
+        ),
+    )
+)
+def test_multiset_terms_combine_as_the_ordered_terms(points):
+    merged = _multiset_terms(points)
+    assert all(weight and logs == tuple(sorted(logs)) for weight, logs in merged)
+    assert len({logs for _, logs in merged}) == len(merged)
+    ordered = solution_terms(*points)
+    box = SupportBox(load_problem(PYRAMID).v, PYRAMID_LATTICE, 2)
+    tails = build_tails(box, tails_read(ordered))
+    assert combine(tails, merged) == combine(tails, ordered)
+
+
+def test_the_cancelling_pair_drops_four_multisets():
+    merged = {logs for _, logs in _multiset_terms(CANCELLING)}
+    ordered = {tuple(sorted(logs)) for weight, logs in solution_terms(*CANCELLING) if weight}
+    assert ordered - merged == {(0, 1), (0, 3), (1, 2), (2, 3)}
+    assert merged <= ordered
+
+
+@pytest.mark.parametrize("points", [CANCELLING, [*CANCELLING, (0, 1, 0, 1, -2)]])
+def test_combine_verdicts_are_the_swept_subsets_and_the_tails_read(tmp_path, points):
+    args = ["combine", PYRAMID, *[f"--l={point}" for point in points], "--radius", "3"]
+    assert main([*args, "--out", str(tmp_path / "out")]) == 0
+    report = json.loads((tmp_path / "out" / "run_report.json").read_text())
+    sizes = range(1, len(points) + 1)
+    swept = [()] + [s for size in sizes for s in itertools.combinations(range(5), size)]
+    read = tails_read(_multiset_terms(points))
+    keys = dict.fromkeys(tuple(sorted(set(key))) for key in [*swept, *read])
+    assert list(report["verdicts"]) == [f"excluded={key}" for key in keys]
+
+
 def test_combine_empty_second_l_is_an_input_error(tmp_path, capsys):
     args = ["combine", GAUSS, "--l", "(-1,-1,1,1)", "--l", "", "--radius", "2"]
     assert main([*args, "--out", str(tmp_path / "out")]) == 2
@@ -428,6 +486,93 @@ def test_parse_error_with_location(tmp_path, capsys):
     bad.write_text("{ not json }")
     assert main(["lattice", str(bad)]) == 2
     assert "line 1" in capsys.readouterr().err
+    bad.write_text('{"radius": 3,\n "v": [1,, 2]}')
+    with pytest.raises(ProblemFileError) as caught:
+        load_problem(str(bad))
+    assert (caught.value.line, caught.value.column) == (2, 10)
+
+
+@pytest.mark.parametrize(
+    "text, message",
+    [
+        ("[" * 100_000 + "]" * 100_000, "JSON nested too deep"),
+        ('{"radius": ' + "9" * 5_000 + "}", "Exceeds the limit (4300 digits)"),
+    ],
+    ids=["nested-100000-deep", "integer-5000-digits"],
+)
+def test_malformed_problem_files_are_input_errors(tmp_path, text, message):
+    # both used to escape load_problem as a RecursionError or a ValueError
+    bad = tmp_path / "bad.json"
+    bad.write_text(text)
+    with pytest.raises(ProblemFileError, match=re.escape(message)):
+        load_problem(str(bad))
+    done = _run_gkzlog(["solve", str(bad), "--order", "1", "--out", str(tmp_path / "out")])
+    assert done.returncode == 2
+    assert done.stderr.startswith("input error: ") and "Traceback" not in done.stderr
+    assert not (tmp_path / "out").exists()
+
+
+FIXTURE_TEXTS = {path.name: path.read_text() for path in sorted(FIXTURES.glob("*.json"))}
+
+
+def _paths(value, path=()):
+    """The path of ``value`` and of everything nested in it, as key and index tuples."""
+    yield path
+    if isinstance(value, (dict, list)):
+        for key, item in value.items() if isinstance(value, dict) else enumerate(value):
+            yield from _paths(item, (*path, key))
+
+
+@st.composite
+def malformed_problem_texts(draw):
+    """``(fixture name, text)``: the fixture cut short, or with one field replaced by deep
+    nesting or a huge integer."""
+    name = draw(st.sampled_from(sorted(FIXTURE_TEXTS)))
+    text = FIXTURE_TEXTS[name]
+    kind = draw(st.sampled_from(["prefix", "nesting", "integer"]))
+    if kind == "prefix":
+        return name, text[: draw(st.integers(0, len(text.rstrip()) - 1))]
+    raw = json.loads(text)
+    path = draw(st.sampled_from([path for path in _paths(raw) if path]))
+    if kind == "nesting":
+        depth = draw(st.one_of(st.integers(1, 40), st.integers(900, 1100), st.just(100_000)))
+        value = "[" * depth + "]" * depth
+    else:
+        value = draw(st.sampled_from(["", "-"])) + "7" * draw(st.integers(4_301, 6_000))
+    parent = raw
+    for key in path[:-1]:
+        parent = parent[key]
+    parent[path[-1]] = "@@"
+    return name, json.dumps(raw).replace('"@@"', value)
+
+
+# A relation of each fixture's lattice, for combine's --l.
+RELATIONS = {
+    name: ",".join(map(str, kernel_basis(load_problem(str(FIXTURES / name)).matrix).basis[0]))
+    for name in FIXTURE_TEXTS
+}
+
+
+@settings(max_examples=150, deadline=None)
+@given(case=malformed_problem_texts(), command=st.sampled_from(["solve", "combine", "mirror"]))
+def test_malformed_problem_files_end_in_a_documented_exit_code(case, command):
+    # a prefix is no JSON document; nesting or an integer past the interpreter's
+    # digit limit in any field is an input error, not a traceback
+    name, text = case
+    with tempfile.TemporaryDirectory() as tmp:
+        problem = Path(tmp) / "problem.json"
+        problem.write_text(text)
+        args = {
+            "solve": ["--order", "1"],
+            "combine": ["--l", RELATIONS[name]],
+            "mirror": ["--index", "1", "--grade", "2"],
+        }[command]
+        stderr = io.StringIO()
+        with contextlib.redirect_stderr(stderr), contextlib.redirect_stdout(io.StringIO()):
+            code = main([command, str(problem), *args, "--radius", "1", "--out", f"{tmp}/out"])
+        assert code in (0, 1, 2, 3)
+        assert "Traceback" not in stderr.getvalue()
+        event(f"exit {code}")
 
 
 def test_missing_sections(tmp_path):
@@ -827,29 +972,45 @@ def test_negative_max_terms_is_an_input_error(tmp_path, capsys):
     assert not (tmp_path / "out").exists()
 
 
+# What a CI problem loads and a matrix problem does not: the CI system and the hull code.
+CI_MODULES = {"gkzlog.ci_mirror", "gkzlog.polytope"}
+
+
 @pytest.mark.parametrize(
-    "args, absent",
+    "args, absent, present",
     [
-        (["mirror", TRIANGLES, "--index", "1", "--grade", "4"], "gkzlog.operators"),
-        (["solve", PYRAMID, "--order", "1", "--radius", "3"], "gkzlog.ci_mirror"),
-        (["combine", PYRAMID, "--l", "(-1,1,-1,1,0)", "--radius", "3"], "gkzlog.ci_mirror"),
+        (["mirror", TRIANGLES, "--index", "1", "--grade", "4"], {"gkzlog.operators"}, CI_MODULES),
+        (["ci", TRIANGLES], {"gkzlog.operators"}, CI_MODULES),
+        (["solve", PYRAMID, "--order", "1", "--radius", "3"], CI_MODULES, {"gkzlog.operators"}),
+        (["combine", PYRAMID, "--l", "(-1,1,-1,1,0)", "--radius", "3"], CI_MODULES, set()),
+        (["support", PYRAMID, "--exclude", "4"], CI_MODULES | {"gkzlog.logseries"}, set()),
+        (["lattice", PYRAMID], CI_MODULES | {"gkzlog.logseries"}, set()),
     ],
+    ids=["mirror", "ci", "solve", "combine", "support", "lattice"],
 )
-def test_a_command_imports_only_its_pipeline(tmp_path, args, absent):
+def test_a_command_imports_only_its_pipeline(tmp_path, args, absent, present):
     # each command imports the pipeline it runs, so a run compiles no other
+    # module, and no run compiles the series text regex, which only from_text reads
     pythonpath = os.pathsep.join(filter(None, [SRC, os.environ.get("PYTHONPATH")]))
     env = dict(os.environ, PYTHONPATH=pythonpath)
     code = (
-        "import json, sys; from gkzlog.cli import main; code = main(sys.argv[1:]); "
-        "print(json.dumps(sorted(m for m in sys.modules if m.startswith('gkzlog')))); "
-        "sys.exit(code)"
+        "import json, re, sys; compiled = []; compile = re.compile\n"
+        "re.compile = lambda p, *flags: compiled.append(p) or compile(p, *flags)\n"
+        "from gkzlog.cli import main; code = main(sys.argv[1:])\n"
+        "term = getattr(sys.modules.get('gkzlog.logseries'), '_TERM', None)\n"
+        "loaded = sorted(m for m in sys.modules if m.startswith('gkzlog'))\n"
+        "print(json.dumps([loaded, term in compiled])); sys.exit(code)"
     )
-    argv = [sys.executable, "-c", code, *args, "--out", str(tmp_path / "out")]
-    done = subprocess.run(argv, env=env, capture_output=True, text=True, timeout=120)
+    if args[0] in {"mirror", "solve", "combine"}:
+        args = [*args, "--out", str(tmp_path / "out")]
+    done = subprocess.run(
+        [sys.executable, "-c", code, *args], env=env, capture_output=True, text=True, timeout=120
+    )
     assert done.returncode == 0, done.stderr
-    loaded = json.loads(done.stdout.strip().splitlines()[-1])
-    assert absent not in loaded
-    assert {"gkzlog.cli", "gkzlog.support"} <= set(loaded)
+    loaded, compiled = json.loads(done.stdout.strip().splitlines()[-1])
+    assert not absent & set(loaded)
+    assert {"gkzlog.cli", "gkzlog.lattice", "gkzlog.support", *present} <= set(loaded)
+    assert not compiled
 
 
 def test_package_names_resolve_on_first_access():

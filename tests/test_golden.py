@@ -7,6 +7,11 @@ paste the result.
 """
 
 import hashlib
+import os
+import shutil
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
@@ -265,13 +270,68 @@ GOLDEN = {
 }
 
 
+def tree_hashes(out_dir):
+    """``{file name: sha256}`` of the files in ``out_dir``, empty when there is none."""
+    files = sorted(out_dir.iterdir()) if out_dir.exists() else []
+    return {p.name: hashlib.sha256(p.read_bytes()).hexdigest() for p in files}
+
+
 def run_case(args, out_dir):
     """Exit code and ``{file name: sha256}`` of one CLI run into ``out_dir``."""
     code = main(args + ["--out", str(out_dir)])
-    files = sorted(out_dir.iterdir()) if out_dir.exists() else []
-    return code, {p.name: hashlib.sha256(p.read_bytes()).hexdigest() for p in files}
+    return code, tree_hashes(out_dir)
 
 
 @pytest.mark.parametrize("name", sorted(CASES))
 def test_artifacts_match_golden_hashes(name, tmp_path, capsys):
     assert run_case(CASES[name], tmp_path / "out") == GOLDEN[name]
+
+
+def other_interpreters():
+    """Each ``python3.N`` on PATH, N from 10 to 13 but the running one, that starts as 3.N."""
+    found = []
+    for minor in range(10, 14):
+        exe = shutil.which(f"python3.{minor}")
+        if minor == sys.version_info.minor or exe is None:
+            continue
+        try:
+            done = subprocess.run(
+                [exe, "-c", "import sys; print(*sys.version_info[:2])"],
+                capture_output=True,
+                text=True,
+                timeout=60,
+            )
+        except (OSError, subprocess.TimeoutExpired):
+            continue
+        if done.returncode == 0 and done.stdout.split() == ["3", str(minor)]:
+            found.append(exe)
+    return found
+
+
+CROSS_VERSION_CASES = {
+    "solve-pyramid-2-radius-4": CASES["solve-pyramid-2"],
+    "mirror-triangles-1-grade-8": ["mirror", TRIANGLES, "--index", "1", "--grade", "8"],
+}
+
+
+@pytest.mark.parametrize("name", sorted(CROSS_VERSION_CASES))
+def test_other_interpreters_write_the_same_bytes(name, tmp_path):
+    # pyproject claims Python 3.10 and later; every artifact byte must agree
+    interpreters = other_interpreters()
+    if not interpreters:
+        pytest.skip("no other python3.10 to python3.13 on PATH starts")
+    args = CROSS_VERSION_CASES[name]
+    want = run_case(args, tmp_path / "here")
+    src = str(Path(__file__).resolve().parent.parent / "src")
+    env = dict(os.environ, PYTHONPATH=src, PYTHONDONTWRITEBYTECODE="1")
+    for k, exe in enumerate(interpreters):
+        out_dir = tmp_path / f"other{k}"
+        code = "import sys; from gkzlog.cli import main; sys.exit(main())"
+        done = subprocess.run(
+            [exe, "-c", code, *args, "--out", str(out_dir)],
+            env=env,
+            capture_output=True,
+            text=True,
+            timeout=300,
+        )
+        assert (done.returncode, tree_hashes(out_dir)) == want, (exe, done.stderr)

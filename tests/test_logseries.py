@@ -11,7 +11,6 @@ from gkzlog import (
     LogSeries,
     ProblemFileError,
     SupportBox,
-    build_tail,
     build_tails,
     combine,
     from_text,
@@ -50,35 +49,33 @@ def pyramid_exponent(a, b):
 class TestGaussBuilders:
     def test_f_first_coefficient(self, gauss_lattice):
         v = gauss_v(F(1, 2), F(1, 3))
-        series = build_tail(SupportBox(v, gauss_lattice, 4), ())
+        series = build_tails(SupportBox(v, gauss_lattice, 4), [()])[()]
         exp = tuple(x + d for x, d in zip(v, (-1, -1, 1, 1)))
         assert series.coefficient(exp) == F(1, 6)
 
     def test_f_base_coefficient_is_one(self, gauss_lattice):
         v = gauss_v(F(2, 5), F(7, 3))
-        series = build_tail(SupportBox(v, gauss_lattice, 6), ())
+        series = build_tails(SupportBox(v, gauss_lattice, 6), [()])[()]
         assert series.coefficient(v) == 1
 
     def test_g_vanishes_at_base(self, gauss_lattice):
         v = gauss_v(F(1, 2), F(1, 3))
-        box = SupportBox(v, gauss_lattice, 5)
-        for i in range(4):
-            series = build_tail(box, (i,))
+        tails = build_tails(SupportBox(v, gauss_lattice, 5), [(i,) for i in range(4)])
+        for series in tails.values():
             assert series.coefficient(v) == 0
 
 
 class TestPyramidBuilders:
     def test_f_is_single_monomial(self, pyramid_lattice):
-        series = build_tail(SupportBox(PYRAMID_V, pyramid_lattice, 6), ())
+        series = build_tails(SupportBox(PYRAMID_V, pyramid_lattice, 6), [()])[()]
         assert series == LogSeries.monomial(PYRAMID_V)
 
     def test_g_zero_for_first_four(self, pyramid_lattice):
-        box = SupportBox(PYRAMID_V, pyramid_lattice, 6)
-        for i in range(4):
-            assert not build_tail(box, (i,))
+        tails = build_tails(SupportBox(PYRAMID_V, pyramid_lattice, 6), [(i,) for i in range(4)])
+        assert not any(tails.values())
 
     def test_g_last_closed_form(self, pyramid_lattice):
-        series = build_tail(SupportBox(PYRAMID_V, pyramid_lattice, 6), (4,))
+        series = build_tails(SupportBox(PYRAMID_V, pyramid_lattice, 6), [(4,)])[(4,)]
         for a in range(4):
             for b in range(4):
                 if (a, b) == (0, 0):
@@ -87,7 +84,7 @@ class TestPyramidBuilders:
                 assert series.coefficient(pyramid_exponent(a, b)) == want
 
     def test_h_diag_closed_form(self, pyramid_lattice):
-        series = build_tail(SupportBox(PYRAMID_V, pyramid_lattice, 6), (4, 4))
+        series = build_tails(SupportBox(PYRAMID_V, pyramid_lattice, 6), [(4, 4)])[(4, 4)]
         assert series.coefficient(pyramid_exponent(1, 0)) == 2
         assert series.coefficient(pyramid_exponent(1, 1)) == -2
         for a in range(4):
@@ -99,20 +96,20 @@ class TestPyramidBuilders:
                 assert series.coefficient(pyramid_exponent(a, b)) == want
 
     def test_h_off_with_last_closed_form(self, pyramid_lattice):
-        box = SupportBox(PYRAMID_V, pyramid_lattice, 6)
+        tails = build_tails(SupportBox(PYRAMID_V, pyramid_lattice, 6), [(i, 4) for i in range(4)])
         for i in (0, 2):
-            series = build_tail(box, (i, 4))
+            series = tails[i, 4]
             for a in range(1, 4):
                 for b in range(4):
                     want = -F(fact(2 * a + 2 * b - 2), fact(a) ** 2 * fact(b) ** 2) * harmonic(a)
                     assert series.coefficient(pyramid_exponent(a, b)) == want
         for i in (1, 3):
-            series = build_tail(box, (i, 4))
+            series = tails[i, 4]
             assert series.coefficient(pyramid_exponent(2, 1)) == -F(fact(4), fact(2) ** 2) * harmonic(1)
 
     def test_h_opposite_corners(self, pyramid_lattice):
-        box = SupportBox(PYRAMID_V, pyramid_lattice, 6)
-        h13 = build_tail(box, (0, 2))
+        tails = build_tails(SupportBox(PYRAMID_V, pyramid_lattice, 6), [(0, 2), (1, 3)])
+        h13 = tails[0, 2]
         assert h13.coefficient(pyramid_exponent(-1, 0)) == F(1, 6)
         for a in range(-3, 1):
             for b in range(0, 4):
@@ -120,20 +117,19 @@ class TestPyramidBuilders:
                     continue
                 want = F(fact(-a - 1) ** 2, fact(b) ** 2 * fact(-2 * a - 2 * b + 1))
                 assert h13.coefficient(pyramid_exponent(a, b)) == want
-        h24 = build_tail(box, (1, 3))
+        h24 = tails[1, 3]
         assert h24.coefficient(pyramid_exponent(0, -1)) == F(1, 6)
 
     def test_h_trivial_pairs_are_zero(self, pyramid_lattice):
         box = SupportBox(PYRAMID_V, pyramid_lattice, 5)
-        for i, j in ((0, 1), (0, 3), (1, 2), (2, 3)):
-            assert not build_tail(box, (i, j))
+        assert not any(build_tails(box, [(0, 1), (0, 3), (1, 2), (2, 3)]).values())
 
     def test_h_symmetric(self, pyramid_lattice):
         box = SupportBox(PYRAMID_V, pyramid_lattice, 4)
         for i in range(5):
             for j in range(i + 1, 5):
-                a = build_tail(box, (i, j))
-                b = build_tail(box, (j, i))
+                a = build_tails(box, [(i, j)])[(i, j)]
+                b = build_tails(box, [(j, i)])[(j, i)]
                 assert a == b
 
 
@@ -161,7 +157,7 @@ class TestCombinations:
 
     def test_first_order_displayed_solutions(self, pyramid_lattice):
         box = SupportBox(PYRAMID_V, pyramid_lattice, 5)
-        series_f, series_g4 = build_tail(box, ()), build_tail(box, (4,))
+        series_f, series_g4 = build_tails(box, [(), (4,)]).values()
         for point, weight in (((-1, 0, -1, 0, 2), 2), ((0, 1, 0, 1, -2), -2)):
             terms = solution_terms(point)
             got = combine(tails_of(box, terms), terms)
@@ -178,13 +174,14 @@ class TestCombinations:
         l1, l2 = (-1, 0, -1, 0, 2), (0, 1, 0, 1, -2)
         terms = solution_terms(l1, l2)
         got = combine(tails_of(box, terms), terms)
-        series_g4 = build_tail(box, (4,))
-        want = build_tail(box, ()).mul_log_linear(l1).mul_log_linear(l2)
+        tails = build_tails(box, [(), (4,), (4, 4), *((i, 4) for i in range(4))])
+        series_g4 = tails[4,]
+        want = tails[()].mul_log_linear(l1).mul_log_linear(l2)
         want = want + series_g4.scale(2).mul_log_linear(l2)
         want = want + series_g4.scale(-2).mul_log_linear(l1)
-        want = want + build_tail(box, (4, 4)).scale(-4)
+        want = want + tails[4, 4].scale(-4)
         for i in range(4):
-            want = want + build_tail(box, (i, 4)).scale(2)
+            want = want + tails[i, 4].scale(2)
         assert got == want
 
 
@@ -352,8 +349,8 @@ class TestArithmetic:
         assert len(filter_terms(s, lambda e, d: e[0] > 0)) == 1
 
     def test_meta_conflict_raises(self, gauss_lattice, pyramid_lattice):
-        a = build_tail(SupportBox(gauss_v(F(1, 2), F(1, 3)), gauss_lattice, 2), ())
-        b = build_tail(SupportBox(gauss_v(F(1, 2), F(1, 3)), gauss_lattice, 3), ())
+        a = build_tails(SupportBox(gauss_v(F(1, 2), F(1, 3)), gauss_lattice, 2), [()])[()]
+        b = build_tails(SupportBox(gauss_v(F(1, 2), F(1, 3)), gauss_lattice, 3), [()])[()]
         with pytest.raises(ValueError):
             a + b
 
@@ -382,8 +379,7 @@ class TestArithmetic:
 class TestSerialization:
     def test_round_trip(self, pyramid_lattice):
         box = SupportBox(PYRAMID_V, pyramid_lattice, 4)
-        series_f = build_tail(box, ())
-        series_g = build_tail(box, (4,))
+        series_f, series_g = build_tails(box, [(), (4,)]).values()
         quasi = series_f.mul_log_linear((0, 0, 0, 0, 1)) + series_g
         text = to_text(quasi)
         again = from_text(text)
@@ -397,7 +393,7 @@ class TestSerialization:
             from_text("")
 
     def test_golden_text(self, gauss_lattice):
-        series = build_tail(SupportBox(gauss_v(F(1, 2), F(1, 3)), gauss_lattice, 2), ())
+        series = build_tails(SupportBox(gauss_v(F(1, 2), F(1, 3)), gauss_lattice, 2), [()])[()]
         # depth-2 coefficient: (1/2)(3/2) * (1/3)(4/3) / 2!^2 = 1/12
         assert to_text(series) == (
             "1/12 * lambda^(-5/2,-7/3,2,2) * log^(0,0,0,0)\n"
@@ -432,7 +428,7 @@ class TestSerialization:
 
 
 def test_meta_travels(pyramid_lattice):
-    series = build_tail(SupportBox(PYRAMID_V, pyramid_lattice, 4), ())
+    series = build_tails(SupportBox(PYRAMID_V, pyramid_lattice, 4), [()])[()]
     assert series.meta == SeriesMeta(PYRAMID_V, pyramid_lattice, 4)
     assert series.mul_log_linear((0, 0, 0, 0, 1)).meta == series.meta
 

@@ -19,7 +19,8 @@ from gkzlog import (
     mirror_map,
 )
 from gkzlog.cli import load_problem
-from gkzlog.polytope import _cone_rays, _lattice_points, _normalized
+from gkzlog.lattice import _lattice_points, _normalized
+from gkzlog.polytope import _cone_rays
 from gkzlog.support import support_points
 from tests.conftest import (
     FIXTURES,
