@@ -37,8 +37,6 @@ _HOME = {
     "RelationLattice": "lattice",
     "kernel_basis": "lattice",
     "LogSeries": "logseries",
-    "LogTerm": "logseries",
-    "SeriesMeta": "logseries",
     "build_tails": "logseries",
     "combine": "logseries",
     "from_text": "logseries",

@@ -58,7 +58,7 @@ from .lattice import DEFAULT_MAX_BOX_POINTS, IntMatrix, _lattice_points, kernel_
 from .linalg import solve_integer
 from .logseries import log_free_coefficients
 from .polytope import _cone_rays, has_unique_interior_point
-from .rationals import to_int
+from .rationals import ratio_text, to_int
 from .support import SupportBox, support_rows
 from .values import Value
 
@@ -602,6 +602,15 @@ def integrality_report(q: MirrorMap):
     return sorted(((p, c) for p, c in items if c.denominator != 1), key=q.grade_key)
 
 
+def _coefficient_lines(q: MirrorMap, items) -> list[str]:
+    """One ``grade | point | value`` line per ``(point, coeff)`` of ``items``."""
+    return [
+        f"{q.grade_of(point)} | ({','.join(map(str, point))}) | "
+        + ratio_text(coeff.numerator, coeff.denominator)
+        for point, coeff in items
+    ]
+
+
 def render_integrality_report(q: MirrorMap, source_hash: str) -> str:
     """Text report: header lines, then OK or one line per violation."""
     lines = [
@@ -611,20 +620,11 @@ def render_integrality_report(q: MirrorMap, source_hash: str) -> str:
         "# grading: (" + ",".join(str(c) for c in q.grading) + ")",
         f"# grade bound: {q.grade_bound}",
     ]
-    violations = integrality_report(q)
-    if not violations:
-        lines.append("OK")
-    else:
-        for point, coeff in violations:
-            grade = q.grade_of(point)
-            lines.append(f"{grade} | ({','.join(str(x) for x in point)}) | {coeff}")
+    lines += _coefficient_lines(q, integrality_report(q)) or ["OK"]
     return "\n".join(lines) + "\n"
 
 
 def render_coefficients(q: MirrorMap) -> str:
     """All mirror-map coefficients, one ``grade | point | value`` line each."""
-    lines = []
-    for point, coeff in q.sorted_items():
-        grade = q.grade_of(point)
-        lines.append(f"{grade} | ({','.join(str(x) for x in point)}) | {coeff}")
+    lines = _coefficient_lines(q, q.sorted_items())
     return "\n".join(lines) + "\n" if lines else ""

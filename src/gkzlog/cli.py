@@ -192,7 +192,9 @@ def _series_run(args, started, problem, box, sets, artifacts, euler, parameters)
     box-verified against the whole basis in one ``verify_box_operators``
     call and, unless ``euler`` is None, Euler-verified against its
     ``(matrix, beta)``; then ``run_report.json``.  Every support set is
-    enumerated before the first write, so a capped run writes nothing.
+    enumerated and every artifact rendered before the first write, so a
+    capped run, or one with a number past the integer-string limit,
+    writes nothing.
     """
     from .logseries import build_tails, combine, tails_read, to_text
     from .operators import BoxOp, verify_box_operators, verify_euler_annihilation
@@ -206,7 +208,7 @@ def _series_run(args, started, problem, box, sets, artifacts, euler, parameters)
     tails = build_tails(box, needed)
     ops = [BoxOp(row) for row in box.lattice.basis]
     labels = [f"box({','.join(str(x) for x in row)})" for row in box.lattice.basis]
-    verification, ok = [], True
+    verification, texts, ok = [], [], True
     for name, terms in artifacts:
         series = combine(tails, terms)
         reports = list(zip(labels, verify_box_operators(series, ops)))
@@ -218,8 +220,8 @@ def _series_run(args, started, problem, box, sets, artifacts, euler, parameters)
         ]
         verification.append({"artifact": name, "checks": checks})
         ok = ok and all(got.passed for _, got in reports)
-        _write_artifact(Path(args.out), name, to_text(series))
-    artifacts = [name for name, _ in artifacts]
+        texts.append((name, to_text(series)))
+    artifacts = [_write_artifact(Path(args.out), name, text) for name, text in texts]
     report = {
         "command": args.command,
         "input": problem.raw,

@@ -35,7 +35,7 @@ class MinimalityViolation(GkzError):
 
 
 class ResourceLimit(GkzError):
-    """An enumeration would exceed the configured term cap."""
+    """An enumeration would exceed the term cap, or a number to write the integer-string limit."""
 
 
 class DegenerateHull(GkzError):

@@ -52,9 +52,6 @@ class IntMatrix(Value):
     def n_cols(self) -> int:
         return len(self.rows[0])
 
-    def column(self, j: int) -> tuple[int, ...]:
-        return tuple(row[j] for row in self.rows)
-
     def mul_vec(self, vec) -> tuple:
         if len(vec) != self.n_cols:
             raise ValueError("dimension mismatch")

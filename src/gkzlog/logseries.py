@@ -9,7 +9,7 @@ log powers, held on integers from the tail builder to ``to_text``: with
 ``D`` a common multiple of the exponent denominators and ``Q`` the least
 one of the coefficients, a term is keyed by ``(D * exponent, logdeg)``
 as int tuples and holds ``Q * coeff`` as a nonzero int.  ``Fraction``s
-appear only at the public boundary (``coefficient``, ``terms``).
+appear only at the public boundary (``coefficient``, ``items``).
 
 The tails of the classical solution series of a GKZ system at a base
 exponent vector ``v`` are built from the support sets of one
@@ -34,9 +34,9 @@ tails and the mirror map's tails share one coefficient rule,
 ``log_free_coefficients``: one call walks the derivative chain of each
 distinct (coordinate, log power) once, for all the keys it is given, and
 writes each key's coefficients as integer numerators over one
-denominator, with no ``Fraction`` per point.  Each series records the
-box's truncation metadata (base vector, lattice, radius) so that the
-operator module can compute certified regions later.
+denominator, with no ``Fraction`` per point.  Each series carries the
+``SupportBox`` that built it as its ``meta`` (base vector, lattice,
+radius), from which the operator module computes certified regions.
 """
 
 from __future__ import annotations
@@ -49,24 +49,8 @@ from operator import add, mul
 
 from .coefficients import chain_constants, f_coeffs
 from .errors import MinimalityViolation, ProblemFileError, UndefinedBracket
-from .lattice import RelationLattice
-from .rationals import rational_vector, to_int, to_rational
+from .rationals import ratio_text, rational_vector, to_int, to_rational
 from .support import SupportBox
-from .values import Value
-
-
-class SeriesMeta(Value):
-    """Truncation provenance: which box of which lattice built the series."""
-
-    base: tuple[Fraction, ...]
-    lattice: RelationLattice
-    radius: int
-
-
-class LogTerm(Value):
-    exponent: tuple[Fraction, ...]
-    logdeg: tuple[int, ...]
-    coeff: Fraction
 
 
 def _log_powers(logdeg) -> tuple[int, ...]:
@@ -83,12 +67,6 @@ def _merge_meta(a, b):
     if b is None or a == b:
         return a
     raise ValueError("series have incompatible truncation metadata")
-
-
-def _ratio(num: int, den: int) -> str:
-    """``str(Fraction(num, den))`` without building the Fraction."""
-    g = gcd(num, den)
-    return str(num // g) if g == den else f"{num // g}/{den // g}"
 
 
 def _integer_terms(nvars, items):
@@ -117,7 +95,7 @@ class LogSeries:
 
     __slots__ = ("nvars", "meta", "exp_den", "coeff_den", "_terms")
 
-    def __init__(self, nvars: int, terms=None, meta: SeriesMeta | None = None):
+    def __init__(self, nvars: int, terms=None, meta: SupportBox | None = None):
         self._store(nvars, *_integer_terms(nvars, (terms or {}).items()), meta)
 
     def _store(self, nvars, den, q, terms, meta) -> "LogSeries":
@@ -132,10 +110,6 @@ class LogSeries:
         return object.__new__(cls)._store(nvars, den, q, terms, meta)
 
     @classmethod
-    def zero(cls, nvars: int, meta=None) -> "LogSeries":
-        return cls(nvars, {}, meta)
-
-    @classmethod
     def monomial(cls, exponent, logdeg=None, coeff=1, meta=None) -> "LogSeries":
         nvars = len(exponent)
         if logdeg is None:
@@ -147,17 +121,13 @@ class LogSeries:
         f, own = den // self.exp_den, self._terms
         return own if f == 1 else {(tuple(c * f for c in e), d): n for (e, d), n in own.items()}
 
-    def _exponent(self, key) -> tuple[Fraction, ...]:
-        return tuple(Fraction(c, self.exp_den) for c in key)
-
-    def terms(self):
-        """Terms in canonical (lexicographic) order, with ``Fraction`` exponents and coefficients."""
-        for (exponent, logdeg), num in sorted(self._terms.items()):
-            yield LogTerm(self._exponent(exponent), logdeg, Fraction(num, self.coeff_den))
-
     def items(self):
-        """``((exponent, logdeg), coeff)`` pairs of the terms, in canonical order."""
-        return [((term.exponent, term.logdeg), term.coeff) for term in self.terms()]
+        """``((exponent, logdeg), coeff)`` pairs, ``Fraction``s, in canonical (sorted) order."""
+        den, q = self.exp_den, self.coeff_den
+        return [
+            ((tuple(Fraction(c, den) for c in exponent), logdeg), Fraction(num, q))
+            for (exponent, logdeg), num in sorted(self._terms.items())
+        ]
 
     def coefficient(self, exponent, logdeg=None) -> Fraction:
         if logdeg is None:
@@ -304,7 +274,6 @@ def build_tails(box: SupportBox, keys) -> dict:
     shift = [x.numerator * (den // x.denominator) for x in base]
     point_sets = {logs: box.support_set(logs) for logs in keys}
     coefficients = log_free_coefficients(base, point_sets)
-    meta = SeriesMeta(base, box.lattice, box.radius)
     zero_deg = (0,) * len(base)
     tails = {}
     for logs, points in point_sets.items():
@@ -313,7 +282,7 @@ def build_tails(box: SupportBox, keys) -> dict:
             (tuple(map(add, shift, map(den.__mul__, point))), zero_deg): num
             for point, num in zip(points, numerators)
         }
-        tails[logs] = LogSeries._of(len(base), den, q, terms, meta)
+        tails[logs] = LogSeries._of(len(base), den, q, terms, box)
     return tails
 
 
@@ -367,10 +336,10 @@ def to_text(series: LogSeries) -> str:
     """Canonical text form: one term per line, exact rationals as ``p/q``, sorted by exponent."""
     den, q = series.exp_den, series.coeff_den
     exponents = {exponent for exponent, _ in series._terms}
-    names = {c: _ratio(c, den) for c in {c for exponent in exponents for c in exponent}}
+    names = {c: ratio_text(c, den) for c in {c for exponent in exponents for c in exponent}}
     texts = {exponent: ",".join([names[c] for c in exponent]) for exponent in exponents}
     lines = [
-        f"{_ratio(num, q)} * lambda^({texts[exponent]}) * log^({','.join(map(str, logdeg))})"
+        f"{ratio_text(num, q)} * lambda^({texts[exponent]}) * log^({','.join(map(str, logdeg))})"
         for (exponent, logdeg), num in sorted(series._terms.items())
     ]
     return "\n".join(lines) + "\n" if lines else ""

@@ -12,10 +12,10 @@ when ``beta``'s or the base's denominators do not divide ``D``.
 A truncated series cannot vanish identically under a box operator:
 terms near the enumeration boundary lose their cancelling partners.  The
 verifier therefore certifies a result term only when both of its
-potential source exponents lie inside the enumerated box recorded in the
-series metadata, by one integer lattice solve per term; certified terms
-of a true solution must vanish exactly, and any survivor is reported as
-a violation.  ``verify_box_operators`` checks a list of operators, such
+potential source exponents lie inside the ``SupportBox`` that built the
+series (its ``meta``), by one integer lattice solve per term; certified
+terms of a true solution must vanish exactly, and any survivor is
+reported as a violation.  ``verify_box_operators`` checks a list of operators, such
 as a lattice basis, against one series and derives each distinct side
 (``l+`` or ``l-``) once.
 """
@@ -187,8 +187,8 @@ def verify_box_operators(series: LogSeries, ops) -> list[CertifiedReport]:
 
     A result term at exponent ``u`` is certified when both candidate
     sources ``u + l+`` and ``u + l-`` have integer lattice coordinates of
-    max-norm at most the recorded radius.  Sources off the rational span
-    of the lattice indicate caller misuse and raise
+    max-norm at most the radius of the series' box.  Sources off the
+    rational span of the lattice indicate caller misuse and raise
     :class:`NonLatticeExponent`; sources in the span with non-integer
     coordinates are boundary artifacts and are simply not certified.
 
@@ -247,6 +247,5 @@ def verify_euler_annihilation(series: LogSeries, matrix, beta) -> CertifiedRepor
     violations = []
     for row, beta_i in zip(matrix.rows, beta):
         result = apply_euler(series, EulerOp(row, to_rational(beta_i)))
-        for term in result.terms():
-            violations.append((term.exponent, term.logdeg, term.coeff))
+        violations.extend((*key, coeff) for key, coeff in result.items())
     return CertifiedReport(checked, tuple(sorted(violations)))

@@ -7,9 +7,11 @@ the boundary so no rounding or truncation can enter the computation.
 
 from __future__ import annotations
 
+import sys
 from fractions import Fraction
+from math import gcd
 
-from .errors import ProblemFileError
+from .errors import ProblemFileError, ResourceLimit
 
 
 def to_rational(value) -> Fraction:
@@ -46,3 +48,17 @@ def to_int(value, what: str = "value", minimum: int | None = None) -> int:
 
 def rational_vector(values) -> tuple[Fraction, ...]:
     return tuple(to_rational(v) for v in values)
+
+
+def ratio_text(num: int, den: int) -> str:
+    """``str(Fraction(num, den))``, ``den > 0``, without building the Fraction.
+
+    An integer past the interpreter's integer-string limit raises
+    :class:`ResourceLimit`: its digits could not be read back.
+    """
+    g = gcd(num, den)
+    try:
+        return str(num // g) if g == den else f"{num // g}/{den // g}"
+    except ValueError:
+        limit = sys.get_int_max_str_digits()
+        raise ResourceLimit(f"a rational has more than {limit} digits to write") from None

@@ -14,6 +14,8 @@ builders.  All indices are 0-based.
 
 from __future__ import annotations
 
+from fractions import Fraction
+
 from .lattice import DEFAULT_MAX_BOX_POINTS, RelationLattice, _lattice_points
 from .rationals import rational_vector
 from .values import Value
@@ -66,27 +68,34 @@ class SupportVerdict(Value):
         return f"counterexample {self.counterexample} at radius {self.radius}"
 
 
-class SupportBox:
+class SupportBox(Value):
     """Minimality verdicts and support sets of one base vector within one radius.
 
     The radius bounds each lattice coordinate: the ``2 * rank`` box rows
-    ``radius +- x_r >= 0``.  Each query runs ``_lattice_points`` on them
-    plus ``support_rows``, lexicographic in the coordinates and capped at
-    ``max_points`` points per system; nothing is enumerated before.
+    ``radius +- x_r >= 0``, set as ``box_rows`` by ``__post_init__``.
+    Each query runs ``_lattice_points`` on them plus ``support_rows``,
+    lexicographic in the coordinates and capped at ``max_points`` points
+    per system; nothing is enumerated before.  A box is also the
+    truncation provenance a series carries (``LogSeries.meta``).
     """
 
-    def __init__(self, v, lattice: RelationLattice, radius: int, max_points=DEFAULT_MAX_BOX_POINTS):
-        if radius < 0:
+    base: tuple[Fraction, ...]
+    lattice: RelationLattice
+    radius: int
+    max_points: int = DEFAULT_MAX_BOX_POINTS
+
+    def __post_init__(self):
+        if self.radius < 0:
             raise ValueError("radius must be nonnegative")
-        self.base = rational_vector(v)
-        self.lattice = lattice
-        self.radius = radius
-        self.max_points = max_points
-        self.box_rows = [
-            (tuple(sign * (r == s) for s in range(lattice.rank)), radius)
-            for sign in (1, -1)
-            for r in range(lattice.rank)
-        ]
+        rank = self.lattice.rank
+        self.__dict__.update(
+            base=rational_vector(self.base),
+            box_rows=[
+                (tuple(sign * (r == s) for s in range(rank)), self.radius)
+                for sign in (1, -1)
+                for r in range(rank)
+            ],
+        )
 
     def _points(self, rows):
         return _lattice_points(rows + self.box_rows, self.lattice.rank, self.max_points)

@@ -264,15 +264,15 @@ def fraction_verify_box(series, op):
     result = fraction_apply_box(series, op)
     checked = 0
     violations = []
-    for term in result.terms():
+    for (exponent, logdeg), coeff in result.items():
         checked += 1
         certified = True
         for shift in (op.plus, op.minus):
-            delta = tuple(u + s - b for u, s, b in zip(term.exponent, shift, meta.base))
+            delta = tuple(u + s - b for u, s, b in zip(exponent, shift, meta.base))
             coords = lattice.coords_of(delta)
             if coords is None:
                 raise NonLatticeExponent(
-                    f"exponent {term.exponent} is outside the rational span of the lattice"
+                    f"exponent {exponent} is outside the rational span of the lattice"
                 )
             if any(c.denominator != 1 for c in coords) or any(
                 abs(c) > meta.radius for c in coords
@@ -280,7 +280,7 @@ def fraction_verify_box(series, op):
                 certified = False
                 break
         if certified:
-            violations.append((term.exponent, term.logdeg, term.coeff))
+            violations.append((exponent, logdeg, coeff))
     coords = lattice.coords_of(op.point)
     region = 0
     if coords is not None and all(c.denominator == 1 for c in coords):

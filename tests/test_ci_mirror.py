@@ -607,10 +607,10 @@ class TestMirrorMap:
 
         def as_points(series):
             out = {}
-            for term in series.terms():
-                point = tuple(int(e - b) for e, b in zip(term.exponent, v))
+            for (exponent, _), coeff in series.items():
+                point = tuple(int(e - b) for e, b in zip(exponent, v))
                 if q.grade_of(point) <= bound:
-                    out[point] = term.coeff
+                    out[point] = coeff
             return out
 
         tails = build_tails(SupportBox(v, lattice, radius), [(), (4,)])
@@ -641,6 +641,14 @@ class TestReports:
         assert text.splitlines()[-1] == "1 | (1,0) | 1/2"
         coeffs = render_coefficients(q)
         assert coeffs.splitlines()[0] == "0 | (0,0) | 1"
+
+    def test_a_coefficient_past_the_digit_limit_is_a_resource_limit(self):
+        from gkzlog.ci_mirror import MirrorMap
+
+        q = MirrorMap((0, 1), {(0,): F(1), (1,): F(10**5000, 3)}, (1,), 1, 1)
+        for render in (render_coefficients, lambda q: render_integrality_report(q, "sha256:0")):
+            with pytest.raises(ResourceLimit, match=r"more than \d+ digits"):
+                render(q)
 
 
 @pytest.mark.parametrize("spec_name", ["two_triangles_spec", "quadrilateral_spec"])

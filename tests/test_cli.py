@@ -21,7 +21,6 @@ from hypothesis import strategies as st
 from gkzlog import (
     BoxOp,
     ProblemFileError,
-    SeriesMeta,
     build_tails,
     combine,
     from_text,
@@ -643,6 +642,19 @@ def test_capped_solve_writes_nothing(tmp_path, capsys):
     assert not out.exists()
 
 
+@pytest.mark.parametrize("order", ["0", "1"])
+def test_a_coefficient_past_the_digit_limit_writes_nothing(tmp_path, order):
+    # with A's last entry 1000, F's coefficients at radius 2 pass 4,300 digits
+    gauss = json.loads((FIXTURES / "gauss.json").read_text())
+    gauss["matrix"][2][2] = 1000
+    out = tmp_path / "out"
+    args = ["solve", _problem(tmp_path, **gauss), "--order", order, "--radius", "2"]
+    done = _run_gkzlog([*args, "--out", str(out)])
+    assert done.returncode == 3
+    assert done.stderr.startswith("resource limit: ") and "Traceback" not in done.stderr
+    assert not out.exists()
+
+
 def test_rank7_reflexive_triangle_ci_passes(tmp_path, capsys):
     # the 10 points of conv{(-1,-1), (2,-1), (-1,2)}, origin first: a rank-7
     # lattice whose radius-4 coefficient box holds 9^7 = 4,782,969 points
@@ -857,7 +869,7 @@ def test_solve_exit_codes_under_fuzzing(raw, order, radius):
             return
         loaded = load_problem(str(problem))
         lattice = kernel_basis(loaded.matrix)
-        meta = SeriesMeta(loaded.v, lattice, radius)
+        meta = SupportBox(loaded.v, lattice, radius)
         ops = [BoxOp(row) for row in lattice.basis]
         names = json.loads((out / "run_report.json").read_text())["artifacts"]
         assert names[0] == "F.series"
@@ -904,7 +916,7 @@ def test_combine_exit_codes_under_fuzzing(data, path, radius):
         if code != 0:
             return
         lattice = kernel_basis(problem.matrix)
-        meta = SeriesMeta(problem.v, lattice, radius)
+        meta = SupportBox(problem.v, lattice, radius)
         series = from_text((out / "solution.series").read_text(), len(problem.v), meta)
         ops = [BoxOp(row) for row in lattice.basis]
         assert all(report.passed for report in verify_box_operators(series, ops))

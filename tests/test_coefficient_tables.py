@@ -170,7 +170,7 @@ def test_rule_matches_closed_forms_on_every_fixture_support_point(path):
         assert rule(v, points, logs) == expected, logs
         # the tail holds the nonzero coefficients at the exponents v + point
         want = {tuple(z + x for z, x in zip(v, point)): c for point, c in zip(points, expected)}
-        assert {term.exponent: term.coeff for term in tails[logs].terms()} == {
+        assert {exponent: c for (exponent, _), c in tails[logs].items()} == {
             e: c for e, c in want.items() if c
         }, logs
         assert tails[logs] == build_tails(box, [logs])[logs]

@@ -1,12 +1,15 @@
-"""Golden artifact hashes: small CLI runs on the shipped fixtures.
+"""Golden artifact hashes: small CLI runs on the shipped fixtures, and the benchmark's runs.
 
 Every refactor must leave these bytes unchanged.  Each case records the
 exit code and the sha256 of every file the run writes.  To re-record after
 an intended output change, print ``run_case(args)`` for every case and
-paste the result.
+paste the result.  The benchmark's workloads are held to the hashes in
+``bench/golden.json``, in process, at both of its sizes.
 """
 
 import hashlib
+import importlib.util
+import json
 import os
 import shutil
 import subprocess
@@ -335,3 +338,31 @@ def test_other_interpreters_write_the_same_bytes(name, tmp_path):
             timeout=300,
         )
         assert (done.returncode, tree_hashes(out_dir)) == want, (exe, done.stderr)
+
+
+ROOT = Path(__file__).resolve().parent.parent
+
+
+def bench_workloads():
+    """``bench/workloads.py``, loaded read-only from its file."""
+    spec = importlib.util.spec_from_file_location("bench_workloads", ROOT / "bench" / "workloads.py")
+    module = importlib.util.module_from_spec(spec)
+    sys.modules[spec.name] = module  # dataclasses reads the module's namespace through it
+    spec.loader.exec_module(module)
+    return module
+
+
+WORKLOADS = bench_workloads()
+BENCH_GOLDEN = json.loads((ROOT / "bench" / "golden.json").read_text(encoding="utf-8"))
+
+
+@pytest.mark.parametrize("size", ["full", "small"])
+@pytest.mark.parametrize("name", sorted(WORKLOADS.WORKLOADS))
+def test_benchmark_workloads_match_the_bench_golden_hashes(name, size, tmp_path, capsys):
+    workload, golden = WORKLOADS.WORKLOADS[name], BENCH_GOLDEN[size][name]
+    assert sorted(golden) == sorted(workload.variants)
+    for variant in workload.variants:
+        problem = WORKLOADS.write_inputs(workload, 0, variant, tmp_path / variant)
+        out_dir = tmp_path / variant / "out"
+        assert main(workload.cli_args(variant, problem, out_dir, size == "small")) == 0, variant
+        assert tree_hashes(out_dir) == golden[variant], variant

@@ -19,7 +19,6 @@ from gkzlog import (
     to_text,
 )
 from gkzlog.cli import load_problem
-from gkzlog.logseries import SeriesMeta
 from tests.conftest import (
     FIXTURES,
     FractionSeries,
@@ -188,13 +187,13 @@ class TestCombinations:
 # The combinations as chains of whole-series operations, with the log-form
 # product written out here, term by term.
 def times_log_form(series, ivec):
-    out = LogSeries.zero(series.nvars, series.meta)
-    for term in series.terms():
+    out = LogSeries(series.nvars, meta=series.meta)
+    for (exponent, logdeg), coeff in series.items():
         for i, weight in enumerate(ivec):
             if weight:
-                bumped = list(term.logdeg)
+                bumped = list(logdeg)
                 bumped[i] += 1
-                out = out + LogSeries.monomial(term.exponent, bumped, term.coeff * weight)
+                out = out + LogSeries.monomial(exponent, bumped, coeff * weight)
     return out
 
 
@@ -209,8 +208,8 @@ def first_order_chain(series_f, series_g, point):
 def second_order_chain(series_f, series_g, table_h, point, point2):
     n = series_f.nvars
     out = times_log_form(times_log_form(series_f, point), point2)
-    first = LogSeries.zero(n, series_f.meta)
-    second = LogSeries.zero(n, series_f.meta)
+    first = LogSeries(n, meta=series_f.meta)
+    second = LogSeries(n, meta=series_f.meta)
     for i in range(n):
         if point[i]:
             first = first + series_g[i].scale(point[i])
@@ -279,7 +278,7 @@ def test_order_k_solution_leads_with_powers_of_the_log_form(k):
             series = series.mul_log_linear(point)
         return series
 
-    partner = LogSeries.zero(len(point))
+    partner = LogSeries(len(point))
     for a, weight in enumerate(point):
         partner = partner + tails[(a,)].scale(weight)
     assert log_degree(solution, k) == times_power(tails[()], k)
@@ -290,7 +289,7 @@ def test_order_k_solution_leads_with_powers_of_the_log_form(k):
 class TestCombinationChecks:
     def _metas(self, gauss_lattice):
         v = gauss_v(1, 2)
-        return SeriesMeta(v, gauss_lattice, 2), SeriesMeta(v, gauss_lattice, 3)
+        return SupportBox(v, gauss_lattice, 2), SupportBox(v, gauss_lattice, 3)
 
     def _tails(self, n, zero):
         tails = {(): zero, **{(i,): zero for i in range(n)}}
@@ -299,8 +298,8 @@ class TestCombinationChecks:
 
     def test_meta_merges_over_entering_series(self, gauss_lattice):
         meta, other = self._metas(gauss_lattice)
-        tails = self._tails(4, LogSeries.zero(4))
-        tails[(0,)], tails[(2,)] = LogSeries.zero(4, meta), LogSeries.zero(4, other)
+        tails = self._tails(4, LogSeries(4))
+        tails[(0,)], tails[(2,)] = LogSeries(4, meta=meta), LogSeries(4, meta=other)
         assert combine(tails, [(1, (0,))]).meta == meta
         assert combine(tails, [(1, (0, 0))]).meta == meta
         # a zero weight reads nothing
@@ -309,19 +308,19 @@ class TestCombinationChecks:
             combine(tails, [(1, (0,)), (1, (2,))])
         with pytest.raises(ValueError, match="metadata"):
             combine(tails, [(1, (0, 2))])
-        tails[(0, 1)] = LogSeries.zero(4, other)
+        tails[(0, 1)] = LogSeries(4, meta=other)
         with pytest.raises(ValueError, match="metadata"):
             combine(tails, [(1, (1, 0))])
 
     def test_entering_series_of_another_dimension(self):
-        tails = self._tails(2, LogSeries.zero(2))
-        tails[(1,)] = LogSeries.zero(3)
+        tails = self._tails(2, LogSeries(2))
+        tails[(1,)] = LogSeries(3)
         assert not combine(tails, [(1, (0,))])
         with pytest.raises(ValueError, match="dimension"):
             combine(tails, [(1, (1,))])
         with pytest.raises(ValueError, match="dimension"):
             combine(tails, [(1, (0, 1))])
-        tails[(0, 0)] = LogSeries.zero(3)
+        tails[(0, 0)] = LogSeries(3)
         with pytest.raises(ValueError, match="dimension"):
             combine(tails, [(1, (0, 0))])
         with pytest.raises(ValueError, match="dimension"):
@@ -333,7 +332,7 @@ class TestArithmetic:
         s = LogSeries.monomial((F(1, 2), F(0)), (1, 0), coeff=F(3, 4))
         assert not (s + (-s))
         assert s.scale(1) == s
-        assert s.scale(0) == LogSeries.zero(2)
+        assert s.scale(0) == LogSeries(2)
 
     def test_mul_log_linear_by_hand(self):
         s = LogSeries(2, {((F(1), F(0)), (0, 0)): F(2), ((F(0), F(1)), (1, 0)): F(3)})
@@ -356,7 +355,7 @@ class TestArithmetic:
 
     def test_dimension_mismatch(self):
         with pytest.raises(ValueError):
-            LogSeries.zero(2) + LogSeries.zero(3)
+            LogSeries(2) + LogSeries(3)
 
     def test_coefficient_checks_lengths(self):
         s = LogSeries.monomial((1, 2, 3))
@@ -387,8 +386,8 @@ class TestSerialization:
         assert to_text(again) == text
 
     def test_zero_series(self):
-        assert to_text(LogSeries.zero(3)) == ""
-        assert from_text("", nvars=3) == LogSeries.zero(3)
+        assert to_text(LogSeries(3)) == ""
+        assert from_text("", nvars=3) == LogSeries(3)
         with pytest.raises(ValueError):
             from_text("")
 
@@ -428,9 +427,19 @@ class TestSerialization:
 
 
 def test_meta_travels(pyramid_lattice):
-    series = build_tails(SupportBox(PYRAMID_V, pyramid_lattice, 4), [()])[()]
-    assert series.meta == SeriesMeta(PYRAMID_V, pyramid_lattice, 4)
-    assert series.mul_log_linear((0, 0, 0, 0, 1)).meta == series.meta
+    box = SupportBox(PYRAMID_V, pyramid_lattice, 4)
+    tails = build_tails(box, [*tails_read([(1, (0, 4))]), (4, 4)])
+    assert len(tails) == 5 and all(tail.meta is box for tail in tails.values())
+    assert tails[()].mul_log_linear((0, 0, 0, 0, 1)).meta is box
+    assert combine(tails, [(1, (0, 4))]).meta is box
+
+
+def test_tails_of_equal_boxes_combine(pyramid_lattice):
+    box, twin = (SupportBox(PYRAMID_V, pyramid_lattice, 4) for _ in range(2))
+    assert box is not twin and box == twin and hash(box) == hash(twin)
+    tails = build_tails(box, [(), (4,)])
+    mixed = {(): tails[()], (4,): build_tails(twin, [(4,)])[(4,)]}
+    assert combine(mixed, [(1, (4,))]) == combine(tails, [(1, (4,))])
 
 
 # The integer-keyed series against FractionSeries, the Fraction-keyed class

@@ -13,12 +13,11 @@ from gkzlog import (
     CISpec,
     EulerOp,
     IntMatrix,
-    LogTerm,
     MirrorMap,
     Polytope,
     ProblemFileError,
     RelationLattice,
-    SeriesMeta,
+    SupportBox,
     SupportVerdict,
     UniLogPoly,
 )
@@ -42,13 +41,9 @@ RECORDS = [
     (lambda: IntMatrix(((1, 2), (3, 4))), "IntMatrix(rows=((1, 2), (3, 4)))"),
     (lambda: RelationLattice(3, ((1, -2, 1),)), "RelationLattice(ambient_dim=3, basis=((1, -2, 1),))"),
     (
-        lambda: SeriesMeta((F(-1), F(0)), LATTICE, 3),
-        "SeriesMeta(base=(Fraction(-1, 1), Fraction(0, 1)), "
-        "lattice=RelationLattice(ambient_dim=3, basis=((1, -2, 1),)), radius=3)",
-    ),
-    (
-        lambda: LogTerm((F(1, 2),), (1,), F(-3)),
-        "LogTerm(exponent=(Fraction(1, 2),), logdeg=(1,), coeff=Fraction(-3, 1))",
+        lambda: SupportBox((-1, "1/2", 0), LATTICE, 3, 50),
+        "SupportBox(base=(Fraction(-1, 1), Fraction(1, 2), Fraction(0, 1)), "
+        "lattice=RelationLattice(ambient_dim=3, basis=((1, -2, 1),)), radius=3, max_points=50)",
     ),
     (lambda: BoxOp((1, -2, 1)), "BoxOp(point=(1, -2, 1), plus=(1, 0, 1), minus=(0, 2, 0))"),
     (lambda: EulerOp((1, 1), F(-1)), "EulerOp(row=(1, 1), beta=Fraction(-1, 1))"),
