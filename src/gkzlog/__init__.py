@@ -16,9 +16,9 @@ __version__ = "0.1.0"
 
 # The module that defines each exported name, in the order of __all__.
 _HOME = {
-    "CISpec": "ci_mirror",
+    "CISpec": "ci",
+    "build_system": "ci",
     "MirrorMap": "ci_mirror",
-    "build_system": "ci_mirror",
     "integrality_report": "ci_mirror",
     "mirror_map": "ci_mirror",
     "positive_grading": "ci_mirror",

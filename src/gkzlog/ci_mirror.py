@@ -1,9 +1,9 @@
-"""Complete-intersection systems and mirror-map integrality reports.
+"""Mirror maps of complete-intersection systems and their integrality reports.
 
-A complete-intersection input is a list of integer point sets, one per
-equation, the first point of each set being distinguished.  Lifting each
-point with an indicator block gives a point-configuration matrix whose
-GKZ system at the canonical parameter has a distinguished log-free
+A complete-intersection input (``ci.CISpec``) is lifted by
+``ci.build_system``, which lives in ``ci`` so that loading a problem
+file compiles none of this pipeline.  The GKZ system of the lifted
+matrix at the canonical parameter has a distinguished log-free
 solution F and log-linear partners G, one per column.  The mirror map of
 a column is
 
@@ -54,100 +54,17 @@ from math import gcd, lcm
 from operator import add, mul
 
 from .errors import DegenerateHull, MinimalityViolation, NoPositiveFunctional
-from .lattice import DEFAULT_MAX_BOX_POINTS, IntMatrix, _lattice_points, kernel_basis
+from .ci import CISpec, build_system
+from .lattice import DEFAULT_MAX_BOX_POINTS, _lattice_points, kernel_basis
 from .linalg import solve_integer
 from .logseries import log_free_coefficients
 from .polytope import _cone_rays, has_unique_interior_point
-from .rationals import ratio_text, to_int
+from .rationals import ratio_text
 from .support import SupportBox, support_rows
 from .values import Value
 
 DEFAULT_GRADING_BOUND = 8
 _SLOT_BITS = 32  # packed-line slot widths are multiples of this
-
-
-class CISpec(Value):
-    """Complete-intersection input: point sets with distinguished first points."""
-
-    point_sets: tuple[tuple[tuple[int, ...], ...], ...]
-
-    def __post_init__(self):
-        if not self.point_sets:
-            raise ValueError("need at least one point set")
-        if not all(self.point_sets):
-            raise ValueError("point sets must be nonempty")
-        dim = len(self.point_sets[0][0])
-        if dim == 0:
-            raise ValueError("points need at least one coordinate")
-        for s in self.point_sets:
-            if any(len(p) != dim for p in s):
-                raise ValueError("inconsistent point dimension")
-
-    @classmethod
-    def from_lists(cls, sets) -> "CISpec":
-        return cls(
-            tuple(tuple(tuple(to_int(x, "point coordinate") for x in p) for p in s) for s in sets)
-        )
-
-    @property
-    def dim(self) -> int:
-        return len(self.point_sets[0][0])
-
-    @property
-    def num_sets(self) -> int:
-        return len(self.point_sets)
-
-    @property
-    def column_count(self) -> int:
-        return sum(len(s) for s in self.point_sets)
-
-    def column_index(self, i: int, j: int) -> int:
-        """Flat column index of member ``j`` of set ``i``."""
-        if not 0 <= i < self.num_sets:
-            raise ValueError("set index out of range")
-        if not 0 <= j < len(self.point_sets[i]):
-            raise ValueError("member index out of range")
-        return sum(len(s) for s in self.point_sets[:i]) + j
-
-    def column_of(self, flat: int) -> tuple[int, int]:
-        if not 0 <= flat < self.column_count:
-            raise ValueError("column index out of range")
-        for i, s in enumerate(self.point_sets):
-            if flat < len(s):
-                return (i, flat)
-            flat -= len(s)
-        raise AssertionError("unreachable")
-
-    @property
-    def delta(self) -> tuple[int, ...]:
-        """Sum of the distinguished points."""
-        return tuple(sum(s[0][k] for s in self.point_sets) for k in range(self.dim))
-
-
-def build_system(spec: CISpec):
-    """Lifted matrix, parameter vector, and base exponent vector.
-
-    Each point gains an indicator block selecting its set, the parameter
-    is minus the sum of the lifted distinguished columns, and the base
-    exponent vector is -1 on distinguished columns and 0 elsewhere.
-    """
-    n, m = spec.dim, spec.num_sets
-    columns = []
-    v = []
-    for i, s in enumerate(spec.point_sets):
-        for j, p in enumerate(s):
-            indicator = [0] * m
-            indicator[i] = 1
-            columns.append(tuple(p) + tuple(indicator))
-            v.append(Fraction(-1 if j == 0 else 0))
-    matrix = IntMatrix.from_rows(
-        tuple(tuple(col[r] for col in columns) for r in range(n + m))
-    )
-    beta = tuple(Fraction(-d) for d in spec.delta) + tuple(Fraction(-1) for _ in range(m))
-    v = tuple(v)
-    if matrix.mul_vec(v) != beta:
-        raise AssertionError("lifted system is inconsistent")
-    return matrix, beta, v
 
 
 def positive_grading(rays):

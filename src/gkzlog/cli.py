@@ -13,9 +13,11 @@ Exit codes: 0 pass, 1 verification failure, 2 input or output error
 (an unwritable ``--out`` or a closed stdout), 3 resource limit.
 
 Each command imports the pipeline it runs when it runs: loading a ``ci``
-problem imports ``ci_mirror`` and the hull code of ``polytope``, and
-``solve`` and ``combine`` import ``logseries`` and ``operators``, so a
-run compiles only the modules it needs.
+problem imports the module ``ci`` (the point sets and their lift) and no
+pipeline; the ``ci`` command imports the hull code of ``polytope``,
+``mirror`` the mirror-map pipeline ``ci_mirror``, and ``solve`` and
+``combine`` import ``logseries`` and ``operators``, so a run compiles
+only the modules it needs.
 """
 
 from __future__ import annotations
@@ -48,7 +50,7 @@ class Problem:
         self.source_hash = "sha256:" + hashlib.sha256(canonical.encode("utf-8")).hexdigest()[:16]
         self.spec = None
         if "ci" in raw:
-            from .ci_mirror import CISpec, build_system
+            from .ci import CISpec, build_system
 
             ci = raw["ci"]
             if not isinstance(ci, dict) or "point_sets" not in ci:
@@ -191,7 +193,9 @@ def _series_run(args, started, problem, box, sets, artifacts, euler, parameters)
     writes each artifact ``(name, terms)`` as ``combine(tails, terms)``,
     box-verified against the whole basis in one ``verify_box_operators``
     call and, unless ``euler`` is None, Euler-verified against its
-    ``(matrix, beta)``; then ``run_report.json``.  Every support set is
+    ``(matrix, beta)``; then ``run_report.json``.  An artifact with no
+    check (a rank-0 lattice has no box operator) does not pass, as one
+    whose checks certified no term does not.  Every support set is
     enumerated and every artifact rendered before the first write, so a
     capped run, or one with a number past the integer-string limit,
     writes nothing.
@@ -219,7 +223,7 @@ def _series_run(args, started, problem, box, sets, artifacts, euler, parameters)
             for op, got in reports
         ]
         verification.append({"artifact": name, "checks": checks})
-        ok = ok and all(got.passed for _, got in reports)
+        ok = ok and bool(reports) and all(got.passed for _, got in reports)
         texts.append((name, to_text(series)))
     artifacts = [_write_artifact(Path(args.out), name, text) for name, text in texts]
     report = {

@@ -189,6 +189,24 @@ def test_combine_at_radius_zero_certifies_nothing_and_fails(tmp_path, capsys):
     assert all(check["violations"] == 0 for check in report["verification"][0]["checks"])
 
 
+@pytest.mark.parametrize(
+    "fields",
+    [
+        {"matrix": [[1, 1], [0, 1]], "beta": ["1", "0"], "v": ["1", "0"]},
+        {"ci": {"point_sets": [[[0, 0]]]}},
+    ],
+    ids=["matrix", "ci"],
+)
+def test_solve_on_a_rank_zero_lattice_checks_nothing_and_fails(tmp_path, capsys, fields):
+    # a rank-0 lattice has no box operator, so solve runs no check at all
+    out = tmp_path / "out"
+    assert main(["solve", _problem(tmp_path, **fields), "--order", "1", "--out", str(out)]) == 1
+    assert "status: fail" in capsys.readouterr().out
+    report = json.loads((out / "run_report.json").read_text())
+    assert report["status"] == "fail"
+    assert all(entry["checks"] == [] for entry in report["verification"])
+
+
 def test_solve_order2_builds_one_support_box(tmp_path, monkeypatch):
     # the sweep's box feeds F, every G_i and the H table: one box of radius 12
     radii = []
@@ -984,21 +1002,60 @@ def test_negative_max_terms_is_an_input_error(tmp_path, capsys):
     assert not (tmp_path / "out").exists()
 
 
-# What a CI problem loads and a matrix problem does not: the CI system and the hull code.
-CI_MODULES = {"gkzlog.ci_mirror", "gkzlog.polytope"}
+# The mirror-map pipeline and the hull code: mirror loads both, ci the hull code alone.
+MIRROR_MODULES = {"gkzlog.ci_mirror", "gkzlog.polytope"}
+# The lift: what loading a CI problem file loads, and loading a matrix problem does not.
+CI_LOAD = {"gkzlog.ci"}
 
 
 @pytest.mark.parametrize(
     "args, absent, present",
     [
-        (["mirror", TRIANGLES, "--index", "1", "--grade", "4"], {"gkzlog.operators"}, CI_MODULES),
-        (["ci", TRIANGLES], {"gkzlog.operators"}, CI_MODULES),
-        (["solve", PYRAMID, "--order", "1", "--radius", "3"], CI_MODULES, {"gkzlog.operators"}),
-        (["combine", PYRAMID, "--l", "(-1,1,-1,1,0)", "--radius", "3"], CI_MODULES, set()),
-        (["support", PYRAMID, "--exclude", "4"], CI_MODULES | {"gkzlog.logseries"}, set()),
-        (["lattice", PYRAMID], CI_MODULES | {"gkzlog.logseries"}, set()),
+        (
+            ["mirror", TRIANGLES, "--index", "1", "--grade", "4"],
+            {"gkzlog.operators"},
+            MIRROR_MODULES | CI_LOAD,
+        ),
+        (
+            ["ci", TRIANGLES],
+            {"gkzlog.ci_mirror", "gkzlog.logseries", "gkzlog.coefficients", "gkzlog.operators"},
+            {"gkzlog.polytope"} | CI_LOAD,
+        ),
+        (
+            ["solve", PYRAMID, "--order", "1", "--radius", "3"],
+            MIRROR_MODULES | CI_LOAD,
+            {"gkzlog.operators"},
+        ),
+        (
+            ["combine", PYRAMID, "--l", "(-1,1,-1,1,0)", "--radius", "3"],
+            MIRROR_MODULES | CI_LOAD,
+            set(),
+        ),
+        (
+            ["support", PYRAMID, "--exclude", "4"],
+            MIRROR_MODULES | CI_LOAD | {"gkzlog.logseries"},
+            set(),
+        ),
+        (["lattice", PYRAMID], MIRROR_MODULES | CI_LOAD | {"gkzlog.logseries"}, set()),
+        (
+            ["solve", HEXAGON, "--order", "1", "--radius", "2"],
+            MIRROR_MODULES,
+            CI_LOAD | {"gkzlog.operators"},
+        ),
+        (["support", HEXAGON], MIRROR_MODULES | {"gkzlog.logseries"}, CI_LOAD),
+        (["lattice", HEXAGON], MIRROR_MODULES | {"gkzlog.logseries"}, CI_LOAD),
     ],
-    ids=["mirror", "ci", "solve", "combine", "support", "lattice"],
+    ids=[
+        "mirror",
+        "ci",
+        "solve",
+        "combine",
+        "support",
+        "lattice",
+        "solve-ci-file",
+        "support-ci-file",
+        "lattice-ci-file",
+    ],
 )
 def test_a_command_imports_only_its_pipeline(tmp_path, args, absent, present):
     # each command imports the pipeline it runs, so a run compiles no other

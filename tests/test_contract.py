@@ -10,8 +10,9 @@ name are held to the package too.  A dead-code scan stands in for a linter:
 every name a module imports is used in it, every private module-level
 function or class is referenced somewhere in the package, every public
 one is exported in ``gkzlog.__all__`` or referenced somewhere in the
-package, and every public method of a package class is read somewhere in
-the package, the tests or the benchmark.  Each export resolves to the
+package, and every public method of a package class is called or passed
+as a callable somewhere in the package, the tests or the benchmark (a
+property read as an attribute).  Each export resolves to the
 object of that name in the module ``gkzlog._HOME`` gives for it.
 """
 
@@ -190,24 +191,35 @@ def dead_methods(trees, readers):
     """``(module, "Class.method")`` of each public method no tree of ``readers`` reads.
 
     ``trees`` maps module names to parsed modules whose classes are
-    scanned.  A method is read where its name is read as an attribute
-    (``x.name``) or is a string constant, as the benchmark names the
-    methods it wraps, in any of the parsed ``readers``.
+    scanned.  A method is read where it is called (``x.name(...)``) or
+    passed as a callable, as a call argument or keyword value
+    (``key=x.name``); a ``@property`` is read wherever its name is read
+    as an attribute (``x.name``).  Either is read where its name is a
+    string constant, as the benchmark names the methods it wraps, in any
+    of the parsed ``readers``.  So a method is not read where a field or
+    property of the same name is.
     """
-    read = set()
+    called, loaded = set(), set()
     for tree in readers:
         for node in ast.walk(tree):
-            if isinstance(node, ast.Attribute) and isinstance(node.ctx, ast.Load):
-                read.add(node.attr)
+            if isinstance(node, ast.Call):
+                passed = [node.func, *node.args, *(keyword.value for keyword in node.keywords)]
+                called |= {each.attr for each in passed if isinstance(each, ast.Attribute)}
+            elif isinstance(node, ast.Attribute) and isinstance(node.ctx, ast.Load):
+                loaded.add(node.attr)
             elif isinstance(node, ast.Constant) and isinstance(node.value, str):
-                read.add(node.value)
+                called.add(node.value)
+    properties = called | loaded
     for module, tree in trees.items():
         for cls in ast.walk(tree):
             if not isinstance(cls, ast.ClassDef):
                 continue
             for stmt in cls.body:
                 if isinstance(stmt, ast.FunctionDef) and not stmt.name.startswith("_"):
-                    if stmt.name not in read:
+                    prop = any(
+                        isinstance(d, ast.Name) and d.id == "property" for d in stmt.decorator_list
+                    )
+                    if stmt.name not in (properties if prop else called):
                         yield module, f"{cls.name}.{stmt.name}"
 
 
@@ -302,6 +314,15 @@ def test_the_dead_method_scan_flags_each_kind():
         "        pass\n"
         "    def stored(self):\n"
         "        pass\n"
+        "    def column(self):\n"
+        "        pass\n"
+        "    @property\n"
+        "    def size(self):\n"
+        "        pass\n"
+        "    def keyed(self):\n"
+        "        pass\n"
+        "    def mapped(self):\n"
+        "        pass\n"
         "    def _private(self):\n"
         "        pass\n"
         "    def __len__(self):\n"
@@ -313,9 +334,15 @@ def test_the_dead_method_scan_flags_each_kind():
         "    pass\n"
     )
     tree = ast.parse(source)
-    other = ast.parse("x = Shape().read() or 'named'\nx.stored = read()\n")
+    other = ast.parse(
+        "x = Shape().read() or 'named'\n"
+        "x.stored = read()\n"
+        "y = error.column + x.size\n"  # a field that shadows the method column
+        "z = sorted(y, key=x.keyed) or map(x.mapped, y)\n"
+    )
     assert list(dead_methods({"m": tree}, [tree, other])) == [
         ("m", "Shape.unread"),
         ("m", "Shape.stored"),
+        ("m", "Shape.column"),
         ("m", "Inner.lost"),
     ]
