@@ -22,7 +22,6 @@ _HOME = {
     "integrality_report": "ci_mirror",
     "mirror_map": "ci_mirror",
     "positive_grading": "ci_mirror",
-    "UniLogPoly": "coefficients",
     "chain_constants": "coefficients",
     "f_coeffs": "coefficients",
     "DegenerateHull": "errors",

@@ -17,8 +17,9 @@ point of one system of the lattice-point engine
 (``lattice._lattice_points``); the ambient grading a report prints is
 their one integer lift through the basis.  The tails of F and G are read
 from the support cones themselves: cut by the grade row, each cone is a
-polytope whose lattice points the same engine enumerates exactly, with
-no radius bounding it.  The tails stay in lattice coordinates, where the
+polytope whose lattice points the one support query
+(``support.support_points``) enumerates exactly, with no radius
+bounding it.  The tails stay in lattice coordinates, where the
 weights grade them; ambient points serve only the coefficient rule and
 the final map.  The tails keep the integer numerators over one
 denominator that ``log_free_coefficients`` returns.  The quotient ``G /
@@ -32,12 +33,13 @@ coordinate; a grade layer is one denominator and a list of lines, each
 one int that holds the line's numerators in slots of equal width, a
 point being a one-slot line.  The product of two lines is then one
 big-int multiply (Kronecker substitution), and adding the products by
-line key sums the layer.  The slot width comes from an exact bound on
-every slot of the layer, so the numerators read back exactly by
-construction.  Lines run along the free coordinate that puts the tails
-on the fewest lines; a one-coordinate grading has none, and there each
-grade is one point.  On the rank-2 lattice of two triangles each grade
-is one line.
+line key sums the layer.  A line's key is a tuple of its point
+coordinates, so the key of a product is the elementwise sum of keys.
+The slot width comes from an exact bound on every slot of the layer,
+so the numerators read back exactly by construction.  Lines run along
+the free coordinate that puts the tails on the fewest lines; a
+one-coordinate grading has none, and there each grade is one point.
+On the rank-2 lattice of two triangles each grade is one line.
 
 ``integrality_report`` lists the non-integer coefficients, if any, up
 to the bound.
@@ -49,7 +51,7 @@ Indices are 0-based throughout: column ``(i, j)`` is member ``j`` of set
 from __future__ import annotations
 
 from fractions import Fraction
-from itertools import chain, repeat
+from itertools import repeat
 from math import gcd, lcm
 from operator import add, mul
 
@@ -60,7 +62,7 @@ from .linalg import solve_integer
 from .logseries import log_free_coefficients
 from .polytope import _cone_rays, has_unique_interior_point
 from .rationals import ratio_text
-from .support import SupportBox, support_rows
+from .support import SupportBox, support_points, support_rows
 from .values import Value
 
 DEFAULT_GRADING_BOUND = 8
@@ -186,15 +188,12 @@ class _Lines:
     one in absolute value, so that the grade gives it back, and the free
     coordinate ``k1``, the one that puts the given points on the fewest
     lines.  A one-coordinate grading has no free coordinate (``k1`` is
-    None), and there every line is one point.  A point's key packs
-    ``p[k1]`` as digit 0 and the coordinates but ``k0`` and ``k1`` as the
-    next digits, in balanced base ``B``.  With ``M`` the largest
-    ``|coordinate|`` of the given points, a sum of at most ``bound + 1`` of
-    them has every coordinate strictly inside ``(-B/2, B/2)`` for ``B = 2 *
-    (bound + 1) * M + 1``; there packing is injective and the key of a sum
-    is the sum of the keys.  A line is keyed by its first point, so the sum
-    of two line keys is the key of the first point of their product, and
-    keys on one line differ by the distance along it.
+    None), and there every line is one point.  A point's key is the tuple
+    of its coordinates but ``k0`` and ``k1`` (``rest``), followed by
+    ``p[k1]`` (0 without a free coordinate), and a line is keyed by its
+    first point.  Keys add elementwise: the sum of two line keys is the
+    key of the first point of their product, and keys on one line differ
+    only in their last entry, the distance along it.
 
     Each series is given as ``(points, q, numerators)``: coefficient
     ``numerators[i] / q`` at ``points[i]``, zeros allowed, as
@@ -204,7 +203,7 @@ class _Lines:
     denominators.
     """
 
-    def __init__(self, grading, bound, *series):
+    def __init__(self, grading, *series):
         self.grading = grading = tuple(grading)
         points = [p for s in series for p in s[0]]
         columns = list(zip(*points)) or [()] * len(grading)
@@ -212,19 +211,15 @@ class _Lines:
         for a, column in zip(grading, columns):
             if a:
                 grades = list(map(add, grades, map(mul, repeat(a), column)))
-        weighted = [(abs(a), k) for k, a in enumerate(grading) if a]
-        self.k0 = k0 = min(weighted)[1] if weighted else None
+        self.k0 = k0 = min((abs(a), k) for k, a in enumerate(grading) if a)[1]
         free = [k for k in range(len(grading)) if k != k0]
         counts = {
             k1: len(set(zip(grades, *(columns[k] for k in free if k != k1)))) for k1 in free
         }
         self.k1 = min(counts, key=counts.get, default=None)
         self.rest = [k for k in free if k != self.k1]
-        self.base = base = 2 * (bound + 1) * max(map(abs, chain(*columns)), default=0) + 1
 
-        lines = [0] * len(points)
-        for k in reversed(self.rest):
-            lines = [line * base + x for line, x in zip(lines, columns[k])]
+        lines = list(zip(*(columns[k] for k in self.rest))) or [()] * len(points)
         frees = [0] * len(points) if self.k1 is None else columns[self.k1]
         self.layers = []
         start = 0
@@ -233,7 +228,7 @@ class _Lines:
             keys = zip(grades[start:], lines[start:], frees[start:])
             for (grade, line, x), n in zip(keys, numerators):
                 if n:
-                    found.setdefault(grade, {}).setdefault(line * base, {})[x] = n
+                    found.setdefault(grade, {}).setdefault(line, {})[x] = n
             start += len(coords)
             layers = {}
             for grade, grade_lines in found.items():
@@ -244,7 +239,7 @@ class _Lines:
                     slots = [0] * (max(ns) - lo + 1)
                     for x, n in ns.items():
                         slots[x - lo] = n // g
-                    layer_lines.append((line + lo, slots))
+                    layer_lines.append((line + (lo,), slots))
                 layers[grade] = _Layer(q // g, layer_lines)
             self.layers.append(layers)
 
@@ -258,23 +253,22 @@ class _Lines:
         layer's common factor, from the slots and, exactly, from the packed
         ints.
         """
-        base = self.base
-        half_base = base // 2
-        found: dict[int, list] = {}
+        found: dict[tuple, list] = {}
         for key in acc:
-            found.setdefault((key + half_base) // base, []).append(key)
+            found.setdefault(key[:-1], []).append(key[-1])
         lines, packed = [], []
-        for keys in found.values():
-            first = min(keys)
-            n = sum(acc[key] << (width * (key - first)) for key in keys)
+        for line, xs in found.items():
+            first = min(xs)
+            n = sum(acc[line + (x,)] << (width * (x - first)) for x in xs)
             slots = _unpack(n, width)
             if not slots:
                 continue
             zeros = 0
             while not slots[zeros]:
                 zeros += 1
-            lines.append((first + zeros, slots[zeros:]))
-            packed.append((first + zeros, n >> (width * zeros)))
+            key = line + (first + zeros,)
+            lines.append((key, slots[zeros:]))
+            packed.append((key, n >> (width * zeros)))
         if not lines:
             return None
         g = gcd(den, *[x for _, slots in lines for x in slots])
@@ -286,27 +280,21 @@ class _Lines:
 
     def series(self, layers):
         """Point-keyed ``Fraction`` series of ``{grade: _Layer}``."""
-        grading, base, k0, k1 = self.grading, self.base, self.k0, self.k1
-        half_base = base // 2
+        grading, k0, k1, rest = self.grading, self.k0, self.k1, self.rest
         w1 = 0 if k1 is None else grading[k1]
         out = {}
         point = [0] * len(grading)
         for grade, layer in layers.items():
             den = layer.den
             for key, slots in layer.lines:
-                lo = (key + half_base) % base - half_base
-                key = (key - lo) // base
-                for k in self.rest:
-                    digit = (key + half_base) % base - half_base
-                    point[k] = digit
-                    key = (key - digit) // base
-                left = grade - sum(grading[k] * point[k] for k in self.rest)
-                for x, n in enumerate(slots, lo):
+                for k, x in zip(rest, key):
+                    point[k] = x
+                left = grade - sum(grading[k] * point[k] for k in rest)
+                for x, n in enumerate(slots, key[-1]):
                     if n:
                         if k1 is not None:
                             point[k1] = x
-                        if k0 is not None:
-                            point[k0] = (left - w1 * x) // grading[k0]
+                        point[k0] = (left - w1 * x) // grading[k0]
                         out[tuple(point)] = Fraction(n, den)
         return out
 
@@ -360,7 +348,7 @@ def _graded_recurrence(lines, first, step, bound, weight, divisor):
             for ka, na in a.at(width):
                 na *= scale
                 for kb, nb in b_items:
-                    key = ka + kb
+                    key = tuple(map(add, ka, kb))
                     acc[key] = get(key, 0) + na * nb
         layer = lines.collect(acc, width, common * divisor(d))
         if layer is not None:
@@ -379,7 +367,7 @@ def _exp_layers(lines, h, bound):
     A point of ``E_d`` is a sum of points of ``h`` whose grades add up to
     ``d``.
     """
-    one = {0: _Layer(1, [(0, [1])])}  # key 0 is the zero point
+    one = {0: _Layer(1, [((0,) * (len(lines.rest) + 1), [1])])}  # the zero point
     return _graded_recurrence(lines, one, h, bound, lambda m: m, lambda d: d or 1)
 
 
@@ -389,10 +377,10 @@ def _exp_of_quotient(g, f, grading, bound):
     ``f`` and ``g`` are ``(points, q, numerators)`` series (``_Lines``).
     One set of lines serves both steps, and the quotient's layers are the
     exponent's: a point of the quotient is a sum of points of ``f`` and
-    ``g``, and so is a point of the exponential, at most ``bound`` of
-    them in all, where the keys of ``_Lines`` add up.
+    ``g``, and so is a point of the exponential, and the keys of
+    ``_Lines`` add up with the points.
     """
-    lines = _Lines(grading, bound, f, g)
+    lines = _Lines(grading, f, g)
     sf, sg = lines.layers
     return lines.series(_exp_layers(lines, _quotient_layers(lines, sg, sf, bound), bound))
 
@@ -413,7 +401,7 @@ def mirror_map(
     ambient grading is their one integer lift.  The ``F`` and ``G`` tails are
     the support points of ``v`` cut by the grade row
     ``grade_bound - weights . y >= 0`` (``y`` the lattice coordinates,
-    ``_lattice_points``), so truncation at the bound is exact and no radius
+    ``support_points``), so truncation at the bound is exact and no radius
     bounds them; each enumeration, like those of the minimality checks, is
     capped at ``max_points``.  The tails stay keyed by ``y``, with the integer
     numerators and the one denominator of ``log_free_coefficients``, and the
@@ -489,11 +477,10 @@ def mirror_map(
 
     # On a {0, -1} base vector each support set is a cone; the grade row cuts it.
     # The tails stay in lattice coordinates, where the weights grade them.
-    grade_row = [(tuple(-w for w in weights), grade_bound)]
+    cut = [(tuple(-w for w in weights), grade_bound)]  # the grade row
     coords = {}
     for logs in ((), (col,)):
-        rows = list(support_rows(v, lattice.basis, logs).values()) + grade_row
-        coords[logs] = [x for x in _lattice_points(rows, lattice.rank, max_points) if any(x)]
+        coords[logs] = [x for x in support_points(v, lattice, logs, cut, max_points) if any(x)]
         for x in coords[logs]:
             if sum(w * y for w, y in zip(weights, x)) < 1:
                 raise AssertionError(f"support point {x} has nonpositive grade")

@@ -193,9 +193,11 @@ def _series_run(args, started, problem, box, sets, artifacts, euler, parameters)
     writes each artifact ``(name, terms)`` as ``combine(tails, terms)``,
     box-verified against the whole basis in one ``verify_box_operators``
     call and, unless ``euler`` is None, Euler-verified against its
-    ``(matrix, beta)``; then ``run_report.json``.  An artifact with no
-    check (a rank-0 lattice has no box operator) does not pass, as one
-    whose checks certified no term does not.  Every support set is
+    ``(matrix, beta)``; then ``run_report.json``.  An artifact passes
+    only if every check passes and some check certified something: a box
+    check a nonempty region, an Euler check at least one term.  So one
+    with no check, or only an Euler check of no term (a rank-0 lattice has
+    no box operator), does not pass.  Every support set is
     enumerated and every artifact rendered before the first write, so a
     capped run, or one with a number past the integer-string limit,
     writes nothing.
@@ -223,7 +225,11 @@ def _series_run(args, started, problem, box, sets, artifacts, euler, parameters)
             for op, got in reports
         ]
         verification.append({"artifact": name, "checks": checks})
-        ok = ok and bool(reports) and all(got.passed for _, got in reports)
+        certified = any(
+            got.checked_term_count if got.certified_region is None else got.certified_region
+            for _, got in reports
+        )
+        ok = ok and certified and all(got.passed for _, got in reports)
         texts.append((name, to_text(series)))
     artifacts = [_write_artifact(Path(args.out), name, text) for name, text in texts]
     report = {

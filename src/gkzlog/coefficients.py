@@ -9,12 +9,13 @@ log variable.  Consecutive members satisfy
 and one walk on integers (``_walk``) follows that recurrence from the
 seed ``f_0 = log**m``: down directly, and up by solving it for ``f_k``,
 which divides by ``z+k`` and so stops before the first ``k > 0`` with
-``z+k = 0``.  ``f_coeffs`` reads one member of the walk, and
-``chain_constants`` tabulates the constant terms of a whole range of
-members, as ``(num, den)`` pairs, at O(m) work per member; the series
-builders and the mirror map use these tables.  The paper's closed forms
-of the members (shifted products and shifted symmetric sums) are the
-tests' oracle.  Every function is pure and exact.
+``z+k = 0``.  ``f_coeffs`` reads one member of the walk as a tuple of
+``Fraction`` log-coefficients, and ``chain_constants`` tabulates the
+constant terms of a whole range of members, as ``(num, den)`` pairs, at
+O(m) work per member; the series builders and the mirror map use these
+tables.  The paper's closed forms of the members (shifted products and
+shifted symmetric sums) are the tests' oracle.  Every function is pure
+and exact.
 """
 
 from __future__ import annotations
@@ -24,27 +25,6 @@ from math import gcd, lcm
 
 from .errors import MinimalityViolation
 from .rationals import to_rational
-from .values import Value
-
-
-class UniLogPoly(Value):
-    """Polynomial in a single log variable; ``coeffs[d]`` multiplies ``log**d``."""
-
-    coeffs: tuple[Fraction, ...]
-
-    @classmethod
-    def of(cls, coeffs) -> "UniLogPoly":
-        vals = [to_rational(c) for c in coeffs]
-        while vals and vals[-1] == 0:
-            vals.pop()
-        return cls(tuple(vals))
-
-    def coefficient(self, d: int) -> Fraction:
-        return self.coeffs[d] if 0 <= d < len(self.coeffs) else Fraction(0)
-
-    @property
-    def constant(self) -> Fraction:
-        return self.coefficient(0)
 
 
 def _walk(top: list[int], den: int, z: Fraction, lo: int, hi: int):
@@ -90,12 +70,14 @@ def _walk(top: list[int], den: int, z: Fraction, lo: int, hi: int):
             yield poly, d
 
 
-def f_coeffs(z, k: int, m: int) -> UniLogPoly:
+def f_coeffs(z, k: int, m: int) -> tuple[Fraction, ...]:
     """Log-variable coefficients of the k-th member of the derivative chain.
 
     The chain starts at ``t**z log(t)**m`` and each step is d/dt; the
     member at index ``k`` factors as ``t**(z+k)`` times the polynomial
-    returned here.  ``m``, the log power, is any nonnegative integer.
+    returned here, whose entry ``d`` multiplies ``log**d``, with trailing
+    zeros trimmed (the zero polynomial is the empty tuple).  ``m``, the
+    log power, is any nonnegative integer.
 
     The case ``z`` a negative integer with ``k >= -z`` has no product
     formula; it is excluded by the minimality hypotheses of every caller,
@@ -105,22 +87,24 @@ def f_coeffs(z, k: int, m: int) -> UniLogPoly:
         raise ValueError("log power must be nonnegative")
     z = to_rational(z)
     for poly, d in _walk([0] * m + [1], 1, z, k, k):
-        return UniLogPoly.of(Fraction(c, d) for c in poly)
+        while poly and not poly[-1]:
+            poly = poly[:-1]
+        return tuple(Fraction(c, d) for c in poly)
     raise MinimalityViolation(
         f"f_coeffs({z}, {k}, {m}) has no product formula (z negative integer, k >= -z)"
     )
 
 
-def chain_constants(seed: UniLogPoly, z, lo: int, hi: int) -> list[tuple[int, int]]:
+def chain_constants(seed, z, lo: int, hi: int) -> list[tuple[int, int]]:
     """Constant terms of the chain members ``f_k`` for ``lo <= k <= hi``, as int pairs.
 
     Each constant is ``(num, den)`` in lowest terms with ``den > 0``.
-    ``seed`` is the member ``f_0``; for the chain of ``t**z log(t)**m`` it
-    is ``f_coeffs(z, 0, m)``.  The list ends early where the walk stops:
-    every entry past its end is undefined, exactly where ``f_coeffs``
-    raises.
+    ``seed`` is the member ``f_0``, its log-coefficients as ``f_coeffs``
+    returns them; for the chain of ``t**z log(t)**m`` it is ``f_coeffs(z,
+    0, m)``.  The list ends early where the walk stops: every entry past
+    its end is undefined, exactly where ``f_coeffs`` raises.
     """
-    den = lcm(*(c.denominator for c in seed.coeffs))
-    top = [c.numerator * (den // c.denominator) for c in seed.coeffs]
+    den = lcm(*(c.denominator for c in seed))
+    top = [c.numerator * (den // c.denominator) for c in seed]
     members = _walk(top, den, to_rational(z), lo, hi)
     return [(poly[0] // g, d // g) for poly, d in members for g in [gcd(poly[0], d)]]

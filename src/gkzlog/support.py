@@ -5,7 +5,9 @@ are negative integers; variants ignore one or two designated coordinates.
 In lattice coordinates, a coordinate of the shift ``v + point`` stays on
 its side of the support when one integer row holds (``support_rows``);
 with bounding rows (a radius box, a grade cut) they are one system of
-``lattice._lattice_points`` (``support_points``).  A :class:`SupportBox`
+``lattice._lattice_points``, whose points ``support_points`` yields in
+lattice coordinates, for the support sets of a radius box and the
+mirror-map tails of a grade cut alike.  A :class:`SupportBox`
 reads every support set and minimality verdict (no shift strictly
 shrinks the support) of one base vector so, within a radius, and every
 verdict is radius-qualified; it is also the one input of the series
@@ -46,9 +48,15 @@ def support_rows(v, basis, excluded=()) -> dict[int, tuple[tuple[int, ...], int]
 
 
 def support_points(v, lattice: RelationLattice, excluded, bounds, max_points) -> list:
-    """Ambient points of ``support_rows`` plus ``bounds``, as ``_lattice_points`` yields them."""
+    """Lattice coordinates of the support points within ``bounds``, lexicographic.
+
+    The one support-set query: the system of ``support_rows`` plus the
+    bounding rows, a radius box (``SupportBox.support_set``, which maps
+    the coordinates to ambient points) or a grade cut (the tails of
+    ``ci_mirror.mirror_map``), as ``_lattice_points`` yields its points.
+    """
     rows = list(support_rows(v, lattice.basis, excluded).values()) + bounds
-    return lattice.points_from_coords(_lattice_points(rows, lattice.rank, max_points))
+    return list(_lattice_points(rows, lattice.rank, max_points))
 
 
 class SupportVerdict(Value):
@@ -122,7 +130,8 @@ class SupportBox(Value):
 
     def support_set(self, excluded=()) -> list[tuple[int, ...]]:
         """Points whose shift preserves the support, in lexicographic coordinate order."""
-        return support_points(self.base, self.lattice, excluded, self.box_rows, self.max_points)
+        coords = support_points(self.base, self.lattice, excluded, self.box_rows, self.max_points)
+        return self.lattice.points_from_coords(coords)
 
     def sweep(self, excluded_sets) -> dict[tuple[int, ...], SupportVerdict]:
         """Verdicts keyed by sorted excluded tuple, in first-occurrence order."""

@@ -3,8 +3,11 @@
 - The paper's closed forms of the derivative-chain coefficients: the
   shifted product ``[z]_k`` (``bracket``), shifted symmetric sums, and
   ``closed_form_f_coeffs`` assembled from them, with the arithmetic of
-  ``UniLogPoly`` that states the chain recurrence.  The package walks
-  that recurrence on integers instead (``gkzlog.coefficients``).
+  log polynomials that states the chain recurrence.  A log polynomial is
+  a tuple of ``Fraction``s, entry ``d`` multiplying ``log**d``, with
+  trailing zeros trimmed (``trimmed``), as ``f_coeffs`` returns it.  The
+  package walks that recurrence on integers instead
+  (``gkzlog.coefficients``).
 - The negative support of a vector, read off coordinate by coordinate
   (``nsupp``), and the mutation helpers of ``LogSeries``.
 - The subsets of the positions of a multiset of log indices
@@ -21,7 +24,7 @@
 
 from fractions import Fraction
 
-from gkzlog import LogSeries, MinimalityViolation, UndefinedBracket, UniLogPoly
+from gkzlog import LogSeries, MinimalityViolation, UndefinedBracket
 
 
 class PoleAtShift(ArithmeticError):
@@ -111,7 +114,7 @@ def mono_sum_shifted(k: int, i: int, z) -> Fraction:
     return acc[i]
 
 
-def closed_form_f_coeffs(z, k: int, m: int) -> UniLogPoly:
+def closed_form_f_coeffs(z, k: int, m: int) -> tuple[Fraction, ...]:
     """``f_coeffs(z, k, m)`` in closed form, from brackets and shifted symmetric sums.
 
     For ``k < 0`` the coefficient of ``log**(m-i)`` is ``m!/(m-i)!`` times
@@ -129,7 +132,7 @@ def closed_form_f_coeffs(z, k: int, m: int) -> UniLogPoly:
             f"f_coeffs({z}, {k}, {m}) has no product formula (z negative integer, k >= -z)"
         )
     if k == 0:
-        return UniLogPoly.of([Fraction(0)] * m + [Fraction(1)])
+        return trimmed([0] * m + [1])
     coeffs = [Fraction(0)] * (m + 1)
     falling = Fraction(1)
     if k < 0:
@@ -141,26 +144,34 @@ def closed_form_f_coeffs(z, k: int, m: int) -> UniLogPoly:
         for i in range(m + 1):
             coeffs[m - i] = (-1) ** i * falling * b * mono_sum_shifted(k, i, z)
             falling *= m - i
-    return UniLogPoly.of(coeffs)
+    return trimmed(coeffs)
 
 
-def scaled(poly: UniLogPoly, factor) -> UniLogPoly:
-    return UniLogPoly.of(c * Fraction(factor) for c in poly.coeffs)
+def trimmed(coeffs) -> tuple[Fraction, ...]:
+    """The log polynomial of ``coeffs``: ``Fraction``s, trailing zeros trimmed."""
+    vals = [Fraction(c) for c in coeffs]
+    while vals and vals[-1] == 0:
+        vals.pop()
+    return tuple(vals)
 
 
-def plus(a: UniLogPoly, b: UniLogPoly) -> UniLogPoly:
-    long, short = a.coeffs, b.coeffs
+def scaled(poly, factor) -> tuple[Fraction, ...]:
+    return trimmed(c * Fraction(factor) for c in poly)
+
+
+def plus(a, b) -> tuple[Fraction, ...]:
+    long, short = a, b
     if len(long) < len(short):
         long, short = short, long
     merged = list(long)
     for d, c in enumerate(short):
         merged[d] += c
-    return UniLogPoly.of(merged)
+    return trimmed(merged)
 
 
-def dlog(poly: UniLogPoly) -> UniLogPoly:
+def dlog(poly) -> tuple[Fraction, ...]:
     """Derivative with respect to the log variable."""
-    return UniLogPoly.of(d * c for d, c in enumerate(poly.coeffs) if d > 0)
+    return trimmed(d * c for d, c in enumerate(poly) if d > 0)
 
 
 def nsupp(vector, excluded=()) -> frozenset[int]:

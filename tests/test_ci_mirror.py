@@ -256,14 +256,14 @@ def as_tail(series):
 
 def graded_quotient(g, f, grading, bound):
     """``g / (1 + f)`` on packed lines, for ``f`` in grades >= 1 and ``g`` in grades >= 0."""
-    lines = ci_mirror._Lines(grading, bound, as_tail(f), as_tail(g))
+    lines = ci_mirror._Lines(grading, as_tail(f), as_tail(g))
     sf, sg = lines.layers
     return lines.series(ci_mirror._quotient_layers(lines, sg, sf, bound))
 
 
 def graded_exp(h, grading, bound):
     """``exp(h)`` on packed lines from 1 at the zero point, for ``h`` in grades >= 1."""
-    lines = ci_mirror._Lines(grading, bound, as_tail(h))
+    lines = ci_mirror._Lines(grading, as_tail(h))
     return lines.series(ci_mirror._exp_layers(lines, lines.layers[0], bound))
 
 
@@ -369,7 +369,8 @@ def test_exp_equals_fraction_reference(h, bound):
 def test_points_at_the_packing_bound(top, coeffs, extra, bound):
     # (top, 1 - top) has grade 1 and the largest |coordinate| of the inputs,
     # so r_bound holds (top, -top) + bound * (top, 1 - top), whose first
-    # coordinate (bound + 1) * top is the largest a packed key must carry.
+    # coordinate (bound + 1) * top is the farthest any output point reaches:
+    # line keys summed over bound products still locate it exactly.
     extra = {p: c for p, c in extra.items() if max(map(abs, p)) <= top}
     step, start = (top, 1 - top), (top, -top)
     f = {**_with_grades(extra, 1), step: coeffs[0]}
@@ -454,7 +455,7 @@ def test_packed_lines_equal_the_fraction_oracle(inputs, bound):
     want = reference_exp(ratio, grading, bound, zero)
     assert ci_mirror._exp_of_quotient(as_tail(g), as_tail(f), grading, bound) == want
     # only a one-coordinate grading leaves no free coordinate to pack along
-    lines = ci_mirror._Lines(grading, bound, as_tail(f), as_tail(g))
+    lines = ci_mirror._Lines(grading, as_tail(f), as_tail(g))
     assert (lines.k1 is None) == (len(grading) == 1)
 
 
@@ -515,7 +516,7 @@ def test_two_triangles_tails_lie_on_one_line_per_grade(two_triangles_spec):
     # the bench workload's lattice tails: weights (-1, 0), so every grade
     # layer of F and G is one dense line along the second coordinate
     grading, f, g = mirror_tails(two_triangles_spec, 2, 12, radius=4)
-    lines = ci_mirror._Lines(grading, 12, f, g)
+    lines = ci_mirror._Lines(grading, f, g)
     assert grading == (-1, 0) and (lines.k0, lines.k1) == (0, 1)
     for layers in lines.layers:
         assert all(len(layer.lines) == 1 for layer in layers.values())
@@ -530,7 +531,7 @@ def test_hexagon_tails_pack_along_a_free_coordinate(column):
     # more than one point
     spec = load_problem(str(FIXTURES / "hexagon.json")).spec
     grading, f, g = mirror_tails(spec, column, 8, radius=4)
-    lines = ci_mirror._Lines(grading, 8, f, g)
+    lines = ci_mirror._Lines(grading, f, g)
     assert len(grading) == 4 and lines.k1 is not None
     assert len({lines.k0, lines.k1, *lines.rest}) == 4
     layers = [layer for layers in lines.layers for layer in layers.values()]

@@ -207,6 +207,28 @@ def test_solve_on_a_rank_zero_lattice_checks_nothing_and_fails(tmp_path, capsys,
     assert all(entry["checks"] == [] for entry in report["verification"])
 
 
+@pytest.mark.parametrize(
+    "fields, point",
+    [
+        ({"matrix": [[1, 1], [0, 1]], "beta": ["1", "0"], "v": ["1", "0"]}, "0,0"),
+        ({"ci": {"point_sets": [[[0, 0]]]}}, "0"),
+    ],
+    ids=["matrix", "ci"],
+)
+def test_combine_on_a_rank_zero_lattice_certifies_nothing_and_fails(
+    tmp_path, capsys, fields, point
+):
+    # no box operator, and the one Euler check has no term to check
+    out = tmp_path / "out"
+    args = ["combine", _problem(tmp_path, **fields), "--l", point, "--out", str(out)]
+    assert main(args) == 1
+    assert "status: fail" in capsys.readouterr().out
+    report = json.loads((out / "run_report.json").read_text())
+    assert report["status"] == "fail"
+    checks = [check for entry in report["verification"] for check in entry["checks"]]
+    assert checks == [{"op": "euler", "checked_terms": 0, "violations": 0}]
+
+
 def test_solve_order2_builds_one_support_box(tmp_path, monkeypatch):
     # the sweep's box feeds F, every G_i and the H table: one box of radius 12
     radii = []

@@ -31,12 +31,17 @@ from tests.conftest import FIXTURES, GAUSS_MATRIX
 from tests.oracles import bracket, bracket_vec, closed_form_f_coeffs
 
 
+def constant(poly):
+    """The constant term of a log polynomial; the empty tuple is zero."""
+    return poly[0] if poly else F(0)
+
+
 def closed_form_chain(z, m, lo, hi):
     """Closed-form constants for lo <= k <= hi, up to the first undefined k."""
     out = []
     for k in range(lo, hi + 1):
         try:
-            out.append(closed_form_f_coeffs(z, k, m).constant)
+            out.append(constant(closed_form_f_coeffs(z, k, m)))
         except MinimalityViolation:
             break
     return out
@@ -53,7 +58,7 @@ def closed_form_coefficient(v, point, logs):
         out = F(1)
         for j in sorted(range(len(v)), key=lambda j: powers[j] > 0):
             z, k, m = v[j], point[j], powers[j]
-            out *= bracket(z, k) if m == 0 else closed_form_f_coeffs(z, k, m).constant
+            out *= bracket(z, k) if m == 0 else constant(closed_form_f_coeffs(z, k, m))
         return out
     except (UndefinedBracket, MinimalityViolation) as exc:
         return type(exc)

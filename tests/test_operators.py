@@ -86,11 +86,11 @@ def test_differentiate_matches_coefficient_chain(m, z, k):
     # one-variable series t^(z+k) * f(log t) differentiates to the k-1 member
     poly = closed_form_f_coeffs(z, k, m)
     series = LogSeries(
-        1, {((z + k,), (d,)): c for d, c in enumerate(poly.coeffs) if c}
+        1, {((z + k,), (d,)): c for d, c in enumerate(poly) if c}
     )
     prev = closed_form_f_coeffs(z, k - 1, m)
     want = LogSeries(
-        1, {((z + k - 1,), (d,)): c for d, c in enumerate(prev.coeffs) if c}
+        1, {((z + k - 1,), (d,)): c for d, c in enumerate(prev) if c}
     )
     assert differentiate(series, 0) == want
 
@@ -113,7 +113,7 @@ def derivative_oracle(exponent, logdeg, coeff, orders):
     the chain that ``closed_form_f_coeffs`` describes."""
     terms = {((), ()): coeff}
     for u, d, k in zip(exponent, logdeg, orders):
-        poly = closed_form_f_coeffs(u, -k, d).coeffs
+        poly = closed_form_f_coeffs(u, -k, d)
         terms = {
             (e + (u - k,), degs + (m,)): c * w
             for (e, degs), c in terms.items()

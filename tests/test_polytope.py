@@ -18,6 +18,7 @@ from gkzlog import (
     minkowski_hull,
     mirror_map,
 )
+from gkzlog import ci_mirror
 from gkzlog.cli import load_problem
 from gkzlog.lattice import _lattice_points, _normalized
 from gkzlog.polytope import _cone_rays
@@ -223,6 +224,7 @@ def _grade_cut(lattice, grading, grade_bound):
 
 
 def _tail(v, lattice, excluded_col, grading, grade_bound):
+    """Lattice coordinates of the grade-cut support points, as ``support_points`` yields them."""
     excluded = () if excluded_col is None else (excluded_col,)
     return support_points(v, lattice, excluded, _grade_cut(lattice, grading, grade_bound), 10**6)
 
@@ -237,10 +239,19 @@ def _brute_force(rows, ranges):
 
 
 @pytest.mark.parametrize("name", CI_FIXTURES)
-def test_support_polytopes_match_grade_filtered_box(name):
+def test_support_polytopes_match_grade_filtered_box(name, monkeypatch):
     # The grade-bounded support cone of F (no column excluded) and of every
     # G_col has, as a set, the points of grade <= D of the support set in the
     # brute-force coefficient box of the radius mirror_map reports for that grade.
+    # mirror_map reads its F and G tails through the same query at the same cut.
+    read = []  # (excluded, coordinates) of each support query mirror_map runs
+    query = ci_mirror.support_points
+
+    def recording_query(v, lattice, excluded, *args):
+        read.append((excluded, query(v, lattice, excluded, *args)))
+        return read[-1][1]
+
+    monkeypatch.setattr(ci_mirror, "support_points", recording_query)
     problem = load_problem(str(FIXTURES / f"{name}.json"))
     matrix, beta, v = build_system(problem.spec)
     lattice = kernel_basis(matrix)
@@ -248,7 +259,12 @@ def test_support_polytopes_match_grade_filtered_box(name):
     base = nsupp(v)
     support_sets = {}  # radius -> {excluded: support set}
     for grade_bound in range(1, 9):
+        read.clear()
         q = mirror_map(problem.spec, 0, grade_bound, radius=problem.radius)
+        assert [excluded for excluded, _ in read] == [(), (0,)]  # F, then G of column 0
+        for excluded, coords in read:
+            excluded_col = excluded[0] if excluded else None
+            assert coords == _tail(v, lattice, excluded_col, q.grading, grade_bound)
         if q.radius not in support_sets:
             shifted = [
                 (point, nsupp([x + d for x, d in zip(v, point)]))
@@ -265,7 +281,8 @@ def test_support_polytopes_match_grade_filtered_box(name):
                 for point in support_sets[q.radius][excluded]
                 if q.grade_of(point) <= grade_bound
             }
-            got = _tail(v, lattice, excluded_col, q.grading, grade_bound)
+            coords = _tail(v, lattice, excluded_col, q.grading, grade_bound)
+            got = lattice.points_from_coords(coords)
             assert len(got) == len(set(got))
             assert set(got) == want, (name, grade_bound, excluded_col)
 

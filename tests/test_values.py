@@ -19,7 +19,6 @@ from gkzlog import (
     RelationLattice,
     SupportBox,
     SupportVerdict,
-    UniLogPoly,
 )
 from gkzlog.values import Value
 
@@ -33,10 +32,6 @@ RECORDS = [
         lambda: MirrorMap((0, 1), {(0,): F(1)}, (1,), 4, 2),
         "MirrorMap(index=(0, 1), coefficients={(0,): Fraction(1, 1)}, grading=(1,), "
         "grade_bound=4, radius=2)",
-    ),
-    (
-        lambda: UniLogPoly((F(1), F(1, 2))),
-        "UniLogPoly(coeffs=(Fraction(1, 1), Fraction(1, 2)))",
     ),
     (lambda: IntMatrix(((1, 2), (3, 4))), "IntMatrix(rows=((1, 2), (3, 4)))"),
     (lambda: RelationLattice(3, ((1, -2, 1),)), "RelationLattice(ambient_dim=3, basis=((1, -2, 1),))"),
