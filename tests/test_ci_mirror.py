@@ -539,6 +539,41 @@ def test_hexagon_tails_pack_along_a_free_coordinate(column):
     assert max(slots) > 1
 
 
+def line_tails(case, spec):
+    """``(grading, tails)`` of one ``_Lines`` case: workload tails or a one-coordinate grading."""
+    if case == "two-triangles":
+        grading, f, g = mirror_tails(spec, 2, 6, radius=3)
+        return grading, [f, g]
+    if case == "hexagon":
+        spec = load_problem(str(FIXTURES / "hexagon.json")).spec
+        grading, f, g = mirror_tails(spec, 1, 6, radius=3)
+        return grading, [f, g]
+    return (2,), [as_tail({(1,): F(3, 2), (3,): F(-1), (4,): F(0)})]
+
+
+@pytest.mark.parametrize("case", ["two-triangles", "hexagon", "one-coordinate"])
+def test_line_keys_are_first_point_coordinates_and_decode_back(case, two_triangles_spec):
+    # a line's key is its first point's coordinates but k0 and k1, then
+    # its k1 coordinate (0 without one); series() reads every nonzero
+    # coefficient back at its point
+    grading, tails = line_tails(case, two_triangles_spec)
+    lines = ci_mirror._Lines(grading, *tails)
+
+    def key(point):
+        return tuple(point[k] for k in lines.rest) + (0 if lines.k1 is None else point[lines.k1],)
+
+    for (points, q, numerators), layers in zip(tails, lines.layers):
+        want = {p: F(n, q) for p, n in zip(points, numerators) if n}
+        got = lines.series(layers)
+        assert got == want
+        firsts = {}
+        for p in sorted(got, key=key):
+            grade = sum(a * x for a, x in zip(grading, p))
+            firsts.setdefault((grade, key(p)[:-1]), key(p))
+        keys = {(grade, k) for grade, layer in layers.items() for k, _ in layer.lines}
+        assert keys == {(grade, k) for (grade, _), k in firsts.items()}
+
+
 class TestMirrorMap:
     def test_trivial_at_grade_zero(self, two_triangles_spec):
         q = mirror_map(two_triangles_spec, (0, 0), 0, radius=2)

@@ -14,7 +14,7 @@ from gkzlog import (
     kernel_basis,
 )
 from gkzlog.cli import load_problem
-from gkzlog.support import support_rows
+from gkzlog.support import support_points, support_rows
 from tests.conftest import FIXTURES, GAUSS_MATRIX, PYRAMID_MATRIX, box_points, gauss_v
 from tests.oracles import nsupp
 
@@ -119,6 +119,22 @@ def test_pyramid_support_sets(pyramid_lattice):
     # the remaining pairs are trivial
     for pair in ((0, 1), (0, 3), (1, 2), (2, 3)):
         assert box.support_set(pair) == [(0, 0, 0, 0, 0)]
+
+
+def test_support_points_are_lattice_coordinates(pyramid_lattice):
+    # support_points yields coordinates in the basis, inside the bounding
+    # rows and lexicographic; support_set maps the same list to points
+    box = SupportBox(PYRAMID_V, pyramid_lattice, 3)
+    for excluded in [(), (4,), (0, 2), (1, 3)]:
+        coords = support_points(PYRAMID_V, pyramid_lattice, excluded, box.box_rows, box.max_points)
+        assert coords == sorted(set(coords))
+        assert all(len(x) == pyramid_lattice.rank and max(map(abs, x)) <= 3 for x in coords)
+        assert pyramid_lattice.points_from_coords(coords) == box.support_set(excluded)
+    # a grade cut bounds the quadrant in place of the box: a + b <= 2
+    cut = [((-1, -1), 2)]
+    assert support_points(PYRAMID_V, pyramid_lattice, (4,), cut, 100) == [
+        (a, b) for a in range(3) for b in range(3 - a)
+    ]
 
 
 def test_origin_always_in_support(gauss_lattice, pyramid_lattice):
