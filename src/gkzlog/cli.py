@@ -6,29 +6,36 @@ solve/combine command re-verifies its own output through the operator
 module before reporting success.  Output files are byte-identical across
 runs of the same input; wall-clock timing goes to stdout only.
 
-``solve --order K`` (any ``K >= 0``) and ``combine`` (one ``--l`` lattice
-point per log order) run one pipeline, ``_series_run``, at every order.
+``argv`` is read against one table of the six commands (``COMMANDS``,
+with the options of ``OPTIONS``): ``gkzlog COMMAND FILE`` and options
+as ``--opt value`` or ``--opt=value``, spelled in full.  A usage error
+is an input error; ``-h`` or ``--help`` prints a usage block built from
+the table.  ``main`` looks each command's runner up by its name when it
+dispatches.
 
 Exit codes: 0 pass, 1 verification failure, 2 input or output error
-(an unwritable ``--out`` or a closed stdout), 3 resource limit.
+(a usage error, an unwritable ``--out`` or a closed stdout), 3 resource
+limit.
 
 Each command imports the pipeline it runs when it runs: loading a ``ci``
 problem imports the module ``ci`` (the point sets and their lift) and no
 pipeline; the ``ci`` command imports the hull code of ``polytope``,
 ``mirror`` the mirror-map pipeline ``ci_mirror``, and ``solve`` and
-``combine`` import ``logseries`` and ``operators``, so a run compiles
-only the modules it needs.
+``combine`` the module ``series_run``, which verifies and renders their
+artifacts through ``logseries`` and ``operators``; this module loads
+the problem, the lattice and the box and writes what ``series_run``
+returns.  So a run compiles only the modules it needs.
 """
 
 from __future__ import annotations
 
-import argparse
 import hashlib
 import json
 import os
 import sys
 import time
 from pathlib import Path
+from types import SimpleNamespace
 
 from .errors import GkzError, ProblemFileError, ResourceLimit
 from .lattice import DEFAULT_MAX_BOX_POINTS, IntMatrix, kernel_basis
@@ -120,14 +127,6 @@ def _parse_index_list(text, limit):
     return out
 
 
-def _parse_int_vector(text, length):
-    cleaned = text.strip().lstrip("(").rstrip(")")
-    parts = [p for p in cleaned.replace(",", " ").split() if p]
-    if len(parts) != length:
-        raise ProblemFileError(f"expected {length} integers, got {len(parts)}")
-    return tuple(_int(p) for p in parts)
-
-
 def _override(flag, default, what):
     """The command-line value if given, else the problem file's; both >= 0."""
     return to_int(default if flag is None else flag, what, minimum=0)
@@ -137,14 +136,6 @@ def _load_box_inputs(args):
     """Problem, relation lattice and radius of a run that builds a support box."""
     problem = load_problem(args.file)
     return problem, kernel_basis(problem.matrix), _override(args.radius, problem.radius, "radius")
-
-
-def _solve_failure(excluded):
-    if not excluded:
-        return "minimality failed for the plain negative support"
-    if len(excluded) == 1:
-        return f"minimality failed with index {excluded[0]} excluded"
-    return f"minimality failed with {list(excluded)} excluded"
 
 
 def _write_artifact(out_dir: Path, name: str, content: str):
@@ -183,134 +174,52 @@ def cmd_support(args) -> int:
     return 0 if verdict.minimal else 1
 
 
-def _series_run(args, started, problem, box, sets, artifacts, euler, parameters) -> int:
-    """The pipeline of ``solve`` and ``combine``; returns the exit code.
-
-    Sweeps ``box`` over the excluded ``sets`` and then the keys of the
-    tails the ``artifacts`` read (exit 1 after printing
-    ``_solve_failure(excluded)`` for the first one that is not minimal),
-    builds each of those tails once, in one ``build_tails`` call, and
-    writes each artifact ``(name, terms)`` as ``combine(tails, terms)``,
-    box-verified against the whole basis in one ``verify_box_operators``
-    call and, unless ``euler`` is None, Euler-verified against its
-    ``(matrix, beta)``; then ``run_report.json``.  An artifact passes
-    only if every check passes and some check certified something: a box
-    check a nonempty region, an Euler check at least one term.  So one
-    with no check, or only an Euler check of no term (a rank-0 lattice has
-    no box operator), does not pass.  Every support set is
-    enumerated and every artifact rendered before the first write, so a
-    capped run, or one with a number past the integer-string limit,
-    writes nothing.
-    """
-    from .logseries import build_tails, combine, tails_read, to_text
-    from .operators import BoxOp, verify_box_operators, verify_euler_annihilation
-
-    needed = tails_read(term for _, terms in artifacts for term in terms)
-    verdicts = box.sweep([*sets, *needed])
-    for excluded, verdict in verdicts.items():
-        if not verdict.minimal:
-            print(_solve_failure(excluded))
-            return 1
-    tails = build_tails(box, needed)
-    ops = [BoxOp(row) for row in box.lattice.basis]
-    labels = [f"box({','.join(str(x) for x in row)})" for row in box.lattice.basis]
-    verification, texts, ok = [], [], True
-    for name, terms in artifacts:
-        series = combine(tails, terms)
-        reports = list(zip(labels, verify_box_operators(series, ops)))
-        if euler is not None:
-            reports.append(("euler", verify_euler_annihilation(series, *euler)))
-        checks = [
-            {"op": op, "checked_terms": got.checked_term_count, "violations": len(got.violations)}
-            for op, got in reports
-        ]
-        verification.append({"artifact": name, "checks": checks})
-        certified = any(
-            got.checked_term_count if got.certified_region is None else got.certified_region
-            for _, got in reports
-        )
-        ok = ok and certified and all(got.passed for _, got in reports)
-        texts.append((name, to_text(series)))
-    artifacts = [_write_artifact(Path(args.out), name, text) for name, text in texts]
-    report = {
-        "command": args.command,
-        "input": problem.raw,
-        "source": problem.source_hash,
-        "parameters": parameters,
-        "verdicts": {f"excluded={excluded}": str(v) for excluded, v in verdicts.items()},
-        "artifacts": artifacts,
-        "verification": verification,
-        "status": "pass" if ok else "fail",
-    }
-    artifacts = artifacts + [_write_run_report(Path(args.out), report)]
+def _write_series_run(args, started, problem, run) -> int:
+    """Print the failure of a ``series_run`` run, or write its texts and run report."""
+    failure, texts, fields = run
+    if failure is not None:
+        print(failure)
+        return 1
+    out_dir = Path(args.out)
+    for name, text in texts:
+        _write_artifact(out_dir, name, text)
+    report = {"command": args.command, "input": problem.raw, "source": problem.source_hash}
+    report.update(fields)
+    artifacts = [*fields["artifacts"], _write_run_report(out_dir, report)]
     print(f"status: {report['status']}")
     print(f"artifacts: {', '.join(artifacts)}")
     print(f"elapsed: {time.perf_counter() - started:.3f}s")
-    return 0 if ok else 1
+    return 0 if report["status"] == "pass" else 1
 
 
 def cmd_solve(args) -> int:
-    from itertools import combinations_with_replacement
+    from .series_run import solve_run
 
     started = time.perf_counter()
     problem, lattice, radius = _load_box_inputs(args)
-    ncols = problem.matrix.n_cols
     order = to_int(args.order, "order", minimum=0)
-
-    if args.indices is None:
-        keys = combinations_with_replacement(range(ncols), order)
-    elif order == 0:
-        raise ProblemFileError("--indices needs --order 1 or more")
-    else:
-        flat = _parse_index_list(args.indices, ncols)
+    keys = None
+    if args.indices is not None:
+        if order == 0:
+            raise ProblemFileError("--indices needs --order 1 or more")
+        flat = _parse_index_list(args.indices, problem.matrix.n_cols)
         if not flat:
             raise ProblemFileError(f"--indices {args.indices!r} names no index")
         if len(flat) % order:
             raise ProblemFileError(f"--indices: {len(flat)} indices are not {order}-tuples")
         keys = {tuple(sorted(flat[s : s + order])) for s in range(0, len(flat), order)}
-    artifacts = [("F.series", [(1, ())])] + [
-        (f"quasi{order}_{'_'.join(map(str, logs))}.series", [(1, logs)])
-        for logs in sorted(keys)
-        if logs
-    ]
     box = SupportBox(problem.v, lattice, radius, args.max_terms)
-    parameters = {"order": order, "radius": radius}
-    return _series_run(args, started, problem, box, (), artifacts, None, parameters)
-
-
-def _multiset_terms(points):
-    """The solution's ``combine`` terms: ``prod_t l_t[a_t]`` summed over the orderings of each
-    sorted multiset ``(a_1, ..., a_k)``, by multiplying out the linear forms ``sum_a l_t[a]
-    x_a`` one at a time, not over the ``n**k`` tuples; a cancelled multiset is dropped."""
-    weights = {(): 1}
-    for point in points:
-        step = {}
-        for logs, weight in weights.items():
-            for a, x in enumerate(point):
-                if weight and x:
-                    key = tuple(sorted((*logs, a)))
-                    step[key] = step.get(key, 0) + weight * x
-        weights = step
-    return [(weight, logs) for logs, weight in weights.items() if weight]
+    return _write_series_run(args, started, problem, solve_run(box, order, keys))
 
 
 def cmd_combine(args) -> int:
-    from itertools import combinations
+    from .series_run import combine_run
 
     started = time.perf_counter()
     problem, lattice, radius = _load_box_inputs(args)
-    ncols = problem.matrix.n_cols
-
-    points = [_parse_int_vector(text, ncols) for text in args.l]
-    for point in points:
-        if any(problem.matrix.mul_vec(point)):
-            raise ProblemFileError(f"l = {point} is not in the relation lattice")
-    sets = [()] + [s for k in range(1, len(points) + 1) for s in combinations(range(ncols), k)]
     box = SupportBox(problem.v, lattice, radius, args.max_terms)
-    artifacts = [("solution.series", _multiset_terms(points))]
-    euler = (problem.matrix, problem.beta)
-    parameters = {"l": [list(point) for point in points], "radius": radius}
-    return _series_run(args, started, problem, box, sets, artifacts, euler, parameters)
+    run = combine_run(box, problem.matrix, problem.beta, args.l)
+    return _write_series_run(args, started, problem, run)
 
 
 def cmd_ci(args) -> int:
@@ -398,60 +307,146 @@ def cmd_mirror(args) -> int:
     return 0
 
 
-def build_parser() -> argparse.ArgumentParser:
-    parser = argparse.ArgumentParser(
-        prog="gkzlog",
-        description="Exact series solutions and mirror maps of GKZ systems.",
-    )
-    sub = parser.add_subparsers(dest="command", required=True)
+# Every option of the command table: its kind (an int or str option keeps the
+# last value given, a list option appends each one), its default, the name of
+# its value and its help line.
+OPTIONS = {
+    "radius": (int, None, "R", "enumeration radius (default: the problem file's)"),
+    "max-terms": (
+        int,
+        DEFAULT_MAX_BOX_POINTS,
+        "N",
+        f"point cap of each enumeration (default: {DEFAULT_MAX_BOX_POINTS})",
+    ),
+    "out": (str, "out", "DIR", "artifact directory (default: out)"),
+    "exclude": (str, None, "I,J", "excluded indices, e.g. '4' or '0,2'"),
+    "order": (int, None, "K", "log order K >= 0"),
+    "indices": (str, None, "I,J", "log indices, cut into K-tuples"),
+    "l": (list, None, "POINT", "lattice point, once per log order"),
+    "index": (str, None, "I", "column: flat index or 'i,j'"),
+    "grade": (int, None, "D", "grade bound (default: the problem file's)"),
+}
+_COMMON = ("radius", "max-terms")
 
-    def common(p, out=False):
-        p.add_argument("file", help="JSON problem file")
-        p.add_argument("--radius", type=int, default=None, help="enumeration radius")
-        p.add_argument(
-            "--max-terms", type=int, default=DEFAULT_MAX_BOX_POINTS, help="lattice-point cap"
-        )
-        if out:
-            p.add_argument("--out", default="out", help="artifact directory")
+# The command table: per command, the name of its runner, a summary, its
+# options and the ones a run must give.  main looks the runner up by name when
+# it dispatches, so a runner rebound after import is the one that runs.
+COMMANDS = {
+    "lattice": (cmd_lattice.__name__, "print the relation-lattice basis", _COMMON, ()),
+    "support": (
+        cmd_support.__name__,
+        "minimality verdict and support listing",
+        ("exclude", *_COMMON),
+        (),
+    ),
+    "solve": (
+        cmd_solve.__name__,
+        "build and verify (quasi)solutions",
+        ("order", "indices", *_COMMON, "out"),
+        ("order",),
+    ),
+    "combine": (
+        cmd_combine.__name__,
+        "combine quasisolutions into a solution",
+        ("l", *_COMMON, "out"),
+        ("l",),
+    ),
+    "ci": (cmd_ci.__name__, "build a lifted system and check hypotheses", _COMMON, ()),
+    "mirror": (
+        cmd_mirror.__name__,
+        "mirror map and integrality report",
+        ("index", "grade", *_COMMON, "out"),
+        ("index",),
+    ),
+}
+_HELP = ("-h", "--help")
 
-    p = sub.add_parser("lattice", help="print the relation-lattice basis")
-    common(p)
-    p.set_defaults(func=cmd_lattice)
 
-    p = sub.add_parser("support", help="minimality verdict and support listing")
-    common(p)
-    p.add_argument("--exclude", default=None, help="excluded indices, e.g. '4' or '0,2'")
-    p.set_defaults(func=cmd_support)
+def _usage() -> str:
+    """The ``--help`` text: one synopsis per command, then one line per option."""
+    lines = [
+        "usage: gkzlog COMMAND FILE [--OPTION VALUE]...",
+        "Exact series solutions and mirror maps of GKZ systems.",
+        "",
+    ]
+    for command, (_, summary, options, required) in COMMANDS.items():
+        shown = []
+        for name in options:
+            kind, _, value, _ = OPTIONS[name]
+            flag = f"--{name} {value}" + ("..." if kind is list else "")
+            shown.append(flag if name in required else f"[{flag}]")
+        lines += [f"  gkzlog {command} FILE {' '.join(shown)}", f"      {summary}"]
+    lines += [
+        "",
+        "options, as --OPTION VALUE or --OPTION=VALUE; an option given twice keeps",
+        "its last value, but one shown as VALUE... adds each value it is given:",
+    ]
+    for name, (_, _, value, text) in OPTIONS.items():
+        lines.append(f"  --{name} {value}".ljust(20) + text)
+    lines.append("  -h, --help".ljust(20) + "print this text")
+    return "\n".join(lines)
 
-    p = sub.add_parser("solve", help="build and verify (quasi)solutions")
-    common(p, out=True)
-    p.add_argument("--order", type=int, required=True, help="log order K >= 0")
-    p.add_argument("--indices", default=None, help="log indices, cut into K-tuples")
-    p.set_defaults(func=cmd_solve)
 
-    p = sub.add_parser("combine", help="combine quasisolutions into a solution")
-    common(p, out=True)
-    p.add_argument("--l", action="append", required=True, help="lattice point, once per order")
-    p.set_defaults(func=cmd_combine)
+def _parse_argv(argv):
+    """The ``args`` of a run, as the command table reads ``argv``; None when it asks for help.
 
-    p = sub.add_parser("ci", help="build a lifted system and check hypotheses")
-    common(p)
-    p.set_defaults(func=cmd_ci)
-
-    p = sub.add_parser("mirror", help="mirror map and integrality report")
-    common(p, out=True)
-    p.add_argument("--index", required=True, help="column: flat index or 'i,j'")
-    p.add_argument("--grade", type=int, default=None, help="grade bound")
-    p.set_defaults(func=cmd_mirror)
-    return parser
+    ``args`` has ``command``, ``file`` and one attribute per option of the
+    command (``--max-terms`` is ``max_terms``), its default when not given.
+    A usage error raises :class:`ProblemFileError`: an unknown command or
+    option, an option without its value, a missing or second FILE, a
+    missing required option or a non-integer value of an int option.
+    """
+    if argv and argv[0] in _HELP:
+        return None
+    if not argv or argv[0] not in COMMANDS:
+        given = f"unknown command {argv[0]!r}" if argv else "no command"
+        raise ProblemFileError(f"{given}; choose one of {', '.join(COMMANDS)} (see --help)")
+    command, tokens, file = argv[0], iter(argv[1:]), None
+    _, _, options, required = COMMANDS[command]
+    values = {name: OPTIONS[name][1] for name in options}
+    for token in tokens:
+        if token in _HELP:
+            return None
+        if not token.startswith("-"):
+            if file is not None:
+                raise ProblemFileError(f"{command}: a second FILE {token!r}")
+            file = token
+            continue
+        flag, equals, text = token.partition("=")
+        name = flag[2:]
+        if not flag.startswith("--") or name not in options:
+            raise ProblemFileError(f"{command}: unknown option {flag!r}")
+        if not equals and (text := next(tokens, None)) is None:
+            raise ProblemFileError(f"{command}: {flag} needs a value")
+        kind = OPTIONS[name][0]
+        if kind is list:
+            values[name] = [*(values[name] or ()), text]
+        elif kind is int:
+            try:
+                values[name] = int(text)
+            except ValueError:
+                message = f"{command}: {flag} takes an integer, got {text!r}"
+                raise ProblemFileError(message) from None
+        else:
+            values[name] = text
+    if file is None:
+        raise ProblemFileError(f"{command}: FILE missing")
+    for name in required:
+        if values[name] is None:
+            raise ProblemFileError(f"{command}: --{name} is required")
+    attributes = {name.replace("-", "_"): value for name, value in values.items()}
+    return SimpleNamespace(command=command, file=file, **attributes)
 
 
 def main(argv=None) -> int:
-    parser = build_parser()
-    args = parser.parse_args(argv)
     try:
-        args.max_terms = to_int(args.max_terms, "max-terms", minimum=0)
-        code = args.func(args)
+        args = _parse_argv(sys.argv[1:] if argv is None else argv)
+        if args is None:
+            print(_usage())
+            code = 0
+        else:
+            args.max_terms = to_int(args.max_terms, "max-terms", minimum=0)
+            code = globals()[COMMANDS[args.command][0]](args)
         sys.stdout.flush()  # a closed stdout fails here, not at interpreter exit
         return code
     except OSError as exc:  # an artifact or stdout that cannot be written

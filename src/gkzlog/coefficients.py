@@ -23,8 +23,11 @@ from __future__ import annotations
 from fractions import Fraction
 from math import gcd, lcm
 
-from .errors import MinimalityViolation
+from .errors import MinimalityViolation, ResourceLimit
 from .rationals import to_rational
+
+# The most chain members one ``chain_constants`` walk may visit.
+MAX_CHAIN_MEMBERS = 4096
 
 
 def _walk(top: list[int], den: int, z: Fraction, lo: int, hi: int):
@@ -103,7 +106,17 @@ def chain_constants(seed, z, lo: int, hi: int) -> list[tuple[int, int]]:
     returns them; for the chain of ``t**z log(t)**m`` it is ``f_coeffs(z,
     0, m)``.  The list ends early where the walk stops: every entry past
     its end is undefined, exactly where ``f_coeffs`` raises.
+
+    The walk visits every member from ``f_0`` to each end of the range, so
+    a range it would cross in more than ``MAX_CHAIN_MEMBERS`` members
+    raises :class:`ResourceLimit` before the first step.
     """
+    walked = max(hi, 0) - min(lo, 0) + 1
+    if walked > MAX_CHAIN_MEMBERS:
+        raise ResourceLimit(
+            f"a derivative-chain walk over k = {lo}..{hi} visits {walked} members, "
+            f"past the cap of {MAX_CHAIN_MEMBERS}"
+        )
     den = lcm(*(c.denominator for c in seed))
     top = [c.numerator * (den // c.denominator) for c in seed]
     members = _walk(top, den, to_rational(z), lo, hi)

@@ -29,7 +29,8 @@ from gkzlog import (
     verify_box_operators,
     verify_euler_annihilation,
 )
-from gkzlog.cli import _multiset_terms, load_problem, main
+from gkzlog.cli import COMMANDS, OPTIONS, load_problem, main
+from gkzlog.series_run import MAX_ARTIFACTS, _multiset_terms
 from gkzlog.support import SupportBox
 from tests.conftest import FIXTURES, projective_ci_sets, solution_terms
 
@@ -246,12 +247,12 @@ def test_solve_order2_builds_one_support_box(tmp_path, monkeypatch):
 
 def record_tails(monkeypatch):
     """The log-index keys of every tail the CLI builds, in build order."""
-    import gkzlog.logseries as logseries
+    import gkzlog.series_run as series_run
 
     built = []
-    build_tails = logseries.build_tails
+    build_tails = series_run.build_tails
     monkeypatch.setattr(
-        logseries, "build_tails", lambda box, keys: built.extend(keys) or build_tails(box, keys)
+        series_run, "build_tails", lambda box, keys: built.extend(keys) or build_tails(box, keys)
     )
     return built
 
@@ -695,6 +696,34 @@ def test_a_coefficient_past_the_digit_limit_writes_nothing(tmp_path, order):
     assert not out.exists()
 
 
+def test_an_order_past_the_artifact_cap_exits_3_and_writes_nothing(tmp_path, capsys):
+    # C(5 + 12 - 1, 12) = 1,820 quasisolutions on the pyramid, past MAX_ARTIFACTS
+    out = tmp_path / "out"
+    started = time.perf_counter()
+    args = ["solve", PYRAMID, "--order", "12", "--radius", "1", "--out", str(out)]
+    assert main(args) == 3
+    assert time.perf_counter() - started < 1
+    err = capsys.readouterr().err
+    assert err.startswith("resource limit: ") and "1820 quasisolutions" in err
+    assert f"cap of {MAX_ARTIFACTS}" in err
+    assert not out.exists()
+
+
+def test_a_chain_walk_past_the_member_cap_exits_3_and_writes_nothing(tmp_path, capsys):
+    # with A's last entry 10**4 the basis is (10**4, 10**4, -1, -10**4), so at
+    # radius 2 coordinate 0 ranges over -20,000..20,000 on 3 support points
+    gauss = json.loads((FIXTURES / "gauss.json").read_text())
+    gauss["matrix"][2][2] = 10**4
+    out = tmp_path / "out"
+    started = time.perf_counter()
+    args = ["solve", _problem(tmp_path, **gauss), "--order", "0", "--radius", "2"]
+    assert main([*args, "--out", str(out)]) == 3
+    assert time.perf_counter() - started < 1
+    err = capsys.readouterr().err
+    assert err.startswith("resource limit: a derivative-chain walk") and "20001 members" in err
+    assert not out.exists()
+
+
 def test_rank7_reflexive_triangle_ci_passes(tmp_path, capsys):
     # the 10 points of conv{(-1,-1), (2,-1), (-1,2)}, origin first: a rank-7
     # lattice whose radius-4 coefficient box holds 9^7 = 4,782,969 points
@@ -1024,10 +1053,103 @@ def test_negative_max_terms_is_an_input_error(tmp_path, capsys):
     assert not (tmp_path / "out").exists()
 
 
+OUT = "<out>"  # an --out directory under tmp_path
+PYRAMID_L = "-1,0,-1,0,2"  # argparse read a value that starts with "-" as an option
+
+
+@pytest.mark.parametrize(
+    "argv, code, fragment, parameters",
+    [
+        ([], 2, "input error: no command; choose one of lattice, support, solve,", None),
+        (["solver", GAUSS], 2, "input error: unknown command 'solver'", None),
+        (["mirror", TRIANGLES, "--index", "1", "--grad", "4"], 2, "unknown option '--grad'", None),
+        (["lattice", GAUSS, "--radius"], 2, "input error: lattice: --radius needs a value", None),
+        (["lattice", GAUSS, "--radius", "x"], 2, "--radius takes an integer, got 'x'", None),
+        (["lattice", "--radius", "2"], 2, "input error: lattice: FILE missing", None),
+        (["solve", GAUSS, "--out", OUT], 2, "input error: solve: --order is required", None),
+        (["mirror", TRIANGLES, "--out", OUT], 2, "mirror: --index is required", None),
+        (["combine", GAUSS, "--out", OUT], 2, "input error: combine: --l is required", None),
+        (["lattice", GAUSS, PYRAMID], 2, f"lattice: a second FILE {PYRAMID!r}", None),
+        (
+            ["mirror", TRIANGLES, "--index", "1", "--grade=8", "--out", OUT],
+            0,
+            "integrality: OK",
+            {"grade_bound": 8},
+        ),
+        (
+            ["combine", PYRAMID, "--l", PYRAMID_L, "--radius", "3", "--out", OUT],
+            0,
+            "status: pass",
+            {"l": [[-1, 0, -1, 0, 2]]},
+        ),
+        (
+            ["combine", PYRAMID, "--l", PYRAMID_L, "--l=(1,-1,1,-1,0)", "--out", OUT, "--radius=3"],
+            0,
+            "status: pass",
+            {"l": [[-1, 0, -1, 0, 2], [1, -1, 1, -1, 0]], "radius": 3},
+        ),
+        (["-h"], 0, "usage: gkzlog COMMAND FILE", None),
+        (["--help"], 0, "usage: gkzlog COMMAND FILE", None),
+        (["solve", GAUSS, "--help", "--order"], 0, "usage: gkzlog COMMAND FILE", None),
+    ],
+)
+def test_the_argv_parser_contract(tmp_path, capsys, argv, code, fragment, parameters):
+    out = tmp_path / "out"
+    assert main([str(out) if arg == OUT else arg for arg in argv]) == code
+    streams = capsys.readouterr()
+    assert fragment in (streams.out if code == 0 else streams.err)
+    assert "Traceback" not in streams.out + streams.err
+    if parameters is not None:
+        report = json.loads((out / "run_report.json").read_text())
+        assert {key: report["parameters"][key] for key in parameters} == parameters
+    if fragment.startswith("usage:"):
+        # the usage block names every command and every option of the table
+        for command, (_, summary, options, _) in COMMANDS.items():
+            assert f"  gkzlog {command} FILE " in streams.out and summary in streams.out
+            assert all(f"--{name} " in streams.out for name in options)
+        assert all(f"\n  --{name} " in streams.out for name in OPTIONS)
+
+
+def test_main_reads_sys_argv_without_arguments(monkeypatch, capsys):
+    # the gkzlog console script calls main() with no arguments
+    monkeypatch.setattr(sys, "argv", ["gkzlog", "lattice", GAUSS])
+    assert main() == 0
+    assert "rank: 1" in capsys.readouterr().out
+
+
+@pytest.mark.parametrize(
+    "args",
+    [
+        ["mirror", TRIANGLES, "--index", "1", "--grade", "4"],
+        ["solve", PYRAMID, "--order", "1", "--radius", "3"],
+    ],
+    ids=["mirror", "solve"],
+)
+def test_a_module_run_imports_no_argparse_and_no_second_cli(tmp_path, args):
+    # under -m the running cli is __main__, so an import of gkzlog.cli from a
+    # module it loads would compile cli.py a second time
+    pythonpath = os.pathsep.join(filter(None, [SRC, os.environ.get("PYTHONPATH")]))
+    done = subprocess.run(
+        [sys.executable, "-X", "importtime", "-m", "gkzlog.cli", *args, "--out", str(tmp_path)],
+        env=dict(os.environ, PYTHONPATH=pythonpath),
+        capture_output=True,
+        text=True,
+        timeout=120,
+    )
+    assert done.returncode == 0, done.stderr
+    lines = [line for line in done.stderr.splitlines() if line.startswith("import time:")]
+    imported = {line.rsplit("|", 1)[1].strip() for line in lines}
+    assert {"gkzlog.lattice", "gkzlog.support"} <= imported
+    assert not {"argparse", "gettext", "gkzlog.cli"} & imported
+    assert ("gkzlog.series_run" in imported) == (args[0] == "solve")
+
+
 # The mirror-map pipeline and the hull code: mirror loads both, ci the hull code alone.
 MIRROR_MODULES = {"gkzlog.ci_mirror", "gkzlog.polytope"}
 # The lift: what loading a CI problem file loads, and loading a matrix problem does not.
 CI_LOAD = {"gkzlog.ci"}
+# The solve/combine front end, which only those two commands load.
+SERIES_RUN = {"gkzlog.series_run"}
 
 
 @pytest.mark.parametrize(
@@ -1035,37 +1157,42 @@ CI_LOAD = {"gkzlog.ci"}
     [
         (
             ["mirror", TRIANGLES, "--index", "1", "--grade", "4"],
-            {"gkzlog.operators"},
+            {"gkzlog.operators"} | SERIES_RUN,
             MIRROR_MODULES | CI_LOAD,
         ),
         (
             ["ci", TRIANGLES],
-            {"gkzlog.ci_mirror", "gkzlog.logseries", "gkzlog.coefficients", "gkzlog.operators"},
+            {"gkzlog.ci_mirror", "gkzlog.logseries", "gkzlog.coefficients", "gkzlog.operators"}
+            | SERIES_RUN,
             {"gkzlog.polytope"} | CI_LOAD,
         ),
         (
             ["solve", PYRAMID, "--order", "1", "--radius", "3"],
             MIRROR_MODULES | CI_LOAD,
-            {"gkzlog.operators"},
+            {"gkzlog.operators"} | SERIES_RUN,
         ),
         (
             ["combine", PYRAMID, "--l", "(-1,1,-1,1,0)", "--radius", "3"],
             MIRROR_MODULES | CI_LOAD,
-            set(),
+            SERIES_RUN,
         ),
         (
             ["support", PYRAMID, "--exclude", "4"],
-            MIRROR_MODULES | CI_LOAD | {"gkzlog.logseries"},
+            MIRROR_MODULES | CI_LOAD | SERIES_RUN | {"gkzlog.logseries"},
             set(),
         ),
-        (["lattice", PYRAMID], MIRROR_MODULES | CI_LOAD | {"gkzlog.logseries"}, set()),
+        (
+            ["lattice", PYRAMID],
+            MIRROR_MODULES | CI_LOAD | SERIES_RUN | {"gkzlog.logseries"},
+            set(),
+        ),
         (
             ["solve", HEXAGON, "--order", "1", "--radius", "2"],
             MIRROR_MODULES,
-            CI_LOAD | {"gkzlog.operators"},
+            CI_LOAD | SERIES_RUN | {"gkzlog.operators"},
         ),
-        (["support", HEXAGON], MIRROR_MODULES | {"gkzlog.logseries"}, CI_LOAD),
-        (["lattice", HEXAGON], MIRROR_MODULES | {"gkzlog.logseries"}, CI_LOAD),
+        (["support", HEXAGON], MIRROR_MODULES | SERIES_RUN | {"gkzlog.logseries"}, CI_LOAD),
+        (["lattice", HEXAGON], MIRROR_MODULES | SERIES_RUN | {"gkzlog.logseries"}, CI_LOAD),
     ],
     ids=[
         "mirror",

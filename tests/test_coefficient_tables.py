@@ -18,6 +18,7 @@ from hypothesis import strategies as st
 
 from gkzlog import (
     MinimalityViolation,
+    ResourceLimit,
     SupportBox,
     UndefinedBracket,
     build_tails,
@@ -27,6 +28,7 @@ from gkzlog import (
     log_free_coefficients,
 )
 from gkzlog.cli import load_problem
+from gkzlog.coefficients import MAX_CHAIN_MEMBERS
 from tests.conftest import FIXTURES, GAUSS_MATRIX
 from tests.oracles import bracket, bracket_vec, closed_form_f_coeffs
 
@@ -97,6 +99,24 @@ def test_chain_ranges_that_miss_zero(lo, hi):
     z = F(-1, 3)
     for m in range(5):
         assert chain(z, m, lo, hi) == closed_form_chain(z, m, lo, hi)
+
+
+@pytest.mark.parametrize(
+    "z, lo, hi",
+    [
+        # z = -1 stops the walk up at k = 1; z = 0 walks down on the zero polynomial
+        (F(-1), 0, MAX_CHAIN_MEMBERS - 1),
+        (F(0), 1 - MAX_CHAIN_MEMBERS, 0),
+        (F(-1), -(MAX_CHAIN_MEMBERS // 2), MAX_CHAIN_MEMBERS // 2 - 1),
+    ],
+)
+def test_a_walk_past_the_member_cap_raises_before_the_first_step(z, lo, hi):
+    # the walk visits f_0 and every member out to each end of the range
+    seed = f_coeffs(z, 0, 0)
+    assert len(chain_constants(seed, z, lo, hi)) == (1 - lo if z == -1 else hi - lo + 1)
+    for wider in ((lo - 1, hi), (lo, hi + 1)):
+        with pytest.raises(ResourceLimit, match=f"{MAX_CHAIN_MEMBERS + 1} members"):
+            chain_constants(seed, z, *wider)
 
 
 @pytest.mark.parametrize("m", [0, 1, 2, 3, 4])

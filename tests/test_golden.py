@@ -340,6 +340,32 @@ def test_other_interpreters_write_the_same_bytes(name, tmp_path):
         assert (done.returncode, tree_hashes(out_dir)) == want, (exe, done.stderr)
 
 
+@pytest.mark.parametrize(
+    "argv, code",
+    [(["solve", GAUSS, "--order", "x"], 2), (["--help"], 0)],
+    ids=["usage-error", "help"],
+)
+def test_other_interpreters_parse_argv_alike(argv, code, capsys):
+    # argparse worded its usage errors and help differently from version to
+    # version; the table parser prints the same text under every interpreter
+    interpreters = other_interpreters()
+    if not interpreters:
+        pytest.skip("no other python3.10 to python3.13 on PATH starts")
+    assert main(argv) == code
+    want = capsys.readouterr()
+    src = str(Path(__file__).resolve().parent.parent / "src")
+    env = dict(os.environ, PYTHONPATH=src, PYTHONDONTWRITEBYTECODE="1")
+    for exe in interpreters:
+        done = subprocess.run(
+            [exe, "-c", "import sys; from gkzlog.cli import main; sys.exit(main())", *argv],
+            env=env,
+            capture_output=True,
+            text=True,
+            timeout=60,
+        )
+        assert (done.returncode, done.stdout, done.stderr) == (code, want.out, want.err), exe
+
+
 ROOT = Path(__file__).resolve().parent.parent
 
 
