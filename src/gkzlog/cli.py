@@ -29,7 +29,7 @@ returns.  So a run compiles only the modules it needs.
 
 from __future__ import annotations
 
-import hashlib
+import gc
 import json
 import os
 import sys
@@ -41,6 +41,14 @@ from .errors import GkzError, ProblemFileError, ResourceLimit
 from .lattice import DEFAULT_MAX_BOX_POINTS, IntMatrix, kernel_basis
 from .rationals import rational_vector, to_int
 from .support import SupportBox
+
+try:  # hashlib loads OpenSSL; the interpreter's own SHA-256 is the same digest
+    from _sha2 import sha256  # CPython 3.12 and later
+except ImportError:
+    try:
+        from _sha256 import sha256  # CPython 3.10 and 3.11
+    except ImportError:
+        from hashlib import sha256
 
 DEFAULT_RADIUS = 6
 DEFAULT_GRADE = 6
@@ -54,7 +62,7 @@ class Problem:
         self.radius = to_int(raw.get("radius", DEFAULT_RADIUS), "radius", minimum=0)
         self.grade = to_int(raw.get("grade", DEFAULT_GRADE), "grade", minimum=0)
         canonical = json.dumps(raw, sort_keys=True, separators=(",", ":"))
-        self.source_hash = "sha256:" + hashlib.sha256(canonical.encode("utf-8")).hexdigest()[:16]
+        self.source_hash = "sha256:" + sha256(canonical.encode("utf-8")).hexdigest()[:16]
         self.spec = None
         if "ci" in raw:
             from .ci import CISpec, build_system
@@ -465,5 +473,19 @@ def main(argv=None) -> int:
         return 1
 
 
+def entry():
+    """The gkzlog process: ``main()`` on ``sys.argv``, then ``sys.exit`` with its code.
+
+    Before it exits it freezes the heap: ``gc.freeze`` moves every object
+    still alive into the permanent generation, which the collections of
+    interpreter finalization skip, and exit frees them all anyway.  ``main``
+    itself does not freeze, so a caller that runs it in process keeps
+    collecting its own cyclic garbage.
+    """
+    code = main()
+    gc.freeze()
+    sys.exit(code)
+
+
 if __name__ == "__main__":
-    sys.exit(main())
+    entry()

@@ -1,6 +1,7 @@
 """End-to-end command-line runs on the shipped fixtures."""
 
 import contextlib
+import gc
 import hashlib
 import io
 import itertools
@@ -29,6 +30,7 @@ from gkzlog import (
     verify_box_operators,
     verify_euler_annihilation,
 )
+from gkzlog import cli
 from gkzlog.cli import COMMANDS, OPTIONS, load_problem, main
 from gkzlog.series_run import MAX_ARTIFACTS, _multiset_terms
 from gkzlog.support import SupportBox
@@ -47,7 +49,7 @@ def _run_gkzlog(args, **streams):
     """``gkzlog args`` in a fresh interpreter; stderr is captured as text."""
     pythonpath = os.pathsep.join(filter(None, [SRC, os.environ.get("PYTHONPATH")]))
     env = dict(os.environ, PYTHONPATH=pythonpath)
-    code = "import sys; from gkzlog.cli import main; sys.exit(main())"
+    code = "from gkzlog.cli import entry; entry()"
     argv = [sys.executable, "-c", code, *args]
     return subprocess.run(argv, env=env, stderr=subprocess.PIPE, text=True, timeout=120, **streams)
 
@@ -1111,10 +1113,92 @@ def test_the_argv_parser_contract(tmp_path, capsys, argv, code, fragment, parame
 
 
 def test_main_reads_sys_argv_without_arguments(monkeypatch, capsys):
-    # the gkzlog console script calls main() with no arguments
+    # the process entry of the gkzlog command calls main() with no arguments
     monkeypatch.setattr(sys, "argv", ["gkzlog", "lattice", GAUSS])
     assert main() == 0
     assert "rank: 1" in capsys.readouterr().out
+
+
+# One run per exit code: pass, verification failure, input error, resource limit.
+EXIT_RUNS = {
+    0: ["mirror", TRIANGLES, "--index", "1", "--grade", "2", "--out"],
+    1: ["solve", GAUSS, "--order", "1", "--radius", "0", "--out"],
+    2: ["lattice", GAUSS, "--bogus", "1"],
+    3: ["mirror", HEXAGON, "--index", "1", "--grade", "2", "--max-terms", "5", "--out"],
+}
+
+
+def _exit_run(code, tmp_path):
+    args = EXIT_RUNS[code]
+    return [*args, str(tmp_path / "out")] if args[-1] == "--out" else args
+
+
+@pytest.mark.parametrize("code", sorted(EXIT_RUNS))
+def test_only_the_process_entry_freezes_the_heap(code, tmp_path):
+    # the process entry freezes the heap before it exits, on every exit code ...
+    pythonpath = os.pathsep.join(filter(None, [SRC, os.environ.get("PYTHONPATH")]))
+    script = (
+        "import gc, json, runpy, sys\n"
+        "before = gc.get_freeze_count(); sys.argv[0] = 'gkzlog'\n"
+        "try:\n"
+        "    runpy.run_module('gkzlog.cli', run_name='__main__')\n"
+        "except SystemExit as exc:\n"
+        "    print(json.dumps([exc.code, before, gc.get_freeze_count()]))\n"
+    )
+    done = subprocess.run(
+        [sys.executable, "-c", script, *_exit_run(code, tmp_path)],
+        env=dict(os.environ, PYTHONPATH=pythonpath),
+        capture_output=True,
+        text=True,
+        timeout=120,
+    )
+    assert done.returncode == 0, done.stderr
+    exited, before, after = json.loads(done.stdout.strip().splitlines()[-1])
+    assert (exited, before) == (code, 0) and after > 0
+    # ... and main, which the tests and bench/child.py call in process, does not
+    frozen = gc.get_freeze_count()
+    assert main(_exit_run(code, tmp_path / "in-process")) == code
+    assert gc.get_freeze_count() == frozen
+
+
+def test_the_console_script_and_a_module_run_share_one_entry():
+    # the installed gkzlog command runs what python -m gkzlog.cli runs
+    pyproject = (FIXTURES.parent / "pyproject.toml").read_text(encoding="utf-8")
+    scripts = re.findall(r'^gkzlog = "gkzlog\.cli:(\w+)"$', pyproject, flags=re.MULTILINE)
+    source = (FIXTURES.parent / "src" / "gkzlog" / "cli.py").read_text(encoding="utf-8")
+    main_block = r'^if __name__ == "__main__":\n    (\w+)\(\)\n\Z'
+    blocks = re.findall(main_block, source, flags=re.MULTILINE)
+    assert len(scripts) == 1 and blocks == scripts
+    assert callable(getattr(cli, scripts[0])) and scripts[0] != "main"
+
+
+@pytest.mark.parametrize("name", sorted(p.name for p in FIXTURES.glob("*.json")))
+def test_source_hash_is_the_sha256_of_the_canonical_problem(name):
+    # the source hash comes from the interpreter's own SHA-256, not hashlib's
+    path = FIXTURES / name
+    raw = json.loads(path.read_text(encoding="utf-8"))
+    canonical = json.dumps(raw, sort_keys=True, separators=(",", ":")).encode("utf-8")
+    want = "sha256:" + hashlib.sha256(canonical).hexdigest()[:16]
+    assert load_problem(str(path)).source_hash == want
+
+
+def test_source_hash_falls_back_to_hashlib():
+    # an interpreter without _sha2 and _sha256 hashes through hashlib, alike
+    pythonpath = os.pathsep.join(filter(None, [SRC, os.environ.get("PYTHONPATH")]))
+    script = (
+        "import hashlib, sys; sys.modules['_sha2'] = sys.modules['_sha256'] = None\n"
+        "from gkzlog import cli\n"
+        "print(cli.sha256 is hashlib.sha256, cli.load_problem(sys.argv[1]).source_hash)"
+    )
+    done = subprocess.run(
+        [sys.executable, "-c", script, HEXAGON],
+        env=dict(os.environ, PYTHONPATH=pythonpath),
+        capture_output=True,
+        text=True,
+        timeout=120,
+    )
+    assert done.returncode == 0, done.stderr
+    assert done.stdout.split() == ["True", load_problem(HEXAGON).source_hash]
 
 
 @pytest.mark.parametrize(
@@ -1140,7 +1224,8 @@ def test_a_module_run_imports_no_argparse_and_no_second_cli(tmp_path, args):
     lines = [line for line in done.stderr.splitlines() if line.startswith("import time:")]
     imported = {line.rsplit("|", 1)[1].strip() for line in lines}
     assert {"gkzlog.lattice", "gkzlog.support"} <= imported
-    assert not {"argparse", "gettext", "gkzlog.cli"} & imported
+    # hashlib would load OpenSSL for the one digest of the problem file
+    assert not {"argparse", "gettext", "gkzlog.cli", "hashlib", "_hashlib"} & imported
     assert ("gkzlog.series_run" in imported) == (args[0] == "solve")
 
 
@@ -1208,7 +1293,8 @@ SERIES_RUN = {"gkzlog.series_run"}
 )
 def test_a_command_imports_only_its_pipeline(tmp_path, args, absent, present):
     # each command imports the pipeline it runs, so a run compiles no other
-    # module, and no run compiles the series text regex, which only from_text reads
+    # module, no run compiles the series text regex, which only from_text reads,
+    # and no run loads hashlib, and with it OpenSSL
     pythonpath = os.pathsep.join(filter(None, [SRC, os.environ.get("PYTHONPATH")]))
     env = dict(os.environ, PYTHONPATH=pythonpath)
     code = (
@@ -1217,7 +1303,8 @@ def test_a_command_imports_only_its_pipeline(tmp_path, args, absent, present):
         "from gkzlog.cli import main; code = main(sys.argv[1:])\n"
         "term = getattr(sys.modules.get('gkzlog.logseries'), '_TERM', None)\n"
         "loaded = sorted(m for m in sys.modules if m.startswith('gkzlog'))\n"
-        "print(json.dumps([loaded, term in compiled])); sys.exit(code)"
+        "openssl = {'hashlib', '_hashlib'} & set(sys.modules)\n"
+        "print(json.dumps([loaded, term in compiled, sorted(openssl)])); sys.exit(code)"
     )
     if args[0] in {"mirror", "solve", "combine"}:
         args = [*args, "--out", str(tmp_path / "out")]
@@ -1225,10 +1312,10 @@ def test_a_command_imports_only_its_pipeline(tmp_path, args, absent, present):
         [sys.executable, "-c", code, *args], env=env, capture_output=True, text=True, timeout=120
     )
     assert done.returncode == 0, done.stderr
-    loaded, compiled = json.loads(done.stdout.strip().splitlines()[-1])
+    loaded, compiled, openssl = json.loads(done.stdout.strip().splitlines()[-1])
     assert not absent & set(loaded)
     assert {"gkzlog.cli", "gkzlog.lattice", "gkzlog.support", *present} <= set(loaded)
-    assert not compiled
+    assert not compiled and not openssl
 
 
 def test_package_names_resolve_on_first_access():

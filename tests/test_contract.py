@@ -31,6 +31,12 @@ READERS = SOURCES + sorted((ROOT / "tests").glob("*.py"))
 READERS += sorted((ROOT / "bench").glob("*.py"))
 
 
+# ``sys.stdlib_module_names`` lists the running interpreter's modules only.
+# CPython 3.12 merged the built-in ``_sha256`` into ``_sha2``, so each of the
+# two is standard library under some of the supported versions and not others.
+STDLIB = sys.stdlib_module_names | {"_sha2", "_sha256"}
+
+
 def contract_breaches(tree):
     for node in ast.walk(tree):
         if isinstance(node, ast.Constant) and isinstance(node.value, float):
@@ -39,10 +45,10 @@ def contract_breaches(tree):
             yield node.lineno, "use of the name 'float'"
         elif isinstance(node, ast.Import):
             for alias in node.names:
-                if alias.name.split(".")[0] not in sys.stdlib_module_names:
+                if alias.name.split(".")[0] not in STDLIB:
                     yield node.lineno, f"import of non-stdlib module {alias.name!r}"
         elif isinstance(node, ast.ImportFrom) and node.level == 0:
-            if node.module.split(".")[0] not in sys.stdlib_module_names:
+            if node.module.split(".")[0] not in STDLIB:
                 yield node.lineno, f"import from non-stdlib module {node.module!r}"
 
 

@@ -319,7 +319,9 @@ CROSS_VERSION_CASES = {
 
 @pytest.mark.parametrize("name", sorted(CROSS_VERSION_CASES))
 def test_other_interpreters_write_the_same_bytes(name, tmp_path):
-    # pyproject claims Python 3.10 and later; every artifact byte must agree
+    # pyproject claims Python 3.10 and later; every artifact byte must agree.
+    # The run goes through the process entry, so each interpreter also takes
+    # its own rung of the SHA-256 ladder and freezes its heap at exit.
     interpreters = other_interpreters()
     if not interpreters:
         pytest.skip("no other python3.10 to python3.13 on PATH starts")
@@ -329,9 +331,8 @@ def test_other_interpreters_write_the_same_bytes(name, tmp_path):
     env = dict(os.environ, PYTHONPATH=src, PYTHONDONTWRITEBYTECODE="1")
     for k, exe in enumerate(interpreters):
         out_dir = tmp_path / f"other{k}"
-        code = "import sys; from gkzlog.cli import main; sys.exit(main())"
         done = subprocess.run(
-            [exe, "-c", code, *args, "--out", str(out_dir)],
+            [exe, "-m", "gkzlog.cli", *args, "--out", str(out_dir)],
             env=env,
             capture_output=True,
             text=True,
@@ -357,7 +358,7 @@ def test_other_interpreters_parse_argv_alike(argv, code, capsys):
     env = dict(os.environ, PYTHONPATH=src, PYTHONDONTWRITEBYTECODE="1")
     for exe in interpreters:
         done = subprocess.run(
-            [exe, "-c", "import sys; from gkzlog.cli import main; sys.exit(main())", *argv],
+            [exe, "-m", "gkzlog.cli", *argv],
             env=env,
             capture_output=True,
             text=True,
