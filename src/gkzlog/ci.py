@@ -5,9 +5,12 @@ equation, the first point of each set being distinguished (``CISpec``).
 ``build_system`` lifts each point with an indicator block that selects
 its set, which gives the point-configuration matrix, the canonical
 parameter and the base exponent vector of the system the rest of the
-package solves.  Loading a ``ci`` problem file needs this module alone;
-the mirror-map pipeline (``ci_mirror``) imports it, not the other way
-round.
+package solves.  ``check_hypotheses`` checks the two hypotheses of the
+mirror-map construction, for the ``ci`` command to print and for
+``ci_mirror.mirror_map`` to raise on.  Loading a ``ci`` problem file
+needs this module alone, and compiles none of the modules the check
+imports when it runs; the mirror-map pipeline (``ci_mirror``) imports
+this module, not the other way round.
 
 Indices are 0-based throughout: column ``(i, j)`` is member ``j`` of set
 ``i``, and ``j = 0`` is the distinguished point.
@@ -104,3 +107,23 @@ def build_system(spec: CISpec):
     if matrix.mul_vec(v) != beta:
         raise AssertionError("lifted system is inconsistent")
     return matrix, beta, v
+
+
+def check_hypotheses(spec: CISpec, v, lattice, radius: int, max_points: int):
+    """``(unique, verdicts)``: the two hypotheses of a complete-intersection problem.
+
+    ``verdicts`` are the minimality verdicts of the base vector ``v`` of
+    ``build_system(spec)`` with nothing and with each one column excluded,
+    keyed by excluded tuple, from one ``SupportBox`` of radius ``radius``,
+    or 1 at radius 0, which would check the origin alone.  ``unique`` says
+    whether the sum of the distinguished points is the only interior
+    lattice point of the Minkowski sum of the point sets.  The sweep runs
+    first, so a sweep past ``max_points`` raises :class:`ResourceLimit`
+    before any hull is built.
+    """
+    from .polytope import has_unique_interior_point
+    from .support import SupportBox
+
+    box = SupportBox(v, lattice, max(1, radius), max_points)
+    verdicts = box.sweep([()] + [(column,) for column in range(lattice.ambient_dim)])
+    return has_unique_interior_point(spec.point_sets, spec.delta), verdicts

@@ -56,13 +56,13 @@ from math import gcd, lcm
 from operator import add, mul
 
 from .errors import DegenerateHull, MinimalityViolation, NoPositiveFunctional
-from .ci import CISpec, build_system
+from .ci import CISpec, build_system, check_hypotheses
 from .lattice import DEFAULT_MAX_BOX_POINTS, _lattice_points, kernel_basis
 from .linalg import solve_integer
 from .logseries import log_free_coefficients
-from .polytope import _cone_rays, has_unique_interior_point
+from .polytope import _cone_rays
 from .rationals import ratio_text
-from .support import SupportBox, support_points, support_rows
+from .support import support_points, support_rows
 from .values import Value
 
 DEFAULT_GRADING_BOUND = 8
@@ -394,8 +394,9 @@ def mirror_map(
 ) -> MirrorMap:
     """Mirror-map series of one column, exact to the given grade bound.
 
-    Verifies the unique-interior-point hypothesis and the minimality checks
-    (one ``SupportBox`` of radius ``max(1, radius)``) and finds positive
+    Verifies both hypotheses (``ci.check_hypotheses``; a hull without a
+    unique interior point is raised before a verdict that is not minimal,
+    as the ``ci`` command prints it first) and finds positive
     weights, in lattice coordinates (``positive_grading``), on the extreme
     rays of the cone that the support cones' extreme rays generate; the
     ambient grading is their one integer lift.  The ``F`` and ``G`` tails are
@@ -408,7 +409,7 @@ def mirror_map(
     quotient ``G / F`` and its exponential are computed grade by grade on
     one set of packed lines (``_exp_of_quotient``); the result is mapped to
     ambient points once.  The reported radius is the smallest power-of-two
-    multiple of ``max(1, radius)`` whose box would enclose the tails, read
+    multiple of the swept radius whose box would enclose the tails, read
     off from the rays.
     """
     if isinstance(index, int):
@@ -422,18 +423,17 @@ def mirror_map(
     lattice = kernel_basis(matrix)
     width = lattice.ambient_dim
 
-    if not has_unique_interior_point(spec.point_sets, spec.delta):
+    unique, verdicts = check_hypotheses(spec, v, lattice, radius, max_points)
+    if not unique:
         raise DegenerateHull(
             "distinguished-point sum is not the unique interior lattice point "
             "of the Minkowski sum"
         )
-    sweep = SupportBox(v, lattice, max(1, radius), max_points).sweep(
-        [()] + [(column,) for column in range(width)]
-    )
-    for excluded, verdict in sweep.items():
+    for excluded, verdict in verdicts.items():
         if not verdict.minimal:
             where = f" with column {excluded[0]} excluded" if excluded else ""
             raise MinimalityViolation(f"base vector fails minimality{where}: {verdict}")
+    swept = verdicts[()].radius
 
     if lattice.rank == 0 or grade_bound == 0:
         return MirrorMap(
@@ -441,7 +441,7 @@ def mirror_map(
             coefficients={(0,) * width: Fraction(1)},
             grading=(0,) * width,
             grade_bound=grade_bound,
-            radius=max(1, radius),
+            radius=swept,
         )
 
     # Every constant is 0 on a {0, -1} base vector: the rows are the cones'.
@@ -464,7 +464,7 @@ def mirror_map(
     # lattice.basis, and this lift is the grading of the rays' own span.
     grading = solve_integer(lattice.basis, weights)
 
-    needed = max(1, radius)
+    needed = swept
     max_coord = 0
     for ray in rays:
         grade = sum(w * x for w, x in zip(weights, ray))
@@ -532,3 +532,36 @@ def render_coefficients(q: MirrorMap) -> str:
     """All mirror-map coefficients, one ``grade | point | value`` line each."""
     lines = _coefficient_lines(q, q.sorted_items())
     return "\n".join(lines) + "\n" if lines else ""
+
+
+def mirror_run(spec: CISpec, index, grade, radius, max_points, source):
+    """The ``mirror`` command's run: ``(line, texts, fields)``.
+
+    ``line`` is the ``integrality: ...`` line to print, ``texts`` the
+    ``(name, text)`` of the coefficient table and the integrality report
+    of ``mirror_map(spec, index, grade, radius, max_points)``, the report
+    headed by the problem's ``source`` hash, and ``fields`` the run
+    report's entries from ``parameters`` to ``status``.
+    """
+    q = mirror_map(spec, index, grade, radius=radius, max_points=max_points)
+    i, j = q.index
+    texts = [
+        (f"mirror_{i}_{j}.coeffs", render_coefficients(q)),
+        (f"mirror_{i}_{j}.report", render_integrality_report(q, source)),
+    ]
+    non_integer = len(integrality_report(q))
+    fields = {
+        "parameters": {
+            "index": [i, j],
+            "grade_bound": grade,
+            "radius_requested": radius,
+            "radius_used": q.radius,
+        },
+        "grading": list(q.grading),
+        "coefficients": len(q.coefficients),
+        "non_integer_coefficients": non_integer,
+        "artifacts": [name for name, _ in texts],
+        "status": "pass",
+    }
+    line = f"integrality: {'OK' if non_integer == 0 else f'{non_integer} non-integer coefficients'}"
+    return line, texts, fields

@@ -8,23 +8,30 @@ runs of the same input; wall-clock timing goes to stdout only.
 
 ``argv`` is read against one table of the six commands (``COMMANDS``,
 with the options of ``OPTIONS``): ``gkzlog COMMAND FILE`` and options
-as ``--opt value`` or ``--opt=value``, spelled in full.  A usage error
-is an input error; ``-h`` or ``--help`` prints a usage block built from
-the table.  ``main`` looks each command's runner up by its name when it
-dispatches.
+as ``--opt value`` or ``--opt=value``, spelled in full.  A usage error,
+a negative int option among them, is an input error, raised before the
+problem file is read; ``-h`` or ``--help`` prints a usage block built
+from the table.  ``main`` looks each command's runner up by its name when
+it dispatches.
 
 Exit codes: 0 pass, 1 verification failure, 2 input or output error
 (a usage error, an unwritable ``--out`` or a closed stdout), 3 resource
 limit.
 
-Each command imports the pipeline it runs when it runs: loading a ``ci``
-problem imports the module ``ci`` (the point sets and their lift) and no
-pipeline; the ``ci`` command imports the hull code of ``polytope``,
-``mirror`` the mirror-map pipeline ``ci_mirror``, and ``solve`` and
-``combine`` the module ``series_run``, which verifies and renders their
-artifacts through ``logseries`` and ``operators``; this module loads
-the problem, the lattice and the box and writes what ``series_run``
-returns.  So a run compiles only the modules it needs.
+This module is the one that turns option text into values (one integer
+list reader, ``_ints``, serves ``--exclude``, ``--indices``, ``--index``
+and ``--l``) and the one that writes artifacts: each pipeline that
+writes them returns ``(line, texts, fields)``, the line to print, each
+artifact's ``(name, text)`` and the run report's fields, and
+``_write_run`` prints and writes it.  Each command imports the pipeline
+it runs when it runs: loading a ``ci`` problem imports the module ``ci``
+(the point sets, their lift and ``check_hypotheses``) and no pipeline;
+the ``ci`` command runs ``check_hypotheses``, which imports the hull code
+of ``polytope``, ``mirror`` the mirror-map pipeline ``ci_mirror``
+(``mirror_run``), and ``solve`` and ``combine`` the module
+``series_run``, which verifies and renders their artifacts through
+``logseries`` and ``operators``.  So a run compiles only the modules it
+needs.
 """
 
 from __future__ import annotations
@@ -118,43 +125,72 @@ def load_problem(path: str) -> Problem:
         raise ProblemFileError(str(exc)) from None
 
 
-def _int(chunk):
-    try:
-        return int(chunk)
-    except ValueError:
-        raise ProblemFileError(f"expected an integer, got {chunk!r}") from None
-
-
-def _parse_index_list(text, limit):
+def _ints(text):
+    """The integers of an option's text, split at commas and whitespace."""
     out = []
     for chunk in text.replace(",", " ").split():
-        value = _int(chunk)
-        if not 0 <= value < limit:
-            raise ProblemFileError(f"index {value} out of range 0..{limit - 1}")
-        out.append(value)
+        try:
+            out.append(int(chunk))
+        except ValueError:
+            raise ProblemFileError(f"expected an integer, got {chunk!r}") from None
     return out
 
 
-def _override(flag, default, what):
-    """The command-line value if given, else the problem file's; both >= 0."""
-    return to_int(default if flag is None else flag, what, minimum=0)
+def _indices(text, limit):
+    """The column indices of an option's text (``_ints``), each in ``0..limit - 1``."""
+    out = _ints(text)
+    for value in out:
+        if not 0 <= value < limit:
+            raise ProblemFileError(f"index {value} out of range 0..{limit - 1}")
+    return out
 
 
-def _load_box_inputs(args):
-    """Problem, relation lattice and radius of a run that builds a support box."""
+def _given(args, problem, name):
+    """The option ``--name`` if given, else the problem file's value."""
+    value = getattr(args, name)
+    return getattr(problem, name) if value is None else value
+
+
+def _load_box(args):
+    """The problem and its ``SupportBox``, for a run that reads support sets."""
     problem = load_problem(args.file)
-    return problem, kernel_basis(problem.matrix), _override(args.radius, problem.radius, "radius")
+    radius = _given(args, problem, "radius")
+    return problem, SupportBox(problem.v, kernel_basis(problem.matrix), radius, args.max_terms)
 
 
-def _write_artifact(out_dir: Path, name: str, content: str):
+def _load_ci(args):
+    """The problem of a command that needs its ``ci`` section."""
+    problem = load_problem(args.file)
+    if problem.spec is None:
+        raise ProblemFileError("'ci' section required for this command")
+    return problem
+
+
+def _write_run(args, started, problem, run) -> int:
+    """Print and write a pipeline's ``(line, texts, fields)``; the run's exit code.
+
+    Without ``fields`` (a run whose minimality sweep failed) ``line`` is
+    printed alone and nothing is written.  Otherwise each ``(name, text)``
+    of ``texts`` and the run report (``command``, ``input``, ``source``,
+    then ``fields``) are written to ``--out``, and ``line``, the artifact
+    names and the elapsed time are printed.  The run passes when
+    ``fields`` say so.
+    """
+    line, texts, fields = run
+    if not fields:
+        print(line)
+        return 1
+    report = {"command": args.command, "input": problem.raw, "source": problem.source_hash}
+    report.update(fields)
+    texts = [*texts, ("run_report.json", json.dumps(report, indent=2) + "\n")]
+    out_dir = Path(args.out)
     out_dir.mkdir(parents=True, exist_ok=True)
-    (out_dir / name).write_text(content, encoding="utf-8")
-    return name
-
-
-def _write_run_report(out_dir: Path, report: dict):
-    content = json.dumps(report, indent=2) + "\n"
-    return _write_artifact(out_dir, "run_report.json", content)
+    for name, text in texts:
+        (out_dir / name).write_text(text, encoding="utf-8")
+    print(line)
+    print(f"artifacts: {', '.join(name for name, _ in texts)}")
+    print(f"elapsed: {time.perf_counter() - started:.3f}s")
+    return 0 if fields["status"] == "pass" else 1
 
 
 def cmd_lattice(args) -> int:
@@ -168,151 +204,89 @@ def cmd_lattice(args) -> int:
 
 
 def cmd_support(args) -> int:
-    problem, lattice, radius = _load_box_inputs(args)
-    box = SupportBox(problem.v, lattice, radius, args.max_terms)
-    excluded = tuple(_parse_index_list(args.exclude, problem.matrix.n_cols)) if args.exclude else ()
+    problem, box = _load_box(args)
+    excluded = tuple(_indices(args.exclude or "", problem.matrix.n_cols))
     # Both enumerations run before the first line, so a capped run prints nothing.
     verdict = box.check_minimal(excluded)
     points = box.support_set(excluded)
     print(f"excluded: {sorted(excluded)}")
     print(f"verdict: {verdict}")
-    print(f"support points within radius {radius}: {len(points)}")
+    print(f"support points within radius {box.radius}: {len(points)}")
     for point in points:
         print("  (" + ",".join(str(x) for x in point) + ")")
     return 0 if verdict.minimal else 1
-
-
-def _write_series_run(args, started, problem, run) -> int:
-    """Print the failure of a ``series_run`` run, or write its texts and run report."""
-    failure, texts, fields = run
-    if failure is not None:
-        print(failure)
-        return 1
-    out_dir = Path(args.out)
-    for name, text in texts:
-        _write_artifact(out_dir, name, text)
-    report = {"command": args.command, "input": problem.raw, "source": problem.source_hash}
-    report.update(fields)
-    artifacts = [*fields["artifacts"], _write_run_report(out_dir, report)]
-    print(f"status: {report['status']}")
-    print(f"artifacts: {', '.join(artifacts)}")
-    print(f"elapsed: {time.perf_counter() - started:.3f}s")
-    return 0 if report["status"] == "pass" else 1
 
 
 def cmd_solve(args) -> int:
     from .series_run import solve_run
 
     started = time.perf_counter()
-    problem, lattice, radius = _load_box_inputs(args)
-    order = to_int(args.order, "order", minimum=0)
-    keys = None
+    problem, box = _load_box(args)
+    order, keys = args.order, None
     if args.indices is not None:
         if order == 0:
             raise ProblemFileError("--indices needs --order 1 or more")
-        flat = _parse_index_list(args.indices, problem.matrix.n_cols)
+        flat = _indices(args.indices, problem.matrix.n_cols)
         if not flat:
             raise ProblemFileError(f"--indices {args.indices!r} names no index")
         if len(flat) % order:
             raise ProblemFileError(f"--indices: {len(flat)} indices are not {order}-tuples")
         keys = {tuple(sorted(flat[s : s + order])) for s in range(0, len(flat), order)}
-    box = SupportBox(problem.v, lattice, radius, args.max_terms)
-    return _write_series_run(args, started, problem, solve_run(box, order, keys))
+    return _write_run(args, started, problem, solve_run(box, order, keys))
 
 
 def cmd_combine(args) -> int:
     from .series_run import combine_run
 
     started = time.perf_counter()
-    problem, lattice, radius = _load_box_inputs(args)
-    box = SupportBox(problem.v, lattice, radius, args.max_terms)
-    run = combine_run(box, problem.matrix, problem.beta, args.l)
-    return _write_series_run(args, started, problem, run)
+    problem, box = _load_box(args)
+    matrix = problem.matrix
+    points = [tuple(_ints(text.strip().lstrip("(").rstrip(")"))) for text in args.l]
+    for point in points:
+        if len(point) != matrix.n_cols:
+            raise ProblemFileError(f"expected {matrix.n_cols} integers, got {len(point)}")
+        if any(matrix.mul_vec(point)):
+            raise ProblemFileError(f"l = {point} is not in the relation lattice")
+    run = combine_run(box, matrix, problem.beta, points)
+    return _write_run(args, started, problem, run)
 
 
 def cmd_ci(args) -> int:
-    from .polytope import has_unique_interior_point
+    from .ci import check_hypotheses
 
-    problem, lattice, radius = _load_box_inputs(args)
-    if problem.spec is None:
-        raise ProblemFileError("'ci' section required for this command")
-    spec = problem.spec
-    # Sweep and hull run before the first line: a capped run or bad hull prints nothing.
-    # Radius 0 would check the origin alone, so the sweep runs at radius 1 or more.
-    box = SupportBox(problem.v, lattice, max(1, radius), args.max_terms)
-    verdicts = box.sweep([()] + [(col,) for col in range(problem.matrix.n_cols)])
-    hypothesis = has_unique_interior_point(spec.point_sets, spec.delta)
+    problem = _load_ci(args)
+    lattice, radius = kernel_basis(problem.matrix), _given(args, problem, "radius")
+    # Both checks run before the first line: a capped sweep or a bad hull prints nothing.
+    unique, verdicts = check_hypotheses(problem.spec, problem.v, lattice, radius, args.max_terms)
     print("lifted matrix rows:")
     for row in problem.matrix.rows:
         print("  (" + ",".join(str(x) for x in row) + ")")
     print("beta: (" + ",".join(str(x) for x in problem.beta) + ")")
     print("v: (" + ",".join(str(x) for x in problem.v) + ")")
-    print(f"unique interior point {spec.delta}: {hypothesis}")
-    ok = hypothesis
+    print(f"unique interior point {problem.spec.delta}: {unique}")
     for excluded, verdict in verdicts.items():
         what = f"column {excluded[0]} excluded" if excluded else "nothing excluded"
         print(f"minimality, {what}: {verdict}")
-        ok = ok and verdict.minimal
+    ok = unique and all(verdict.minimal for verdict in verdicts.values())
     print(f"status: {'pass' if ok else 'fail'}")
     return 0 if ok else 1
 
 
 def cmd_mirror(args) -> int:
-    from .ci_mirror import mirror_map, render_coefficients, render_integrality_report
+    from .ci_mirror import mirror_run
 
     started = time.perf_counter()
-    problem = load_problem(args.file)
-    if problem.spec is None:
-        raise ProblemFileError("'ci' section required for this command")
-    spec = problem.spec
-    radius = _override(args.radius, problem.radius, "radius")
-    grade = _override(args.grade, problem.grade, "grade")
-    out_dir = Path(args.out)
-
-    parts = args.index.replace(",", " ").split()
-    try:
-        if len(parts) == 1:
-            index = spec.column_of(_int(parts[0]))
-        elif len(parts) == 2:
-            index = (_int(parts[0]), _int(parts[1]))
-            spec.column_index(*index)
-        else:
-            raise ValueError("--index takes 'flat' or 'i,j'")
+    problem = _load_ci(args)
+    spec, parts = problem.spec, _ints(args.index)
+    if len(parts) not in (1, 2):
+        raise ProblemFileError("--index takes 'flat' or 'i,j'")
+    try:  # a pair is checked by its flat index, which gives it back
+        index = spec.column_of(spec.column_index(*parts) if len(parts) == 2 else parts[0])
     except ValueError as exc:
         raise ProblemFileError(str(exc)) from None
-
-    q = mirror_map(spec, index, grade, radius=radius, max_points=args.max_terms)
-    i, j = q.index
-    stem = f"mirror_{i}_{j}"
-    artifacts = [
-        _write_artifact(out_dir, f"{stem}.coeffs", render_coefficients(q)),
-        _write_artifact(
-            out_dir, f"{stem}.report", render_integrality_report(q, problem.source_hash)
-        ),
-    ]
-    non_integer = sum(1 for c in q.coefficients.values() if c.denominator != 1)
-    report = {
-        "command": "mirror",
-        "input": problem.raw,
-        "source": problem.source_hash,
-        "parameters": {
-            "index": [i, j],
-            "grade_bound": grade,
-            "radius_requested": radius,
-            "radius_used": q.radius,
-        },
-        "grading": list(q.grading),
-        "coefficients": len(q.coefficients),
-        "non_integer_coefficients": non_integer,
-        "artifacts": artifacts,
-        "status": "pass",
-    }
-    artifacts.append(_write_run_report(out_dir, report))
-    elapsed = time.perf_counter() - started
-    print(f"integrality: {'OK' if non_integer == 0 else f'{non_integer} non-integer coefficients'}")
-    print(f"artifacts: {', '.join(artifacts)}")
-    print(f"elapsed: {elapsed:.3f}s")
-    return 0
+    grade, radius = _given(args, problem, "grade"), _given(args, problem, "radius")
+    run = mirror_run(spec, index, grade, radius, args.max_terms, problem.source_hash)
+    return _write_run(args, started, problem, run)
 
 
 # Every option of the command table: its kind (an int or str option keeps the
@@ -402,7 +376,8 @@ def _parse_argv(argv):
     command (``--max-terms`` is ``max_terms``), its default when not given.
     A usage error raises :class:`ProblemFileError`: an unknown command or
     option, an option without its value, a missing or second FILE, a
-    missing required option or a non-integer value of an int option.
+    missing required option, or a non-integer or negative value of an int
+    option.
     """
     if argv and argv[0] in _HELP:
         return None
@@ -431,10 +406,11 @@ def _parse_argv(argv):
             values[name] = [*(values[name] or ()), text]
         elif kind is int:
             try:
-                values[name] = int(text)
+                value = int(text)
             except ValueError:
                 message = f"{command}: {flag} takes an integer, got {text!r}"
                 raise ProblemFileError(message) from None
+            values[name] = to_int(value, name, minimum=0)
         else:
             values[name] = text
     if file is None:
@@ -453,7 +429,6 @@ def main(argv=None) -> int:
             print(_usage())
             code = 0
         else:
-            args.max_terms = to_int(args.max_terms, "max-terms", minimum=0)
             code = globals()[COMMANDS[args.command][0]](args)
         sys.stdout.flush()  # a closed stdout fails here, not at interpreter exit
         return code

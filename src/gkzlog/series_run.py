@@ -1,15 +1,17 @@
 """The pipeline of the ``solve`` and ``combine`` commands, from parsed inputs to rendered text.
 
 ``solve --order K`` (any ``K >= 0``, ``solve_run``) and ``combine`` (one
-``--l`` lattice point per log order, ``combine_run``) run one pipeline,
+lattice point per log order, ``combine_run``) run one pipeline,
 ``_series_run``, at every order.  The command line (``cli``) loads the
-problem, its relation lattice and its ``SupportBox``, parses
-``--indices``, and writes what both return, ``(failure, texts,
-fields)``: ``failure`` is the line to print, with nothing to write, when
-an excluded set the run sweeps is not minimal; otherwise it is None,
-``texts`` holds each artifact's ``(name, text)`` and ``fields`` the run
-report's entries from ``parameters`` to ``status``.  Only these two
-commands import this module, and it imports nothing of ``cli``.
+problem and its ``SupportBox``, parses every option into values (the
+``--indices`` tuples, the ``--l`` points, checked to lie in the relation
+lattice), and writes what both return, the ``(line, texts, fields)`` of
+every command that writes artifacts: ``line`` is the ``status: ...``
+line to print, ``texts`` holds each artifact's ``(name, text)`` and
+``fields`` the run report's entries from ``parameters`` to ``status``.
+When an excluded set the run sweeps is not minimal, ``line`` says so and
+there is nothing to write.  Only these two commands import this module,
+and it imports nothing of ``cli``.
 """
 
 from __future__ import annotations
@@ -17,7 +19,7 @@ from __future__ import annotations
 from itertools import combinations, combinations_with_replacement
 from math import comb
 
-from .errors import ProblemFileError, ResourceLimit
+from .errors import ResourceLimit
 from .logseries import build_tails, combine, tails_read, to_text
 from .operators import BoxOp, verify_box_operators, verify_euler_annihilation
 
@@ -34,15 +36,16 @@ def _solve_failure(excluded):
 
 
 def _series_run(box, sets, artifacts, euler, parameters):
-    """The pipeline of ``solve`` and ``combine``: ``(failure, texts, fields)``.
+    """The pipeline of ``solve`` and ``combine``: ``(line, texts, fields)``.
 
     Sweeps ``box`` over the excluded ``sets`` and then the keys of the
-    tails the ``artifacts`` read (the failure is ``_solve_failure`` of the
-    first one that is not minimal), builds each of those tails once, in
-    one ``build_tails`` call, and renders each artifact ``(name, terms)``
-    as ``combine(tails, terms)``, box-verified against the whole basis in
-    one ``verify_box_operators`` call and, unless ``euler`` is None,
-    Euler-verified against its ``(matrix, beta)``.  An artifact passes
+    tails the ``artifacts`` read (``line`` is ``_solve_failure`` of the
+    first one that is not minimal, with no texts and no fields), builds
+    each of those tails once, in one ``build_tails`` call, and renders
+    each artifact ``(name, terms)`` as ``combine(tails, terms)``,
+    box-verified against the whole basis in one ``verify_box_operators``
+    call and, unless ``euler`` is None, Euler-verified against its
+    ``(matrix, beta)``.  An artifact passes
     only if every check passes and some check certified something: a box
     check a nonempty region, an Euler check at least one term.  So one
     with no check, or only an Euler check of no term (a rank-0 lattice has
@@ -75,14 +78,15 @@ def _series_run(box, sets, artifacts, euler, parameters):
         )
         ok = ok and certified and all(got.passed for _, got in reports)
         texts.append((name, to_text(series)))
+    status = "pass" if ok else "fail"
     fields = {
         "parameters": parameters,
         "verdicts": {f"excluded={excluded}": str(v) for excluded, v in verdicts.items()},
         "artifacts": [name for name, _ in texts],
         "verification": verification,
-        "status": "pass" if ok else "fail",
+        "status": status,
     }
-    return None, texts, fields
+    return f"status: {status}", texts, fields
 
 
 def solve_run(box, order, keys=None):
@@ -109,17 +113,6 @@ def solve_run(box, order, keys=None):
     return _series_run(box, (), artifacts, None, {"order": order, "radius": box.radius})
 
 
-def _parse_int_vector(text, length):
-    parts = text.strip().lstrip("(").rstrip(")").replace(",", " ").split()
-    try:
-        point = tuple(map(int, parts))
-    except ValueError:
-        raise ProblemFileError(f"--l {text!r} is not a list of integers") from None
-    if len(point) != length:
-        raise ProblemFileError(f"expected {length} integers, got {len(point)}")
-    return point
-
-
 def _multiset_terms(points):
     """The solution's ``combine`` terms: ``prod_t l_t[a_t]`` summed over the orderings of each
     sorted multiset ``(a_1, ..., a_k)``, by multiplying out the linear forms ``sum_a l_t[a]
@@ -136,19 +129,15 @@ def _multiset_terms(points):
     return [(weight, logs) for logs, weight in weights.items() if weight]
 
 
-def combine_run(box, matrix, beta, texts):
-    """The solution of the lattice points ``texts`` (one ``--l`` each), run on ``box``.
+def combine_run(box, matrix, beta, points):
+    """The solution of ``points`` (one per log order), run on ``box``.
 
-    Each text must name a point of the relation lattice of ``matrix``.
-    The run sweeps every excluded set of at most ``len(texts)`` indices
-    and Euler-verifies the solution against ``(matrix, beta)``.
+    Each point lies in the relation lattice of ``matrix``.  The run sweeps
+    every excluded set of at most ``len(points)`` indices and
+    Euler-verifies the solution against ``(matrix, beta)``.
     """
-    ncols = matrix.n_cols
-    points = [_parse_int_vector(text, ncols) for text in texts]
-    for point in points:
-        if any(matrix.mul_vec(point)):
-            raise ProblemFileError(f"l = {point} is not in the relation lattice")
-    sets = [()] + [s for k in range(1, len(points) + 1) for s in combinations(range(ncols), k)]
+    columns = range(matrix.n_cols)
+    sets = [()] + [s for k in range(1, len(points) + 1) for s in combinations(columns, k)]
     artifacts = [("solution.series", _multiset_terms(points))]
     parameters = {"l": [list(point) for point in points], "radius": box.radius}
     return _series_run(box, sets, artifacts, (matrix, beta), parameters)

@@ -382,8 +382,6 @@ def test_combine_empty_second_l_is_an_input_error(tmp_path, capsys):
 def test_mirror_radius_zero_sweeps_radius_one(tmp_path, monkeypatch, radius, swept, run_report):
     # --radius 0 would certify the origin alone; the sweep runs at radius 1,
     # and any larger radius is swept as given, as ci sweeps it
-    import gkzlog.ci_mirror as ci_mirror
-
     radii = []
     init = SupportBox.__init__
 
@@ -391,7 +389,7 @@ def test_mirror_radius_zero_sweeps_radius_one(tmp_path, monkeypatch, radius, swe
         init(self, *args, **kwargs)
         radii.append(self.radius)
 
-    monkeypatch.setattr(ci_mirror.SupportBox, "__init__", counting_init)
+    monkeypatch.setattr(SupportBox, "__init__", counting_init)
     out = tmp_path / "out"
     args = ["mirror", HEXAGON, "--index", "1", "--grade", "8", "--radius", radius]
     assert main([*args, "--out", str(out)]) == 0
@@ -779,6 +777,155 @@ def test_ci_degenerate_hull_prints_nothing(tmp_path, capsys):
     assert "not full-dimensional" in captured.err
 
 
+# A one-set CI on one line of Z^2: its hull is not full-dimensional.
+LINE_CI = [[[0, 0], [1, 0], [-1, 0], [2, 0]]]
+# The origin is a vertex here, not the unique interior point, and with
+# column 3 excluded the base vector is not minimal: it fails both checks.
+CORNER_CI = [[[0, 0], [-2, -2], [-2, -1], [-1, -1]]]
+
+
+def _ci_and_mirror(tmp_path, capsys, point_sets, *extra):
+    """``(code, stdout, stderr)`` of ``ci`` and of ``mirror --index 1`` on one problem."""
+    path = _problem(tmp_path, ci={"point_sets": point_sets})
+    runs = []
+    for args in (["ci", path], ["mirror", path, "--index", "1", "--out", str(tmp_path / "out")]):
+        code = main([*args, *extra])
+        runs.append((code, *capsys.readouterr()))
+    return runs
+
+
+def test_ci_and_mirror_sweep_radius_one_at_radius_zero(tmp_path, capsys, monkeypatch):
+    radii = []
+    init = SupportBox.__init__
+
+    def counting_init(self, *args, **kwargs):
+        init(self, *args, **kwargs)
+        radii.append(self.radius)
+
+    monkeypatch.setattr(SupportBox, "__init__", counting_init)
+    ci, mirror = _ci_and_mirror(tmp_path, capsys, projective_ci_sets((3,)), "--radius", "0")
+    assert (ci[0], mirror[0]) == (0, 0)
+    assert radii == [1, 1]
+    assert "minimality, column 1 excluded: minimal within radius 1\n" in ci[1]
+
+
+def test_ci_and_mirror_reject_a_degenerate_hull_alike(tmp_path, capsys):
+    for code, out, err in _ci_and_mirror(tmp_path, capsys, LINE_CI):
+        assert (code, out) == (1, "")
+        assert err.startswith("verification failure: hull of 4 candidate points")
+        assert "is not full-dimensional" in err
+
+
+def test_ci_and_mirror_report_the_hull_before_a_verdict(tmp_path, capsys):
+    # ci prints both failures, the hull's first; mirror raises the hull's
+    ci, mirror = _ci_and_mirror(tmp_path, capsys, CORNER_CI)
+    assert ci[0] == 1 and ci[2] == ""
+    assert "unique interior point (0, 0): False\n" in ci[1]
+    assert "minimality, column 3 excluded: counterexample (1, 1, 0, -2) at radius 6\n" in ci[1]
+    assert mirror[:2] == (1, "")
+    assert "not the unique interior lattice point" in mirror[2]
+
+
+@pytest.mark.parametrize("point_sets", [LINE_CI, CORNER_CI], ids=["line", "corner"])
+def test_ci_and_mirror_sweep_before_the_hull(tmp_path, capsys, point_sets):
+    # the sweep runs first: past the point cap, neither command reaches the hull
+    for code, out, err in _ci_and_mirror(tmp_path, capsys, point_sets, "--max-terms", "0"):
+        assert (code, out) == (3, "")
+        assert err == "resource limit: polytope has more than 0 lattice points (cap 0)\n"
+
+
+# The stdout and exit code of each command on the shipped fixtures, the
+# elapsed time masked.  ``--out`` is added where a command writes artifacts.
+STDOUT_PINS = {
+    "lattice-gauss": (
+        ["lattice", GAUSS],
+        0,
+        ["ambient dimension: 4", "rank: 1", "basis: (1,1,-1,-1)"],
+    ),
+    "support-pyramid": (
+        ["support", PYRAMID, "--exclude", "4", "--radius", "2"],
+        0,
+        [
+            "excluded: [4]",
+            "verdict: minimal within radius 2",
+            "support points within radius 2: 9",
+            *(f"  ({a},{b},{a},{b},{-2 * (a + b)})" for a in range(3) for b in range(3)),
+        ],
+    ),
+    **{
+        name: (
+            ["ci", TRIANGLES, *radius],
+            0,
+            [
+                "lifted matrix rows:",
+                "  (0,1,0,-1,0,0,0)",
+                "  (0,0,1,-1,0,0,0)",
+                "  (0,0,0,0,1,0,-1)",
+                "  (0,0,0,0,0,1,-1)",
+                "  (1,1,1,1,1,1,1)",
+                "beta: (0,0,0,0,-1)",
+                "v: (-1,0,0,0,0,0,0)",
+                "unique interior point (0, 0, 0, 0): True",
+                f"minimality, nothing excluded: minimal within radius {swept}",
+                *(
+                    f"minimality, column {k} excluded: minimal within radius {swept}"
+                    for k in range(7)
+                ),
+                "status: pass",
+            ],
+        )
+        for name, radius, swept in [
+            ("ci-triangles", [], 4),
+            ("ci-triangles-radius-0", ["--radius", "0"], 1),
+        ]
+    },
+    "solve-pyramid-1": (
+        ["solve", PYRAMID, "--order", "1", "--radius", "4", "--out"],
+        0,
+        [
+            "status: pass",
+            "artifacts: F.series, quasi1_0.series, quasi1_1.series, quasi1_2.series, "
+            "quasi1_3.series, quasi1_4.series, run_report.json",
+            "elapsed: <masked>",
+        ],
+    ),
+    "solve-quintic-5-not-minimal": (
+        ["solve", QUINTIC, "--order", "5", "--indices", "1,2,3,4,5", "--radius", "3", "--out"],
+        1,
+        ["minimality failed with [1, 2, 3, 4, 5] excluded"],
+    ),
+    "combine-gauss-1": (
+        ["combine", GAUSS, "--l", "(-1,-1,1,1)", "--radius", "6", "--out"],
+        0,
+        ["status: pass", "artifacts: solution.series, run_report.json", "elapsed: <masked>"],
+    ),
+    **{
+        f"mirror-{name}": (
+            ["mirror", path, "--index", index, "--grade", grade, "--out"],
+            0,
+            [
+                "integrality: OK",
+                f"artifacts: {stem}.coeffs, {stem}.report, run_report.json",
+                "elapsed: <masked>",
+            ],
+        )
+        for name, path, index, grade, stem in [
+            ("hexagon-1", HEXAGON, "1", "8", "mirror_0_1"),
+            ("quadrilateral-0-4", QUAD, "0,4", "4", "mirror_0_4"),
+        ]
+    },
+}
+
+
+@pytest.mark.parametrize("name", sorted(STDOUT_PINS))
+def test_each_command_prints_its_pinned_stdout(name, tmp_path, capsys):
+    argv, code, lines = STDOUT_PINS[name]
+    argv = [*argv, str(tmp_path / "out")] if argv[-1] == "--out" else argv
+    assert main(argv) == code
+    out = re.sub(r"(?m)^elapsed: \d+\.\d{3}s$", "elapsed: <masked>", capsys.readouterr().out)
+    assert out == "\n".join(lines) + "\n"
+
+
 def test_closed_stdout_is_an_output_error():
     read_end, write_end = os.pipe()
     os.close(read_end)  # no reader: the first write to stdout fails
@@ -1053,6 +1200,22 @@ def test_negative_max_terms_is_an_input_error(tmp_path, capsys):
     assert main([*args, "--max-terms", "0"]) == 3
     assert "cap 0" in capsys.readouterr().err
     assert not (tmp_path / "out").exists()
+
+
+@pytest.mark.parametrize(
+    "argv, message",
+    [
+        (["lattice", "--radius", "-1"], "radius must be >= 0, got -1"),
+        (["support", "--max-terms=-2"], "max-terms must be >= 0, got -2"),
+        (["solve", "--order", "-1", "--out", "out"], "order must be >= 0, got -1"),
+        (["mirror", "--index", "1", "--grade", "-3"], "grade must be >= 0, got -3"),
+    ],
+)
+def test_a_negative_int_option_is_a_usage_error(tmp_path, capsys, argv, message):
+    # the parser rejects it before the problem file, which does not exist, is read
+    missing = str(tmp_path / "missing.json")
+    assert main([argv[0], missing, *argv[1:]]) == 2
+    assert capsys.readouterr().err == f"input error: {message}\n"
 
 
 OUT = "<out>"  # an --out directory under tmp_path

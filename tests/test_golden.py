@@ -290,25 +290,50 @@ def test_artifacts_match_golden_hashes(name, tmp_path, capsys):
     assert run_case(CASES[name], tmp_path / "out") == GOLDEN[name]
 
 
+# pyproject claims Python 3.10 and later; the versions other than the running one.
+OTHER_VERSIONS = [f"3.{minor}" for minor in range(10, 14) if minor != sys.version_info.minor]
+
+
 def other_interpreters():
-    """Each ``python3.N`` on PATH, N from 10 to 13 but the running one, that starts as 3.N."""
-    found = []
-    for minor in range(10, 14):
-        exe = shutil.which(f"python3.{minor}")
-        if minor == sys.version_info.minor or exe is None:
-            continue
-        try:
-            done = subprocess.run(
-                [exe, "-c", "import sys; print(*sys.version_info[:2])"],
-                capture_output=True,
-                text=True,
-                timeout=60,
-            )
-        except (OSError, subprocess.TimeoutExpired):
-            continue
-        if done.returncode == 0 and done.stdout.split() == ["3", str(minor)]:
-            found.append(exe)
+    """``{version: path}``: one interpreter of each of ``OTHER_VERSIONS`` that starts.
+
+    The candidates for 3.N are ``python3.N`` on PATH, then each
+    ``$PYENV_ROOT/versions/3.N.*/bin/python3.N`` (``~/.pyenv`` when
+    ``PYENV_ROOT`` is unset): pyenv's shims resolve only the versions it
+    has selected, so PATH alone misses the others.  A candidate counts for
+    the version it reports when it starts, and the first one to report a
+    version is kept, so two builds of one version run once.
+    """
+    pyenv = Path(os.environ.get("PYENV_ROOT") or Path.home() / ".pyenv")
+    found = {}
+    for version in OTHER_VERSIONS:
+        candidates = [shutil.which(f"python{version}")]
+        candidates += sorted(map(str, pyenv.glob(f"versions/{version}.*/bin/python{version}")))
+        for exe in filter(None, candidates):
+            try:
+                done = subprocess.run(
+                    [exe, "-c", "import sys; print('%d.%d' % sys.version_info[:2])"],
+                    capture_output=True,
+                    text=True,
+                    timeout=60,
+                )
+            except (OSError, subprocess.TimeoutExpired):
+                continue
+            reported = done.stdout.strip() if done.returncode == 0 else None
+            if reported in OTHER_VERSIONS:
+                found.setdefault(reported, exe)
+            if version in found:
+                break
     return found
+
+
+def _other_interpreters_or_skip():
+    """The paths of ``other_interpreters``; a skip that names the versions not found if none."""
+    found = other_interpreters()
+    if not found:
+        missing = ", ".join(OTHER_VERSIONS)
+        pytest.skip(f"no interpreter of Python {missing} starts, on PATH or under pyenv")
+    return list(found.values())
 
 
 CROSS_VERSION_CASES = {
@@ -322,9 +347,7 @@ def test_other_interpreters_write_the_same_bytes(name, tmp_path):
     # pyproject claims Python 3.10 and later; every artifact byte must agree.
     # The run goes through the process entry, so each interpreter also takes
     # its own rung of the SHA-256 ladder and freezes its heap at exit.
-    interpreters = other_interpreters()
-    if not interpreters:
-        pytest.skip("no other python3.10 to python3.13 on PATH starts")
+    interpreters = _other_interpreters_or_skip()
     args = CROSS_VERSION_CASES[name]
     want = run_case(args, tmp_path / "here")
     src = str(Path(__file__).resolve().parent.parent / "src")
@@ -349,9 +372,7 @@ def test_other_interpreters_write_the_same_bytes(name, tmp_path):
 def test_other_interpreters_parse_argv_alike(argv, code, capsys):
     # argparse worded its usage errors and help differently from version to
     # version; the table parser prints the same text under every interpreter
-    interpreters = other_interpreters()
-    if not interpreters:
-        pytest.skip("no other python3.10 to python3.13 on PATH starts")
+    interpreters = _other_interpreters_or_skip()
     assert main(argv) == code
     want = capsys.readouterr()
     src = str(Path(__file__).resolve().parent.parent / "src")
